@@ -6,16 +6,19 @@ to concrete scenarios and reports where the resulting tables disagree;
 loop detection scans each flow table for entry pairs whose actions undo
 each other (a packet re-entering a rule it already traversed); what-if
 previews a single FLOW_MOD against a NIB, diffing tables and reporting
-any loop the change would introduce.
+any loop the change would introduce.  Both find pairs through the
+inverse-key index of `flowspace.tables`, so a scan is linear in table
+entries and a preview looks up partners of the new entries only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, product
 from typing import Sequence
 
-from flowspace import _kernels, actions, transforms
-from flowspace.actions import STATE_MASKS, AffineAction
+from flowspace import actions, transforms
+from flowspace.actions import AffineAction
 from flowspace.errors import SlotOutOfRangeError
 from flowspace.headers import Header
 from flowspace.nib import NIB
@@ -24,6 +27,9 @@ from flowspace.tables import (
     FlowRule,
     FlowTable,
     entry_key,
+    inverse_index,
+    inverse_key,
+    partner_key,
     reduce,
     table_equal,
 )
@@ -31,12 +37,11 @@ from flowspace.transforms import (
     AppTransform,
     ServiceChain,
     chain,
-    congruent,
     flow_mod_add,
     flow_mod_delete,
     flow_mod_modify,
     is_identity_linear,
-    normalize,
+    normal_forms,
 )
 
 
@@ -81,17 +86,18 @@ def _first_difference(a: AppTransform, b: AppTransform) -> Difference | None:
 def check_congruence(a: ServiceChain | AppTransform,
                      b: ServiceChain | AppTransform) -> CongruenceReport:
     """Decide congruence and describe the first structural difference."""
-    ta, tb = _as_transform(a), _as_transform(b)
-    verdict = congruent(ta, tb)
-    na, nb = normalize(ta), normalize(tb)
+    na, nb = normal_forms(_as_transform(a), _as_transform(b))
+    # Normal forms of equal slot count differ exactly where a first
+    # difference exists, so its absence is the `congruent` verdict.
+    first = _first_difference(na, nb)
     notes = tuple(
         f"{t.name}: non-identity linear part (a table becomes a sum of tables)"
         for t in (na, nb)
         if not is_identity_linear(t)
     )
     return CongruenceReport(
-        congruent=verdict,
-        first_difference=None if verdict else _first_difference(na, nb),
+        congruent=first is None,
+        first_difference=first,
         normalized_a=na,
         normalized_b=nb,
         notes=notes,
@@ -145,31 +151,37 @@ class LoopFinding:
             raise ValueError("certificate must be the identity action")
 
 
+def _finding(switch: int, x: FlowEntry, y: FlowEntry) -> LoopFinding:
+    a, b = sorted((x, y), key=entry_key)
+    return LoopFinding(switch, a, b, actions.compose(a.rule.action, b.rule.action))
+
+
+def _finding_id(f: LoopFinding) -> tuple:
+    return (f.switch, entry_key(f.entry_a), entry_key(f.entry_b))
+
+
 def detect_loops(nib: NIB) -> list[LoopFinding]:
     """Scan every table for additive-inverse entry pairs.
 
     Entries pair only when match, output port and ttl agree and their
     actions are mutual inverses; the composed (identity) action is kept
-    as the certificate.  Each table is scanned independently.
+    as the certificate.  Each table is scanned independently: its
+    entries are indexed by inverse key and every group is paired with
+    the group under its partner key.
     """
     findings = []
     for switch, table in enumerate(nib.tables):
-        groups: dict[tuple, list[FlowEntry]] = {}
-        for e in table:  # canonical order
-            sig = (e.rule.match, e.rule.out_port, e.rule.ttl)
-            groups.setdefault(sig, []).append(e)
-        for members in groups.values():
-            if len(members) < 2:
+        index = inverse_index(table)
+        for key, group in index.items():
+            pkey = partner_key(key)
+            if pkey == key:  # a self-inverse rule under several counters
+                pairs = combinations(group, 2)
+            elif key[3] < pkey[3]:  # the keys differ in translation only; pair once
+                pairs = product(group, index.get(pkey, ()))
+            else:
                 continue
-            linears = [e.rule.action.linear for e in members]
-            trs = [e.rule.action.translation for e in members]
-            for i, j in _kernels.inverse_pairs(linears, trs, STATE_MASKS):
-                ea, eb = members[i], members[j]
-                findings.append(LoopFinding(
-                    switch, ea, eb,
-                    actions.compose(ea.rule.action, eb.rule.action),
-                ))
-    findings.sort(key=lambda f: (f.switch, entry_key(f.entry_a), entry_key(f.entry_b)))
+            findings.extend(_finding(switch, x, y) for x, y in pairs)
+    findings.sort(key=_finding_id)
     return findings
 
 
@@ -203,43 +215,39 @@ class WhatIfReport:
     result: NIB
 
 
-def _table_diff(switch: int, before: FlowTable, after: FlowTable) -> TableDiff:
-    before_set = set(before)
-    after_set = set(after)
-    return TableDiff(
-        switch,
-        added=tuple(sorted(after_set - before_set, key=entry_key)),
-        removed=tuple(sorted(before_set - after_set, key=entry_key)),
-    )
-
-
-def _finding_id(f: LoopFinding) -> tuple:
-    return (f.switch, entry_key(f.entry_a), entry_key(f.entry_b))
-
-
 def what_if(nib: NIB, candidate: FlowModRequest) -> WhatIfReport:
-    """Preview a FLOW_MOD: table diffs plus any loops it would introduce."""
+    """Preview a FLOW_MOD: table diffs plus any loops it would introduce.
+
+    Only the touched switch changes, and a pair of its entries is a new
+    loop only if one of them is new, so partners are looked up for the
+    added entries alone; a delete introduces none.
+    """
     n = nib.topology.switch_count
-    if not 0 <= candidate.switch < n:
-        raise SlotOutOfRangeError(
-            f"switch {candidate.switch} out of range for {n} switches"
-        )
-    table = nib.tables[candidate.switch]
+    s = candidate.switch
+    if not 0 <= s < n:
+        raise SlotOutOfRangeError(f"switch {s} out of range for {n} switches")
+    table = nib.tables[s]
     if candidate.op == "add":
         updated = flow_mod_add(table, candidate.rule)
     elif candidate.op == "delete":
         updated = flow_mod_delete(table, candidate.rule)
     else:
         updated = flow_mod_modify(table, candidate.old_rule, candidate.rule)
-    tables = tuple(
-        updated if i == candidate.switch else t for i, t in enumerate(nib.tables)
-    )
+    tables = tuple(updated if i == s else t for i, t in enumerate(nib.tables))
     after = NIB(nib.topology, tables, nib.flows)
-    before_ids = {_finding_id(f) for f in detect_loops(nib)}
-    new_loops = tuple(
-        f for f in detect_loops(after) if _finding_id(f) not in before_ids
+    touched = TableDiff(
+        s,
+        added=tuple(sorted(updated._entries - table._entries, key=entry_key)),
+        removed=tuple(sorted(table._entries - updated._entries, key=entry_key)),
     )
-    diffs = tuple(
-        _table_diff(i, nib.tables[i], after.tables[i]) for i in range(n)
+    pairs = set()
+    index = inverse_index(updated) if touched.added else {}
+    for e in touched.added:
+        key = inverse_key(e.rule)
+        if key is not None:
+            pairs.update(frozenset((e, p)) for p in index.get(partner_key(key), ()) if p != e)
+    return WhatIfReport(
+        diffs=tuple(touched if i == s else TableDiff(i, (), ()) for i in range(n)),
+        new_loops=tuple(sorted((_finding(s, *pair) for pair in pairs), key=_finding_id)),
+        result=after,
     )
-    return WhatIfReport(diffs=diffs, new_loops=new_loops, result=after)

@@ -391,32 +391,42 @@ def build_parser() -> argparse.ArgumentParser:
                         help="report format (default: text)")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for randomized suites (default: 0)")
+    # The global options are accepted after the subcommand too.  With no
+    # default there, a value given before the subcommand is kept.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--format", choices=("text", "json"), default=argparse.SUPPRESS,
+                        help="report format (overrides the global option)")
+    common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+                        help="override the global seed")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("axioms", help="run the randomized table-algebra property suite")
+    p = sub.add_parser("axioms", parents=[common],
+                       help="run the randomized table-algebra property suite")
     p.add_argument("--cases", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                   help="override the global seed")
     p.set_defaults(func=cmd_axioms)
 
-    p = sub.add_parser("congruence", help="compare two chains' composite transforms")
+    p = sub.add_parser("congruence", parents=[common],
+                       help="compare two chains' composite transforms")
     p.add_argument("scenario")
     p.add_argument("chain_a")
     p.add_argument("chain_b")
     p.set_defaults(func=cmd_congruence)
 
-    p = sub.add_parser("apply", help="apply a chain to the scenario NIB for a header")
+    p = sub.add_parser("apply", parents=[common],
+                       help="apply a chain to the scenario NIB for a header")
     p.add_argument("scenario")
     p.add_argument("chain")
     p.add_argument("--header", required=True,
                    help='header JSON (e.g. \'{"nw_src": 1}\') or @query-name')
     p.set_defaults(func=cmd_apply)
 
-    p = sub.add_parser("loops", help="scan the scenario tables for inverse rule pairs")
+    p = sub.add_parser("loops", parents=[common],
+                       help="scan the scenario tables for inverse rule pairs")
     p.add_argument("scenario")
     p.set_defaults(func=cmd_loops)
 
-    p = sub.add_parser("whatif", help="preview a FLOW_MOD against the scenario NIB")
+    p = sub.add_parser("whatif", parents=[common],
+                       help="preview a FLOW_MOD against the scenario NIB")
     p.add_argument("scenario")
     p.add_argument("--op", choices=("add", "delete", "modify"), required=True)
     p.add_argument("--switch", type=int, required=True)
@@ -424,7 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--old-rule", help="rule being replaced (modify only)")
     p.set_defaults(func=cmd_whatif)
 
-    p = sub.add_parser("casestudy", help="run the bundled two-service scenario")
+    p = sub.add_parser("casestudy", parents=[common],
+                       help="run the bundled two-service scenario")
     p.add_argument("--emit-scenario", action="store_true",
                    help="print the bundled scenario JSON instead of the report")
     p.set_defaults(func=cmd_casestudy)

@@ -8,6 +8,12 @@ cancellation normal form: `reduce` removes mutually-inverse entries
 until none remain, and `reduce(add(t, negate_table(t)))` is empty for
 every table of invertible actions.
 
+Two rules are mutual inverses exactly when they share match, output
+port and ttl, both diagonals are all-ones and one translation is the
+slotwise negation of the other.  `inverse_index` groups a table's
+invertible entries by `inverse_key`, so an entry's partners are found
+by one lookup of its `partner_key` instead of a scan over the table.
+
 Entries are kept in a canonical total order so equality, serialization
 and cancellation are deterministic.
 """
@@ -17,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from flowspace import actions
+from flowspace import _kernels, actions
 from flowspace.actions import AffineAction, action_key
 from flowspace.errors import SingularActionError
 from flowspace.headers import MatchPattern, pattern_key
@@ -63,14 +69,19 @@ def entry_key(e: FlowEntry) -> tuple:
 class FlowTable:
     """An immutable set of flow entries with canonical iteration order."""
 
-    __slots__ = ("_entries",)
+    # _order caches the canonical order; it is derived from _entries and
+    # takes no part in equality or hashing.
+    __slots__ = ("_entries", "_order")
 
     def __init__(self, entries: Iterable[FlowEntry] = ()):
         object.__setattr__(self, "_entries", frozenset(entries))
+        object.__setattr__(self, "_order", None)
 
     @property
     def entries(self) -> tuple[FlowEntry, ...]:
-        return tuple(sorted(self._entries, key=entry_key))
+        if self._order is None:
+            object.__setattr__(self, "_order", tuple(sorted(self._entries, key=entry_key)))
+        return self._order
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -128,13 +139,37 @@ def negate_table(t: FlowTable) -> FlowTable:
     return FlowTable(out)
 
 
-def _mutually_inverse(r1: FlowRule, r2: FlowRule) -> bool:
-    return (
-        r1.match == r2.match
-        and r1.out_port == r2.out_port
-        and r1.ttl == r2.ttl
-        and actions.is_identity(actions.compose(r1.action, r2.action))
-    )
+def inverse_key(r: FlowRule) -> tuple | None:
+    """Index key of an invertible rule: (match, out_port, ttl, translation).
+
+    None when the diagonal is not all-ones: such a rule has no inverse.
+    Entries with equal keys carry the same rule and differ only in
+    their counters.
+    """
+    a = r.action
+    if not all(a.linear):
+        return None
+    return (r.match, r.out_port, r.ttl, a.translation)
+
+
+def partner_key(key: tuple) -> tuple:
+    """The key of the inverse rule: the translation negated slotwise."""
+    match, out_port, ttl, translation = key
+    return (match, out_port, ttl, _kernels.negate(translation, actions.STATE_MASKS))
+
+
+def inverse_index(t: FlowTable) -> dict[tuple, list[FlowEntry]]:
+    """The table's invertible entries grouped by `inverse_key`, each group
+    in canonical order."""
+    index: dict[tuple, list[FlowEntry]] = {}
+    for e in t._entries:
+        key = inverse_key(e.rule)
+        if key is not None:
+            index.setdefault(key, []).append(e)
+    for group in index.values():
+        if len(group) > 1:
+            group.sort(key=lambda e: e.counter)  # one rule, so counters decide
+    return index
 
 
 def reduce(t: FlowTable) -> FlowTable:
@@ -146,24 +181,23 @@ def reduce(t: FlowTable) -> FlowTable:
     and its negation into one copy, so it must self-cancel for
     t + (-t) to reach the empty table).  Counters of cancelled entries
     are discarded.  Entries with singular actions never cancel.
+
+    Removing entries never creates a partner, so that loop gives the
+    same result as one greedy pass in canonical order, in which an entry
+    cancels alone if it is its own inverse and otherwise with its
+    lowest-ordered live partner.  An entry's partners are the entries of
+    the inverse rule, so the pass cancels each group of `inverse_index`
+    and its partner group pairwise, lowest counters first, until the
+    smaller group runs out, and cancels a self-inverse group whole.
+    That outcome is computed here directly.
     """
-    entries = sorted(t._entries, key=entry_key)
-    while True:
-        best: tuple[int, ...] | None = None
-        for i, ei in enumerate(entries):
-            if _mutually_inverse(ei.rule, ei.rule):
-                best = (i,)
-                break  # (i,) precedes every (i, j) and any later candidate
-            for j in range(i + 1, len(entries)):
-                if _mutually_inverse(ei.rule, entries[j].rule):
-                    best = (i, j)
-                    break
-            if best is not None:
-                break
-        if best is None:
-            return FlowTable(entries)
-        for k in sorted(best, reverse=True):
-            del entries[k]
+    index = inverse_index(t)
+    cancelled: set[FlowEntry] = set()
+    for key, group in index.items():
+        pkey = partner_key(key)
+        n = len(group) if pkey == key else len(index.get(pkey, ()))
+        cancelled.update(group[:n])
+    return FlowTable(t._entries - cancelled) if cancelled else t
 
 
 def table_equal(t1: FlowTable, t2: FlowTable) -> bool:

@@ -322,7 +322,7 @@ def flow_mod_add(t: FlowTable, r: FlowRule) -> FlowTable:
 
 def flow_mod_delete(t: FlowTable, r: FlowRule) -> FlowTable:
     """Remove every entry whose rule equals r (counters included)."""
-    keep = [e for e in t if e.rule != r]
+    keep = [e for e in t._entries if e.rule != r]
     if len(keep) == len(t):
         raise RuleNotFoundError(f"no entry with rule {r!r}")
     return FlowTable(keep)
@@ -563,13 +563,18 @@ def normalize(a: AppTransform) -> AppTransform:
     return AppTransform(a.name, a.linear, tuple(_canon_sum(s) for s in a.translation))
 
 
-def congruent(a: AppTransform, b: AppTransform) -> bool:
-    """Equality of composite matrices, decided on normal forms."""
+def normal_forms(a: AppTransform, b: AppTransform) -> tuple[AppTransform, AppTransform]:
+    """The normal forms of two transforms that have the same slot count."""
     if a.dimension != b.dimension:
         raise DimensionMismatchError(
             f"cannot compare {a.dimension}-slot with {b.dimension}-slot transform"
         )
-    na, nb = normalize(a), normalize(b)
+    return normalize(a), normalize(b)
+
+
+def congruent(a: AppTransform, b: AppTransform) -> bool:
+    """Equality of composite matrices, decided on normal forms."""
+    na, nb = normal_forms(a, b)
     return na.linear == nb.linear and na.translation == nb.translation
 
 

@@ -4,14 +4,22 @@ The structured action algebra is checked against literal dense
 homogeneous matrices multiplied by numpy.  Entries stay exact in
 int64: diagonals are 0/1, translations are < 2**48, and a product row
 sums at most 15 such terms, well under 2**63.
+
+Cancellation, loop scans and what-if previews are checked against the
+all-pairs algorithms they replaced: they compose every candidate pair
+of actions and index nothing.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from flowspace import actions
 from flowspace.actions import STATE_MASKS, STATE_SIZE, AffineAction
-from flowspace.tables import FlowTable
+from flowspace.analysis import FlowModRequest, LoopFinding, TableDiff
+from flowspace.nib import NIB
+from flowspace.tables import FlowRule, FlowTable, entry_key
+from flowspace.transforms import flow_mod_add, flow_mod_delete, flow_mod_modify
 
 DIM = STATE_SIZE + 1
 
@@ -62,3 +70,87 @@ def loop_pairs_oracle(table: FlowTable) -> set[frozenset]:
             if dense_pair_is_identity(ri.action, rj.action):
                 found.add(frozenset((entries[i], entries[j])))
     return found
+
+
+def mutually_inverse(r1: FlowRule, r2: FlowRule) -> bool:
+    return (
+        r1.match == r2.match
+        and r1.out_port == r2.out_port
+        and r1.ttl == r2.ttl
+        and actions.is_identity(actions.compose(r1.action, r2.action))
+    )
+
+
+def reduce_oracle(t: FlowTable) -> FlowTable:
+    """Cancellation by restarting an all-pairs scan after every removal.
+
+    Each round removes the lowest-ordered cancellable group: a single
+    self-inverse entry, or an entry and its lowest-ordered partner.
+    """
+    entries = list(t.entries)
+    while True:
+        best: tuple[int, ...] | None = None
+        for i, ei in enumerate(entries):
+            if mutually_inverse(ei.rule, ei.rule):
+                best = (i,)
+                break  # (i,) precedes every (i, j) and any later candidate
+            for j in range(i + 1, len(entries)):
+                if mutually_inverse(ei.rule, entries[j].rule):
+                    best = (i, j)
+                    break
+            if best is not None:
+                break
+        if best is None:
+            return FlowTable(entries)
+        for k in sorted(best, reverse=True):
+            del entries[k]
+
+
+def detect_loops_oracle(nib: NIB) -> list[LoopFinding]:
+    """Every pair i < j of each table, in canonical order, that composes
+    to the identity."""
+    findings = []
+    for switch, table in enumerate(nib.tables):
+        entries = table.entries
+        for i, ea in enumerate(entries):
+            for eb in entries[i + 1:]:
+                if mutually_inverse(ea.rule, eb.rule):
+                    findings.append(LoopFinding(
+                        switch, ea, eb, actions.compose(ea.rule.action, eb.rule.action),
+                    ))
+    return findings
+
+
+def _finding_id(f: LoopFinding) -> tuple:
+    return (f.switch, entry_key(f.entry_a), entry_key(f.entry_b))
+
+
+def apply_flow_mod(nib: NIB, candidate: FlowModRequest) -> NIB:
+    table = nib.tables[candidate.switch]
+    if candidate.op == "add":
+        updated = flow_mod_add(table, candidate.rule)
+    elif candidate.op == "delete":
+        updated = flow_mod_delete(table, candidate.rule)
+    else:
+        updated = flow_mod_modify(table, candidate.old_rule, candidate.rule)
+    tables = tuple(
+        updated if i == candidate.switch else t for i, t in enumerate(nib.tables)
+    )
+    return NIB(nib.topology, tables, nib.flows)
+
+
+def what_if_new_loops_oracle(nib: NIB, candidate: FlowModRequest) -> tuple[LoopFinding, ...]:
+    """Scan the whole NIB before and after the FLOW_MOD; keep the new findings."""
+    before_ids = {_finding_id(f) for f in detect_loops_oracle(nib)}
+    after = apply_flow_mod(nib, candidate)
+    return tuple(f for f in detect_loops_oracle(after) if _finding_id(f) not in before_ids)
+
+
+def table_diffs_oracle(before: NIB, after: NIB) -> tuple[TableDiff, ...]:
+    """Set differences of every table pair, each side in canonical order."""
+    diffs = []
+    for i, (tb, ta) in enumerate(zip(before.tables, after.tables)):
+        b, a = set(tb), set(ta)
+        diffs.append(TableDiff(i, tuple(sorted(a - b, key=entry_key)),
+                               tuple(sorted(b - a, key=entry_key))))
+    return tuple(diffs)

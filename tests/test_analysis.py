@@ -6,6 +6,8 @@ from oracles import loop_pairs_oracle
 from flowspace import sampling
 from flowspace.actions import drop, forward, is_identity
 from flowspace.analysis import (
+    CongruenceReport,
+    Difference,
     FlowModRequest,
     behavioral_diff,
     check_congruence,
@@ -13,11 +15,11 @@ from flowspace.analysis import (
     what_if,
 )
 from flowspace.casestudy import CaseStudyConfig, build_nib, build_queries, build_x_chain, build_y_chain
-from flowspace.errors import RuleNotFoundError, SlotOutOfRangeError
+from flowspace.errors import DimensionMismatchError, RuleNotFoundError, SlotOutOfRangeError
 from flowspace.headers import MatchPattern
 from flowspace.nib import NIB, Topology
 from flowspace.tables import FlowEntry, FlowRule, FlowTable, negate_rule, table_equal
-from flowspace.transforms import congruent, chain
+from flowspace.transforms import ServiceChain, chain, congruent, identity_transform, normalize
 
 CFG = CaseStudyConfig()
 
@@ -57,6 +59,22 @@ class TestCheckCongruence:
         b = sampling.random_translation_app(rng, 2, "b")
         report = check_congruence(ServiceChain((a, b)), ServiceChain((b, a)))
         assert report.congruent
+
+    def test_reports_are_pinned(self):
+        x, y = build_x_chain(CFG), build_y_chain(CFG)
+        guards = "slot 0: piece guards ['LoadAtMost'] vs ['unconditional']"
+        assert check_congruence(x, y) == CongruenceReport(
+            False, Difference(0, guards), normalize(chain(x)), normalize(chain(y)))
+        rng = random.Random(53)
+        a = sampling.random_translation_app(rng, 2, "a")
+        b = sampling.random_translation_app(rng, 2, "b")
+        ab, ba = ServiceChain((a, b)), ServiceChain((b, a))
+        assert check_congruence(ab, ba) == CongruenceReport(
+            True, None, normalize(chain(ab)), normalize(chain(ba)))
+
+    def test_slot_count_mismatch_raises(self):
+        with pytest.raises(DimensionMismatchError):
+            check_congruence(identity_transform(2), identity_transform(3))
 
     def test_non_identity_linear_part_is_flagged(self):
         from flowspace.transforms import AppTransform, identity_transform

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from flowspace import actions, scenario
+from flowspace.cli import build_parser
 from flowspace.headers import MatchPattern
 from flowspace.nib import NIB, Topology
 from flowspace.tables import FlowEntry, FlowRule, FlowTable, negate_rule
@@ -144,6 +145,12 @@ class TestLoops:
         assert len(obj["findings"]) == 1
         assert obj["findings"][0]["certificate"] == {"kind": "forward", "delta": 0}
 
+    def test_format_after_subcommand(self, loop_scenario_path):
+        before = run_cli("--format", "json", "loops", loop_scenario_path)
+        after = run_cli("loops", loop_scenario_path, "--format", "json")
+        assert (after.stdout, after.returncode) == (before.stdout, before.returncode)
+        assert json.loads(after.stdout)["findings"]
+
 
 class TestWhatIf:
     RULE = json.dumps({
@@ -206,6 +213,16 @@ class TestAxioms:
         a = run_cli("--seed", "4", "axioms", "--cases", "40")
         b = run_cli("axioms", "--cases", "40", "--seed", "4")
         assert a.stdout == b.stdout
+
+    @pytest.mark.parametrize("argv, seed", [
+        (["axioms"], 0),
+        (["--seed", "4", "axioms"], 4),
+        (["axioms", "--seed", "5"], 5),
+        (["--seed", "4", "axioms", "--seed", "5"], 5),
+        (["--seed", "4", "--format", "json", "axioms"], 4),
+    ])
+    def test_seed_after_subcommand_wins(self, argv, seed):
+        assert build_parser().parse_args(argv).seed == seed
 
     def test_json_format(self):
         out = run_cli("--format", "json", "axioms", "--cases", "20")

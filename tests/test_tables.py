@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from oracles import mutually_inverse
 from flowspace import sampling
 from flowspace.actions import drop, forward, identity, invert, modify_field
 from flowspace.errors import SingularActionError
@@ -28,13 +29,6 @@ def rule(action=None, port=1, ttl=60, **match_fields) -> FlowRule:
         ttl,
         action if action is not None else forward(3),
     )
-
-
-def _mutually_inverse_rules(r1, r2) -> bool:
-    from flowspace import actions as act
-    return (r1.match == r2.match and r1.out_port == r2.out_port
-            and r1.ttl == r2.ttl
-            and act.is_identity(act.compose(r1.action, r2.action)))
 
 
 def table(*entries) -> FlowTable:
@@ -171,9 +165,9 @@ class TestReduce:
             left = reduce(sampling.random_collision_table(rng, max_entries=12))
             entries = left.entries
             for i, ei in enumerate(entries):
-                assert not _mutually_inverse_rules(ei.rule, ei.rule)
+                assert not mutually_inverse(ei.rule, ei.rule)
                 for ej in entries[i + 1:]:
-                    assert not _mutually_inverse_rules(ei.rule, ej.rule)
+                    assert not mutually_inverse(ei.rule, ej.rule)
 
 
 class TestTableEqualAndOrder:
@@ -187,6 +181,14 @@ class TestTableEqualAndOrder:
         e2 = FlowEntry(rule(nw_src=2), 0)
         assert FlowTable([e1, e2]) == FlowTable([e2, e1])
         assert FlowTable([e1, e2, e1]).entries == FlowTable([e2, e1]).entries
+
+    def test_canonical_order_is_cached_outside_equality(self):
+        e1 = FlowEntry(rule(nw_src=1), 0)
+        e2 = FlowEntry(rule(nw_src=2), 0)
+        t = FlowTable([e2, e1])
+        assert t.entries is t.entries == (e1, e2)
+        fresh = FlowTable([e1, e2])
+        assert t == fresh and hash(t) == hash(fresh)
 
     def test_entries_are_canonically_sorted(self):
         rng = random.Random(23)
