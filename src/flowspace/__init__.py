@@ -13,7 +13,6 @@ rule scanning, and what-if previews of FLOW_MOD changes, plus a CLI
 
 __version__ = "0.1.0"
 
-from flowspace._kernels import BACKEND as KERNEL_BACKEND
 from flowspace.actions import (
     ActionLabel,
     AffineAction,

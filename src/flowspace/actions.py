@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from flowspace import _kernels
 from flowspace.errors import SingularActionError, WidthOverflowError
 from flowspace.headers import FIELD_COUNT, FIELD_MASKS, FIELDS, Header, field_index
 
@@ -101,26 +100,40 @@ def modify_field(field: int | str, delta: int) -> AffineAction:
 
 
 def compose(second: AffineAction, first: AffineAction) -> AffineAction:
-    """The action applying `first` and then `second` (matrix product)."""
-    lin, tr = _kernels.compose(
-        second.linear, second.translation, first.linear, first.translation, STATE_MASKS
+    """The action applying `first` and then `second` (matrix product).
+
+    Diagonals multiply pointwise; the translation of the composite is
+    second.linear * first.translation + second.translation, per slot.
+    """
+    lin = tuple(a & b for a, b in zip(second.linear, first.linear))
+    tr = tuple(
+        (sl * ft + st) & m
+        for sl, st, ft, m in zip(second.linear, second.translation, first.translation, STATE_MASKS)
     )
     return AffineAction(lin, tr)
 
 
 def apply_action(a: AffineAction, s: RuleState) -> RuleState:
-    return RuleState.from_vector(_kernels.apply(a.linear, a.translation, s.vector(), STATE_MASKS))
+    vec = tuple(
+        (l * v + t) & m for l, v, t, m in zip(a.linear, s.vector(), a.translation, STATE_MASKS)
+    )
+    return RuleState.from_vector(vec)
+
+
+def negate_translation(translation: tuple[int, ...]) -> tuple[int, ...]:
+    """Slotwise additive inverse of a state translation: (-t_i) mod 2**width_i."""
+    return tuple(-t & m for t, m in zip(translation, STATE_MASKS))
 
 
 def invert(a: AffineAction) -> AffineAction:
     """The inverse map; only all-ones diagonals are invertible."""
     if not all(a.linear):
         raise SingularActionError("zero-scaled actions have no inverse")
-    return AffineAction(a.linear, _kernels.negate(a.translation, STATE_MASKS))
+    return AffineAction(a.linear, negate_translation(a.translation))
 
 
 def is_identity(a: AffineAction) -> bool:
-    return _kernels.is_identity(a.linear, a.translation)
+    return a.linear == _ONES and a.translation == _ZEROS
 
 
 def is_invertible(a: AffineAction) -> bool:

@@ -279,6 +279,8 @@ def _parse_header(scn: scenario.Scenario, literal: str) -> Header:
         obj = json.loads(literal)
     except json.JSONDecodeError as exc:
         raise FlowspaceError(f"--header is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise FlowspaceError("--header is nested too deeply") from None
     try:
         return scenario.header_from_obj(obj, "--header")
     except (TypeError, ValueError) as exc:
@@ -319,6 +321,8 @@ def cmd_whatif(args) -> int:
         old_obj = json.loads(args.old_rule) if args.old_rule else None
     except json.JSONDecodeError as exc:
         raise FlowspaceError(f"rule literal is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise FlowspaceError("rule literal is nested too deeply") from None
     try:
         request = FlowModRequest(
             op=args.op,

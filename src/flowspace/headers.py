@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from flowspace import _kernels
 from flowspace.errors import ArityMismatchError, UnknownFieldError, WidthOverflowError
 
 
@@ -117,7 +116,7 @@ class HeaderDelta:
 
     def negated(self) -> HeaderDelta:
         """The inverse translation: translating by d then d.negated() is a no-op."""
-        return HeaderDelta(_kernels.negate(self.deltas, FIELD_MASKS))
+        return HeaderDelta(tuple(-d & m for d, m in zip(self.deltas, FIELD_MASKS)))
 
 
 def make_header(values) -> Header:
@@ -137,14 +136,19 @@ def field_delta(old: int, new: int, width: int) -> int:
     return (new - old) % bound
 
 
+def _translate(values: tuple[int, ...], deltas: tuple[int, ...]) -> tuple[int, ...]:
+    """Per-field modular addition: (v_i + d_i) mod 2**width_i."""
+    return tuple((v + d) & m for v, d, m in zip(values, deltas, FIELD_MASKS))
+
+
 def translate_header(h: Header, d: HeaderDelta) -> Header:
     """Translate every field of h by d, each modulo its own width."""
-    return Header(_kernels.translate(h.values, d.deltas, FIELD_MASKS))
+    return Header(_translate(h.values, d.deltas))
 
 
 def combine_deltas(d1: HeaderDelta, d2: HeaderDelta) -> HeaderDelta:
     """The single delta equivalent to translating by d1 and then d2."""
-    return HeaderDelta(_kernels.translate(d1.deltas, d2.deltas, FIELD_MASKS))
+    return HeaderDelta(_translate(d1.deltas, d2.deltas))
 
 
 @dataclass(frozen=True)

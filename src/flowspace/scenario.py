@@ -47,6 +47,11 @@ from flowspace.transforms import (
 
 FORMAT_VERSION = 1
 
+#: Deepest nesting of template `seq` actions.  Templates stay symbolic
+#: until applied, so their normal forms, reports and hashes recurse once
+#: per level; a bound here keeps that recursion far from Python's limit.
+MAX_SEQ_DEPTH = 64
+
 
 def _require_obj(value, what: str) -> dict:
     if not isinstance(value, dict):
@@ -66,6 +71,41 @@ def _require(obj: dict, key: str, what: str):
     return obj[key]
 
 
+def _int(value, what: str) -> int:
+    """A JSON integer, taken as is: bools, floats and strings are rejected."""
+    if type(value) is not int:
+        raise ScenarioFormatError(f"{what} must be an integer, got {type(value).__name__}")
+    return value
+
+
+def _u16(value, what: str) -> int:
+    """A port number or ttl: a JSON integer in 0..0xFFFF."""
+    value = _int(value, what)
+    if not 0 <= value <= 0xFFFF:
+        raise ScenarioFormatError(f"{what}={value} exceeds 16-bit range")
+    return value
+
+
+_FIELD_NAMES = tuple(f.name for f in FIELDS)
+
+
+def _field(value, what: str) -> str:
+    """A field name: the integer field indices of the library have no wire form."""
+    if not isinstance(value, str):
+        raise ScenarioFormatError(f"{what} must be a field name, got {type(value).__name__}")
+    field_index(value)  # raises UnknownFieldError
+    return value
+
+
+def _fields(obj: dict, what: str) -> dict[str, int]:
+    """A header or match object: integers keyed by field name."""
+    _check_keys(obj, _FIELD_NAMES, what)
+    for name, value in obj.items():
+        if type(value) is not int:
+            _int(value, f"{what}.{name}")  # raises, naming the field
+    return obj
+
+
 # ---------------------------------------------------------------------------
 # Headers and patterns
 
@@ -75,9 +115,7 @@ def header_to_obj(h: Header) -> dict:
 
 
 def header_from_obj(obj, what: str = "header") -> Header:
-    obj = _require_obj(obj, what)
-    _check_keys(obj, tuple(f.name for f in FIELDS), what)
-    return Header.from_fields(**obj)
+    return Header.from_fields(**_fields(_require_obj(obj, what), what))
 
 
 def pattern_to_obj(p: MatchPattern) -> dict:
@@ -85,9 +123,7 @@ def pattern_to_obj(p: MatchPattern) -> dict:
 
 
 def pattern_from_obj(obj, what: str = "match") -> MatchPattern:
-    obj = _require_obj(obj, what)
-    _check_keys(obj, tuple(f.name for f in FIELDS), what)
-    return MatchPattern.from_fields(**obj)
+    return MatchPattern.from_fields(**_fields(_require_obj(obj, what), what))
 
 
 # ---------------------------------------------------------------------------
@@ -131,11 +167,12 @@ def action_from_obj(obj, what: str = "action") -> AffineAction:
         return actions.drop()
     if kind == "forward":
         _check_keys(obj, ("kind", "delta"), what)
-        return actions.forward(int(_require(obj, "delta", what)))
+        return actions.forward(_int(_require(obj, "delta", what), f"{what}.delta"))
     if kind == "modify":
         _check_keys(obj, ("kind", "field", "delta"), what)
         return actions.modify_field(
-            _require(obj, "field", what), int(_require(obj, "delta", what))
+            _field(_require(obj, "field", what), f"{what}.field"),
+            _int(_require(obj, "delta", what), f"{what}.delta"),
         )
     if kind == "seq":
         _check_keys(obj, ("kind", "actions"), what)
@@ -164,8 +201,8 @@ def rule_from_obj(obj, what: str = "rule") -> FlowRule:
     _check_keys(obj, ("match", "out_port", "ttl", "action"), what)
     return FlowRule(
         match=pattern_from_obj(_require(obj, "match", what), f"{what}.match"),
-        out_port=int(_require(obj, "out_port", what)),
-        ttl=int(_require(obj, "ttl", what)),
+        out_port=_int(_require(obj, "out_port", what), f"{what}.out_port"),
+        ttl=_int(_require(obj, "ttl", what), f"{what}.ttl"),
         action=action_from_obj(_require(obj, "action", what), f"{what}.action"),
     )
 
@@ -180,7 +217,7 @@ def entry_from_obj(obj, what: str = "entry") -> FlowEntry:
     obj = _require_obj(obj, what)
     _check_keys(obj, ("match", "out_port", "ttl", "action", "counter"), what)
     rule = rule_from_obj({k: v for k, v in obj.items() if k != "counter"}, what)
-    return FlowEntry(rule, int(obj.get("counter", 0)))
+    return FlowEntry(rule, _int(obj.get("counter", 0), f"{what}.counter"))
 
 
 def table_to_obj(t: FlowTable) -> list:
@@ -206,7 +243,7 @@ def flow_from_obj(obj, what: str = "flow") -> Flow:
     assigned = obj.get("assigned_dest")
     return Flow(
         header_from_obj(_require(obj, "header", what), f"{what}.header"),
-        int(assigned) if assigned is not None else None,
+        _int(assigned, f"{what}.assigned_dest") if assigned is not None else None,
     )
 
 
@@ -228,11 +265,13 @@ def topology_from_obj(obj, what: str = "topology") -> Topology:
     ports = _require_obj(obj.get("ports", {}), f"{what}.ports")
     server_ports = _require_obj(obj.get("server_ports", {}), f"{what}.server_ports")
     try:
-        server_ports = {int(k): int(v) for k, v in server_ports.items()}
+        server_ports = {int(k): _u16(v, f"{what}.server_ports[{k}]")
+                        for k, v in server_ports.items()}
     except ValueError:
         raise ScenarioFormatError(f"{what}.server_ports keys must be integers") from None
-    return Topology(int(_require(obj, "switches", what)),
-                    {str(k): int(v) for k, v in ports.items()}, server_ports)
+    return Topology(_int(_require(obj, "switches", what), f"{what}.switches"),
+                    {str(k): _u16(v, f"{what}.ports[{k}]") for k, v in ports.items()},
+                    server_ports)
 
 
 # ---------------------------------------------------------------------------
@@ -257,11 +296,11 @@ def guard_from_obj(obj, what: str = "guard"):
         return TrueGuard()
     if kind == "source_count_at_most":
         _check_keys(obj, ("kind", "threshold"), what)
-        return SourceCountAtMost(int(_require(obj, "threshold", what)))
+        return SourceCountAtMost(_int(_require(obj, "threshold", what), f"{what}.threshold"))
     if kind == "load_at_most":
         _check_keys(obj, ("kind", "server_a", "server_b"), what)
-        return LoadAtMost(int(_require(obj, "server_a", what)),
-                          int(_require(obj, "server_b", what)))
+        return LoadAtMost(_int(_require(obj, "server_a", what), f"{what}.server_a"),
+                          _int(_require(obj, "server_b", what), f"{what}.server_b"))
     raise ScenarioFormatError(f"{what}: unknown guard kind {kind!r}")
 
 
@@ -279,7 +318,7 @@ def port_ref_from_obj(obj, what: str = "port"):
     if isinstance(obj, str):
         return PortName(obj)
     if isinstance(obj, int):
-        return PortNumber(obj)
+        return PortNumber(_u16(obj, what))
     obj = _require_obj(obj, what)
     _check_keys(obj, ("kind",), what)
     if obj.get("kind") == "dest_port":
@@ -296,12 +335,12 @@ def value_ref_to_obj(ref):
 
 def value_ref_from_obj(obj, what: str = "value"):
     if isinstance(obj, int):
-        return obj
+        return _int(obj, what)
     obj = _require_obj(obj, what)
     _check_keys(obj, ("kind", "server_a", "server_b"), what)
     if obj.get("kind") == "pick_less_loaded":
-        return PickLessLoaded(int(_require(obj, "server_a", what)),
-                              int(_require(obj, "server_b", what)))
+        return PickLessLoaded(_int(_require(obj, "server_a", what), f"{what}.server_a"),
+                              _int(_require(obj, "server_b", what), f"{what}.server_b"))
     raise ScenarioFormatError(f"{what}: unknown value reference {obj!r}")
 
 
@@ -318,7 +357,7 @@ def action_spec_to_obj(spec) -> dict:
     raise ScenarioFormatError(f"not an action template: {spec!r}")
 
 
-def action_spec_from_obj(obj, what: str = "action"):
+def action_spec_from_obj(obj, what: str = "action", depth: int = 0):
     obj = _require_obj(obj, what)
     kind = _require(obj, "kind", what)
     if kind == "drop":
@@ -329,12 +368,13 @@ def action_spec_from_obj(obj, what: str = "action"):
         return Forward(port_ref_from_obj(_require(obj, "port", what), f"{what}.port"))
     if kind == "set_field":
         _check_keys(obj, ("kind", "field", "to"), what)
-        field_index(_require(obj, "field", what))  # validate the name
-        return SetField(obj["field"],
+        return SetField(_field(_require(obj, "field", what), f"{what}.field"),
                         value_ref_from_obj(_require(obj, "to", what), f"{what}.to"))
     if kind == "seq":
         _check_keys(obj, ("kind", "actions"), what)
-        return Seq(tuple(action_spec_from_obj(s, f"{what}[{i}]")
+        if depth == MAX_SEQ_DEPTH:
+            raise ScenarioFormatError(f"{what}: seq nested deeper than {MAX_SEQ_DEPTH} levels")
+        return Seq(tuple(action_spec_from_obj(s, f"{what}[{i}]", depth + 1)
                          for i, s in enumerate(_require(obj, "actions", what))))
     raise ScenarioFormatError(f"{what}: unknown action kind {kind!r}")
 
@@ -354,6 +394,9 @@ def template_to_obj(t: RuleTemplate) -> dict:
 def template_from_obj(obj, what: str = "rule template") -> RuleTemplate:
     obj = _require_obj(obj, what)
     _check_keys(obj, ("match", "out_port", "ttl", "action", "counter"), what)
+    counter = _int(obj.get("counter", 0), f"{what}.counter")
+    if counter < 0:
+        raise ScenarioFormatError(f"{what}.counter must be non-negative")
     raw_match = _require(obj, "match", what)
     if raw_match == "input":
         match = InputHeader()
@@ -362,9 +405,9 @@ def template_from_obj(obj, what: str = "rule template") -> RuleTemplate:
     return RuleTemplate(
         match=match,
         out_port=port_ref_from_obj(_require(obj, "out_port", what), f"{what}.out_port"),
-        ttl=int(_require(obj, "ttl", what)),
+        ttl=_u16(_require(obj, "ttl", what), f"{what}.ttl"),
         action=action_spec_from_obj(_require(obj, "action", what), f"{what}.action"),
-        counter=int(obj.get("counter", 0)),
+        counter=counter,
     )
 
 
@@ -414,7 +457,7 @@ def app_from_obj(obj, n: int, what: str = "app") -> AppTransform:
     _check_keys(obj, ("name", "slot", "delta"), what)
     return make_app(
         str(_require(obj, "name", what)),
-        int(_require(obj, "slot", what)),
+        _int(_require(obj, "slot", what), f"{what}.slot"),
         delta_from_obj(_require(obj, "delta", what), f"{what}.delta"),
         n,
     )
@@ -462,7 +505,7 @@ def scenario_from_obj(obj) -> Scenario:
     _check_keys(obj, ("version", "topology", "flows", "tables", "apps",
                       "chains", "queries"), "scenario")
     version = _require(obj, "version", "scenario")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise ScenarioFormatError(f"unsupported scenario version {version!r}")
     topology = topology_from_obj(_require(obj, "topology", "scenario"))
     n = topology.switch_count
@@ -506,6 +549,8 @@ def loads_scenario(text: str) -> Scenario:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioFormatError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ScenarioFormatError("not valid JSON: nested too deeply") from None
     try:
         return scenario_from_obj(obj)
     except (TypeError, ValueError) as exc:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from flowspace import _kernels, actions
+from flowspace import actions
 from flowspace.actions import AffineAction, action_key
 from flowspace.errors import SingularActionError
 from flowspace.headers import MatchPattern, pattern_key
@@ -155,7 +155,7 @@ def inverse_key(r: FlowRule) -> tuple | None:
 def partner_key(key: tuple) -> tuple:
     """The key of the inverse rule: the translation negated slotwise."""
     match, out_port, ttl, translation = key
-    return (match, out_port, ttl, _kernels.negate(translation, actions.STATE_MASKS))
+    return (match, out_port, ttl, actions.negate_translation(translation))
 
 
 def inverse_index(t: FlowTable) -> dict[tuple, list[FlowEntry]]:

@@ -69,6 +69,7 @@ class TestDrop:
         # Drop followed by a translation is a constant map, not drop itself.
         a = compose(forward(5), drop())
         assert not any(a.linear)
+        assert a.translation == forward(5).translation
         s1, s2 = some_state(), RuleState(Header.from_fields(tp_src=1), 9, 30)
         assert apply_action(a, s1) == apply_action(a, s2)
 

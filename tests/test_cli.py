@@ -1,13 +1,21 @@
-"""End-to-end CLI checks via subprocess."""
+"""End-to-end CLI checks via subprocess, and an in-process fuzz test of
+the exit-code contract."""
 
+import copy
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from importlib.resources import files
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flowspace import actions, scenario
-from flowspace.cli import build_parser
+from flowspace.cli import build_parser, main
+from flowspace.headers import FIELDS
 from flowspace.headers import MatchPattern
 from flowspace.nib import NIB, Topology
 from flowspace.tables import FlowEntry, FlowRule, FlowTable, negate_rule
@@ -248,3 +256,137 @@ class TestCaseStudyCommand:
         a = run_cli("casestudy", "--emit-scenario")
         b = run_cli("casestudy", "--emit-scenario")
         assert a.stdout == b.stdout
+
+
+# ---------------------------------------------------------------------------
+# Exit-code contract: 0 or 1 is a verdict with nothing on stderr, 2 is one
+# `error:` line; no input may end in an uncaught exception, and a
+# non-integer where the format wants an integer is never accepted.
+
+BUNDLED = json.loads(files("flowspace").joinpath("data/casestudy.json").read_text())
+WIDTHS = {f.name: f.width for f in FIELDS}
+
+
+def _paths(node, path=()):
+    if path:
+        yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node) \
+        if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+def _get(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+PATHS = list(_paths(BUNDLED))
+INT_PATHS = [p for p in PATHS if type(_get(BUNDLED, p)) is int]
+DROP = "<drop the key>"
+DEEP = "<100,000 nested arrays>"
+DEEP_TEXT = "[" * 100_000 + "]" * 100_000
+REPLACEMENTS = (1.5, -0.0, True, False, "7", None, -1, 70_000, 2**64, [[[7]]], {}, DROP, DEEP)
+
+
+def _mutate(mutations):
+    """The bundled document with the mutations applied, as JSON text, and
+    whether it now holds a non-integer where the bundled one holds an
+    integer.  DROP deletes object keys only, so that no path shifts."""
+    doc = copy.deepcopy(BUNDLED)
+    for path, value in mutations:
+        try:
+            parent = _get(doc, path[:-1])
+            if value == DROP:
+                if isinstance(parent, dict):
+                    del parent[path[-1]]
+            else:
+                parent[path[-1]]  # the path must still exist
+                parent[path[-1]] = value
+        except (KeyError, IndexError, TypeError):
+            pass  # an earlier mutation replaced or removed this path
+    broken = False
+    for path in INT_PATHS:
+        try:
+            value = _get(doc, path)
+        except (KeyError, IndexError, TypeError):
+            continue
+        # an absent assigned_dest may be written as null
+        if type(value) is not int and not (value is None and path[-1] == "assigned_dest"):
+            broken = True
+    text = json.dumps(doc)
+    return text.replace(json.dumps(DEEP), DEEP_TEXT), broken or DEEP in text
+
+
+def _header_is_valid(literal: str) -> bool:
+    if literal.startswith("@"):
+        return literal[1:] in BUNDLED["queries"]
+    try:
+        obj = json.loads(literal)
+    except (ValueError, RecursionError):
+        return False
+    return isinstance(obj, dict) and all(
+        k in WIDTHS and type(v) is int and 0 <= v < 1 << WIDTHS[k] for k, v in obj.items()
+    )
+
+
+header_values = st.one_of(
+    st.integers(-1, 2**64), st.floats(), st.booleans(), st.text(max_size=3), st.none(),
+    st.lists(st.integers(0, 3), max_size=2),
+)
+header_literals = st.one_of(
+    st.dictionaries(st.sampled_from([*WIDTHS, "vlan"]), header_values, max_size=3)
+    .map(json.dumps),
+    st.sampled_from(["@fresh-client", "@missing", "{nope", "[]", "7", DEEP_TEXT]),
+)
+
+
+def run_main(*argv: str):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "scenario.json"
+
+
+class TestExitCodeContract:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        mutations=st.lists(st.tuples(st.sampled_from(PATHS), st.sampled_from(REPLACEMENTS)),
+                           max_size=3),
+        header=header_literals,
+        command=st.sampled_from(["apply", "congruence", "loops", "whatif"]),
+    )
+    @example(mutations=[], header='{"nw_src": 1.5}', command="apply")
+    @example(mutations=[], header='{"nw_src": true}', command="apply")
+    @example(mutations=[(("topology", "ports", "p_lb"), 70_000)],
+             header='{"nw_src": 1}', command="apply")
+    @example(mutations=[(("topology",), DEEP)], header="{}", command="loops")
+    @example(mutations=[], header=DEEP_TEXT, command="apply")
+    @example(mutations=[(("apps", 1, "delta", "default", 0, "action", "actions", 0, "field"), 1.5)],
+             header="{}", command="apply")
+    def test_exit_code_and_stderr(self, fuzz_path, mutations, header, command):
+        text, broken = _mutate(mutations)
+        fuzz_path.write_text(text)
+        path = str(fuzz_path)
+        argv = {
+            "apply": ["apply", path, "ids-lb", f"--header={header}"],
+            "congruence": ["congruence", path, "ids-lb", "lb-ids"],
+            "loops": ["loops", path],
+            "whatif": ["whatif", path, "--op", "add", "--switch", "1",
+                       "--rule", TestWhatIf.RULE],
+        }[command]
+        code, _, err = run_main(*argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+        else:
+            assert err == ""
+        if broken or (command == "apply" and not _header_is_valid(header)):
+            assert code == 2

@@ -89,13 +89,29 @@ class TestTranslate:
         assert translate_header(h, HeaderDelta.zero()) == h
 
     def test_single_field_wrap(self):
-        h = Header.from_fields(nw_tos=63)
-        d = HeaderDelta.single("nw_tos", 1)
-        assert translate_header(h, d).field("nw_tos") == 0
+        for name, value, delta, wrapped in (
+            ("nw_tos", 63, 1, 0),
+            ("nw_proto", 250, 10, 4),
+            ("dl_src", 2**48 - 1, 1, 0),
+        ):
+            h = Header.from_fields(**{name: value})
+            d = HeaderDelta.single(name, delta)
+            assert translate_header(h, d).field(name) == wrapped
 
     @given(headers, deltas)
     def test_negated_delta_round_trips(self, h, d):
         assert translate_header(translate_header(h, d), d.negated()) == h
+
+    def test_negated_delta_values(self):
+        for name, delta, negated in (
+            ("nw_proto", 0, 0),
+            ("nw_proto", 5, 251),
+            ("dl_src", 2**48 - 1, 1),
+            ("dl_src", 1, 2**48 - 1),
+        ):
+            assert HeaderDelta.single(name, delta).negated() == HeaderDelta.single(name, negated)
+        back = translate_header(Header.from_fields(), HeaderDelta.single("dl_src", 1).negated())
+        assert back.field("dl_src") == 2**48 - 1
 
     @given(headers, deltas, deltas)
     def test_translation_composes(self, h, d1, d2):

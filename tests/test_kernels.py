@@ -1,88 +1,20 @@
-"""Backend agreement: the compiled kernels must match the pure twins."""
+"""Slot arithmetic: modular translation and zero-diagonal composition.
 
-import random
+The headers and actions modules share one arithmetic path, each over its
+own masks; these cases pin its wrap-around and its handling of a zero
+diagonal on single slots.
+"""
 
-import pytest
-
-from flowspace._kernels import BACKEND, pure
-from flowspace.actions import STATE_MASKS, STATE_SIZE
-
-try:
-    from flowspace._kernels import _speedups
-except ImportError:
-    _speedups = None
-
-needs_compiled = pytest.mark.skipif(
-    _speedups is None, reason="compiled kernel extension not built"
-)
-
-
-def random_vec(rng, masks):
-    return tuple(rng.randint(0, m) for m in masks)
-
-
-def random_lin(rng):
-    return tuple(rng.choice((0, 1)) for _ in range(STATE_SIZE))
-
-
-def test_selected_backend_is_reported():
-    assert BACKEND in ("pure", "compiled")
+from flowspace.actions import PORT_SLOT, compose, drop, forward
+from flowspace.headers import Header, HeaderDelta, translate_header
 
 
 class TestPureSemantics:
     def test_translate(self):
-        assert pure.translate((250,), (10,), (255,)) == (4,)
-
-    def test_negate(self):
-        assert pure.negate((0, 5), (255, 255)) == (0, 251)
+        h = Header.from_fields(nw_proto=250)
+        d = HeaderDelta.single("nw_proto", 10)
+        assert translate_header(h, d).field("nw_proto") == 4
 
     def test_compose_zero_diagonal_keeps_second_translation(self):
-        lin, tr = pure.compose((1,), (5,), (0,), (0,), (255,))
-        assert lin == (0,) and tr == (5,)
-
-    def test_inverse_pairs_skips_singular_rows(self):
-        lins = [(1,), (0,), (1,)]
-        trs = [(3,), (0,), (253,)]
-        assert pure.inverse_pairs(lins, trs, (255,)) == [(0, 2)]
-
-
-@needs_compiled
-class TestBackendAgreement:
-    def test_scalar_ops_agree(self):
-        rng = random.Random(109)
-        for _ in range(500):
-            lin1, lin2 = random_lin(rng), random_lin(rng)
-            tr1 = random_vec(rng, STATE_MASKS)
-            tr2 = random_vec(rng, STATE_MASKS)
-            state = random_vec(rng, STATE_MASKS)
-            assert (_speedups.compose(lin1, tr1, lin2, tr2, STATE_MASKS)
-                    == pure.compose(lin1, tr1, lin2, tr2, STATE_MASKS))
-            assert (_speedups.apply(lin1, tr1, state, STATE_MASKS)
-                    == pure.apply(lin1, tr1, state, STATE_MASKS))
-            assert (_speedups.translate(state, tr1, STATE_MASKS)
-                    == pure.translate(state, tr1, STATE_MASKS))
-            assert (_speedups.negate(tr1, STATE_MASKS)
-                    == pure.negate(tr1, STATE_MASKS))
-            assert (_speedups.is_identity(lin1, tr1)
-                    == pure.is_identity(lin1, tr1))
-
-    def test_inverse_pairs_agree(self):
-        rng = random.Random(113)
-        for _ in range(100):
-            k = rng.randint(0, 20)
-            lins, trs = [], []
-            for _ in range(k):
-                lins.append((1,) * STATE_SIZE if rng.random() < 0.8 else random_lin(rng))
-                if trs and rng.random() < 0.4:
-                    donor = rng.randrange(len(trs))
-                    trs.append(pure.negate(trs[donor], STATE_MASKS))
-                else:
-                    trs.append(random_vec(rng, STATE_MASKS))
-            assert (_speedups.inverse_pairs(lins, trs, STATE_MASKS)
-                    == pure.inverse_pairs(lins, trs, STATE_MASKS))
-
-    def test_48_bit_values_survive(self):
-        top = 2**48 - 1
-        masks = (top,)
-        assert _speedups.translate((top,), (1,), masks) == pure.translate((top,), (1,), masks) == (0,)
-        assert _speedups.negate((top,), masks) == pure.negate((top,), masks) == (1,)
+        a = compose(forward(5), drop())
+        assert a.linear[PORT_SLOT] == 0 and a.translation[PORT_SLOT] == 5

@@ -9,7 +9,9 @@ from flowspace.casestudy import build_scenario
 from flowspace.errors import ScenarioFormatError
 from flowspace.headers import Header, MatchPattern
 from flowspace.scenario import (
+    MAX_SEQ_DEPTH,
     action_from_obj,
+    action_spec_from_obj,
     action_to_obj,
     app_from_obj,
     app_to_obj,
@@ -185,6 +187,41 @@ class TestScenarioDocument:
         obj["version"] = 2
         with pytest.raises(ScenarioFormatError):
             scenario_from_obj(obj)
+
+    @pytest.mark.parametrize("path, value", [
+        (("version",), 1.0),
+        (("topology", "switches"), 2.0),
+        (("topology", "ports", "p_lb"), 70_000),
+        (("topology", "ports", "p_lb"), 2.0),
+        (("topology", "server_ports", "167772261"), -1),
+        (("flows", 0, "header", "nw_src"), 1.5),
+        (("flows", 0, "assigned_dest"), "167772261"),
+        (("apps", 0, "slot"), "1"),
+        (("apps", 0, "delta", "branches", 0, "guard", "threshold"), 3.0),
+        (("apps", 0, "delta", "default", 0, "ttl"), 70_000),
+        (("apps", 0, "delta", "default", 0, "counter"), -1),
+        (("apps", 0, "delta", "default", 0, "out_port"), 70_000),
+        (("apps", 1, "delta", "default", 0, "action", "actions", 0, "to"), True),
+        (("apps", 1, "delta", "default", 0, "action", "actions", 0, "field"), 1.5),
+        (("queries", "fresh-client", "nw_dst"), False),
+    ])
+    def test_numbers_are_checked_not_coerced(self, path, value):
+        obj = scenario_to_obj(build_scenario())
+        obj = json.loads(json.dumps(obj))  # string keys, as in a file
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        with pytest.raises(ScenarioFormatError):
+            loads_scenario(json.dumps(obj))
+
+    def test_template_seq_depth_is_bounded(self):
+        action = {"kind": "drop"}
+        for _ in range(MAX_SEQ_DEPTH):
+            action = {"kind": "seq", "actions": [action]}
+        action_spec_from_obj(action)
+        with pytest.raises(ScenarioFormatError):
+            action_spec_from_obj({"kind": "seq", "actions": [action]})
 
     def test_unknown_top_level_key_rejected(self):
         obj = scenario_to_obj(build_scenario())
