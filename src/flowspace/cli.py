@@ -3,13 +3,16 @@
 Commands load a scenario file, run an analysis and print a report in
 text or JSON form.  Exit codes are CI-friendly: 0 means clean
 (congruent / no loops / all properties hold), 1 means the analysis
-verdict was negative, 2 means a usage or input error.
+verdict was negative, 2 means a usage or input error.  When the reader
+of standard output goes away early, the command stops quietly with
+141, the status a shell reports for a tool that SIGPIPE killed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from flowspace import __version__, actions, axioms, casestudy, scenario
@@ -447,10 +450,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: 128 + SIGPIPE: the exit status of a command whose output reader went away.
+EXIT_BROKEN_PIPE = 141
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+        return status
+    except BrokenPipeError:
+        # Not an input error: report nothing, and point stdout at devnull
+        # so that the flush at interpreter exit does not raise again.
+        sys.stdout = open(os.devnull, "w")
+        return EXIT_BROKEN_PIPE
     except FlowspaceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -45,6 +45,7 @@ FIELDS: tuple[FieldSpec, ...] = (
 FIELD_COUNT = len(FIELDS)
 FIELD_INDEX: dict[str, int] = {f.name: i for i, f in enumerate(FIELDS)}
 FIELD_MASKS: tuple[int, ...] = tuple((1 << f.width) - 1 for f in FIELDS)
+FIELD_BOUNDS: tuple[int, ...] = tuple(1 << f.width for f in FIELDS)
 
 NW_SRC = FIELD_INDEX["nw_src"]
 NW_DST = FIELD_INDEX["nw_dst"]
@@ -67,8 +68,8 @@ def _check_values(values: tuple[int, ...], kind: str) -> None:
         raise ArityMismatchError(
             f"{kind} needs {FIELD_COUNT} values, got {len(values)}"
         )
-    for spec, value in zip(FIELDS, values):
-        if not 0 <= value < (1 << spec.width):
+    for value, bound, spec in zip(values, FIELD_BOUNDS, FIELDS):
+        if not 0 <= value < bound:
             raise WidthOverflowError(spec.name, value, spec.width)
 
 

@@ -8,15 +8,21 @@ flow's effective destination is the server assigned by the balancer
 when present, else its header destination; without that, load would
 only ever count the virtual address.
 
+The statistics come from one index per NIB: it costs one pass over
+the flows, on the first lookup, and O(1) per lookup after that.  NIBs
+that transforms return build their own index when first asked.
+
 All values are immutable; transformations return new NIBs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 from flowspace.errors import DimensionMismatchError
-from flowspace.headers import Header, dest_of, src_of
+from flowspace.headers import NW_DST, NW_SRC, Header, dest_of, src_of
 from flowspace.tables import FlowTable
 
 
@@ -46,6 +52,14 @@ class Flow:
         return self.assigned_dest if self.assigned_dest is not None else dest_of(self.header)
 
 
+class FlowStats(NamedTuple):
+    """The flow statistics of one NIB, keyed for direct lookup."""
+
+    by_src: dict[int, int]  # source -> flow count
+    by_dest: dict[int, int]  # effective destination -> flow count
+    assigned: dict[tuple[int, ...], int]  # header values -> first assignment
+
+
 @dataclass(frozen=True)
 class NIB:
     topology: Topology
@@ -57,6 +71,27 @@ class NIB:
             raise DimensionMismatchError(
                 f"{len(self.tables)} tables for {self.topology.switch_count} switches"
             )
+
+    # Built from flows on first use; cached_property writes to the
+    # instance __dict__, so the index takes no part in equality, hashing
+    # or repr.
+    @cached_property
+    def stats(self) -> FlowStats:
+        """Index the flows in one pass; the first assigned flow of a header wins."""
+        by_src: dict[int, int] = {}
+        by_dest: dict[int, int] = {}
+        assigned: dict[tuple[int, ...], int] = {}
+        for f in self.flows:
+            values = f.header.values
+            src = values[NW_SRC]
+            by_src[src] = by_src.get(src, 0) + 1
+            dest = f.assigned_dest
+            if dest is None:
+                dest = values[NW_DST]
+            elif values not in assigned:
+                assigned[values] = dest
+            by_dest[dest] = by_dest.get(dest, 0) + 1
+        return FlowStats(by_src, by_dest, assigned)
 
 
 def empty_nib(topology: Topology) -> NIB:
@@ -77,13 +112,12 @@ def nib_from_vector(topology: Topology, vector: tuple, flows: tuple[Flow, ...] =
 
 def count_by_src(nib: NIB, h: Header) -> int:
     """Number of observed flows sharing h's source field."""
-    want = src_of(h)
-    return sum(1 for f in nib.flows if src_of(f.header) == want)
+    return nib.stats.by_src.get(src_of(h), 0)
 
 
 def count_by_dest(nib: NIB, server: int) -> int:
     """Number of observed flows whose effective destination is `server`."""
-    return sum(1 for f in nib.flows if f.effective_dest() == server)
+    return nib.stats.by_dest.get(server, 0)
 
 
 def record_flow(nib: NIB, f: Flow) -> NIB:
@@ -96,7 +130,4 @@ def effective_dest_of_header(nib: NIB, h: Header) -> int:
     If h is an observed flow with a balancer assignment, the assignment
     wins; otherwise the header's own destination field.
     """
-    for f in nib.flows:
-        if f.header == h and f.assigned_dest is not None:
-            return f.assigned_dest
-    return dest_of(h)
+    return nib.stats.assigned.get(h.values, dest_of(h))

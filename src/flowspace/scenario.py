@@ -22,7 +22,15 @@ from dataclasses import dataclass, field
 from flowspace import actions
 from flowspace.actions import PORT_SLOT, TTL_SLOT, AffineAction
 from flowspace.errors import ScenarioFormatError
-from flowspace.headers import FIELD_COUNT, FIELDS, Header, MatchPattern, field_index
+from flowspace.headers import (
+    FIELD_COUNT,
+    FIELD_INDEX,
+    FIELDS,
+    NW_DST,
+    Header,
+    MatchPattern,
+    field_index,
+)
 from flowspace.nib import NIB, Flow, Topology
 from flowspace.tables import FlowEntry, FlowRule, FlowTable
 from flowspace.transforms import (
@@ -59,10 +67,11 @@ def _require_obj(value, what: str) -> dict:
     return value
 
 
-def _check_keys(obj: dict, allowed: tuple[str, ...], what: str) -> None:
+def _check_keys(obj: dict, allowed: tuple[str, ...] | frozenset[str], what: str) -> None:
+    if obj.keys() <= frozenset(allowed):
+        return
     unknown = sorted(set(obj) - set(allowed))
-    if unknown:
-        raise ScenarioFormatError(f"unknown keys in {what}: {unknown}")
+    raise ScenarioFormatError(f"unknown keys in {what}: {unknown}")
 
 
 def _require(obj: dict, key: str, what: str):
@@ -78,15 +87,29 @@ def _int(value, what: str) -> int:
     return value
 
 
-def _u16(value, what: str) -> int:
-    """A port number or ttl: a JSON integer in 0..0xFFFF."""
+def _unsigned(value, width: int, what: str) -> int:
+    """A JSON integer that fits `width` bits."""
     value = _int(value, what)
-    if not 0 <= value <= 0xFFFF:
-        raise ScenarioFormatError(f"{what}={value} exceeds 16-bit range")
+    if not 0 <= value < 1 << width:
+        raise ScenarioFormatError(f"{what}={value} exceeds {width}-bit range")
     return value
 
 
-_FIELD_NAMES = tuple(f.name for f in FIELDS)
+def _u16(value, what: str) -> int:
+    """A port number or ttl: a JSON integer in 0..0xFFFF."""
+    return _unsigned(value, 16, what)
+
+
+#: Server addresses (assignments, load guards, pick-less-loaded) stand
+#: for nw_dst values.
+_ADDRESS_WIDTH = FIELDS[NW_DST].width
+
+
+def _address(value, what: str) -> int:
+    return _unsigned(value, _ADDRESS_WIDTH, what)
+
+
+_FIELD_NAMES = frozenset(FIELD_INDEX)
 
 
 def _field(value, what: str) -> str:
@@ -115,7 +138,10 @@ def header_to_obj(h: Header) -> dict:
 
 
 def header_from_obj(obj, what: str = "header") -> Header:
-    return Header.from_fields(**_fields(_require_obj(obj, what), what))
+    values = [0] * FIELD_COUNT
+    for name, value in _fields(_require_obj(obj, what), what).items():
+        values[FIELD_INDEX[name]] = value
+    return Header(tuple(values))
 
 
 def pattern_to_obj(p: MatchPattern) -> dict:
@@ -243,7 +269,7 @@ def flow_from_obj(obj, what: str = "flow") -> Flow:
     assigned = obj.get("assigned_dest")
     return Flow(
         header_from_obj(_require(obj, "header", what), f"{what}.header"),
-        _int(assigned, f"{what}.assigned_dest") if assigned is not None else None,
+        _address(assigned, f"{what}.assigned_dest") if assigned is not None else None,
     )
 
 
@@ -299,8 +325,8 @@ def guard_from_obj(obj, what: str = "guard"):
         return SourceCountAtMost(_int(_require(obj, "threshold", what), f"{what}.threshold"))
     if kind == "load_at_most":
         _check_keys(obj, ("kind", "server_a", "server_b"), what)
-        return LoadAtMost(_int(_require(obj, "server_a", what), f"{what}.server_a"),
-                          _int(_require(obj, "server_b", what), f"{what}.server_b"))
+        return LoadAtMost(_address(_require(obj, "server_a", what), f"{what}.server_a"),
+                          _address(_require(obj, "server_b", what), f"{what}.server_b"))
     raise ScenarioFormatError(f"{what}: unknown guard kind {kind!r}")
 
 
@@ -333,14 +359,15 @@ def value_ref_to_obj(ref):
     return ref
 
 
-def value_ref_from_obj(obj, what: str = "value"):
+def value_ref_from_obj(obj, width: int, what: str = "value"):
+    """A set-field target: an integer that fits the field, or a deferred pick."""
     if isinstance(obj, int):
-        return _int(obj, what)
+        return _unsigned(obj, width, what)
     obj = _require_obj(obj, what)
     _check_keys(obj, ("kind", "server_a", "server_b"), what)
     if obj.get("kind") == "pick_less_loaded":
-        return PickLessLoaded(_int(_require(obj, "server_a", what), f"{what}.server_a"),
-                              _int(_require(obj, "server_b", what), f"{what}.server_b"))
+        return PickLessLoaded(_address(_require(obj, "server_a", what), f"{what}.server_a"),
+                              _address(_require(obj, "server_b", what), f"{what}.server_b"))
     raise ScenarioFormatError(f"{what}: unknown value reference {obj!r}")
 
 
@@ -368,8 +395,9 @@ def action_spec_from_obj(obj, what: str = "action", depth: int = 0):
         return Forward(port_ref_from_obj(_require(obj, "port", what), f"{what}.port"))
     if kind == "set_field":
         _check_keys(obj, ("kind", "field", "to"), what)
-        return SetField(_field(_require(obj, "field", what), f"{what}.field"),
-                        value_ref_from_obj(_require(obj, "to", what), f"{what}.to"))
+        name = _field(_require(obj, "field", what), f"{what}.field")
+        width = FIELDS[FIELD_INDEX[name]].width
+        return SetField(name, value_ref_from_obj(_require(obj, "to", what), width, f"{what}.to"))
     if kind == "seq":
         _check_keys(obj, ("kind", "actions"), what)
         if depth == MAX_SEQ_DEPTH:

@@ -8,6 +8,9 @@ sums at most 15 such terms, well under 2**63.
 Cancellation, loop scans and what-if previews are checked against the
 all-pairs algorithms they replaced: they compose every candidate pair
 of actions and index nothing.
+
+The NIB statistics are checked against the linear scans they replaced:
+each lookup walks every observed flow.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import numpy as np
 from flowspace import actions
 from flowspace.actions import STATE_MASKS, STATE_SIZE, AffineAction
 from flowspace.analysis import FlowModRequest, LoopFinding, TableDiff
+from flowspace.headers import Header, dest_of, src_of
 from flowspace.nib import NIB
 from flowspace.tables import FlowRule, FlowTable, entry_key
 from flowspace.transforms import flow_mod_add, flow_mod_delete, flow_mod_modify
@@ -154,3 +158,22 @@ def table_diffs_oracle(before: NIB, after: NIB) -> tuple[TableDiff, ...]:
         diffs.append(TableDiff(i, tuple(sorted(a - b, key=entry_key)),
                                tuple(sorted(b - a, key=entry_key))))
     return tuple(diffs)
+
+
+def count_by_src_oracle(nib: NIB, h: Header) -> int:
+    """Number of observed flows sharing h's source field, by a full scan."""
+    want = src_of(h)
+    return sum(1 for f in nib.flows if src_of(f.header) == want)
+
+
+def count_by_dest_oracle(nib: NIB, server: int) -> int:
+    """Number of observed flows whose effective destination is `server`, by a full scan."""
+    return sum(1 for f in nib.flows if f.effective_dest() == server)
+
+
+def effective_dest_of_header_oracle(nib: NIB, h: Header) -> int:
+    """The first balancer assignment of an observed flow equal to h, else h's destination."""
+    for f in nib.flows:
+        if f.header == h and f.assigned_dest is not None:
+            return f.assigned_dest
+    return dest_of(h)

@@ -136,6 +136,34 @@ class TestApply:
         assert out.returncode == 2
 
 
+class ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestBrokenPipe:
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_exits_141_without_error_line(self, casestudy_path, monkeypatch, capsys, fmt):
+        closed = ClosedPipe()
+        monkeypatch.setattr(sys, "stdout", closed)
+        code = main(["--format", fmt, "apply", casestudy_path, "ids-lb",
+                     "--header", "@fresh-client"])
+        assert code == 141
+        # stdout now points at devnull, so a later flush cannot fail
+        assert sys.stdout is not closed
+        sys.stdout.write("ignored")
+        sys.stdout.flush()
+        sys.stdout.close()
+        assert capsys.readouterr().err == ""
+
+    def test_input_errors_still_exit_2(self, monkeypatch, capsys, tmp_path):
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["loops", str(tmp_path / "missing.json")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestLoops:
     def test_clean_scenario_exits_0(self, casestudy_path):
         out = run_cli("loops", casestudy_path)

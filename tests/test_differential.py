@@ -1,8 +1,12 @@
-"""The inverse-key index against the all-pairs algorithms it replaced.
+"""The indexes against the scans they replaced.
 
 `reduce`, `detect_loops` and `what_if` must give exactly the output of
 the oracles in `oracles.py` on seeded collision tables, and on
 hand-built tables that hold the cases the index treats specially.
+
+The NIB statistics must equal the linear scans over the flows on
+seeded NIBs whose headers collide, on hand-built NIBs, and inside
+`apply_transform` of both case-study composites.
 """
 
 import random
@@ -11,16 +15,27 @@ import pytest
 
 from oracles import (
     apply_flow_mod,
+    count_by_dest_oracle,
+    count_by_src_oracle,
     detect_loops_oracle,
+    effective_dest_of_header_oracle,
     reduce_oracle,
     table_diffs_oracle,
     what_if_new_loops_oracle,
 )
-from flowspace import sampling
+from flowspace import casestudy, sampling, transforms
 from flowspace.actions import AffineAction, STATE_SIZE, drop, forward, identity, invert
 from flowspace.analysis import FlowModRequest, detect_loops, what_if
-from flowspace.headers import MatchPattern
-from flowspace.nib import NIB, Topology
+from flowspace.errors import FlowspaceError
+from flowspace.headers import Header, MatchPattern
+from flowspace.nib import (
+    NIB,
+    Flow,
+    Topology,
+    count_by_dest,
+    count_by_src,
+    effective_dest_of_header,
+)
 from flowspace.tables import FlowEntry, FlowRule, FlowTable, negate_rule, reduce
 
 #: Port translation 0x8000 is its own negation mod 2**16.
@@ -176,3 +191,125 @@ class TestHandBuilt:
         assert report.new_loops == ()
         assert report.diffs[0].removed == (FlowEntry(r, 0), FlowEntry(r, 1))
         check_what_if(nib, candidate)
+
+
+# ---------------------------------------------------------------------------
+# NIB statistics
+
+#: Small address pools, so that sources, destinations and whole headers
+#: repeat.  IDLE is a server no flow is assigned to or addressed at.
+SOURCES = (0x0A000001, 0x0A000002, 0x0A000003, 0x0A000004)
+DESTS = (0x0A000064, 0x0A000065, 0x0A000066)
+SERVERS = (0x0A000065, 0x0A000066, 0x0A000067)
+IDLE = 0x0A0000FF
+
+
+def stats_header(rng: random.Random) -> Header:
+    return Header.from_fields(nw_src=rng.choice(SOURCES), nw_dst=rng.choice(DESTS),
+                              tp_src=rng.randrange(3))
+
+
+def stats_nib(rng: random.Random, flows: int) -> NIB:
+    return NIB(Topology(1), (FlowTable(),), tuple(
+        Flow(stats_header(rng), rng.choice(SERVERS) if rng.random() < 0.5 else None)
+        for _ in range(flows)
+    ))
+
+
+def check_stats(nib: NIB, probes) -> None:
+    for h in probes:
+        assert count_by_src(nib, h) == count_by_src_oracle(nib, h)
+        assert effective_dest_of_header(nib, h) == effective_dest_of_header_oracle(nib, h)
+    for server in SOURCES + DESTS + SERVERS + (IDLE,):
+        assert count_by_dest(nib, server) == count_by_dest_oracle(nib, server)
+
+
+def outcome(t, nib: NIB, h: Header):
+    try:
+        return transforms.apply_transform(t, nib, h)
+    except FlowspaceError as exc:
+        return type(exc), str(exc)
+
+
+class TestStatsSeeded:
+    def test_index_matches_linear_scans(self):
+        rng = random.Random(5001)
+        for _ in range(2000):
+            nib = stats_nib(rng, rng.randint(0, 200))
+            probes = [f.header for f in rng.sample(nib.flows, min(4, len(nib.flows)))]
+            probes += [stats_header(rng) for _ in range(4)]
+            check_stats(nib, probes)
+
+    def test_case_study_applies_match_scans(self, monkeypatch):
+        cfg = casestudy.CaseStudyConfig()
+        composites = (transforms.chain(casestudy.build_x_chain(cfg)),
+                      transforms.chain(casestudy.build_y_chain(cfg)))
+        topology = casestudy.build_topology(cfg)
+        tables = casestudy.build_nib(cfg).tables
+        sources = (casestudy.CLIENT, casestudy.FRESH_CLIENT, casestudy.ATTACKER)
+        dests = (casestudy.VIRTUAL, cfg.server_a, cfg.server_b)
+
+        def header(rng):
+            return Header.from_fields(nw_src=rng.choice(sources), nw_dst=rng.choice(dests),
+                                      tp_src=rng.randrange(3))
+
+        rng = random.Random(5002)
+        cases = [(casestudy.build_nib(cfg), h) for h in casestudy.build_queries(cfg).values()]
+        for _ in range(300):
+            flows = tuple(Flow(header(rng), rng.choice((cfg.server_a, cfg.server_b, None)))
+                          for _ in range(rng.randint(0, 12)))
+            cases.append((NIB(topology, tables, flows), header(rng)))
+        indexed = [outcome(t, nib, h) for nib, h in cases for t in composites]
+
+        monkeypatch.setattr(transforms, "count_by_src", count_by_src_oracle)
+        monkeypatch.setattr(transforms, "count_by_dest", count_by_dest_oracle)
+        monkeypatch.setattr(transforms, "effective_dest_of_header",
+                            effective_dest_of_header_oracle)
+        # Fresh NIB objects, so that no index built above is reachable.
+        scanned = [outcome(t, NIB(nib.topology, nib.tables, nib.flows), h)
+                   for nib, h in cases for t in composites]
+        assert indexed == scanned
+        # Both detector arms, both balancer arms and unresolved ports occur.
+        guards = {(count_by_src_oracle(nib, h) <= cfg.anomaly_threshold,
+                   count_by_dest_oracle(nib, cfg.server_a) <= count_by_dest_oracle(nib, cfg.server_b))
+                  for nib, h in cases}
+        assert len(guards) == 4
+        assert any(isinstance(o, tuple) for o in indexed)
+
+
+def stats_case(flows, probe: Header) -> NIB:
+    nib = NIB(Topology(1), (FlowTable(),), tuple(flows))
+    check_stats(nib, [probe] + [f.header for f in flows])
+    return nib
+
+
+class TestStatsHandBuilt:
+    H = Header.from_fields(nw_src=SOURCES[0], nw_dst=DESTS[0], tp_src=7)
+
+    def test_header_assigned_twice_first_wins(self):
+        nib = stats_case([Flow(self.H, SERVERS[0]), Flow(self.H, SERVERS[1])], self.H)
+        assert effective_dest_of_header(nib, self.H) == SERVERS[0]
+        assert count_by_dest(nib, SERVERS[0]) == count_by_dest(nib, SERVERS[1]) == 1
+
+    def test_unassigned_flow_before_assigned_flow(self):
+        nib = stats_case([Flow(self.H), Flow(self.H, SERVERS[1])], self.H)
+        assert effective_dest_of_header(nib, self.H) == SERVERS[1]
+        assert count_by_dest(nib, DESTS[0]) == 1
+        assert count_by_src(nib, self.H) == 2
+
+    def test_header_never_observed(self):
+        other = Header.from_fields(nw_src=SOURCES[1], nw_dst=DESTS[2], tp_src=7)
+        nib = stats_case([Flow(self.H, SERVERS[0])], other)
+        assert effective_dest_of_header(nib, other) == DESTS[2]
+        assert count_by_src(nib, other) == 0
+
+    def test_empty_flow_set(self):
+        nib = stats_case([], self.H)
+        assert effective_dest_of_header(nib, self.H) == DESTS[0]
+        assert count_by_src(nib, self.H) == 0
+        assert count_by_dest(nib, DESTS[0]) == 0
+
+    def test_server_with_no_load(self):
+        nib = stats_case([Flow(self.H, SERVERS[0]), Flow(self.H)], self.H)
+        assert count_by_dest(nib, IDLE) == 0
+        assert count_by_dest(nib, SERVERS[2]) == 0

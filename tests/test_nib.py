@@ -117,6 +117,50 @@ class TestRecordFlow:
         assert after.tables == nib.tables
 
 
+class CountingFlows(tuple):
+    """A flow tuple that counts how often it is iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+class TestStatsIndex:
+    def test_built_once_per_nib(self):
+        h = header(src=5, dst=999)
+        flows = CountingFlows(
+            [Flow(h, assigned_dest=100), Flow(header(src=5, tp=1)), Flow(header(src=6, dst=200))]
+        )
+        nib = NIB(Topology(2), (FlowTable(), FlowTable()), flows)
+        assert flows.iterations == 0  # lazy: construction does not scan
+        for _ in range(100):
+            assert count_by_src(nib, h) == 2
+            assert count_by_dest(nib, 100) == 1
+            assert effective_dest_of_header(nib, h) == 100
+        assert flows.iterations == 1
+
+    def test_index_is_outside_equality_and_repr(self):
+        flows = [Flow(header(src=5))]
+        nib, twin = two_switch_nib(flows), two_switch_nib(flows)
+        count_by_src(nib, header(src=5))
+        assert nib == twin
+        assert repr(nib) == repr(twin)
+
+    def test_record_flow_counts_the_new_flow(self):
+        nib = two_switch_nib([Flow(header(src=5), assigned_dest=100)])
+        assert count_by_src(nib, header(src=5)) == 1
+        h = header(src=5, dst=999, tp=1)
+        after = record_flow(nib, Flow(h, assigned_dest=200))
+        assert count_by_src(after, header(src=5)) == 2
+        assert count_by_dest(after, 200) == 1
+        assert effective_dest_of_header(after, h) == 200
+        # The original NIB keeps its own counts.
+        assert count_by_src(nib, header(src=5)) == 1
+        assert count_by_dest(nib, 200) == 0
+
+
 class TestEffectiveDest:
     def test_assignment_wins_for_known_flow(self):
         h = header(src=1, dst=999)

@@ -215,6 +215,40 @@ class TestScenarioDocument:
         with pytest.raises(ScenarioFormatError):
             loads_scenario(json.dumps(obj))
 
+    SET_DST = ("apps", 1, "delta", "default", 0, "action", "actions", 0)
+    PICK = ("apps", 5, "delta", "default", 0, "action", "actions", 0, "to")
+    LOAD_GUARD = ("apps", 1, "delta", "branches", 0, "guard")
+
+    @pytest.mark.parametrize("value", [-1, 2**32])
+    @pytest.mark.parametrize("path", [
+        ("flows", 0, "assigned_dest"),
+        LOAD_GUARD + ("server_a",),
+        LOAD_GUARD + ("server_b",),
+        PICK + ("server_a",),
+        PICK + ("server_b",),
+        SET_DST + ("to",),
+    ], ids=["assigned_dest", "load_at_most.server_a", "load_at_most.server_b",
+            "pick_less_loaded.server_a", "pick_less_loaded.server_b", "set_field.to"])
+    def test_addresses_are_range_checked(self, path, value):
+        obj = json.loads(json.dumps(scenario_to_obj(build_scenario())))
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        with pytest.raises(ScenarioFormatError, match="exceeds 32-bit range"):
+            loads_scenario(json.dumps(obj))
+
+    def test_set_field_target_fits_the_field(self):
+        obj = json.loads(json.dumps(scenario_to_obj(build_scenario())))
+        set_field = obj
+        for key in self.SET_DST:
+            set_field = set_field[key]
+        set_field.update(field="nw_proto", to=255)
+        loads_scenario(json.dumps(obj))
+        set_field["to"] = 256
+        with pytest.raises(ScenarioFormatError, match="exceeds 8-bit range"):
+            loads_scenario(json.dumps(obj))
+
     def test_template_seq_depth_is_bounded(self):
         action = {"kind": "drop"}
         for _ in range(MAX_SEQ_DEPTH):
