@@ -47,6 +47,7 @@ from flowspace.transforms import (
     SourceCountAtMost,
     apply_transform,
     chain,
+    is_identity_linear,
 )
 
 # ---------------------------------------------------------------------------
@@ -127,10 +128,7 @@ def render_piece(piece: GuardedDelta, indent: str) -> list[str]:
 
 def render_transform(t: AppTransform, indent: str = "  ") -> list[str]:
     lines = []
-    identity = tuple(
-        tuple(1 if i == j else 0 for j in range(t.dimension)) for i in range(t.dimension)
-    )
-    if t.linear != identity:
+    if not is_identity_linear(t):
         lines.append(f"{indent}linear: {[list(r) for r in t.linear]}")
     for i, slot in enumerate(t.translation):
         if not slot:
@@ -210,10 +208,6 @@ def emit_json(obj) -> None:
 # Commands
 
 
-def _load(path: str) -> scenario.Scenario:
-    return scenario.load_scenario(path)
-
-
 def _chain_of(scn: scenario.Scenario, name: str):
     try:
         return scn.chains[name]
@@ -253,7 +247,7 @@ def _axiom_status(r: axioms.PropertyResult) -> str:
 
 
 def cmd_congruence(args) -> int:
-    scn = _load(args.scenario)
+    scn = scenario.load_scenario(args.scenario)
     report = check_congruence(_chain_of(scn, args.chain_a), _chain_of(scn, args.chain_b))
     if args.format == "json":
         emit_json(congruence_to_obj(report))
@@ -291,7 +285,7 @@ def _parse_header(scn: scenario.Scenario, literal: str) -> Header:
 
 
 def cmd_apply(args) -> int:
-    scn = _load(args.scenario)
+    scn = scenario.load_scenario(args.scenario)
     h = _parse_header(scn, args.header)
     composite = chain(_chain_of(scn, args.chain))
     result = apply_transform(composite, scn.nib, h)
@@ -304,7 +298,7 @@ def cmd_apply(args) -> int:
 
 
 def cmd_loops(args) -> int:
-    scn = _load(args.scenario)
+    scn = scenario.load_scenario(args.scenario)
     findings = detect_loops(scn.nib)
     if args.format == "json":
         emit_json({"findings": [finding_to_obj(f) for f in findings]})
@@ -318,7 +312,7 @@ def cmd_loops(args) -> int:
 
 
 def cmd_whatif(args) -> int:
-    scn = _load(args.scenario)
+    scn = scenario.load_scenario(args.scenario)
     try:
         rule_obj = json.loads(args.rule)
         old_obj = json.loads(args.old_rule) if args.old_rule else None

@@ -109,6 +109,19 @@ def _address(value, what: str) -> int:
     return _unsigned(value, _ADDRESS_WIDTH, what)
 
 
+def _address_key(key: str, what: str) -> int:
+    """An address written as an object key: canonical decimal, so that
+    signs, spaces, underscores and leading zeros cannot make two keys
+    name one server."""
+    try:
+        value = int(key)
+    except (TypeError, ValueError):
+        value = None
+    if value is None or str(value) != key:
+        raise ScenarioFormatError(f"{what} key {key!r} is not a decimal address")
+    return _address(value, f"{what}[{key}]")
+
+
 _FIELD_NAMES = frozenset(FIELD_INDEX)
 
 
@@ -290,11 +303,10 @@ def topology_from_obj(obj, what: str = "topology") -> Topology:
     _check_keys(obj, ("switches", "ports", "server_ports"), what)
     ports = _require_obj(obj.get("ports", {}), f"{what}.ports")
     server_ports = _require_obj(obj.get("server_ports", {}), f"{what}.server_ports")
-    try:
-        server_ports = {int(k): _u16(v, f"{what}.server_ports[{k}]")
-                        for k, v in server_ports.items()}
-    except ValueError:
-        raise ScenarioFormatError(f"{what}.server_ports keys must be integers") from None
+    server_ports = {
+        _address_key(k, f"{what}.server_ports"): _u16(v, f"{what}.server_ports[{k}]")
+        for k, v in server_ports.items()
+    }
     return Topology(_int(_require(obj, "switches", what), f"{what}.switches"),
                     {str(k): _u16(v, f"{what}.ports[{k}]") for k, v in ports.items()},
                     server_ports)
@@ -483,8 +495,11 @@ def app_to_obj(app: AppTransform) -> dict:
 def app_from_obj(obj, n: int, what: str = "app") -> AppTransform:
     obj = _require_obj(obj, what)
     _check_keys(obj, ("name", "slot", "delta"), what)
+    name = _require(obj, "name", what)
+    if not isinstance(name, str):
+        raise ScenarioFormatError(f"{what}.name must be a string, got {type(name).__name__}")
     return make_app(
-        str(_require(obj, "name", what)),
+        name,
         _int(_require(obj, "slot", what), f"{what}.slot"),
         delta_from_obj(_require(obj, "delta", what), f"{what}.delta"),
         n,

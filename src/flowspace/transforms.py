@@ -12,12 +12,12 @@ are unioned into the slot's table.
 Composition multiplies the linear parts over the two-element field and
 adds the deltas (formal-sum concatenation), mirroring how composite
 application matrices multiply.  `normalize` brings transforms to a
-canonical form using only semantics-preserving rewrites - sorting and
-deduplicating template lists, dropping dead arms, collapsing pieces
-whose arms all agree, merging summed pieces with identical guard
-sequences - so that structural equality of normal forms (congruence)
-implies behavioral equality on every NIB, while the converse is not
-claimed.
+canonical form in one grouping pass per slot, using only
+semantics-preserving rewrites - dropping dead arms, merging summed
+pieces with identical guard sequences into template sets, collapsing
+pieces whose arms all agree, sorting each template set once - so that
+structural equality of normal forms (congruence) implies behavioral
+equality on every NIB, while the converse is not claimed.
 
 The FLOW_MOD table operations (add / delete / modify a rule) live here
 as well, since an application's deltas are built from them.
@@ -26,7 +26,7 @@ as well, since an application's deltas are built from them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 from flowspace import actions
 from flowspace.actions import AffineAction
@@ -479,88 +479,78 @@ def chain(stages: ServiceChain | Sequence[AppTransform]) -> AppTransform:
 # Normal form and congruence
 
 
-def _canon_templates(templates: Templates) -> Templates:
-    return tuple(sorted(set(templates), key=template_key))
+def _canon_arms(piece: GuardedDelta) -> tuple[tuple[Guard, ...], list[set], set]:
+    """Semantics-preserving canonical arms of one piece.
 
-
-def _canon_piece(piece: GuardedDelta) -> GuardedDelta:
-    """Semantics-preserving canonical form of one piece.
-
-    Later arms repeating an earlier guard are dead (first match wins)
-    and are dropped; an always-true arm swallows everything after it
-    into the otherwise arm; if every arm selects the same templates as
-    the otherwise arm, the piece is unconditional.
+    Returns the guard sequence, one template set per guarded arm and the
+    otherwise arm's set.  Later arms repeating an earlier guard are dead
+    (first match wins) and are dropped; an always-true arm swallows
+    everything after it into the otherwise arm; if every arm selects the
+    same templates as the otherwise arm, the piece is unconditional.
     """
-    default = _canon_templates(piece.default)
-    branches: list[Branch] = []
-    seen: set[tuple] = set()
+    default = set(piece.default)
+    arms: dict[Guard, set] = {}
     for guard, templates in piece.branches:
-        key = guard_key(guard)
-        if key in seen:
+        if guard in arms:
             continue
-        templates = _canon_templates(templates)
         if isinstance(guard, TrueGuard):
-            default = templates
+            default = set(templates)
             break
-        seen.add(key)
-        branches.append((guard, templates))
-    if all(tpls == default for _, tpls in branches):
-        branches = []
-    return GuardedDelta(tuple(branches), default)
+        arms[guard] = set(templates)
+    if all(arm == default for arm in arms.values()):
+        return (), [], default
+    return tuple(arms), list(arms.values()), default
 
 
-def _piece_key(piece: GuardedDelta) -> tuple:
-    return (
-        tuple(guard_key(g) for g, _ in piece.branches),
-        tuple(tuple(template_key(t) for t in tpls) for _, tpls in piece.branches),
-        tuple(template_key(t) for t in piece.default),
-    )
-
-
-def _merge_pass(pieces: tuple[GuardedDelta, ...]) -> tuple[GuardedDelta, ...]:
-    grouped: dict[tuple, GuardedDelta] = {}
-    for piece in pieces:
-        sig = tuple(guard_key(g) for g, _ in piece.branches)
-        other = grouped.get(sig)
-        if other is None:
-            grouped[sig] = piece
-        else:
-            # merging keeps the arm structure, so every piece stored under
-            # sig still carries sig's arms; collapses happen only in the
-            # canonicalization below, feeding the next pass
-            grouped[sig] = GuardedDelta(
-                tuple(
-                    (g1, _canon_templates(t1 + t2))
-                    for (g1, t1), (_, t2) in zip(other.branches, piece.branches)
-                ),
-                _canon_templates(other.default + piece.default),
-            )
-    out = (_canon_piece(p) for p in grouped.values())
-    return tuple(p for p in out if p.branches or p.default)
-
-
-def _canon_sum(pieces: DeltaSum) -> DeltaSum:
-    """Canonicalize a formal sum of pieces.
+def _canon_sum(pieces: DeltaSum, key: Callable[[RuleTemplate], tuple]) -> DeltaSum:
+    """Canonicalize a formal sum of pieces in one pass.
 
     Pieces with identical guard sequences always fire the same arm
-    index, so they merge arm-wise (template-list union); pieces that
-    contribute nothing vanish; the survivors sort canonically.  Merging
-    can collapse a piece to a new guard sequence (arms agreeing with
-    the otherwise arm), so passes repeat until a fixpoint.
+    index, so they merge arm-wise (template-set union).  A merged group
+    whose arms all agree with its otherwise arm folds into the
+    unconditional group, which cannot collapse further.  Pieces that
+    contribute nothing vanish.  Guard sequences are unique after
+    grouping, so they alone order the surviving pieces.
     """
-    current = tuple(
-        p for p in (_canon_piece(x) for x in pieces) if p.branches or p.default
-    )
-    while True:
-        merged = _merge_pass(current)
-        if merged == current:
-            return tuple(sorted(merged, key=_piece_key))
-        current = merged
+    groups: dict[tuple[Guard, ...], tuple[list[set], set]] = {}
+    for piece in pieces:
+        guards, arms, default = _canon_arms(piece)
+        if not guards and not default:
+            continue
+        group = groups.get(guards)
+        if group is None:
+            groups[guards] = (arms, default)
+            continue
+        merged_arms, merged_default = group
+        for merged, arm in zip(merged_arms, arms):
+            merged |= arm
+        merged_default |= default
+    always: set = set()
+    out: list[GuardedDelta] = []
+    for guards, (arms, default) in groups.items():
+        if all(arm == default for arm in arms):
+            always |= default
+        else:
+            out.append(GuardedDelta(
+                tuple((g, tuple(sorted(arm, key=key))) for g, arm in zip(guards, arms)),
+                tuple(sorted(default, key=key)),
+            ))
+    if always:
+        out.append(GuardedDelta((), tuple(sorted(always, key=key))))
+    return tuple(sorted(out, key=lambda p: tuple(guard_key(g) for g, _ in p.branches)))
 
 
 def normalize(a: AppTransform) -> AppTransform:
     """Canonical form whose structural equality decides congruence."""
-    return AppTransform(a.name, a.linear, tuple(_canon_sum(s) for s in a.translation))
+    keys: dict[RuleTemplate, tuple] = {}
+
+    def key(t: RuleTemplate) -> tuple:
+        k = keys.get(t)
+        if k is None:
+            k = keys[t] = template_key(t)
+        return k
+
+    return AppTransform(a.name, a.linear, tuple(_canon_sum(s, key) for s in a.translation))
 
 
 def normal_forms(a: AppTransform, b: AppTransform) -> tuple[AppTransform, AppTransform]:

@@ -11,6 +11,10 @@ of actions and index nothing.
 
 The NIB statistics are checked against the linear scans they replaced:
 each lookup walks every observed flow.
+
+The normal form is checked against the merge-pass fixpoint it replaced:
+each pass merges pieces with equal guard sequences, re-sorting the
+merged template lists, and passes repeat until nothing changes.
 """
 
 from __future__ import annotations
@@ -23,7 +27,19 @@ from flowspace.analysis import FlowModRequest, LoopFinding, TableDiff
 from flowspace.headers import Header, dest_of, src_of
 from flowspace.nib import NIB
 from flowspace.tables import FlowRule, FlowTable, entry_key
-from flowspace.transforms import flow_mod_add, flow_mod_delete, flow_mod_modify
+from flowspace.transforms import (
+    AppTransform,
+    Branch,
+    DeltaSum,
+    GuardedDelta,
+    Templates,
+    TrueGuard,
+    flow_mod_add,
+    flow_mod_delete,
+    flow_mod_modify,
+    guard_key,
+    template_key,
+)
 
 DIM = STATE_SIZE + 1
 
@@ -177,3 +193,87 @@ def effective_dest_of_header_oracle(nib: NIB, h: Header) -> int:
         if f.header == h and f.assigned_dest is not None:
             return f.assigned_dest
     return dest_of(h)
+
+
+def _canon_templates(templates: Templates) -> Templates:
+    return tuple(sorted(set(templates), key=template_key))
+
+
+def _canon_piece(piece: GuardedDelta) -> GuardedDelta:
+    """Semantics-preserving canonical form of one piece.
+
+    Later arms repeating an earlier guard are dead (first match wins)
+    and are dropped; an always-true arm swallows everything after it
+    into the otherwise arm; if every arm selects the same templates as
+    the otherwise arm, the piece is unconditional.
+    """
+    default = _canon_templates(piece.default)
+    branches: list[Branch] = []
+    seen: set[tuple] = set()
+    for guard, templates in piece.branches:
+        key = guard_key(guard)
+        if key in seen:
+            continue
+        templates = _canon_templates(templates)
+        if isinstance(guard, TrueGuard):
+            default = templates
+            break
+        seen.add(key)
+        branches.append((guard, templates))
+    if all(tpls == default for _, tpls in branches):
+        branches = []
+    return GuardedDelta(tuple(branches), default)
+
+
+def _piece_key(piece: GuardedDelta) -> tuple:
+    return (
+        tuple(guard_key(g) for g, _ in piece.branches),
+        tuple(tuple(template_key(t) for t in tpls) for _, tpls in piece.branches),
+        tuple(template_key(t) for t in piece.default),
+    )
+
+
+def _merge_pass(pieces: tuple[GuardedDelta, ...]) -> tuple[GuardedDelta, ...]:
+    grouped: dict[tuple, GuardedDelta] = {}
+    for piece in pieces:
+        sig = tuple(guard_key(g) for g, _ in piece.branches)
+        other = grouped.get(sig)
+        if other is None:
+            grouped[sig] = piece
+        else:
+            # merging keeps the arm structure, so every piece stored under
+            # sig still carries sig's arms; collapses happen only in the
+            # canonicalization below, feeding the next pass
+            grouped[sig] = GuardedDelta(
+                tuple(
+                    (g1, _canon_templates(t1 + t2))
+                    for (g1, t1), (_, t2) in zip(other.branches, piece.branches)
+                ),
+                _canon_templates(other.default + piece.default),
+            )
+    out = (_canon_piece(p) for p in grouped.values())
+    return tuple(p for p in out if p.branches or p.default)
+
+
+def _canon_sum(pieces: DeltaSum) -> DeltaSum:
+    """Canonicalize a formal sum of pieces.
+
+    Pieces with identical guard sequences always fire the same arm
+    index, so they merge arm-wise (template-list union); pieces that
+    contribute nothing vanish; the survivors sort canonically.  Merging
+    can collapse a piece to a new guard sequence (arms agreeing with
+    the otherwise arm), so passes repeat until a fixpoint.
+    """
+    current = tuple(
+        p for p in (_canon_piece(x) for x in pieces) if p.branches or p.default
+    )
+    while True:
+        merged = _merge_pass(current)
+        if merged == current:
+            return tuple(sorted(merged, key=_piece_key))
+        current = merged
+
+
+def normalize_oracle(a: AppTransform) -> AppTransform:
+    """The normal form by merge passes repeated until a fixpoint."""
+    return AppTransform(a.name, a.linear, tuple(_canon_sum(s) for s in a.translation))

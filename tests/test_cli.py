@@ -7,13 +7,12 @@ import json
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from importlib.resources import files
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flowspace import actions, scenario
+from flowspace import actions, casestudy, scenario
 from flowspace.cli import build_parser, main
 from flowspace.headers import FIELDS
 from flowspace.headers import MatchPattern
@@ -291,7 +290,7 @@ class TestCaseStudyCommand:
 # `error:` line; no input may end in an uncaught exception, and a
 # non-integer where the format wants an integer is never accepted.
 
-BUNDLED = json.loads(files("flowspace").joinpath("data/casestudy.json").read_text())
+BUNDLED = scenario.scenario_to_obj(casestudy.build_scenario())
 WIDTHS = {f.name: f.width for f in FIELDS}
 
 

@@ -7,9 +7,14 @@ hand-built tables that hold the cases the index treats specially.
 The NIB statistics must equal the linear scans over the flows on
 seeded NIBs whose headers collide, on hand-built NIBs, and inside
 `apply_transform` of both case-study composites.
+
+`normalize` must give exactly the merge-pass fixpoint's normal form on
+seeded chains whose guard sequences collide and whose merged arms
+collapse.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -19,6 +24,7 @@ from oracles import (
     count_by_src_oracle,
     detect_loops_oracle,
     effective_dest_of_header_oracle,
+    normalize_oracle,
     reduce_oracle,
     table_diffs_oracle,
     what_if_new_loops_oracle,
@@ -37,6 +43,13 @@ from flowspace.nib import (
     effective_dest_of_header,
 )
 from flowspace.tables import FlowEntry, FlowRule, FlowTable, negate_rule, reduce
+from flowspace.transforms import (
+    AppTransform,
+    GuardedDelta,
+    LoadAtMost,
+    SourceCountAtMost,
+    normalize,
+)
 
 #: Port translation 0x8000 is its own negation mod 2**16.
 HALF_TURN = forward(0x8000)
@@ -313,3 +326,71 @@ class TestStatsHandBuilt:
         nib = stats_case([Flow(self.H, SERVERS[0]), Flow(self.H)], self.H)
         assert count_by_dest(nib, IDLE) == 0
         assert count_by_dest(nib, SERVERS[2]) == 0
+
+
+# ---------------------------------------------------------------------------
+# Normal form
+
+GUARD_POOL = (SourceCountAtMost(2), LoadAtMost(*sampling.ADDRESS_POOL[:2]))
+
+
+def pooled(rng: random.Random, app: AppTransform, templates) -> AppTransform:
+    """The app with every guard drawn from GUARD_POOL and every template
+    from `templates`, so that guard sequences collide and merged arms
+    can agree with their otherwise arm."""
+    def pick(tpls):
+        return tuple(rng.choice(templates) for _ in tpls)
+
+    return AppTransform(app.name, app.linear, tuple(
+        tuple(GuardedDelta(tuple((rng.choice(GUARD_POOL), pick(t)) for _, t in p.branches),
+                           pick(p.default))
+              for p in slot)
+        for slot in app.translation
+    ))
+
+
+def normal_form_chain(rng: random.Random, stages: int, n: int) -> AppTransform:
+    """A composite of random apps, 30% of them pooled, 40% followed by a
+    shuffled variant."""
+    templates = [sampling.random_template(rng) for _ in range(3)]
+    apps = []
+    for i in range(stages):
+        app = sampling.random_app(rng, n, f"s{i}")
+        if rng.random() < 0.3:
+            app = pooled(rng, app, templates)
+        apps.append(app)
+        if rng.random() < 0.4:
+            apps.append(sampling.shuffled_variant(rng, app))
+    return transforms.chain(apps)
+
+
+class TestNormalForm:
+    def test_matches_merge_pass_fixpoint(self):
+        rng = random.Random(6001)
+        for _ in range(1500):
+            t = normal_form_chain(rng, rng.randint(1, 30), rng.randint(1, 4))
+            assert normalize(t) == normalize_oracle(t)
+
+    @pytest.mark.parametrize("stages", [768, 3072])
+    def test_long_chains_match_merge_pass_fixpoint(self, stages):
+        t = normal_form_chain(random.Random(stages), stages, 3)
+        assert normalize(t) == normalize_oracle(t)
+
+    def test_template_keys_are_computed_once(self, monkeypatch):
+        calls = Counter()
+        template_key = transforms.template_key
+
+        def counting(t):
+            calls[t] += 1
+            return template_key(t)
+
+        t = normal_form_chain(random.Random(6002), 192, 3)
+        expected = normalize_oracle(t)
+        monkeypatch.setattr(transforms, "template_key", counting)
+        assert normalize(t) == expected
+        placed = [tpl for slot in expected.translation for p in slot
+                  for tpls in [p.default, *(arm for _, arm in p.branches)] for tpl in tpls]
+        # Templates recur across arms, pieces and slots, yet each key is
+        # computed once.
+        assert len(placed) > len(set(placed)) == len(calls)
+        assert set(calls.values()) == {1}
