@@ -70,7 +70,6 @@ class TestDrop:
         a = compose(forward(5), drop())
         assert not any(a.linear)
         assert a.translation == forward(5).translation
-        assert a.translation[PORT_SLOT] == 5
         s1, s2 = some_state(), RuleState(Header.from_fields(tp_src=1), 9, 30)
         assert apply_action(a, s1) == apply_action(a, s2)
 
