@@ -113,6 +113,36 @@ def compose(second: AffineAction, first: AffineAction) -> AffineAction:
     return AffineAction(lin, tr)
 
 
+class ActionFold:
+    """A left-to-right product of forward, modify and drop steps, built in
+    place so that only the result is validated.
+
+    After steps s1, ..., sk, `action()` equals folding `compose` over them,
+    compose(sk, ... compose(s1, identity())).  Diagonals stay exact: a
+    translation step has an all-ones diagonal, so it keeps the diagonal
+    and adds its delta to one slot under the slot's mask; a drop has an
+    all-zero diagonal and translation, so it zeroes both vectors.
+    """
+
+    __slots__ = ("linear", "translation")
+
+    def __init__(self):
+        self.linear = _ONES
+        self.translation = list(_ZEROS)
+
+    def translate(self, slot: int, delta: int) -> None:
+        """Apply a translation of `slot` by `delta` (any integer) after the steps so far."""
+        self.translation[slot] = (self.translation[slot] + delta) & STATE_MASKS[slot]
+
+    def drop(self) -> None:
+        """Apply a drop after the steps so far."""
+        self.linear = _ZEROS
+        self.translation = list(_ZEROS)
+
+    def action(self) -> AffineAction:
+        return AffineAction(self.linear, tuple(self.translation))
+
+
 def apply_action(a: AffineAction, s: RuleState) -> RuleState:
     vec = tuple(
         (l * v + t) & m for l, v, t, m in zip(a.linear, s.vector(), a.translation, STATE_MASKS)

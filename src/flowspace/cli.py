@@ -11,6 +11,7 @@ of standard output goes away early, the command stops quietly with
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -201,7 +202,9 @@ def whatif_to_obj(report: WhatIfReport) -> dict:
 
 
 def emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    """One line with sorted keys; `python -m json.tool` pretty-prints it.
+    With no indent, `json` uses its C encoder."""
+    print(json.dumps(obj, sort_keys=True))
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +316,11 @@ def cmd_loops(args) -> int:
 
 def cmd_whatif(args) -> int:
     scn = scenario.load_scenario(args.scenario)
+    if args.old_rule is not None and args.op != "modify":
+        raise FlowspaceError(f"--old-rule applies to --op modify only, not --op {args.op}")
     try:
         rule_obj = json.loads(args.rule)
-        old_obj = json.loads(args.old_rule) if args.old_rule else None
+        old_obj = json.loads(args.old_rule) if args.old_rule is not None else None
     except json.JSONDecodeError as exc:
         raise FlowspaceError(f"rule literal is not valid JSON: {exc}") from None
     except RecursionError:
@@ -325,7 +330,8 @@ def cmd_whatif(args) -> int:
             op=args.op,
             switch=args.switch,
             rule=scenario.rule_from_obj(rule_obj, "--rule"),
-            old_rule=scenario.rule_from_obj(old_obj, "--old-rule") if old_obj else None,
+            old_rule=(scenario.rule_from_obj(old_obj, "--old-rule")
+                      if args.old_rule is not None else None),
         )
     except (TypeError, ValueError) as exc:
         raise FlowspaceError(f"malformed rule literal: {exc}") from exc
@@ -444,12 +450,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built once per process.  Parsing keeps no
+    state in it, so in-process callers share it; a one-shot shell
+    command still builds it once."""
+    return build_parser()
+
+
 #: 128 + SIGPIPE: the exit status of a command whose output reader went away.
 EXIT_BROKEN_PIPE = 141
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         status = args.func(args)
         sys.stdout.flush()  # a closed pipe surfaces here, not at exit

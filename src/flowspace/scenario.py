@@ -67,11 +67,30 @@ def _require_obj(value, what: str) -> dict:
     return value
 
 
-def _check_keys(obj: dict, allowed: tuple[str, ...] | frozenset[str], what: str) -> None:
-    if obj.keys() <= frozenset(allowed):
+def _check_keys(obj: dict, allowed: frozenset[str], what: str) -> None:
+    if obj.keys() <= allowed:
         return
-    unknown = sorted(set(obj) - set(allowed))
+    unknown = sorted(set(obj) - allowed)
     raise ScenarioFormatError(f"unknown keys in {what}: {unknown}")
+
+
+# The keys each kind of object may hold, built once.
+_KIND_KEYS = frozenset(("kind",))
+_FORWARD_KEYS = frozenset(("kind", "delta"))
+_MODIFY_KEYS = frozenset(("kind", "field", "delta"))
+_SEQ_KEYS = frozenset(("kind", "actions"))
+_RULE_KEYS = frozenset(("match", "out_port", "ttl", "action"))
+_ENTRY_KEYS = frozenset(("match", "out_port", "ttl", "action", "counter"))
+_FLOW_KEYS = frozenset(("header", "assigned_dest"))
+_TOPOLOGY_KEYS = frozenset(("switches", "ports", "server_ports"))
+_THRESHOLD_KEYS = frozenset(("kind", "threshold"))
+_SERVER_PAIR_KEYS = frozenset(("kind", "server_a", "server_b"))
+_PORT_KEYS = frozenset(("kind", "port"))
+_SET_FIELD_KEYS = frozenset(("kind", "field", "to"))
+_DELTA_KEYS = frozenset(("branches", "default"))
+_BRANCH_KEYS = frozenset(("guard", "rules"))
+_APP_KEYS = frozenset(("name", "slot", "delta"))
+_SCENARIO_KEYS = frozenset(("version", "topology", "flows", "tables", "apps", "chains", "queries"))
 
 
 def _require(obj: dict, key: str, what: str):
@@ -199,27 +218,32 @@ def action_to_obj(a: AffineAction) -> dict:
 
 
 def action_from_obj(obj, what: str = "action") -> AffineAction:
+    fold = actions.ActionFold()
+    _fold_action(obj, what, fold)
+    return fold.action()
+
+
+def _fold_action(obj, what: str, fold: actions.ActionFold) -> None:
+    """Check one concrete action and apply it after the steps in `fold`;
+    a `seq` applies its steps in order, nested ones included."""
     obj = _require_obj(obj, what)
     kind = _require(obj, "kind", what)
     if kind == "drop":
-        _check_keys(obj, ("kind",), what)
-        return actions.drop()
-    if kind == "forward":
-        _check_keys(obj, ("kind", "delta"), what)
-        return actions.forward(_int(_require(obj, "delta", what), f"{what}.delta"))
-    if kind == "modify":
-        _check_keys(obj, ("kind", "field", "delta"), what)
-        return actions.modify_field(
-            _field(_require(obj, "field", what), f"{what}.field"),
-            _int(_require(obj, "delta", what), f"{what}.delta"),
-        )
-    if kind == "seq":
-        _check_keys(obj, ("kind", "actions"), what)
-        acc = actions.identity()
+        _check_keys(obj, _KIND_KEYS, what)
+        fold.drop()
+    elif kind == "forward":
+        _check_keys(obj, _FORWARD_KEYS, what)
+        fold.translate(PORT_SLOT, _int(_require(obj, "delta", what), f"{what}.delta"))
+    elif kind == "modify":
+        _check_keys(obj, _MODIFY_KEYS, what)
+        name = _field(_require(obj, "field", what), f"{what}.field")
+        fold.translate(FIELD_INDEX[name], _int(_require(obj, "delta", what), f"{what}.delta"))
+    elif kind == "seq":
+        _check_keys(obj, _SEQ_KEYS, what)
         for i, sub in enumerate(_require(obj, "actions", what)):
-            acc = actions.compose(action_from_obj(sub, f"{what}[{i}]"), acc)
-        return acc
-    raise ScenarioFormatError(f"{what}: unknown action kind {kind!r}")
+            _fold_action(sub, f"{what}[{i}]", fold)
+    else:
+        raise ScenarioFormatError(f"{what}: unknown action kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +261,7 @@ def rule_to_obj(r: FlowRule) -> dict:
 
 def rule_from_obj(obj, what: str = "rule") -> FlowRule:
     obj = _require_obj(obj, what)
-    _check_keys(obj, ("match", "out_port", "ttl", "action"), what)
+    _check_keys(obj, _RULE_KEYS, what)
     return FlowRule(
         match=pattern_from_obj(_require(obj, "match", what), f"{what}.match"),
         out_port=_int(_require(obj, "out_port", what), f"{what}.out_port"),
@@ -254,7 +278,7 @@ def entry_to_obj(e: FlowEntry) -> dict:
 
 def entry_from_obj(obj, what: str = "entry") -> FlowEntry:
     obj = _require_obj(obj, what)
-    _check_keys(obj, ("match", "out_port", "ttl", "action", "counter"), what)
+    _check_keys(obj, _ENTRY_KEYS, what)
     rule = rule_from_obj({k: v for k, v in obj.items() if k != "counter"}, what)
     return FlowEntry(rule, _int(obj.get("counter", 0), f"{what}.counter"))
 
@@ -278,7 +302,7 @@ def flow_to_obj(f: Flow) -> dict:
 
 def flow_from_obj(obj, what: str = "flow") -> Flow:
     obj = _require_obj(obj, what)
-    _check_keys(obj, ("header", "assigned_dest"), what)
+    _check_keys(obj, _FLOW_KEYS, what)
     assigned = obj.get("assigned_dest")
     return Flow(
         header_from_obj(_require(obj, "header", what), f"{what}.header"),
@@ -300,7 +324,7 @@ def topology_to_obj(t: Topology) -> dict:
 
 def topology_from_obj(obj, what: str = "topology") -> Topology:
     obj = _require_obj(obj, what)
-    _check_keys(obj, ("switches", "ports", "server_ports"), what)
+    _check_keys(obj, _TOPOLOGY_KEYS, what)
     ports = _require_obj(obj.get("ports", {}), f"{what}.ports")
     server_ports = _require_obj(obj.get("server_ports", {}), f"{what}.server_ports")
     server_ports = {
@@ -330,13 +354,13 @@ def guard_from_obj(obj, what: str = "guard"):
     obj = _require_obj(obj, what)
     kind = _require(obj, "kind", what)
     if kind == "true":
-        _check_keys(obj, ("kind",), what)
+        _check_keys(obj, _KIND_KEYS, what)
         return TrueGuard()
     if kind == "source_count_at_most":
-        _check_keys(obj, ("kind", "threshold"), what)
+        _check_keys(obj, _THRESHOLD_KEYS, what)
         return SourceCountAtMost(_int(_require(obj, "threshold", what), f"{what}.threshold"))
     if kind == "load_at_most":
-        _check_keys(obj, ("kind", "server_a", "server_b"), what)
+        _check_keys(obj, _SERVER_PAIR_KEYS, what)
         return LoadAtMost(_address(_require(obj, "server_a", what), f"{what}.server_a"),
                           _address(_require(obj, "server_b", what), f"{what}.server_b"))
     raise ScenarioFormatError(f"{what}: unknown guard kind {kind!r}")
@@ -358,7 +382,7 @@ def port_ref_from_obj(obj, what: str = "port"):
     if isinstance(obj, int):
         return PortNumber(_u16(obj, what))
     obj = _require_obj(obj, what)
-    _check_keys(obj, ("kind",), what)
+    _check_keys(obj, _KIND_KEYS, what)
     if obj.get("kind") == "dest_port":
         return DestPort()
     raise ScenarioFormatError(f"{what}: unknown port reference {obj!r}")
@@ -376,7 +400,7 @@ def value_ref_from_obj(obj, width: int, what: str = "value"):
     if isinstance(obj, int):
         return _unsigned(obj, width, what)
     obj = _require_obj(obj, what)
-    _check_keys(obj, ("kind", "server_a", "server_b"), what)
+    _check_keys(obj, _SERVER_PAIR_KEYS, what)
     if obj.get("kind") == "pick_less_loaded":
         return PickLessLoaded(_address(_require(obj, "server_a", what), f"{what}.server_a"),
                               _address(_require(obj, "server_b", what), f"{what}.server_b"))
@@ -400,18 +424,18 @@ def action_spec_from_obj(obj, what: str = "action", depth: int = 0):
     obj = _require_obj(obj, what)
     kind = _require(obj, "kind", what)
     if kind == "drop":
-        _check_keys(obj, ("kind",), what)
+        _check_keys(obj, _KIND_KEYS, what)
         return Drop()
     if kind == "forward":
-        _check_keys(obj, ("kind", "port"), what)
+        _check_keys(obj, _PORT_KEYS, what)
         return Forward(port_ref_from_obj(_require(obj, "port", what), f"{what}.port"))
     if kind == "set_field":
-        _check_keys(obj, ("kind", "field", "to"), what)
+        _check_keys(obj, _SET_FIELD_KEYS, what)
         name = _field(_require(obj, "field", what), f"{what}.field")
         width = FIELDS[FIELD_INDEX[name]].width
         return SetField(name, value_ref_from_obj(_require(obj, "to", what), width, f"{what}.to"))
     if kind == "seq":
-        _check_keys(obj, ("kind", "actions"), what)
+        _check_keys(obj, _SEQ_KEYS, what)
         if depth == MAX_SEQ_DEPTH:
             raise ScenarioFormatError(f"{what}: seq nested deeper than {MAX_SEQ_DEPTH} levels")
         return Seq(tuple(action_spec_from_obj(s, f"{what}[{i}]", depth + 1)
@@ -433,7 +457,7 @@ def template_to_obj(t: RuleTemplate) -> dict:
 
 def template_from_obj(obj, what: str = "rule template") -> RuleTemplate:
     obj = _require_obj(obj, what)
-    _check_keys(obj, ("match", "out_port", "ttl", "action", "counter"), what)
+    _check_keys(obj, _ENTRY_KEYS, what)
     counter = _int(obj.get("counter", 0), f"{what}.counter")
     if counter < 0:
         raise ScenarioFormatError(f"{what}.counter must be non-negative")
@@ -463,11 +487,11 @@ def delta_to_obj(d: GuardedDelta) -> dict:
 
 def delta_from_obj(obj, what: str = "delta") -> GuardedDelta:
     obj = _require_obj(obj, what)
-    _check_keys(obj, ("branches", "default"), what)
+    _check_keys(obj, _DELTA_KEYS, what)
     branches = []
     for i, b in enumerate(obj.get("branches", [])):
         b = _require_obj(b, f"{what}.branches[{i}]")
-        _check_keys(b, ("guard", "rules"), f"{what}.branches[{i}]")
+        _check_keys(b, _BRANCH_KEYS, f"{what}.branches[{i}]")
         branches.append((
             guard_from_obj(_require(b, "guard", f"{what}.branches[{i}]")),
             tuple(template_from_obj(t, f"{what}.branches[{i}].rules[{j}]")
@@ -494,7 +518,7 @@ def app_to_obj(app: AppTransform) -> dict:
 
 def app_from_obj(obj, n: int, what: str = "app") -> AppTransform:
     obj = _require_obj(obj, what)
-    _check_keys(obj, ("name", "slot", "delta"), what)
+    _check_keys(obj, _APP_KEYS, what)
     name = _require(obj, "name", what)
     if not isinstance(name, str):
         raise ScenarioFormatError(f"{what}.name must be a string, got {type(name).__name__}")
@@ -545,8 +569,7 @@ def scenario_to_obj(s: Scenario) -> dict:
 
 def scenario_from_obj(obj) -> Scenario:
     obj = _require_obj(obj, "scenario")
-    _check_keys(obj, ("version", "topology", "flows", "tables", "apps",
-                      "chains", "queries"), "scenario")
+    _check_keys(obj, _SCENARIO_KEYS, "scenario")
     version = _require(obj, "version", "scenario")
     if type(version) is not int or version != FORMAT_VERSION:
         raise ScenarioFormatError(f"unsupported scenario version {version!r}")

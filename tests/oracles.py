@@ -15,6 +15,10 @@ each lookup walks every observed flow.
 The normal form is checked against the merge-pass fixpoint it replaced:
 each pass merges pieces with equal guard sequences, re-sorting the
 merged template lists, and passes repeat until nothing changes.
+
+The concrete-action decoder is checked against the one it replaced:
+it builds one validated action per step and composes them pairwise,
+and checks keys against a frozenset built on every call.
 """
 
 from __future__ import annotations
@@ -24,8 +28,10 @@ import numpy as np
 from flowspace import actions
 from flowspace.actions import STATE_MASKS, STATE_SIZE, AffineAction
 from flowspace.analysis import FlowModRequest, LoopFinding, TableDiff
+from flowspace.errors import ScenarioFormatError
 from flowspace.headers import Header, dest_of, src_of
 from flowspace.nib import NIB
+from flowspace.scenario import _field, _int, _require, _require_obj
 from flowspace.tables import FlowRule, FlowTable, entry_key
 from flowspace.transforms import (
     AppTransform,
@@ -277,3 +283,34 @@ def _canon_sum(pieces: DeltaSum) -> DeltaSum:
 def normalize_oracle(a: AppTransform) -> AppTransform:
     """The normal form by merge passes repeated until a fixpoint."""
     return AppTransform(a.name, a.linear, tuple(_canon_sum(s) for s in a.translation))
+
+
+def _check_keys(obj: dict, allowed: tuple[str, ...] | frozenset[str], what: str) -> None:
+    if obj.keys() <= frozenset(allowed):
+        return
+    unknown = sorted(set(obj) - set(allowed))
+    raise ScenarioFormatError(f"unknown keys in {what}: {unknown}")
+
+
+def action_from_obj_oracle(obj, what: str = "action") -> AffineAction:
+    obj = _require_obj(obj, what)
+    kind = _require(obj, "kind", what)
+    if kind == "drop":
+        _check_keys(obj, ("kind",), what)
+        return actions.drop()
+    if kind == "forward":
+        _check_keys(obj, ("kind", "delta"), what)
+        return actions.forward(_int(_require(obj, "delta", what), f"{what}.delta"))
+    if kind == "modify":
+        _check_keys(obj, ("kind", "field", "delta"), what)
+        return actions.modify_field(
+            _field(_require(obj, "field", what), f"{what}.field"),
+            _int(_require(obj, "delta", what), f"{what}.delta"),
+        )
+    if kind == "seq":
+        _check_keys(obj, ("kind", "actions"), what)
+        acc = actions.identity()
+        for i, sub in enumerate(_require(obj, "actions", what)):
+            acc = actions.compose(action_from_obj_oracle(sub, f"{what}[{i}]"), acc)
+        return acc
+    raise ScenarioFormatError(f"{what}: unknown action kind {kind!r}")

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flowspace import actions, casestudy, scenario
+from flowspace import actions, axioms, casestudy, cli, scenario
 from flowspace.cli import build_parser, main
 from flowspace.headers import FIELDS
 from flowspace.headers import MatchPattern
@@ -232,6 +232,43 @@ class TestWhatIf:
         assert obj["diffs"][1]["added"]
         assert obj["new_loops"] == []
 
+    @pytest.mark.parametrize("op", ["add", "delete"])
+    @pytest.mark.parametrize("old", ["{}", "0", "[]", RULE])
+    def test_old_rule_outside_modify_is_an_input_error(self, casestudy_path, op, old):
+        code, out, err = run_main("whatif", casestudy_path, "--op", op, "--switch", "0",
+                                  "--rule", self.RULE, "--old-rule", old)
+        assert (code, out) == (2, "")
+        assert err == f"error: --old-rule applies to --op modify only, not --op {op}\n"
+
+    @pytest.mark.parametrize("old, message", [
+        ("{}", "--old-rule is missing required key 'match'"),
+        ("0", "--old-rule must be an object, got int"),
+        ("[]", "--old-rule must be an object, got list"),
+        ("null", "--old-rule must be an object, got NoneType"),
+    ])
+    def test_falsy_old_rule_fails_with_the_decoder_message(self, casestudy_path, old, message):
+        code, out, err = run_main("whatif", casestudy_path, "--op", "modify", "--switch", "0",
+                                  "--rule", self.RULE, "--old-rule", old)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
+    def test_modify_without_old_rule(self, casestudy_path):
+        code, _, err = run_main("whatif", casestudy_path, "--op", "modify", "--switch", "0",
+                                "--rule", self.RULE)
+        assert code == 2
+        assert err == "error: malformed rule literal: modify needs the rule being replaced\n"
+
+    def test_modify_replaces_the_old_rule(self, loop_scenario_path):
+        new = json.loads(self.RULE)
+        new["action"]["delta"] = 9
+        code, out, err = run_main("--format", "json", "whatif", loop_scenario_path,
+                                  "--op", "modify", "--switch", "0", "--rule", json.dumps(new),
+                                  "--old-rule", self.INVERSE)
+        assert (code, err) == (0, "")
+        diff = json.loads(out)["diffs"][0]
+        assert [e["action"] for e in diff["removed"]] == [json.loads(self.INVERSE)["action"]]
+        assert [e["action"] for e in diff["added"]] == [new["action"]]
+
 
 class TestAxioms:
     def test_default_run_passes(self):
@@ -286,6 +323,76 @@ class TestCaseStudyCommand:
 
 
 # ---------------------------------------------------------------------------
+# In process: one parser serves every call, and JSON output is one line
+# with sorted keys.
+
+
+class TestInProcess:
+    def test_parser_is_built_once(self, monkeypatch, loop_scenario_path):
+        built = []
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+        cli._parser.cache_clear()
+        try:
+            for _ in range(3):
+                assert run_main("loops", loop_scenario_path)[0] == 1
+        finally:
+            cli._parser.cache_clear()
+        assert built == [1]
+
+    def test_no_option_leaks_into_the_next_call(self, monkeypatch, loop_scenario_path):
+        seen = []
+
+        def run_suite(seed, cases):
+            seen.append((seed, cases))
+            return []
+
+        monkeypatch.setattr(axioms, "run_suite", run_suite)
+        text = run_main("loops", loop_scenario_path)[1]
+        assert text.startswith("switch 0: inverse rule pair")
+        calls = [
+            (["--format", "json", "loops", loop_scenario_path], "json", None),
+            (["loops", loop_scenario_path, "--format", "json"], "json", None),
+            (["loops", loop_scenario_path], "text", None),
+            (["--seed", "4", "--format", "json", "axioms", "--cases", "3"], "json", (4, 3)),
+            (["axioms", "--cases", "3", "--seed", "5"], "text", (5, 3)),
+            (["axioms"], "text", (0, 1000)),
+            (["--seed", "4", "axioms", "--seed", "6", "--format", "json"], "json", (6, 1000)),
+            (["axioms", "--cases", "2"], "text", (0, 2)),
+            (["loops", loop_scenario_path], "text", None),
+        ]
+        for argv, fmt, suite_args in calls:
+            code, out, err = run_main(*argv)
+            assert err == ""
+            if fmt == "json":
+                json.loads(out)
+            elif argv[0] == "loops":
+                assert out == text
+            else:
+                assert out == ""  # an empty suite prints no lines
+            if suite_args is not None:
+                assert seen.pop() == suite_args
+        assert seen == []
+
+    @pytest.mark.parametrize("argv", [
+        ["axioms", "--cases", "5"],
+        ["congruence", "{case}", "ids-lb", "lb-ids"],
+        ["congruence", "{case}", "ids-lb", "ids-lb"],
+        ["apply", "{case}", "ids-lb", "--header", "@noisy-client"],
+        ["loops", "{case}"],
+        ["loops", "{loops}"],
+        ["whatif", "{case}", "--op", "add", "--switch", "0", "--rule", TestWhatIf.RULE],
+        ["whatif", "{loops}", "--op", "delete", "--switch", "0", "--rule", TestWhatIf.RULE],
+        ["casestudy"],
+    ])
+    def test_json_is_one_sorted_line(self, argv, casestudy_path, loop_scenario_path):
+        paths = {"{case}": casestudy_path, "{loops}": loop_scenario_path}
+        argv = [paths.get(a, a) for a in argv]
+        code, out, err = run_main("--format", "json", *argv)
+        assert code in (0, 1) and err == ""
+        assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+
+
+# ---------------------------------------------------------------------------
 # Exit-code contract: 0 or 1 is a verdict with nothing on stderr, 2 is one
 # `error:` line; no input may end in an uncaught exception, and a
 # non-integer where the format wants an integer is never accepted.
@@ -309,19 +416,23 @@ def _get(doc, path):
     return doc
 
 
+def _int_paths(doc):
+    return [p for p in _paths(doc) if type(_get(doc, p)) is int]
+
+
 PATHS = list(_paths(BUNDLED))
-INT_PATHS = [p for p in PATHS if type(_get(BUNDLED, p)) is int]
 DROP = "<drop the key>"
 DEEP = "<100,000 nested arrays>"
 DEEP_TEXT = "[" * 100_000 + "]" * 100_000
 REPLACEMENTS = (1.5, -0.0, True, False, "7", None, -1, 70_000, 2**64, [[[7]]], {}, DROP, DEEP)
 
 
-def _mutate(mutations):
-    """The bundled document with the mutations applied, as JSON text, and
-    whether it now holds a non-integer where the bundled one holds an
-    integer.  DROP deletes object keys only, so that no path shifts."""
-    doc = copy.deepcopy(BUNDLED)
+def _mutate(mutations, base=BUNDLED):
+    """The base document (the bundled one by default) with the mutations
+    applied, as JSON text, and whether it now holds a non-integer where
+    the base holds an integer.  DROP deletes object keys only, so that
+    no path shifts."""
+    doc = copy.deepcopy(base)
     for path, value in mutations:
         try:
             parent = _get(doc, path[:-1])
@@ -334,7 +445,7 @@ def _mutate(mutations):
         except (KeyError, IndexError, TypeError):
             pass  # an earlier mutation replaced or removed this path
     broken = False
-    for path in INT_PATHS:
+    for path in _int_paths(base):
         try:
             value = _get(doc, path)
         except (KeyError, IndexError, TypeError):
@@ -381,6 +492,28 @@ def fuzz_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "scenario.json"
 
 
+@pytest.fixture(scope="module")
+def whatif_path(tmp_path_factory):
+    """The bundled scenario with TestWhatIf.RULE on switch 0, so that a
+    delete or a modify of it succeeds."""
+    doc = copy.deepcopy(BUNDLED)
+    doc["tables"][0] = [dict(json.loads(TestWhatIf.RULE), counter=0)]
+    path = tmp_path_factory.mktemp("fuzz") / "whatif.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+RULE_OBJ = json.loads(TestWhatIf.RULE)
+VALID_RULE = (TestWhatIf.RULE, False)
+#: (literal, holds a non-integer where a rule holds an integer)
+rule_literals = st.lists(
+    st.tuples(st.sampled_from(list(_paths(RULE_OBJ))), st.sampled_from(REPLACEMENTS)),
+    max_size=2,
+).map(lambda mutations: _mutate(mutations, RULE_OBJ))
+#: Literals that are no rule at all, several of them falsy.
+NOT_RULES = [(text, True) for text in ("{}", "0", "[]", "null", '""', "{nope", DEEP_TEXT)]
+
+
 class TestExitCodeContract:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -416,4 +549,41 @@ class TestExitCodeContract:
         else:
             assert err == ""
         if broken or (command == "apply" and not _header_is_valid(header)):
+            assert code == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rule=rule_literals,
+        old_rule=st.one_of(st.none(), st.just(VALID_RULE), rule_literals,
+                           st.sampled_from(NOT_RULES)),
+        switch=st.sampled_from(["0", "0", "1", "2", "-1", "1.5", "x", str(2**64)]),
+        op=st.sampled_from(["add", "delete", "modify", "modify", "move"]),
+    )
+    @example(rule=VALID_RULE, old_rule=("{}", True), switch="0", op="add")
+    @example(rule=VALID_RULE, old_rule=("{}", True), switch="0", op="modify")
+    @example(rule=VALID_RULE, old_rule=VALID_RULE, switch="0", op="modify")
+    @example(rule=VALID_RULE, old_rule=None, switch="0", op="delete")
+    @example(rule=(TestWhatIf.INVERSE, False), old_rule=None, switch="0", op="add")
+    def test_whatif_arguments(self, whatif_path, rule, old_rule, switch, op):
+        argv = ["whatif", whatif_path, f"--op={op}", f"--switch={switch}", f"--rule={rule[0]}"]
+        if old_rule is not None:
+            argv.append(f"--old-rule={old_rule[0]}")
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse: a usage line, then an error line
+                code = exc.code
+        err = err.getvalue()
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        usage_error = op not in ("add", "delete", "modify") or not switch.lstrip("-").isdigit()
+        assert err.startswith("usage: ") == usage_error, err
+        if usage_error:
+            assert code == 2 and "error: argument" in err, err
+        elif code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+        else:
+            assert err == ""
+        if rule[1] or (old_rule is not None and (old_rule[1] or op != "modify")):
             assert code == 2

@@ -11,6 +11,10 @@ seeded NIBs whose headers collide, on hand-built NIBs, and inside
 `normalize` must give exactly the merge-pass fixpoint's normal form on
 seeded chains whose guard sequences collide and whose merged arms
 collapse.
+
+`scenario.action_from_obj`, which folds a concrete action's steps into
+one action, must give exactly the pairwise-composing decoder's action,
+or the same error, on seeded action objects, malformed ones included.
 """
 
 import random
@@ -19,6 +23,7 @@ from collections import Counter
 import pytest
 
 from oracles import (
+    action_from_obj_oracle,
     apply_flow_mod,
     count_by_dest_oracle,
     count_by_src_oracle,
@@ -30,10 +35,19 @@ from oracles import (
     what_if_new_loops_oracle,
 )
 from flowspace import casestudy, sampling, transforms
-from flowspace.actions import AffineAction, STATE_SIZE, drop, forward, identity, invert
+from flowspace.actions import (
+    PORT_SLOT,
+    STATE_SIZE,
+    AffineAction,
+    drop,
+    forward,
+    identity,
+    invert,
+    modify_field,
+)
 from flowspace.analysis import FlowModRequest, detect_loops, what_if
 from flowspace.errors import FlowspaceError
-from flowspace.headers import Header, MatchPattern
+from flowspace.headers import FIELDS, Header, MatchPattern
 from flowspace.nib import (
     NIB,
     Flow,
@@ -42,6 +56,7 @@ from flowspace.nib import (
     count_by_src,
     effective_dest_of_header,
 )
+from flowspace.scenario import action_from_obj
 from flowspace.tables import FlowEntry, FlowRule, FlowTable, negate_rule, reduce
 from flowspace.transforms import (
     AppTransform,
@@ -394,3 +409,99 @@ class TestNormalForm:
         # computed once.
         assert len(placed) > len(set(placed)) == len(calls)
         assert set(calls.values()) == {1}
+
+
+# ---------------------------------------------------------------------------
+# Concrete action decoding
+
+FIELD_NAMES = [f.name for f in FIELDS]
+
+#: One malformed step of each kind the decoder rejects.
+MALFORMED_STEPS = (
+    {"kind": "modify", "field": "vlan", "delta": 1},  # unknown field
+    {"kind": "modify", "field": 3, "delta": 1},  # field index, not a name
+    {"kind": "forward", "delta": 1.5},  # float delta
+    {"kind": "forward", "delta": True},  # bool delta
+    {"kind": "modify", "field": "nw_src"},  # missing delta
+    {"kind": "drop", "delta": 0},  # extra key
+    {"kind": "seq", "actions": [], "extra": 1},  # extra key
+    {"kind": "seq"},  # missing actions
+    {"kind": "seq", "actions": 7},  # actions not an array
+    {"kind": "jump", "delta": 1},  # unknown kind
+    {"delta": 1},  # missing kind
+    "forward",  # not an object
+)
+
+
+def random_delta(rng: random.Random) -> int:
+    """Small, negative, wider than the port field or wider than every field."""
+    return rng.choice((
+        rng.randrange(8),
+        -rng.randrange(1, 1 << 16),
+        rng.randrange(1 << 16, 1 << 32),
+        rng.randrange(1 << 48),
+        -rng.randrange(1 << 48, 1 << 64),
+    ))
+
+
+def random_action_obj(rng: random.Random, malformed: float, depth: int = 0):
+    """A concrete action object; `seq` nests at most 4 deep and may be
+    empty, and each step is malformed with probability `malformed`."""
+    r = rng.random()
+    if r < malformed:
+        return rng.choice(MALFORMED_STEPS)
+    if depth < 4 and r < 0.45:
+        return {"kind": "seq", "actions": [random_action_obj(rng, malformed, depth + 1)
+                                           for _ in range(rng.randrange(5))]}
+    if r < 0.6:
+        return {"kind": "drop"}
+    if r < 0.8:
+        return {"kind": "forward", "delta": random_delta(rng)}
+    return {"kind": "modify", "field": rng.choice(FIELD_NAMES), "delta": random_delta(rng)}
+
+
+def decoded(decode, obj):
+    """The decoded action, or the error's type and message."""
+    try:
+        return decode(obj, "rule.action")
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+
+
+class TestActionDecoder:
+    def test_matches_pairwise_compose_on_seeded_objects(self):
+        rng = random.Random(7001)
+        outcomes = Counter()
+        for i in range(20_000):
+            obj = random_action_obj(rng, 0.0 if i % 4 else 0.05)
+            got = decoded(action_from_obj, obj)
+            assert got == decoded(action_from_obj_oracle, obj), obj
+            outcomes[type(got) is tuple] += 1
+        # both well-formed and malformed objects are compared
+        assert outcomes[True] > 600 and outcomes[False] > 15_000
+
+    @pytest.mark.parametrize("obj, expected", [
+        ({"kind": "seq", "actions": []}, identity()),
+        ({"kind": "seq", "actions": [{"kind": "seq", "actions": []}]}, identity()),
+        ({"kind": "seq", "actions": [{"kind": "forward", "delta": 3}, {"kind": "drop"}]},
+         drop()),
+        ({"kind": "seq", "actions": [{"kind": "drop"}, {"kind": "forward", "delta": 3}]},
+         AffineAction((0,) * STATE_SIZE,
+                      tuple(3 if i == PORT_SLOT else 0 for i in range(STATE_SIZE)))),
+        ({"kind": "forward", "delta": -1}, forward(0xFFFF)),
+        ({"kind": "forward", "delta": (1 << 16) + 5}, forward(5)),
+        ({"kind": "modify", "field": "nw_tos", "delta": -1}, modify_field("nw_tos", 0xFF)),
+        ({"kind": "seq", "actions": [{"kind": "modify", "field": "nw_src", "delta": 1 << 31},
+                                     {"kind": "modify", "field": "nw_src", "delta": 1 << 31}]},
+         identity()),
+    ])
+    def test_hand_built(self, obj, expected):
+        assert action_from_obj(obj) == expected == action_from_obj_oracle(obj)
+
+    @pytest.mark.parametrize("step", MALFORMED_STEPS)
+    def test_malformed_step_inside_seq(self, step):
+        obj = {"kind": "seq", "actions": [{"kind": "forward", "delta": 1},
+                                          {"kind": "seq", "actions": [step]}]}
+        got = decoded(action_from_obj, obj)
+        assert type(got) is tuple
+        assert got == decoded(action_from_obj_oracle, obj)
