@@ -139,6 +139,10 @@ class ActionFold:
         self.linear = _ZEROS
         self.translation = list(_ZEROS)
 
+    def value(self, slot: int, start: int) -> int:
+        """The value that the steps so far leave in `slot` when it starts at `start`."""
+        return (self.linear[slot] * start + self.translation[slot]) & STATE_MASKS[slot]
+
     def action(self) -> AffineAction:
         return AffineAction(self.linear, tuple(self.translation))
 

@@ -388,6 +388,17 @@ def cmd_casestudy(args) -> int:
 # Parser
 
 
+def _non_negative_int(text: str) -> int:
+    """An argparse type: a count, so an integer of at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flowspace",
@@ -409,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("axioms", parents=[common],
                        help="run the randomized table-algebra property suite")
-    p.add_argument("--cases", type=int, default=1000)
+    p.add_argument("--cases", type=_non_negative_int, default=1000)
     p.set_defaults(func=cmd_axioms)
 
     p = sub.add_parser("congruence", parents=[common],

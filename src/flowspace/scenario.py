@@ -67,6 +67,12 @@ def _require_obj(value, what: str) -> dict:
     return value
 
 
+def _require_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ScenarioFormatError(f"{what} must be an array, got {type(value).__name__}")
+    return value
+
+
 def _check_keys(obj: dict, allowed: frozenset[str], what: str) -> None:
     if obj.keys() <= allowed:
         return
@@ -117,6 +123,14 @@ def _unsigned(value, width: int, what: str) -> int:
 def _u16(value, what: str) -> int:
     """A port number or ttl: a JSON integer in 0..0xFFFF."""
     return _unsigned(value, 16, what)
+
+
+def _counter(obj: dict, what: str) -> int:
+    """The optional packet counter of an entry or a template."""
+    counter = _int(obj.get("counter", 0), f"{what}.counter")
+    if counter < 0:
+        raise ScenarioFormatError(f"{what}.counter must be non-negative")
+    return counter
 
 
 #: Server addresses (assignments, load guards, pick-less-loaded) stand
@@ -240,7 +254,7 @@ def _fold_action(obj, what: str, fold: actions.ActionFold) -> None:
         fold.translate(FIELD_INDEX[name], _int(_require(obj, "delta", what), f"{what}.delta"))
     elif kind == "seq":
         _check_keys(obj, _SEQ_KEYS, what)
-        for i, sub in enumerate(_require(obj, "actions", what)):
+        for i, sub in enumerate(_require_list(_require(obj, "actions", what), f"{what}.actions")):
             _fold_action(sub, f"{what}[{i}]", fold)
     else:
         raise ScenarioFormatError(f"{what}: unknown action kind {kind!r}")
@@ -264,8 +278,8 @@ def rule_from_obj(obj, what: str = "rule") -> FlowRule:
     _check_keys(obj, _RULE_KEYS, what)
     return FlowRule(
         match=pattern_from_obj(_require(obj, "match", what), f"{what}.match"),
-        out_port=_int(_require(obj, "out_port", what), f"{what}.out_port"),
-        ttl=_int(_require(obj, "ttl", what), f"{what}.ttl"),
+        out_port=_u16(_require(obj, "out_port", what), f"{what}.out_port"),
+        ttl=_u16(_require(obj, "ttl", what), f"{what}.ttl"),
         action=action_from_obj(_require(obj, "action", what), f"{what}.action"),
     )
 
@@ -280,7 +294,7 @@ def entry_from_obj(obj, what: str = "entry") -> FlowEntry:
     obj = _require_obj(obj, what)
     _check_keys(obj, _ENTRY_KEYS, what)
     rule = rule_from_obj({k: v for k, v in obj.items() if k != "counter"}, what)
-    return FlowEntry(rule, _int(obj.get("counter", 0), f"{what}.counter"))
+    return FlowEntry(rule, _counter(obj, what))
 
 
 def table_to_obj(t: FlowTable) -> list:
@@ -288,9 +302,8 @@ def table_to_obj(t: FlowTable) -> list:
 
 
 def table_from_obj(obj, what: str = "table") -> FlowTable:
-    if not isinstance(obj, list):
-        raise ScenarioFormatError(f"{what} must be an array")
-    return FlowTable(entry_from_obj(e, f"{what}[{i}]") for i, e in enumerate(obj))
+    return FlowTable(entry_from_obj(e, f"{what}[{i}]")
+                     for i, e in enumerate(_require_list(obj, what)))
 
 
 def flow_to_obj(f: Flow) -> dict:
@@ -438,8 +451,9 @@ def action_spec_from_obj(obj, what: str = "action", depth: int = 0):
         _check_keys(obj, _SEQ_KEYS, what)
         if depth == MAX_SEQ_DEPTH:
             raise ScenarioFormatError(f"{what}: seq nested deeper than {MAX_SEQ_DEPTH} levels")
+        steps = _require_list(_require(obj, "actions", what), f"{what}.actions")
         return Seq(tuple(action_spec_from_obj(s, f"{what}[{i}]", depth + 1)
-                         for i, s in enumerate(_require(obj, "actions", what))))
+                         for i, s in enumerate(steps)))
     raise ScenarioFormatError(f"{what}: unknown action kind {kind!r}")
 
 
@@ -458,9 +472,7 @@ def template_to_obj(t: RuleTemplate) -> dict:
 def template_from_obj(obj, what: str = "rule template") -> RuleTemplate:
     obj = _require_obj(obj, what)
     _check_keys(obj, _ENTRY_KEYS, what)
-    counter = _int(obj.get("counter", 0), f"{what}.counter")
-    if counter < 0:
-        raise ScenarioFormatError(f"{what}.counter must be non-negative")
+    counter = _counter(obj, what)
     raw_match = _require(obj, "match", what)
     if raw_match == "input":
         match = InputHeader()
@@ -489,16 +501,19 @@ def delta_from_obj(obj, what: str = "delta") -> GuardedDelta:
     obj = _require_obj(obj, what)
     _check_keys(obj, _DELTA_KEYS, what)
     branches = []
-    for i, b in enumerate(obj.get("branches", [])):
+    for i, b in enumerate(_require_list(obj.get("branches", []), f"{what}.branches")):
         b = _require_obj(b, f"{what}.branches[{i}]")
         _check_keys(b, _BRANCH_KEYS, f"{what}.branches[{i}]")
+        rules = _require_list(b.get("rules", []), f"{what}.branches[{i}].rules")
         branches.append((
-            guard_from_obj(_require(b, "guard", f"{what}.branches[{i}]")),
+            guard_from_obj(_require(b, "guard", f"{what}.branches[{i}]"),
+                           f"{what}.branches[{i}].guard"),
             tuple(template_from_obj(t, f"{what}.branches[{i}].rules[{j}]")
-                  for j, t in enumerate(b.get("rules", []))),
+                  for j, t in enumerate(rules)),
         ))
     default = tuple(template_from_obj(t, f"{what}.default[{i}]")
-                    for i, t in enumerate(obj.get("default", [])))
+                    for i, t in enumerate(_require_list(obj.get("default", []),
+                                                        f"{what}.default")))
     return GuardedDelta(tuple(branches), default)
 
 
@@ -575,30 +590,31 @@ def scenario_from_obj(obj) -> Scenario:
         raise ScenarioFormatError(f"unsupported scenario version {version!r}")
     topology = topology_from_obj(_require(obj, "topology", "scenario"))
     n = topology.switch_count
-    raw_tables = obj.get("tables", [])
-    if not isinstance(raw_tables, list) or len(raw_tables) != n:
+    raw_tables = _require_list(obj.get("tables", []), "tables")
+    if len(raw_tables) != n:
         raise ScenarioFormatError(f"scenario needs exactly {n} tables")
     tables = tuple(table_from_obj(t, f"tables[{i}]") for i, t in enumerate(raw_tables))
     flows = tuple(flow_from_obj(f, f"flows[{i}]")
-                  for i, f in enumerate(obj.get("flows", [])))
+                  for i, f in enumerate(_require_list(obj.get("flows", []), "flows")))
     nib = NIB(topology, tables, flows)
     apps: dict[str, AppTransform] = {}
-    for i, raw in enumerate(obj.get("apps", [])):
+    for i, raw in enumerate(_require_list(obj.get("apps", []), "apps")):
         app = app_from_obj(raw, n, f"apps[{i}]")
         if app.name in apps:
             raise ScenarioFormatError(f"duplicate app name {app.name!r}")
         apps[app.name] = app
     chains: dict[str, ServiceChain] = {}
     for name, stage_names in _require_obj(obj.get("chains", {}), "chains").items():
-        if not isinstance(stage_names, list) or not stage_names:
-            raise ScenarioFormatError(f"chain {name!r} must be a non-empty array")
-        try:
-            stages = tuple(apps[s] for s in stage_names)
-        except KeyError as missing:
-            raise ScenarioFormatError(
-                f"chain {name!r} references unknown app {missing.args[0]!r}"
-            ) from None
-        chains[name] = ServiceChain(stages)
+        what = f"chains[{name}]"
+        if not _require_list(stage_names, what):
+            raise ScenarioFormatError(f"{what} must be a non-empty array")
+        for i, stage in enumerate(stage_names):
+            if not isinstance(stage, str):
+                raise ScenarioFormatError(
+                    f"{what}[{i}] must be an app name, got {type(stage).__name__}")
+            if stage not in apps:
+                raise ScenarioFormatError(f"chain {name!r} references unknown app {stage!r}")
+        chains[name] = ServiceChain(tuple(apps[s] for s in stage_names))
     queries = {
         name: header_from_obj(h, f"queries[{name}]")
         for name, h in _require_obj(obj.get("queries", {}), "queries").items()

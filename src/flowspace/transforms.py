@@ -28,8 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
-from flowspace import actions
-from flowspace.actions import AffineAction
+from flowspace.actions import PORT_SLOT, ActionFold, AffineAction
 from flowspace.errors import (
     DimensionMismatchError,
     EmptyChainError,
@@ -154,9 +153,12 @@ class Drop:
 class SetField:
     """Rewrite one header field to a target value.
 
-    Instantiation computes the translation delta from the steered
-    header's current field value, which is why the resulting action is
-    a function of that header.
+    Instantiation computes the translation delta from the value the
+    field holds at this step: the steered header's value after the
+    earlier steps of the enclosing `seq`s.  So the field ends at the
+    target even after a drop or an earlier rewrite of the same field
+    (f:=n; f:=m acts as f:=m), and the resulting action is a function
+    of the steered header.
     """
 
     field: str
@@ -361,19 +363,31 @@ def resolve_value(ref: ValueRef, nib: NIB) -> int:
 
 
 def build_action(spec: ActionSpec, nib: NIB, h: Header) -> AffineAction:
+    """The concrete action of a template action for header h.
+
+    The steps, nested `seq`s included, fold left to right into one
+    `ActionFold`, which validates only the result.  A `set_field`
+    translates its field by the distance from the value the earlier
+    steps leave there to the target, so applying the action to h's
+    rule state sets the field to the target.
+    """
+    fold = ActionFold()
+    _fold_spec(spec, nib, h, fold)
+    return fold.action()
+
+
+def _fold_spec(spec: ActionSpec, nib: NIB, h: Header, fold: ActionFold) -> None:
     if isinstance(spec, Drop):
-        return actions.drop()
-    if isinstance(spec, Forward):
-        return actions.forward(resolve_port(spec.port, nib, h))
-    if isinstance(spec, SetField):
+        fold.drop()
+    elif isinstance(spec, Forward):
+        fold.translate(PORT_SLOT, resolve_port(spec.port, nib, h))
+    elif isinstance(spec, SetField):
         i = field_index(spec.field)
         target = resolve_value(spec.to, nib)
-        delta = field_delta(h.values[i], target, FIELDS[i].width)
-        return actions.modify_field(i, delta)
-    result = actions.identity()
-    for step in spec.steps:
-        result = actions.compose(build_action(step, nib, h), result)
-    return result
+        fold.translate(i, field_delta(fold.value(i, h.values[i]), target, FIELDS[i].width))
+    else:
+        for step in spec.steps:
+            _fold_spec(step, nib, h, fold)
 
 
 def instantiate(tpl: RuleTemplate, nib: NIB, h: Header) -> FlowEntry:

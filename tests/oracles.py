@@ -18,7 +18,14 @@ merged template lists, and passes repeat until nothing changes.
 
 The concrete-action decoder is checked against the one it replaced:
 it builds one validated action per step and composes them pairwise,
-and checks keys against a frozenset built on every call.
+and checks keys against a frozenset built on every call.  Both take a
+`seq`'s steps through the same array check.
+
+Template actions are checked against the instantiation that `ActionFold`
+replaced: it builds one validated action per step and composes them
+pairwise, and takes every `set_field` delta from the steered header, so
+it agrees with `build_action` only on specs with no `set_field` after a
+`drop` or after a `set_field` of the same field.
 """
 
 from __future__ import annotations
@@ -29,21 +36,27 @@ from flowspace import actions
 from flowspace.actions import STATE_MASKS, STATE_SIZE, AffineAction
 from flowspace.analysis import FlowModRequest, LoopFinding, TableDiff
 from flowspace.errors import ScenarioFormatError
-from flowspace.headers import Header, dest_of, src_of
+from flowspace.headers import FIELDS, Header, dest_of, field_delta, field_index, src_of
 from flowspace.nib import NIB
-from flowspace.scenario import _field, _int, _require, _require_obj
+from flowspace.scenario import _field, _int, _require, _require_list, _require_obj
 from flowspace.tables import FlowRule, FlowTable, entry_key
 from flowspace.transforms import (
+    ActionSpec,
     AppTransform,
     Branch,
     DeltaSum,
+    Drop,
+    Forward,
     GuardedDelta,
+    SetField,
     Templates,
     TrueGuard,
     flow_mod_add,
     flow_mod_delete,
     flow_mod_modify,
     guard_key,
+    resolve_port,
+    resolve_value,
     template_key,
 )
 
@@ -310,7 +323,23 @@ def action_from_obj_oracle(obj, what: str = "action") -> AffineAction:
     if kind == "seq":
         _check_keys(obj, ("kind", "actions"), what)
         acc = actions.identity()
-        for i, sub in enumerate(_require(obj, "actions", what)):
+        for i, sub in enumerate(_require_list(_require(obj, "actions", what), f"{what}.actions")):
             acc = actions.compose(action_from_obj_oracle(sub, f"{what}[{i}]"), acc)
         return acc
     raise ScenarioFormatError(f"{what}: unknown action kind {kind!r}")
+
+
+def build_action_oracle(spec: ActionSpec, nib: NIB, h: Header) -> AffineAction:
+    if isinstance(spec, Drop):
+        return actions.drop()
+    if isinstance(spec, Forward):
+        return actions.forward(resolve_port(spec.port, nib, h))
+    if isinstance(spec, SetField):
+        i = field_index(spec.field)
+        target = resolve_value(spec.to, nib)
+        delta = field_delta(h.values[i], target, FIELDS[i].width)
+        return actions.modify_field(i, delta)
+    result = actions.identity()
+    for step in spec.steps:
+        result = actions.compose(build_action_oracle(step, nib, h), result)
+    return result

@@ -252,6 +252,22 @@ class TestWhatIf:
         assert (code, out) == (2, "")
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("path, value, message", [
+        (("out_port",), 70_000, "--rule.out_port=70000 exceeds 16-bit range"),
+        (("ttl",), 70_000, "--rule.ttl=70000 exceeds 16-bit range"),
+        (("action",), {"kind": "seq", "actions": {}},
+         "--rule.action.actions must be an array, got dict"),
+        (("action",), {"kind": "seq", "actions": "ab"},
+         "--rule.action.actions must be an array, got str"),
+    ])
+    def test_rule_values_name_their_path(self, casestudy_path, path, value, message):
+        rule = json.loads(self.RULE)
+        rule[path[0]] = value
+        code, out, err = run_main("whatif", casestudy_path, "--op", "add", "--switch", "0",
+                                  "--rule", json.dumps(rule))
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
     def test_modify_without_old_rule(self, casestudy_path):
         code, _, err = run_main("whatif", casestudy_path, "--op", "modify", "--switch", "0",
                                 "--rule", self.RULE)
@@ -280,6 +296,15 @@ class TestAxioms:
     def test_zero_cases(self):
         out = run_cli("axioms", "--cases", "0")
         assert out.returncode == 0
+
+    @pytest.mark.parametrize("cases, message", [
+        ("-3", "argument --cases: must be non-negative, got -3"),
+        ("x", "argument --cases: invalid int value: 'x'"),
+    ])
+    def test_negative_cases_is_a_usage_error(self, cases, message):
+        out = run_cli("axioms", "--cases", cases)
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr.startswith("usage: ") and out.stderr.endswith(f"error: {message}\n")
 
     def test_seed_reproducibility(self):
         a = run_cli("--seed", "4", "axioms", "--cases", "40")
@@ -416,22 +441,31 @@ def _get(doc, path):
     return doc
 
 
-def _int_paths(doc):
-    return [p for p in _paths(doc) if type(_get(doc, p)) is int]
+def _typed_paths(doc):
+    """The paths that hold an integer or an array."""
+    return [p for p in _paths(doc) if type(_get(doc, p)) in (int, list)]
 
 
-PATHS = list(_paths(BUNDLED))
+#: The bundled document, with one table entry whose action is a seq, so
+#: that a concrete action array is fuzzed too.
+FUZZ_DOC = copy.deepcopy(BUNDLED)
+FUZZ_DOC["tables"][0] = [{"match": {"nw_src": 1}, "out_port": 2, "ttl": 60, "counter": 0,
+                          "action": {"kind": "seq", "actions": [
+                              {"kind": "modify", "field": "nw_src", "delta": 5},
+                              {"kind": "forward", "delta": 7}]}}]
+PATHS = list(_paths(FUZZ_DOC))
 DROP = "<drop the key>"
 DEEP = "<100,000 nested arrays>"
 DEEP_TEXT = "[" * 100_000 + "]" * 100_000
-REPLACEMENTS = (1.5, -0.0, True, False, "7", None, -1, 70_000, 2**64, [[[7]]], {}, DROP, DEEP)
+REPLACEMENTS = (1.5, -0.0, True, False, "7", "", "ab", None, -1, 70_000, 2**64, [[[7]]], {},
+                DROP, DEEP)
 
 
-def _mutate(mutations, base=BUNDLED):
-    """The base document (the bundled one by default) with the mutations
+def _mutate(mutations, base=FUZZ_DOC):
+    """The base document (FUZZ_DOC by default) with the mutations
     applied, as JSON text, and whether it now holds a non-integer where
-    the base holds an integer.  DROP deletes object keys only, so that
-    no path shifts."""
+    the base holds an integer, or a non-array where the base holds an
+    array.  DROP deletes object keys only, so that no path shifts."""
     doc = copy.deepcopy(base)
     for path, value in mutations:
         try:
@@ -445,13 +479,14 @@ def _mutate(mutations, base=BUNDLED):
         except (KeyError, IndexError, TypeError):
             pass  # an earlier mutation replaced or removed this path
     broken = False
-    for path in _int_paths(base):
+    for path in _typed_paths(base):
         try:
             value = _get(doc, path)
         except (KeyError, IndexError, TypeError):
             continue
         # an absent assigned_dest may be written as null
-        if type(value) is not int and not (value is None and path[-1] == "assigned_dest"):
+        if type(value) is not type(_get(base, path)) and not (
+                value is None and path[-1] == "assigned_dest"):
             broken = True
     text = json.dumps(doc)
     return text.replace(json.dumps(DEEP), DEEP_TEXT), broken or DEEP in text
@@ -530,6 +565,13 @@ class TestExitCodeContract:
     @example(mutations=[], header=DEEP_TEXT, command="apply")
     @example(mutations=[(("apps", 1, "delta", "default", 0, "action", "actions", 0, "field"), 1.5)],
              header="{}", command="apply")
+    @example(mutations=[(("flows",), {})], header="{}", command="loops")
+    @example(mutations=[(("flows",), "ab")], header="{}", command="loops")
+    @example(mutations=[(("apps", 1, "delta", "default", 0, "action", "actions"), "")],
+             header="{}", command="apply")
+    @example(mutations=[(("tables", 0, 0, "action", "actions"), {})], header="{}",
+             command="whatif")
+    @example(mutations=[(("chains", "ids-lb"), "ab")], header="{}", command="congruence")
     def test_exit_code_and_stderr(self, fuzz_path, mutations, header, command):
         text, broken = _mutate(mutations)
         fuzz_path.write_text(text)

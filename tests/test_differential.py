@@ -15,6 +15,13 @@ collapse.
 `scenario.action_from_obj`, which folds a concrete action's steps into
 one action, must give exactly the pairwise-composing decoder's action,
 or the same error, on seeded action objects, malformed ones included.
+
+`transforms.build_action`, which folds a template action's steps into
+one action, must raise exactly the errors of the pairwise-composing
+instantiation, and give its action on every spec with no `set_field`
+after a `drop` or after a `set_field` of the same field.  On every spec,
+the action must map the steered header's rule state to the state that
+running the steps one by one gives.
 """
 
 import random
@@ -25,6 +32,7 @@ import pytest
 from oracles import (
     action_from_obj_oracle,
     apply_flow_mod,
+    build_action_oracle,
     count_by_dest_oracle,
     count_by_src_oracle,
     detect_loops_oracle,
@@ -36,9 +44,12 @@ from oracles import (
 )
 from flowspace import casestudy, sampling, transforms
 from flowspace.actions import (
+    PORT_MASK,
     PORT_SLOT,
     STATE_SIZE,
     AffineAction,
+    RuleState,
+    apply_action,
     drop,
     forward,
     identity,
@@ -47,7 +58,7 @@ from flowspace.actions import (
 )
 from flowspace.analysis import FlowModRequest, detect_loops, what_if
 from flowspace.errors import FlowspaceError
-from flowspace.headers import FIELDS, Header, MatchPattern
+from flowspace.headers import FIELD_INDEX, FIELDS, Header, MatchPattern
 from flowspace.nib import (
     NIB,
     Flow,
@@ -60,10 +71,19 @@ from flowspace.scenario import action_from_obj
 from flowspace.tables import FlowEntry, FlowRule, FlowTable, negate_rule, reduce
 from flowspace.transforms import (
     AppTransform,
+    Drop,
+    Forward,
     GuardedDelta,
     LoadAtMost,
+    PickLessLoaded,
+    PortName,
+    Seq,
+    SetField,
     SourceCountAtMost,
+    build_action,
     normalize,
+    resolve_port,
+    resolve_value,
 )
 
 #: Port translation 0x8000 is its own negation mod 2**16.
@@ -505,3 +525,106 @@ class TestActionDecoder:
         got = decoded(action_from_obj, obj)
         assert type(got) is tuple
         assert got == decoded(action_from_obj_oracle, obj)
+
+
+# ---------------------------------------------------------------------------
+# Template actions
+
+
+def random_target(rng: random.Random, field: str):
+    """A set_field target: in the pool, anywhere in the field, a deferred
+    pick, or just outside the field."""
+    width = FIELDS[FIELD_INDEX[field]].width
+    if rng.random() < 0.05:
+        return rng.choice((1 << width, -1))
+    return rng.choice((
+        rng.choice(sampling.ADDRESS_POOL) if width == 32 else rng.randrange(8),
+        rng.randrange(1 << width),
+        PickLessLoaded(*rng.sample(sampling.ADDRESS_POOL, 2)),
+    ))
+
+
+def random_template_action(rng: random.Random, depth: int = 0):
+    """A template action; `seq` nests at most 4 deep and may be empty,
+    ports may not resolve and targets may not fit their field."""
+    r = rng.random()
+    if depth < 4 and r < 0.35:
+        return Seq(tuple(random_template_action(rng, depth + 1)
+                         for _ in range(rng.randrange(5))))
+    if r < 0.5:
+        return sampling.random_action_spec(rng)
+    if r < 0.6:
+        return Drop()
+    if r < 0.7:
+        port = PortName("nope") if rng.random() < 0.1 else sampling.random_port_ref(rng)
+        return Forward(port)
+    # a few fields, so that one field is often set twice
+    field = rng.choice(("nw_dst", "nw_dst", "nw_src", "tp_dst", rng.choice(FIELD_NAMES)))
+    return SetField(field, random_target(rng, field))
+
+
+def flat_steps(spec):
+    if isinstance(spec, Seq):
+        for step in spec.steps:
+            yield from flat_steps(step)
+    else:
+        yield spec
+
+
+def oracle_is_exact(spec) -> bool:
+    """No set_field after a drop or after a set_field of the same field:
+    the specs on which taking every delta from the steered header is right."""
+    dropped, fields = False, set()
+    for step in flat_steps(spec):
+        if isinstance(step, Drop):
+            dropped = True
+        elif isinstance(step, SetField):
+            if dropped or step.field in fields:
+                return False
+            fields.add(step.field)
+    return True
+
+
+def run_steps(spec, nib: NIB, h: Header, state: list[int]) -> list[int]:
+    """The rule state after running the steps one by one."""
+    for step in flat_steps(spec):
+        if isinstance(step, Drop):
+            state = [0] * STATE_SIZE
+        elif isinstance(step, Forward):
+            state[PORT_SLOT] = (state[PORT_SLOT] + resolve_port(step.port, nib, h)) & PORT_MASK
+        else:
+            state[FIELD_INDEX[step.field]] = resolve_value(step.to, nib)
+    return state
+
+
+def template_nib(rng: random.Random) -> NIB:
+    return sampling.random_nib(rng, sampling.random_topology(rng, 1), max_entries=0)
+
+
+def template_header(rng: random.Random) -> Header:
+    h = sampling.random_header(rng)
+    if rng.random() < 0.1:  # a destination with no server port
+        return Header(h.values[:7] + (rng.randrange(1 << 32),) + h.values[8:])
+    return h
+
+
+class TestTemplateActions:
+    def test_fold_matches_pairwise_compose_on_seeded_specs(self):
+        rng = random.Random(7002)
+        nibs = [template_nib(rng) for _ in range(40)]
+        outcomes = Counter()
+        for _ in range(20_000):
+            spec, nib, h = random_template_action(rng), rng.choice(nibs), template_header(rng)
+            got = decoded(lambda s, _: build_action(s, nib, h), spec)
+            want = decoded(lambda s, _: build_action_oracle(s, nib, h), spec)
+            exact = oracle_is_exact(spec)
+            if type(got) is tuple or exact:
+                assert got == want, spec
+            if type(got) is not tuple:
+                port, ttl = rng.randrange(1 << 16), rng.randrange(1 << 16)
+                state = RuleState(h, port, ttl)
+                assert apply_action(got, state).vector() == tuple(
+                    run_steps(spec, nib, h, list(state.vector()))), spec
+            outcomes[exact, type(got) is tuple] += 1
+        # exact and inexact specs, actions and errors are all compared
+        assert min(outcomes.values()) > 1_000, outcomes

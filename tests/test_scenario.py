@@ -274,6 +274,63 @@ class TestScenarioDocument:
         with pytest.raises(ScenarioFormatError, match="exceeds 8-bit range"):
             loads_scenario(json.dumps(obj))
 
+    #: The bundled document, with one table entry whose action is a seq.
+    SEQ_ENTRY = {"match": {"nw_src": 1}, "out_port": 2, "ttl": 60, "counter": 0,
+                 "action": {"kind": "seq", "actions": [
+                     {"kind": "modify", "field": "nw_src", "delta": 5},
+                     {"kind": "forward", "delta": 7}]}}
+
+    def _loads_with(self, path, value):
+        obj = scenario_to_obj(build_scenario())
+        obj["tables"][0] = [self.SEQ_ENTRY]
+        obj = json.loads(json.dumps(obj))
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        return loads_scenario(json.dumps(obj))
+
+    ARRAYS = {
+        ("flows",): "flows",
+        ("apps",): "apps",
+        ("apps", 0, "delta", "branches"): "apps[0].delta.branches",
+        ("apps", 0, "delta", "default"): "apps[0].delta.default",
+        ("apps", 0, "delta", "branches", 0, "rules"): "apps[0].delta.branches[0].rules",
+        SET_DST[:-1]: "apps[1].delta.default[0].action.actions",
+        ("tables", 0, 0, "action", "actions"): "tables[0][0].action.actions",
+        ("tables",): "tables",
+        ("tables", 0): "tables[0]",
+        ("chains", "ids-lb"): "chains[ids-lb]",
+    }
+
+    @pytest.mark.parametrize("path, what", ARRAYS.items())
+    @pytest.mark.parametrize("value", [{}, "", "ab"])
+    def test_arrays_are_checked(self, path, what, value):
+        got = type(value).__name__
+        with pytest.raises(ScenarioFormatError) as exc:
+            self._loads_with(path, value)
+        assert str(exc.value) == f"{what} must be an array, got {got}"
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("tables", 0, 0, "out_port"), 70_000, "tables[0][0].out_port=70000 exceeds 16-bit range"),
+        (("tables", 0, 0, "ttl"), -1, "tables[0][0].ttl=-1 exceeds 16-bit range"),
+        (("tables", 0, 0, "counter"), -1, "tables[0][0].counter must be non-negative"),
+        (("chains", "ids-lb", 0), ["x-ids"], "chains[ids-lb][0] must be an app name, got list"),
+        (("chains", "ids-lb", 1), None, "chains[ids-lb][1] must be an app name, got NoneType"),
+        (("chains", "ids-lb"), [], "chains[ids-lb] must be a non-empty array"),
+        (LOAD_GUARD + ("kind",), "nope",
+         "apps[1].delta.branches[0].guard: unknown guard kind 'nope'"),
+        (("apps", 0, "delta", "default", 0, "out_port"), {"kind": "nope"},
+         "apps[0].delta.default[0].out_port: unknown port reference {'kind': 'nope'}"),
+        (PICK + ("kind",), "nope",
+         "apps[5].delta.default[0].action[0].to: unknown value reference "
+         "{'kind': 'nope', 'server_a': 167772261, 'server_b': 167772262}"),
+    ])
+    def test_values_are_checked_where_read(self, path, value, message):
+        with pytest.raises(ScenarioFormatError) as exc:
+            self._loads_with(path, value)
+        assert str(exc.value) == message
+
     def test_template_seq_depth_is_bounded(self):
         action = {"kind": "drop"}
         for _ in range(MAX_SEQ_DEPTH):

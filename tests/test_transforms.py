@@ -10,8 +10,9 @@ from flowspace.errors import (
     RuleNotFoundError,
     SlotOutOfRangeError,
     UnresolvedPortError,
+    WidthOverflowError,
 )
-from flowspace.headers import Header, MatchPattern
+from flowspace.headers import FIELD_INDEX, Header, MatchPattern
 from flowspace.nib import NIB, Flow, Topology
 from flowspace.tables import FlowEntry, FlowRule, FlowTable, add, empty, negate_rule, reduce
 from flowspace.analysis import behavioral_diff
@@ -33,6 +34,7 @@ from flowspace.transforms import (
     SourceCountAtMost,
     TrueGuard,
     apply_transform,
+    build_action,
     chain,
     compose_apps,
     congruent,
@@ -302,6 +304,68 @@ class TestApplyTransform:
         app = make_app("a", 0, unconditional([tpl]), 2)
         out = apply_transform(app, nib_of(), Header.from_fields())
         assert out.tables[0].entries[0].counter == 0
+
+
+def applied(spec, h: Header, nib: NIB | None = None) -> Header:
+    """The header that spec's action for h makes of h."""
+    a = build_action(spec, nib or nib_of(), h)
+    return actions.apply_action(a, actions.RuleState(h, 0, 0)).header
+
+
+class TestBuildAction:
+    H = Header.from_fields(nw_dst=100)
+
+    @pytest.mark.parametrize("steps", [
+        (SetField("nw_dst", 5), SetField("nw_dst", 9)),
+        (Drop(), SetField("nw_dst", 9)),
+        (SetField("nw_dst", 5), Seq((Drop(), Forward(PortName("p0")))), SetField("nw_dst", 9)),
+        (Seq((SetField("nw_dst", 5),)), Seq((Seq((SetField("nw_dst", 9),)),))),
+    ])
+    def test_last_set_field_wins(self, steps):
+        # f:=n; f:=m acts as f:=m, also after a drop and across nested seqs
+        assert applied(Seq(steps), self.H).values[FIELD_INDEX["nw_dst"]] == 9
+
+    def test_set_field_twice_is_one_modify(self):
+        spec = Seq((SetField("nw_dst", 5), SetField("nw_dst", 9)))
+        assert build_action(spec, nib_of(), self.H) == actions.modify_field("nw_dst", 9 - 100)
+
+    def test_set_field_after_drop_is_a_constant(self):
+        spec = Seq((Drop(), SetField("nw_dst", 9)))
+        assert build_action(spec, nib_of(), self.H) == actions.compose(
+            actions.modify_field("nw_dst", 9), drop())
+
+    def test_drop_clears_earlier_steps(self):
+        spec = Seq((Forward(PortName("p1")), SetField("nw_src", 7), Drop()))
+        assert build_action(spec, nib_of(), self.H) == drop()
+
+    def test_delta_wraps_within_the_field(self):
+        # 2 -> 0xFFFF -> 1 on a 16-bit field: both deltas wrap
+        h = Header.from_fields(tp_dst=2)
+        spec = Seq((SetField("tp_dst", 0xFFFF), SetField("tp_dst", 1)))
+        assert build_action(spec, nib_of(), h) == actions.modify_field("tp_dst", 0xFFFF)
+
+    def test_nested_unresolved_port(self):
+        spec = Seq((SetField("nw_dst", 5), Seq((Forward(PortName("nope")),))))
+        with pytest.raises(UnresolvedPortError, match="no port named 'nope'"):
+            build_action(spec, nib_of(), self.H)
+
+    def test_target_wider_than_the_field(self):
+        spec = Seq((Drop(), SetField("nw_tos", 256)))
+        with pytest.raises(WidthOverflowError):
+            build_action(spec, nib_of(), self.H)
+
+    def test_seeded_last_set_field_reaches_its_target(self):
+        rng = random.Random(4711)
+        topology = sampling.random_topology(rng, 2)
+        checked = 0
+        while checked < 500:
+            spec = Seq(tuple(sampling.random_action_spec(rng) for _ in range(rng.randint(1, 4))))
+            if not isinstance(spec.steps[-1], SetField):
+                continue
+            nib, h = sampling.random_scenario(rng, topology)
+            last = spec.steps[-1]
+            assert applied(spec, h, nib).values[FIELD_INDEX[last.field]] == last.to, spec
+            checked += 1
 
 
 class TestNormalize:
