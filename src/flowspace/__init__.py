@@ -43,6 +43,7 @@ from flowspace.errors import (
     DimensionMismatchError,
     EmptyChainError,
     FlowspaceError,
+    InvalidRuleError,
     RuleNotFoundError,
     ScenarioFormatError,
     SingularActionError,

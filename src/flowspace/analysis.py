@@ -9,6 +9,13 @@ previews a single FLOW_MOD against a NIB, diffing tables and reporting
 any loop the change would introduce.  Both find pairs through the
 inverse-key index of `flowspace.tables`, so a scan is linear in table
 entries and a preview looks up partners of the new entries only.
+
+`what_if` stores the index on the table a FLOW_MOD touches, so the
+previewed table and a later commit of any FLOW_MOD to that table both
+derive their index from it, and a chain of previews and commits never
+rebuilds one.  `detect_loops` reads an index a table carries and
+builds a throwaway one otherwise: a single scan gains nothing by
+storing it.
 """
 
 from __future__ import annotations
@@ -19,18 +26,20 @@ from typing import Sequence
 
 from flowspace import actions, transforms
 from flowspace.actions import AffineAction
-from flowspace.errors import SlotOutOfRangeError
+from flowspace.errors import InvalidRuleError, SlotOutOfRangeError
 from flowspace.headers import Header
 from flowspace.nib import NIB
 from flowspace.tables import (
     FlowEntry,
     FlowRule,
     FlowTable,
+    cache_inverse_index,
     entry_key,
     inverse_index,
     inverse_key,
     partner_key,
     reduce,
+    rule_entries,
     table_equal,
 )
 from flowspace.transforms import (
@@ -196,9 +205,16 @@ class FlowModRequest:
 
     def __post_init__(self):
         if self.op not in ("add", "delete", "modify"):
-            raise ValueError(f"op must be add/delete/modify, not {self.op!r}")
+            raise InvalidRuleError(f"op must be add/delete/modify, not {self.op!r}")
+        if type(self.switch) is not int:
+            raise InvalidRuleError(f"switch must be an int, got {type(self.switch).__name__}")
+        if not isinstance(self.rule, FlowRule):
+            raise InvalidRuleError(f"rule must be a FlowRule, got {type(self.rule).__name__}")
         if self.op == "modify" and self.old_rule is None:
-            raise ValueError("modify needs the rule being replaced")
+            raise InvalidRuleError("modify needs the rule being replaced")
+        if self.old_rule is not None and not isinstance(self.old_rule, FlowRule):
+            raise InvalidRuleError(
+                f"old_rule must be a FlowRule, got {type(self.old_rule).__name__}")
 
 
 @dataclass(frozen=True)
@@ -221,27 +237,39 @@ def what_if(nib: NIB, candidate: FlowModRequest) -> WhatIfReport:
     Only the touched switch changes, and a pair of its entries is a new
     loop only if one of them is new, so partners are looked up for the
     added entries alone; a delete introduces none.
+
+    The touched table's inverse index is built once and stored on it
+    (see `tables.cache_inverse_index`).  The previewed table derives its
+    index from that one, copying only the groups the FLOW_MOD touches,
+    and so does a table that `transforms.flow_mod_*` later commits from
+    the same parent; the partners are looked up in the derived index.
     """
     n = nib.topology.switch_count
     s = candidate.switch
     if not 0 <= s < n:
         raise SlotOutOfRangeError(f"switch {s} out of range for {n} switches")
     table = nib.tables[s]
-    if candidate.op == "add":
-        updated = flow_mod_add(table, candidate.rule)
-    elif candidate.op == "delete":
-        updated = flow_mod_delete(table, candidate.rule)
+    cache_inverse_index(table)  # the preview and a later commit both derive from it
+    op, rule = candidate.op, candidate.rule
+    if op == "add":
+        updated = flow_mod_add(table, rule)
+    elif op == "delete":
+        updated = flow_mod_delete(table, rule)
     else:
-        updated = flow_mod_modify(table, candidate.old_rule, candidate.rule)
+        updated = flow_mod_modify(table, candidate.old_rule, rule)
     tables = tuple(updated if i == s else t for i, t in enumerate(nib.tables))
     after = NIB(nib.topology, tables, nib.flows)
-    touched = TableDiff(
-        s,
-        added=tuple(sorted(updated._entries - table._entries, key=entry_key)),
-        removed=tuple(sorted(table._entries - updated._entries, key=entry_key)),
-    )
+    # The diff comes from the entries the FLOW_MOD touches: the new entry
+    # unless the table holds it, and the entries of the replaced rule.
+    new = FlowEntry(rule, 0)
+    added = () if op == "delete" or new in table else (new,)
+    removed = ()
+    if op != "add":
+        gone = rule_entries(table, candidate.old_rule if op == "modify" else rule)
+        removed = tuple(sorted((e for e in gone if e not in updated), key=entry_key))
+    touched = TableDiff(s, added, removed)
     pairs = set()
-    index = inverse_index(updated) if touched.added else {}
+    index = inverse_index(updated)  # derived from the parent's, not rebuilt
     for e in touched.added:
         key = inverse_key(e.rule)
         if key is not None:

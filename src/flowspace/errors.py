@@ -27,6 +27,11 @@ class SingularActionError(FlowspaceError):
     """The action has a zero diagonal entry and therefore no inverse."""
 
 
+class InvalidRuleError(FlowspaceError, ValueError):
+    """A flow rule, table entry or FLOW_MOD request was built from a value
+    of the wrong type or range (also a ValueError, as before it existed)."""
+
+
 class RuleNotFoundError(FlowspaceError):
     """A delete/modify referenced a rule with no matching table entry."""
 

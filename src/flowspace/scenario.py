@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from flowspace import actions
 from flowspace.actions import PORT_SLOT, TTL_SLOT, AffineAction
-from flowspace.errors import ScenarioFormatError
+from flowspace.errors import ScenarioFormatError, WidthOverflowError
 from flowspace.headers import (
     FIELD_COUNT,
     FIELD_INDEX,
@@ -167,12 +167,20 @@ def _field(value, what: str) -> str:
 
 
 def _fields(obj: dict, what: str) -> dict[str, int]:
-    """A header or match object: integers keyed by field name."""
+    """A header or match object: integers keyed by field name.
+
+    Their widths are checked by the Header or MatchPattern built from
+    them; `_width_error` puts the JSON path on that error.
+    """
     _check_keys(obj, _FIELD_NAMES, what)
     for name, value in obj.items():
         if type(value) is not int:
             _int(value, f"{what}.{name}")  # raises, naming the field
     return obj
+
+
+def _width_error(exc: WidthOverflowError, what: str) -> ScenarioFormatError:
+    return ScenarioFormatError(f"{what}.{exc.field}={exc.value} exceeds {exc.width}-bit range")
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +195,10 @@ def header_from_obj(obj, what: str = "header") -> Header:
     values = [0] * FIELD_COUNT
     for name, value in _fields(_require_obj(obj, what), what).items():
         values[FIELD_INDEX[name]] = value
-    return Header(tuple(values))
+    try:
+        return Header(tuple(values))
+    except WidthOverflowError as exc:
+        raise _width_error(exc, what) from None
 
 
 def pattern_to_obj(p: MatchPattern) -> dict:
@@ -195,7 +206,10 @@ def pattern_to_obj(p: MatchPattern) -> dict:
 
 
 def pattern_from_obj(obj, what: str = "match") -> MatchPattern:
-    return MatchPattern.from_fields(**_fields(_require_obj(obj, what), what))
+    try:
+        return MatchPattern.from_fields(**_fields(_require_obj(obj, what), what))
+    except WidthOverflowError as exc:
+        raise _width_error(exc, what) from None
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +358,10 @@ def topology_from_obj(obj, what: str = "topology") -> Topology:
         _address_key(k, f"{what}.server_ports"): _u16(v, f"{what}.server_ports[{k}]")
         for k, v in server_ports.items()
     }
-    return Topology(_int(_require(obj, "switches", what), f"{what}.switches"),
+    switches = _int(_require(obj, "switches", what), f"{what}.switches")
+    if switches < 1:
+        raise ScenarioFormatError(f"{what}.switches must be at least 1, got {switches}")
+    return Topology(switches,
                     {str(k): _u16(v, f"{what}.ports[{k}]") for k, v in ports.items()},
                     server_ports)
 
@@ -371,7 +388,11 @@ def guard_from_obj(obj, what: str = "guard"):
         return TrueGuard()
     if kind == "source_count_at_most":
         _check_keys(obj, _THRESHOLD_KEYS, what)
-        return SourceCountAtMost(_int(_require(obj, "threshold", what), f"{what}.threshold"))
+        # Flow counts are non-negative, so no NIB meets a negative threshold.
+        threshold = _int(_require(obj, "threshold", what), f"{what}.threshold")
+        if threshold < 0:
+            raise ScenarioFormatError(f"{what}.threshold must be non-negative, got {threshold}")
+        return SourceCountAtMost(threshold)
     if kind == "load_at_most":
         _check_keys(obj, _SERVER_PAIR_KEYS, what)
         return LoadAtMost(_address(_require(obj, "server_a", what), f"{what}.server_a"),
@@ -537,12 +558,10 @@ def app_from_obj(obj, n: int, what: str = "app") -> AppTransform:
     name = _require(obj, "name", what)
     if not isinstance(name, str):
         raise ScenarioFormatError(f"{what}.name must be a string, got {type(name).__name__}")
-    return make_app(
-        name,
-        _int(_require(obj, "slot", what), f"{what}.slot"),
-        delta_from_obj(_require(obj, "delta", what), f"{what}.delta"),
-        n,
-    )
+    slot = _int(_require(obj, "slot", what), f"{what}.slot")
+    if not 0 <= slot < n:
+        raise ScenarioFormatError(f"{what}.slot={slot} out of range for {n} switches")
+    return make_app(name, slot, delta_from_obj(_require(obj, "delta", what), f"{what}.delta"), n)
 
 
 def transform_to_obj(app: AppTransform) -> dict:

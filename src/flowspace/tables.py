@@ -14,6 +14,14 @@ slotwise negation of the other.  `inverse_index` groups a table's
 invertible entries by `inverse_key`, so an entry's partners are found
 by one lookup of its `partner_key` instead of a scan over the table.
 
+A table can carry its index.  `cache_inverse_index` builds it once and
+stores it on the table (`analysis.what_if` does so for the table a
+FLOW_MOD touches); the FLOW_MOD operations of `flowspace.transforms`
+then derive each new table's index from its parent's, copying the
+dict and rebuilding only the groups whose entries changed, so a chain
+of previews and commits costs the entries it touches, not the table.
+`reduce` and `detect_loops` read a carried index but never store one.
+
 Entries are kept in a canonical total order so equality, serialization
 and cancellation are deterministic.
 """
@@ -21,12 +29,22 @@ and cancellation are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from operator import attrgetter
+from typing import Collection, Iterable, Iterator
 
 from flowspace import actions
-from flowspace.actions import AffineAction, action_key
-from flowspace.errors import SingularActionError
+from flowspace.actions import PORT_MASK, TTL_MASK, AffineAction, action_key
+from flowspace.errors import InvalidRuleError, SingularActionError
 from flowspace.headers import MatchPattern, pattern_key
+
+
+def _int_error(name: str, value, mask: int) -> InvalidRuleError | None:
+    """Why `value` is not a real int (not a bool or a float) in 0..mask, if it is not."""
+    if type(value) is not int:
+        return InvalidRuleError(f"{name} must be an int, got {type(value).__name__}")
+    if not 0 <= value <= mask:
+        return InvalidRuleError(f"{name} {value} exceeds {mask.bit_length()}-bit range")
+    return None
 
 
 @dataclass(frozen=True)
@@ -39,11 +57,21 @@ class FlowRule:
     action: AffineAction
 
     def __post_init__(self):
-        # Reuse the rule-state bounds for the port/ttl slots.
-        if not 0 <= self.out_port <= actions.PORT_MASK:
-            raise ValueError(f"out_port {self.out_port} exceeds 16-bit range")
-        if not 0 <= self.ttl <= actions.TTL_MASK:
-            raise ValueError(f"ttl {self.ttl} exceeds 16-bit range")
+        # One test on the path every valid rule takes; the error is
+        # worked out only when it fails.  Port and ttl reuse the
+        # rule-state bounds of their slots.
+        port, ttl = self.out_port, self.ttl
+        if not (type(port) is int and 0 <= port <= PORT_MASK
+                and type(ttl) is int and 0 <= ttl <= TTL_MASK
+                and isinstance(self.match, MatchPattern)
+                and isinstance(self.action, AffineAction)):
+            if not isinstance(self.match, MatchPattern):
+                raise InvalidRuleError(
+                    f"match must be a MatchPattern, got {type(self.match).__name__}")
+            if not isinstance(self.action, AffineAction):
+                raise InvalidRuleError(
+                    f"action must be an AffineAction, got {type(self.action).__name__}")
+            raise _int_error("out_port", port, PORT_MASK) or _int_error("ttl", ttl, TTL_MASK)
 
 
 @dataclass(frozen=True)
@@ -54,8 +82,13 @@ class FlowEntry:
     counter: int
 
     def __post_init__(self):
-        if self.counter < 0:
-            raise ValueError("counter must be non-negative")
+        counter = self.counter
+        if not (type(counter) is int and counter >= 0 and isinstance(self.rule, FlowRule)):
+            if not isinstance(self.rule, FlowRule):
+                raise InvalidRuleError(f"rule must be a FlowRule, got {type(self.rule).__name__}")
+            if type(counter) is not int:
+                raise InvalidRuleError(f"counter must be an int, got {type(counter).__name__}")
+            raise InvalidRuleError("counter must be non-negative")
 
 
 def rule_key(r: FlowRule) -> tuple:
@@ -69,13 +102,15 @@ def entry_key(e: FlowEntry) -> tuple:
 class FlowTable:
     """An immutable set of flow entries with canonical iteration order."""
 
-    # _order caches the canonical order; it is derived from _entries and
-    # takes no part in equality or hashing.
-    __slots__ = ("_entries", "_order")
+    # _order caches the canonical order and _index the inverse index
+    # (see `cache_inverse_index`); both are derived from _entries and
+    # take no part in equality, hashing or repr.
+    __slots__ = ("_entries", "_order", "_index")
 
     def __init__(self, entries: Iterable[FlowEntry] = ()):
         object.__setattr__(self, "_entries", frozenset(entries))
         object.__setattr__(self, "_order", None)
+        object.__setattr__(self, "_index", None)
 
     @property
     def entries(self) -> tuple[FlowEntry, ...]:
@@ -158,18 +193,101 @@ def partner_key(key: tuple) -> tuple:
     return (match, out_port, ttl, actions.negate_translation(translation))
 
 
-def inverse_index(t: FlowTable) -> dict[tuple, list[FlowEntry]]:
+InverseIndex = dict[tuple, tuple[FlowEntry, ...]]
+
+
+_counter = attrgetter("counter")
+
+
+def _group(entries: Collection[FlowEntry]) -> tuple[FlowEntry, ...]:
+    """One index group in canonical order: one rule, so counters decide."""
+    return tuple(entries) if len(entries) < 2 else tuple(sorted(entries, key=_counter))
+
+
+def inverse_index(t: FlowTable) -> InverseIndex:
     """The table's invertible entries grouped by `inverse_key`, each group
-    in canonical order."""
-    index: dict[tuple, list[FlowEntry]] = {}
+    a tuple in canonical order.
+
+    A table that carries its index (see `cache_inverse_index`) returns it
+    as is; callers must not mutate it.  Otherwise the index is built
+    here and not stored, so a caller that scans a table once pays for
+    one build and leaves the table as it was.
+    """
+    if t._index is not None:
+        return t._index
+    index: InverseIndex = {}
+    shared = set()  # keys of groups with more than one entry
     for e in t._entries:
         key = inverse_key(e.rule)
         if key is not None:
-            index.setdefault(key, []).append(e)
-    for group in index.values():
-        if len(group) > 1:
-            group.sort(key=lambda e: e.counter)  # one rule, so counters decide
+            group = index.get(key)
+            if group is None:
+                index[key] = (e,)
+            else:
+                index[key] = group + (e,)
+                shared.add(key)
+    for key in shared:
+        index[key] = _group(index[key])
     return index
+
+
+def cache_inverse_index(t: FlowTable) -> InverseIndex:
+    """The table's inverse index, built and stored on `t` if it has none.
+
+    Tables derived from `t` by a FLOW_MOD then inherit an index of their own.
+    """
+    if t._index is None:
+        object.__setattr__(t, "_index", inverse_index(t))
+    return t._index
+
+
+def rule_entries(t: FlowTable, r: FlowRule) -> Collection[FlowEntry]:
+    """The entries of `t` whose rule equals `r`; they differ in counters.
+
+    On a table that carries its index an invertible rule's entries are
+    one lookup away, since equal inverse keys mean equal rules; a
+    singular (drop) rule, or a table with no index, takes a scan.
+    """
+    key = inverse_key(r) if t._index is not None else None
+    if key is not None:
+        return t._index.get(key, ())
+    port = r.out_port  # comparing the port first spares most entries a dataclass __eq__
+    return [e for e in t._entries if e.rule.out_port == port and e.rule == r]
+
+
+def _edit(t: FlowTable, removed: Collection[FlowEntry],
+          added: Collection[FlowEntry]) -> FlowTable:
+    """t minus `removed` plus `added`, which the FLOW_MOD operations build on.
+
+    frozenset difference and union reuse the stored entry hashes, so the
+    table is not rehashed.  When `t` carries an index, the new table gets
+    a copy of it in which only the groups of touched entries are rebuilt.
+    """
+    entries = t._entries
+    if removed:
+        entries = entries.difference(removed)
+    if added:
+        entries = entries.union(added)
+    out = FlowTable(entries)
+    if t._index is not None:
+        index = dict(t._index)
+        edits: dict[tuple, tuple[list, list]] = {}
+        for e in removed:
+            key = inverse_key(e.rule)
+            if key is not None:
+                edits.setdefault(key, ([], []))[0].append(e)
+        for e in added:
+            key = inverse_key(e.rule)
+            if key is not None:
+                edits.setdefault(key, ([], []))[1].append(e)
+        for key, (gone, new) in edits.items():
+            group = set(index.get(key, ())).difference(gone).union(new)
+            if group:
+                index[key] = _group(group)
+            else:
+                index.pop(key, None)
+        object.__setattr__(out, "_index", index)
+    return out
 
 
 def reduce(t: FlowTable) -> FlowTable:

@@ -26,7 +26,7 @@ as well, since an application's deltas are built from them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Collection, Sequence, Union
 
 from flowspace.actions import PORT_SLOT, ActionFold, AffineAction
 from flowspace.errors import (
@@ -45,7 +45,7 @@ from flowspace.headers import (
     pattern_key,
 )
 from flowspace.nib import NIB, count_by_dest, count_by_src, effective_dest_of_header
-from flowspace.tables import FlowEntry, FlowRule, FlowTable, add
+from flowspace.tables import FlowEntry, FlowRule, FlowTable, _edit, add, rule_entries
 
 # ---------------------------------------------------------------------------
 # Guards
@@ -319,20 +319,24 @@ def is_identity_linear(a: AppTransform) -> bool:
 
 def flow_mod_add(t: FlowTable, r: FlowRule) -> FlowTable:
     """Install a rule; new entries start with a zero counter."""
-    return add(t, FlowTable([FlowEntry(r, 0)]))
+    return _edit(t, (), (FlowEntry(r, 0),))
+
+
+def _entries_of(t: FlowTable, r: FlowRule) -> Collection[FlowEntry]:
+    found = rule_entries(t, r)
+    if not found:
+        raise RuleNotFoundError(f"no entry with rule {r!r}")
+    return found
 
 
 def flow_mod_delete(t: FlowTable, r: FlowRule) -> FlowTable:
     """Remove every entry whose rule equals r (counters included)."""
-    keep = [e for e in t._entries if e.rule != r]
-    if len(keep) == len(t):
-        raise RuleNotFoundError(f"no entry with rule {r!r}")
-    return FlowTable(keep)
+    return _edit(t, _entries_of(t, r), ())
 
 
 def flow_mod_modify(t: FlowTable, old: FlowRule, new: FlowRule) -> FlowTable:
     """Replace old with new; the new entry's counter restarts at zero."""
-    return flow_mod_add(flow_mod_delete(t, old), new)
+    return _edit(t, _entries_of(t, old), (FlowEntry(new, 0),))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,10 @@ sums at most 15 such terms, well under 2**63.
 
 Cancellation, loop scans and what-if previews are checked against the
 all-pairs algorithms they replaced: they compose every candidate pair
-of actions and index nothing.
+of actions and index nothing.  The FLOW_MOD operations are checked
+against the set operations they replaced, which rebuild the whole
+table and carry no index; the what-if oracle applies FLOW_MODs through
+them, so it does not test the derived index against itself.
 
 The NIB statistics are checked against the linear scans they replaced:
 each lookup walks every observed flow.
@@ -35,11 +38,11 @@ import numpy as np
 from flowspace import actions
 from flowspace.actions import STATE_MASKS, STATE_SIZE, AffineAction
 from flowspace.analysis import FlowModRequest, LoopFinding, TableDiff
-from flowspace.errors import ScenarioFormatError
+from flowspace.errors import RuleNotFoundError, ScenarioFormatError
 from flowspace.headers import FIELDS, Header, dest_of, field_delta, field_index, src_of
 from flowspace.nib import NIB
 from flowspace.scenario import _field, _int, _require, _require_list, _require_obj
-from flowspace.tables import FlowRule, FlowTable, entry_key
+from flowspace.tables import FlowEntry, FlowRule, FlowTable, add, entry_key
 from flowspace.transforms import (
     ActionSpec,
     AppTransform,
@@ -51,9 +54,6 @@ from flowspace.transforms import (
     SetField,
     Templates,
     TrueGuard,
-    flow_mod_add,
-    flow_mod_delete,
-    flow_mod_modify,
     guard_key,
     resolve_port,
     resolve_value,
@@ -164,14 +164,32 @@ def _finding_id(f: LoopFinding) -> tuple:
     return (f.switch, entry_key(f.entry_a), entry_key(f.entry_b))
 
 
+def flow_mod_add_oracle(t: FlowTable, r: FlowRule) -> FlowTable:
+    """Install a rule; new entries start with a zero counter."""
+    return add(t, FlowTable([FlowEntry(r, 0)]))
+
+
+def flow_mod_delete_oracle(t: FlowTable, r: FlowRule) -> FlowTable:
+    """Remove every entry whose rule equals r (counters included)."""
+    keep = [e for e in t._entries if e.rule != r]
+    if len(keep) == len(t):
+        raise RuleNotFoundError(f"no entry with rule {r!r}")
+    return FlowTable(keep)
+
+
+def flow_mod_modify_oracle(t: FlowTable, old: FlowRule, new: FlowRule) -> FlowTable:
+    """Replace old with new; the new entry's counter restarts at zero."""
+    return flow_mod_add_oracle(flow_mod_delete_oracle(t, old), new)
+
+
 def apply_flow_mod(nib: NIB, candidate: FlowModRequest) -> NIB:
     table = nib.tables[candidate.switch]
     if candidate.op == "add":
-        updated = flow_mod_add(table, candidate.rule)
+        updated = flow_mod_add_oracle(table, candidate.rule)
     elif candidate.op == "delete":
-        updated = flow_mod_delete(table, candidate.rule)
+        updated = flow_mod_delete_oracle(table, candidate.rule)
     else:
-        updated = flow_mod_modify(table, candidate.old_rule, candidate.rule)
+        updated = flow_mod_modify_oracle(table, candidate.old_rule, candidate.rule)
     tables = tuple(
         updated if i == candidate.switch else t for i, t in enumerate(nib.tables)
     )

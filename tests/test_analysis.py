@@ -15,7 +15,12 @@ from flowspace.analysis import (
     what_if,
 )
 from flowspace.casestudy import CaseStudyConfig, build_nib, build_queries, build_x_chain, build_y_chain
-from flowspace.errors import DimensionMismatchError, RuleNotFoundError, SlotOutOfRangeError
+from flowspace.errors import (
+    DimensionMismatchError,
+    InvalidRuleError,
+    RuleNotFoundError,
+    SlotOutOfRangeError,
+)
 from flowspace.headers import MatchPattern
 from flowspace.nib import NIB, Topology
 from flowspace.tables import FlowEntry, FlowRule, FlowTable, negate_rule, table_equal
@@ -194,6 +199,14 @@ class TestWhatIf:
     def test_modify_requires_old_rule(self):
         with pytest.raises(ValueError):
             FlowModRequest("modify", 0, rule())
+
+    @pytest.mark.parametrize("args", [
+        ("copy", 0, rule()), ("add", True, rule()), ("add", 0.0, rule()), ("add", "0", rule()),
+        ("add", 0, "rule"), ("modify", 0, rule(), "old"),
+    ])
+    def test_request_fields_are_strict(self, args):
+        with pytest.raises(InvalidRuleError):
+            FlowModRequest(*args)
 
     def test_switch_out_of_range(self):
         with pytest.raises(SlotOutOfRangeError):

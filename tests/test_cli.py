@@ -174,6 +174,17 @@ class TestLoops:
         assert out.returncode == 1
         assert "inverse rule pair" in out.stdout
 
+    def test_negative_count_threshold_exits_2(self, casestudy_path, tmp_path):
+        with open(casestudy_path) as fh:
+            obj = json.load(fh)
+        obj["apps"][0]["delta"]["branches"][0]["guard"]["threshold"] = -5
+        path = tmp_path / "negative.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run_main("loops", str(path))
+        assert (code, out) == (2, "")
+        assert err == ("error: apps[0].delta.branches[0].guard.threshold "
+                       "must be non-negative, got -5\n")
+
     def test_json_findings(self, loop_scenario_path):
         out = run_cli("--format", "json", "loops", loop_scenario_path)
         obj = json.loads(out.stdout)

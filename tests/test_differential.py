@@ -42,7 +42,7 @@ from oracles import (
     table_diffs_oracle,
     what_if_new_loops_oracle,
 )
-from flowspace import casestudy, sampling, transforms
+from flowspace import analysis, casestudy, sampling, tables, transforms
 from flowspace.actions import (
     PORT_MASK,
     PORT_SLOT,
@@ -68,7 +68,16 @@ from flowspace.nib import (
     effective_dest_of_header,
 )
 from flowspace.scenario import action_from_obj
-from flowspace.tables import FlowEntry, FlowRule, FlowTable, negate_rule, reduce
+from flowspace.tables import (
+    FlowEntry,
+    FlowRule,
+    FlowTable,
+    cache_inverse_index,
+    inverse_index,
+    inverse_key,
+    negate_rule,
+    reduce,
+)
 from flowspace.transforms import (
     AppTransform,
     Drop,
@@ -239,6 +248,142 @@ class TestHandBuilt:
         assert report.new_loops == ()
         assert report.diffs[0].removed == (FlowEntry(r, 0), FlowEntry(r, 1))
         check_what_if(nib, candidate)
+
+
+# ---------------------------------------------------------------------------
+# The inverse index a table carries through FLOW_MODs
+
+
+def planted_table(rng: random.Random, pairs: int) -> FlowTable:
+    """Inverse pairs on two signatures, plus drop rules and a second
+    counter of a live rule."""
+    sigs = [(sampling.random_pattern(rng), rng.randrange(PORT_MASK + 1), 60)
+            for _ in range(2)]
+    entries = []
+    for _ in range(pairs):
+        r = FlowRule(*rng.choice(sigs), sampling.random_invertible_action(rng))
+        entries += [FlowEntry(r, rng.randint(0, 3)), FlowEntry(negate_rule(r), 0)]
+    entries += [FlowEntry(FlowRule(*rng.choice(sigs), drop()), c) for c in range(2)]
+    entries.append(FlowEntry(entries[0].rule, 7))
+    return FlowTable(entries)
+
+
+def commit_oracle(table: FlowTable, c: FlowModRequest) -> FlowTable:
+    return apply_flow_mod(NIB(Topology(1), (table,)),
+                          FlowModRequest(c.op, 0, c.rule, c.old_rule)).tables[0]
+
+
+def commit(table: FlowTable, c: FlowModRequest) -> FlowTable:
+    if c.op == "add":
+        return transforms.flow_mod_add(table, c.rule)
+    if c.op == "delete":
+        return transforms.flow_mod_delete(table, c.rule)
+    return transforms.flow_mod_modify(table, c.old_rule, c.rule)
+
+
+def assert_index_carried(t: FlowTable) -> None:
+    """The table carries an index, and it equals one built afresh."""
+    assert t._index is not None
+    assert t._index == inverse_index(FlowTable(t))
+
+
+def chain_candidates(rng: random.Random, nib: NIB) -> list[FlowModRequest]:
+    """`candidates`, plus a delete and a modify of a drop rule when the
+    touched table holds one."""
+    out = candidates(rng, nib)
+    s = out[0].switch
+    drops = [e.rule for e in nib.tables[s] if not all(e.rule.action.linear)]
+    if drops:
+        old = rng.choice(drops)
+        out += [FlowModRequest("delete", s, old),
+                FlowModRequest("modify", s, candidate_rule(rng, nib.tables[s]), old)]
+    return out
+
+
+class TestCarriedIndex:
+    def test_chain_of_previews_and_commits(self):
+        rng = random.Random(9101)
+        seen = Counter()
+        nib = None
+        for step in range(2400):
+            if step % 300 == 0:  # start over, on both kinds of table
+                nib = NIB(Topology(2), (collision_table(rng, 24), planted_table(rng, 6)))
+            cands = chain_candidates(rng, nib)
+            preview = rng.choice(cands)
+            s = preview.switch
+            parent = nib.tables[s]
+            check_what_if(nib, preview)
+            assert_index_carried(parent)
+            report = what_if(nib, preview)
+            assert_index_carried(report.result.tables[s])
+            # Commit the previewed FLOW_MOD or another one on the same parent.
+            committed = preview if rng.random() < 0.5 else rng.choice(cands)
+            table = commit(parent, committed)
+            assert table == commit_oracle(parent, committed)
+            assert_index_carried(table)
+            nib = NIB(nib.topology, tuple(table if i == s else t
+                                          for i, t in enumerate(nib.tables)), nib.flows)
+            r = committed.rule
+            seen[committed.op] += 1
+            seen["different commit"] += committed is not preview
+            seen["re-add"] += committed.op == "add" and FlowEntry(r, 0) in parent
+            old = committed.old_rule if committed.op == "modify" else r
+            seen["drop rule out"] += committed.op != "add" and not all(old.action.linear)
+        assert min(seen.values()) >= 50, seen
+
+    def test_reduce_and_detect_loops_store_no_index(self):
+        rng = random.Random(9102)
+        for _ in range(50):
+            nib = NIB(Topology(2), (collision_table(rng, 16), planted_table(rng, 4)))
+            detect_loops(nib)
+            for t in nib.tables:
+                reduce(t)
+            assert [t._index for t in nib.tables] == [None, None]
+            t = nib.tables[1]
+            index = cache_inverse_index(t)
+            assert reduce(t) == reduce_oracle(t)
+            assert detect_loops(nib) == detect_loops_oracle(nib)
+            assert t._index is index
+
+    def test_table_without_index_stays_without(self):
+        rng = random.Random(9103)
+        for _ in range(100):
+            t = planted_table(rng, 3)
+            c = rng.choice(candidates(rng, NIB(Topology(1), (t,))))
+            out = commit(t, c)
+            assert out == commit_oracle(t, c)
+            assert t._index is None and out._index is None
+
+    @pytest.mark.parametrize("size", [8000, 32000])
+    def test_preview_work_is_per_touched_entry(self, monkeypatch, size):
+        match = MatchPattern.from_fields(nw_src=1)
+        entries = [FlowEntry(FlowRule(match, i, 60, forward(5)), 0) for i in range(size)]
+        live = entries[size // 2].rule
+        entries.append(FlowEntry(live, 3))  # a second counter: two entries to remove
+        nib = NIB(Topology(1), (FlowTable(entries),))
+        cache_inverse_index(nib.tables[0])
+        calls = Counter()
+
+        def counted(r):
+            calls["inverse_key"] += 1
+            return inverse_key(r)
+
+        # Every module that looks up inverse keys by name.
+        for module in (tables, analysis):
+            monkeypatch.setattr(module, "inverse_key", counted)
+        # (candidate, entries it touches, new loops): the inverse of `live`
+        # pairs with both its counters.
+        cases = [
+            (FlowModRequest("add", 0, negate_rule(live)), 1, 2),
+            (FlowModRequest("delete", 0, live), 2, 0),
+            (FlowModRequest("modify", 0, negate_rule(live), entries[0].rule), 2, 2),
+        ]
+        for candidate, touched, loops in cases:
+            calls.clear()
+            report = what_if(nib, candidate)
+            assert len(report.new_loops) == loops
+            assert calls["inverse_key"] <= 3 * touched
+            assert_index_carried(report.result.tables[0])
 
 
 # ---------------------------------------------------------------------------

@@ -325,6 +325,18 @@ class TestScenarioDocument:
         (PICK + ("kind",), "nope",
          "apps[5].delta.default[0].action[0].to: unknown value reference "
          "{'kind': 'nope', 'server_a': 167772261, 'server_b': 167772262}"),
+        (("tables", 0, 0, "match", "nw_src"), -1,
+         "tables[0][0].match.nw_src=-1 exceeds 32-bit range"),
+        (("flows", 0, "header", "nw_src"), -1, "flows[0].header.nw_src=-1 exceeds 32-bit range"),
+        (("flows", 0, "header", "tp_dst"), 1 << 16,
+         "flows[0].header.tp_dst=65536 exceeds 16-bit range"),
+        (("queries", "fresh-client", "nw_src"), -1,
+         "queries[fresh-client].nw_src=-1 exceeds 32-bit range"),
+        (("topology", "switches"), 0, "topology.switches must be at least 1, got 0"),
+        (("apps", 0, "slot"), 5, "apps[0].slot=5 out of range for 2 switches"),
+        (("apps", 0, "slot"), -1, "apps[0].slot=-1 out of range for 2 switches"),
+        (("apps", 0, "delta", "branches", 0, "guard", "threshold"), -5,
+         "apps[0].delta.branches[0].guard.threshold must be non-negative, got -5"),
     ])
     def test_values_are_checked_where_read(self, path, value, message):
         with pytest.raises(ScenarioFormatError) as exc:

@@ -5,15 +5,17 @@ import pytest
 from oracles import mutually_inverse
 from flowspace import sampling
 from flowspace.actions import drop, forward, identity, invert, modify_field
-from flowspace.errors import SingularActionError
+from flowspace.errors import FlowspaceError, InvalidRuleError, SingularActionError
 from flowspace.headers import MatchPattern
 from flowspace.tables import (
     FlowEntry,
     FlowRule,
     FlowTable,
     add,
+    cache_inverse_index,
     empty,
     entry_key,
+    inverse_index,
     negate_rule,
     negate_table,
     reduce,
@@ -170,6 +172,35 @@ class TestReduce:
                     assert not mutually_inverse(ei.rule, ej.rule)
 
 
+class TestStrictConstructors:
+    @pytest.mark.parametrize("port, ttl", [(True, 60), (1.5, 60), (1, 60.0), ("1", 60),
+                                           (70_000, 60), (1, -1)])
+    def test_rule_takes_ints_in_range(self, port, ttl):
+        with pytest.raises(InvalidRuleError):
+            FlowRule(MatchPattern.wildcard(), port, ttl, identity())
+
+    def test_rule_takes_pattern_and_action(self):
+        with pytest.raises(InvalidRuleError, match="match must be a MatchPattern"):
+            FlowRule({}, 1, 60, identity())
+        with pytest.raises(InvalidRuleError, match="action must be an AffineAction"):
+            FlowRule(MatchPattern.wildcard(), 1, 60, "forward")
+
+    @pytest.mark.parametrize("counter", [True, 1.0, -1, None])
+    def test_entry_takes_a_non_negative_int_counter(self, counter):
+        with pytest.raises(InvalidRuleError):
+            FlowEntry(rule(), counter)
+
+    def test_entry_takes_a_rule(self):
+        with pytest.raises(InvalidRuleError, match="rule must be a FlowRule"):
+            FlowEntry(None, 0)
+
+    def test_error_is_a_flowspace_value_error(self):
+        with pytest.raises(InvalidRuleError) as info:
+            FlowRule(MatchPattern.wildcard(), True, 1.5, identity())
+        assert isinstance(info.value, FlowspaceError) and isinstance(info.value, ValueError)
+        assert str(info.value) == "out_port must be an int, got bool"
+
+
 class TestTableEqualAndOrder:
     def test_trivials(self):
         t = table(FlowEntry(rule(nw_src=1), 0))
@@ -189,6 +220,18 @@ class TestTableEqualAndOrder:
         assert t.entries is t.entries == (e1, e2)
         fresh = FlowTable([e1, e2])
         assert t == fresh and hash(t) == hash(fresh)
+
+    def test_inverse_index_is_cached_outside_equality(self):
+        r = rule(forward(5), nw_src=1)
+        t = table(FlowEntry(r, 0), FlowEntry(negate_rule(r), 2), FlowEntry(rule(drop()), 0))
+        fresh = FlowTable(t)
+        assert inverse_index(t) == inverse_index(fresh)
+        assert t._index is None  # building an index does not store it
+        index = cache_inverse_index(t)
+        assert t._index is index and cache_inverse_index(t) is index
+        assert inverse_index(t) is index and fresh._index is None
+        assert t == fresh and hash(t) == hash(fresh) and repr(t) == repr(fresh)
+        assert all(type(group) is tuple for group in index.values())
 
     def test_entries_are_canonically_sorted(self):
         rng = random.Random(23)
