@@ -92,6 +92,7 @@ from flowspace.transforms import (
     RuleTemplate,
     ServiceChain,
     apply_transform,
+    apply_transforms,
     chain,
     compose_apps,
     congruent,

@@ -131,15 +131,20 @@ def behavioral_diff(a: ServiceChain | AppTransform,
 
     Tables are compared slotwise after cancellation normal form, so
     differences that a reduction would erase do not count.
+
+    Both composites are applied in one `transforms.apply_transforms`
+    call, so a scenario costs one instantiation per distinct template
+    the two select, not one per selection.  `reduce` is a function of
+    the table, so a slot whose two tables are equal is not reduced: a
+    scenario costs two reductions per slot whose tables differ.
     """
     ta, tb = _as_transform(a), _as_transform(b)
     out = []
     for index, (nib, h) in enumerate(scenarios):
-        ra = transforms.apply_transform(ta, nib, h)
-        rb = transforms.apply_transform(tb, nib, h)
+        ra, rb = transforms.apply_transforms((ta, tb), nib, h)
         differing = tuple(
             i for i, (x, y) in enumerate(zip(ra.tables, rb.tables))
-            if not table_equal(reduce(x), reduce(y))
+            if not table_equal(x, y) and not table_equal(reduce(x), reduce(y))
         )
         if differing:
             out.append(Counterexample(index, h, ra, rb, differing))

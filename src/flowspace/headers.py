@@ -15,7 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from flowspace.errors import ArityMismatchError, UnknownFieldError, WidthOverflowError
+from flowspace.errors import (
+    ArityMismatchError,
+    InvalidRuleError,
+    UnknownFieldError,
+    WidthOverflowError,
+)
 
 
 @dataclass(frozen=True)
@@ -154,7 +159,8 @@ def combine_deltas(d1: HeaderDelta, d2: HeaderDelta) -> HeaderDelta:
 
 @dataclass(frozen=True)
 class MatchPattern:
-    """Per-field match: an exact value or None for wildcard."""
+    """Per-field match: an exact value (a real int that fits the field)
+    or None for wildcard."""
 
     entries: tuple[int | None, ...]
 
@@ -163,8 +169,11 @@ class MatchPattern:
             raise ArityMismatchError(
                 f"pattern needs {FIELD_COUNT} entries, got {len(self.entries)}"
             )
-        for spec, entry in zip(FIELDS, self.entries):
-            if entry is not None and not 0 <= entry < (1 << spec.width):
+        for entry, bound, spec in zip(self.entries, FIELD_BOUNDS, FIELDS):
+            if entry is not None and not (type(entry) is int and 0 <= entry < bound):
+                if type(entry) is not int:
+                    raise InvalidRuleError(
+                        f"{spec.name} must be an int, got {type(entry).__name__}")
                 raise WidthOverflowError(spec.name, entry, spec.width)
 
     @classmethod

@@ -19,6 +19,14 @@ pieces whose arms all agree, sorting each template set once - so that
 structural equality of normal forms (congruence) implies behavioral
 equality on every NIB, while the converse is not claimed.
 
+`apply_transforms` applies several transforms to one (NIB, header) in
+order, in one pass: each distinct template that any of them selects is
+instantiated once, and the exact pattern of the header is built once.
+`apply_transform` is that pass over one transform.  Template values
+(ttls, counters, literal ports, server addresses, integer `set_field`
+targets) must be real ints in range, so equal templates instantiate
+alike.
+
 The FLOW_MOD table operations (add / delete / modify a rule) live here
 as well, since an application's deltas are built from them.
 """
@@ -28,16 +36,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Collection, Sequence, Union
 
-from flowspace.actions import PORT_SLOT, ActionFold, AffineAction
+from flowspace.actions import PORT_MASK, PORT_SLOT, TTL_MASK, ActionFold, AffineAction
 from flowspace.errors import (
     DimensionMismatchError,
     EmptyChainError,
+    InvalidRuleError,
     RuleNotFoundError,
     SlotOutOfRangeError,
     UnresolvedPortError,
 )
 from flowspace.headers import (
+    FIELD_INDEX,
+    FIELD_MASKS,
     FIELDS,
+    NW_DST,
     Header,
     MatchPattern,
     field_delta,
@@ -45,7 +57,15 @@ from flowspace.headers import (
     pattern_key,
 )
 from flowspace.nib import NIB, count_by_dest, count_by_src, effective_dest_of_header
-from flowspace.tables import FlowEntry, FlowRule, FlowTable, _edit, add, rule_entries
+from flowspace.tables import (
+    FlowEntry,
+    FlowRule,
+    FlowTable,
+    _edit,
+    _int_error,
+    add,
+    rule_entries,
+)
 
 # ---------------------------------------------------------------------------
 # Guards
@@ -111,6 +131,11 @@ class PortNumber:
 
     value: int
 
+    def __post_init__(self):
+        value = self.value
+        if not (type(value) is int and 0 <= value <= PORT_MASK):
+            raise _int_error("value", value, PORT_MASK)
+
 
 @dataclass(frozen=True)
 class DestPort:
@@ -118,6 +143,10 @@ class DestPort:
 
 
 PortRef = Union[PortName, PortNumber, DestPort]
+
+
+#: Server addresses are `nw_dst` values.
+_ADDRESS_MASK = FIELD_MASKS[NW_DST]
 
 
 @dataclass(frozen=True)
@@ -132,6 +161,13 @@ class PickLessLoaded:
 
     server_a: int
     server_b: int
+
+    def __post_init__(self):
+        a, b = self.server_a, self.server_b
+        if not (type(a) is int and 0 <= a <= _ADDRESS_MASK
+                and type(b) is int and 0 <= b <= _ADDRESS_MASK):
+            raise (_int_error("server_a", a, _ADDRESS_MASK)
+                   or _int_error("server_b", b, _ADDRESS_MASK))
 
 
 ValueRef = Union[int, PickLessLoaded]
@@ -164,6 +200,15 @@ class SetField:
     field: str
     to: ValueRef
 
+    def __post_init__(self):
+        field, to = self.field, self.to
+        i = FIELD_INDEX.get(field) if type(field) is str else None
+        if i is None or not (isinstance(to, PickLessLoaded)
+                             or (type(to) is int and 0 <= to <= FIELD_MASKS[i])):
+            if i is None:
+                raise InvalidRuleError(f"field must be a header field name, got {field!r}")
+            raise _int_error("to", to, FIELD_MASKS[i])
+
 
 @dataclass(frozen=True)
 class Seq:
@@ -185,13 +230,41 @@ MatchSpec = Union[InputHeader, MatchPattern]
 
 @dataclass(frozen=True)
 class RuleTemplate:
-    """A symbolic flow entry, instantiated per (NIB, header)."""
+    """A symbolic flow entry, instantiated per (NIB, header).
+
+    The hash is computed once per object and kept in `__dict__`, out of
+    equality and repr.  Pickling drops it: `PortName` and `SetField`
+    strings hash differently in a process with another hash seed.
+    """
 
     match: MatchSpec
     out_port: PortRef
     ttl: int
     action: ActionSpec
     counter: int = 0
+
+    def __post_init__(self):
+        ttl, counter = self.ttl, self.counter
+        if not (type(ttl) is int and 0 <= ttl <= TTL_MASK
+                and type(counter) is int and counter >= 0):
+            error = _int_error("ttl", ttl, TTL_MASK)
+            if error is None:
+                error = InvalidRuleError(
+                    f"counter must be an int, got {type(counter).__name__}"
+                    if type(counter) is not int else "counter must be non-negative")
+            raise error
+
+    def __hash__(self) -> int:
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = self.__dict__["_hash"] = hash(
+                (self.match, self.out_port, self.ttl, self.action, self.counter))
+        return cached
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
 
 
 def _port_key(ref: PortRef) -> tuple:
@@ -396,6 +469,10 @@ def _fold_spec(spec: ActionSpec, nib: NIB, h: Header, fold: ActionFold) -> None:
 
 def instantiate(tpl: RuleTemplate, nib: NIB, h: Header) -> FlowEntry:
     match = MatchPattern.exact_for(h) if isinstance(tpl.match, InputHeader) else tpl.match
+    return _instantiate(tpl, nib, h, match)
+
+
+def _instantiate(tpl: RuleTemplate, nib: NIB, h: Header, match: MatchPattern) -> FlowEntry:
     rule = FlowRule(
         match=match,
         out_port=resolve_port(tpl.out_port, nib, h),
@@ -421,22 +498,49 @@ def apply_transform(a: AppTransform, nib: NIB, h: Header) -> NIB:
     (pre-transform) NIB and add their instantiated entries.  Flows are
     left untouched.
     """
+    return apply_transforms((a,), nib, h)[0]
+
+
+def apply_transforms(ts: Sequence[AppTransform], nib: NIB, h: Header) -> tuple[NIB, ...]:
+    """`apply_transform` of each transform to one (NIB, header), in order.
+
+    A template's entry is a function of the template, the NIB and the
+    header, so each distinct selected template is instantiated once per
+    call and its entry is shared by every slot and transform that
+    selects it; the exact pattern of h is built once too.  Transforms
+    are processed in order, so the first one that fails raises as
+    `apply_transform` of it alone would.
+    """
     n = nib.topology.switch_count
-    if a.dimension != n:
-        raise DimensionMismatchError(
-            f"transform has {a.dimension} slots, topology has {n} switches"
-        )
-    new_tables = []
-    for i in range(n):
-        acc = FlowTable()
-        for j, coeff in enumerate(a.linear[i]):
-            if coeff:
-                acc = add(acc, nib.tables[j])
-        entries = [instantiate(tpl, nib, h)
-                   for piece in a.translation[i]
-                   for tpl in select_templates(piece, nib, h)]
-        new_tables.append(add(acc, FlowTable(entries)))
-    return NIB(nib.topology, tuple(new_tables), nib.flows)
+    entries: dict[RuleTemplate, FlowEntry] = {}
+    exact = None
+    out = []
+    for a in ts:
+        if a.dimension != n:
+            raise DimensionMismatchError(
+                f"transform has {a.dimension} slots, topology has {n} switches"
+            )
+        new_tables = []
+        for i in range(n):
+            acc = FlowTable()
+            for j, coeff in enumerate(a.linear[i]):
+                if coeff:
+                    acc = add(acc, nib.tables[j])
+            added = []
+            for piece in a.translation[i]:
+                for tpl in select_templates(piece, nib, h):
+                    e = entries.get(tpl)
+                    if e is None:
+                        match = tpl.match
+                        if isinstance(match, InputHeader):
+                            if exact is None:
+                                exact = MatchPattern.exact_for(h)
+                            match = exact
+                        e = entries[tpl] = _instantiate(tpl, nib, h, match)
+                    added.append(e)
+            new_tables.append(add(acc, FlowTable(added)))
+        out.append(NIB(nib.topology, tuple(new_tables), nib.flows))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -446,40 +550,36 @@ def apply_transform(a: AppTransform, nib: NIB, h: Header) -> NIB:
 def compose_apps(second: AppTransform, first: AppTransform) -> AppTransform:
     """The transform applying `first` and then `second`.
 
-    Linear parts multiply over the two-element field; slot i's delta
-    gains the first transform's deltas for every slot selected by
-    second's row i, followed by second's own delta.
+    Linear parts multiply over the two-element field, a row at a time:
+    row i of the product is the XOR of the rows of `first` that
+    second's row i selects (one selected row is reused as is).  Slot
+    i's delta gains the first transform's deltas for those same slots,
+    followed by second's own delta.
     """
     n = first.dimension
     if second.dimension != n:
         raise DimensionMismatchError(
             f"cannot compose {second.dimension}-slot with {n}-slot transform"
         )
-    linear = tuple(
-        tuple(
-            _xor_all(second.linear[i][j] & first.linear[j][k] for j in range(n))
-            for k in range(n)
-        )
-        for i in range(n)
-    )
+    linear = []
     translation = []
     for i in range(n):
-        pieces: list[GuardedDelta] = []
-        for j in range(n):
-            if second.linear[i][j]:
-                pieces.extend(first.translation[j])
+        selected = [j for j, c in enumerate(second.linear[i]) if c]
+        if len(selected) == 1:
+            row = tuple(first.linear[selected[0]])
+        else:
+            acc = [0] * n
+            for j in selected:
+                for k, c in enumerate(first.linear[j]):
+                    acc[k] ^= c
+            row = tuple(acc)
+        linear.append(row)
+        pieces = [p for j in selected for p in first.translation[j]]
         pieces.extend(second.translation[i])
         translation.append(tuple(pieces))
     return AppTransform(
-        f"{second.name}*{first.name}", linear, tuple(translation)
+        f"{second.name}*{first.name}", tuple(linear), tuple(translation)
     )
-
-
-def _xor_all(bits) -> int:
-    acc = 0
-    for b in bits:
-        acc ^= b
-    return acc
 
 
 def chain(stages: ServiceChain | Sequence[AppTransform]) -> AppTransform:

@@ -24,6 +24,13 @@ it builds one validated action per step and composes them pairwise,
 and checks keys against a frozenset built on every call.  Both take a
 `seq`'s steps through the same array check.
 
+Behavioural diffs are checked against the loop they replaced: it
+applies each composite to each scenario on its own, through the apply
+loop that instantiates every selected template again for every slot
+that selects it, and reduces every slot of both results.  Composition
+is checked against the entrywise matrix product it replaced, which
+XORs n terms for each of the n * n entries.
+
 Template actions are checked against the instantiation that `ActionFold`
 replaced: it builds one validated action per step and composes them
 pairwise, and takes every `set_field` delta from the steered header, so
@@ -37,12 +44,18 @@ import numpy as np
 
 from flowspace import actions
 from flowspace.actions import STATE_MASKS, STATE_SIZE, AffineAction
-from flowspace.analysis import FlowModRequest, LoopFinding, TableDiff
-from flowspace.errors import RuleNotFoundError, ScenarioFormatError
+from flowspace.analysis import (
+    Counterexample,
+    FlowModRequest,
+    LoopFinding,
+    TableDiff,
+    _as_transform,
+)
+from flowspace.errors import DimensionMismatchError, RuleNotFoundError, ScenarioFormatError
 from flowspace.headers import FIELDS, Header, dest_of, field_delta, field_index, src_of
 from flowspace.nib import NIB
 from flowspace.scenario import _field, _int, _require, _require_list, _require_obj
-from flowspace.tables import FlowEntry, FlowRule, FlowTable, add, entry_key
+from flowspace.tables import FlowEntry, FlowRule, FlowTable, add, entry_key, reduce, table_equal
 from flowspace.transforms import (
     ActionSpec,
     AppTransform,
@@ -51,12 +64,15 @@ from flowspace.transforms import (
     Drop,
     Forward,
     GuardedDelta,
+    ServiceChain,
     SetField,
     Templates,
     TrueGuard,
     guard_key,
+    instantiate,
     resolve_port,
     resolve_value,
+    select_templates,
     template_key,
 )
 
@@ -361,3 +377,85 @@ def build_action_oracle(spec: ActionSpec, nib: NIB, h: Header) -> AffineAction:
     for step in spec.steps:
         result = actions.compose(build_action_oracle(step, nib, h), result)
     return result
+
+
+def apply_transform_oracle(a: AppTransform, nib: NIB, h: Header) -> NIB:
+    """One transform applied on its own, each selected template
+    instantiated where it is selected."""
+    n = nib.topology.switch_count
+    if a.dimension != n:
+        raise DimensionMismatchError(
+            f"transform has {a.dimension} slots, topology has {n} switches"
+        )
+    new_tables = []
+    for i in range(n):
+        acc = FlowTable()
+        for j, coeff in enumerate(a.linear[i]):
+            if coeff:
+                acc = add(acc, nib.tables[j])
+        entries = [instantiate(tpl, nib, h)
+                   for piece in a.translation[i]
+                   for tpl in select_templates(piece, nib, h)]
+        new_tables.append(add(acc, FlowTable(entries)))
+    return NIB(nib.topology, tuple(new_tables), nib.flows)
+
+
+def behavioral_diff_oracle(a: ServiceChain | AppTransform,
+                           b: ServiceChain | AppTransform,
+                           scenarios) -> list[Counterexample]:
+    """Apply both composites to each scenario; keep those that disagree.
+
+    Tables are compared slotwise after cancellation normal form, so
+    differences that a reduction would erase do not count.
+    """
+    ta, tb = _as_transform(a), _as_transform(b)
+    out = []
+    for index, (nib, h) in enumerate(scenarios):
+        ra = apply_transform_oracle(ta, nib, h)
+        rb = apply_transform_oracle(tb, nib, h)
+        differing = tuple(
+            i for i, (x, y) in enumerate(zip(ra.tables, rb.tables))
+            if not table_equal(reduce(x), reduce(y))
+        )
+        if differing:
+            out.append(Counterexample(index, h, ra, rb, differing))
+    return out
+
+
+def compose_apps_oracle(second: AppTransform, first: AppTransform) -> AppTransform:
+    """The transform applying `first` and then `second`.
+
+    Linear parts multiply over the two-element field; slot i's delta
+    gains the first transform's deltas for every slot selected by
+    second's row i, followed by second's own delta.
+    """
+    n = first.dimension
+    if second.dimension != n:
+        raise DimensionMismatchError(
+            f"cannot compose {second.dimension}-slot with {n}-slot transform"
+        )
+    linear = tuple(
+        tuple(
+            _xor_all(second.linear[i][j] & first.linear[j][k] for j in range(n))
+            for k in range(n)
+        )
+        for i in range(n)
+    )
+    translation = []
+    for i in range(n):
+        pieces: list[GuardedDelta] = []
+        for j in range(n):
+            if second.linear[i][j]:
+                pieces.extend(first.translation[j])
+        pieces.extend(second.translation[i])
+        translation.append(tuple(pieces))
+    return AppTransform(
+        f"{second.name}*{first.name}", linear, tuple(translation)
+    )
+
+
+def _xor_all(bits) -> int:
+    acc = 0
+    for b in bits:
+        acc ^= b
+    return acc

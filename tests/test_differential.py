@@ -22,6 +22,16 @@ instantiation, and give its action on every spec with no `set_field`
 after a `drop` or after a `set_field` of the same field.  On every spec,
 the action must map the steered header's rule state to the state that
 running the steps one by one gives.
+
+`analysis.behavioral_diff`, which applies both composites in one
+`apply_transforms` pass and reduces only slots that differ, must give
+exactly the separate applies' counterexamples, or the same error, on
+seeded chain pairs: shuffled partners, partners with one template
+changed and partners with an added inverse template pair.  It must
+instantiate each distinct selected template once per scenario and
+reduce no slot whose two tables are equal.  `compose_apps` must give
+exactly the entrywise matrix product on seeded apps with random 0/1
+linear parts.
 """
 
 import random
@@ -32,7 +42,10 @@ import pytest
 from oracles import (
     action_from_obj_oracle,
     apply_flow_mod,
+    apply_transform_oracle,
+    behavioral_diff_oracle,
     build_action_oracle,
+    compose_apps_oracle,
     count_by_dest_oracle,
     count_by_src_oracle,
     detect_loops_oracle,
@@ -57,7 +70,7 @@ from flowspace.actions import (
     modify_field,
 )
 from flowspace.analysis import FlowModRequest, detect_loops, what_if
-from flowspace.errors import FlowspaceError
+from flowspace.errors import DimensionMismatchError, FlowspaceError, UnresolvedPortError
 from flowspace.headers import FIELD_INDEX, FIELDS, Header, MatchPattern
 from flowspace.nib import (
     NIB,
@@ -80,19 +93,25 @@ from flowspace.tables import (
 )
 from flowspace.transforms import (
     AppTransform,
+    DestPort,
     Drop,
     Forward,
     GuardedDelta,
+    InputHeader,
     LoadAtMost,
     PickLessLoaded,
     PortName,
+    PortNumber,
+    RuleTemplate,
     Seq,
     SetField,
     SourceCountAtMost,
     build_action,
+    make_app,
     normalize,
     resolve_port,
     resolve_value,
+    unconditional,
 )
 
 #: Port translation 0x8000 is its own negation mod 2**16.
@@ -677,11 +696,13 @@ class TestActionDecoder:
 
 
 def random_target(rng: random.Random, field: str):
-    """A set_field target: in the pool, anywhere in the field, a deferred
-    pick, or just outside the field."""
+    """A set_field target: in the pool, anywhere in the field, or a
+    deferred pick, sometimes of servers just outside a field narrower
+    than an address (an integer target outside its field cannot be
+    built)."""
     width = FIELDS[FIELD_INDEX[field]].width
-    if rng.random() < 0.05:
-        return rng.choice((1 << width, -1))
+    if rng.random() < 0.1 and width < 32:
+        return PickLessLoaded(1 << width, (1 << width) + 1)
     return rng.choice((
         rng.choice(sampling.ADDRESS_POOL) if width == 32 else rng.randrange(8),
         rng.randrange(1 << width),
@@ -773,3 +794,226 @@ class TestTemplateActions:
             outcomes[exact, type(got) is tuple] += 1
         # exact and inexact specs, actions and errors are all compared
         assert min(outcomes.values()) > 1_000, outcomes
+
+
+# ---------------------------------------------------------------------------
+# Behavioural diff and composition
+
+
+def linear_app(rng: random.Random, n: int, name: str) -> AppTransform:
+    """An app with a random 0/1 linear part and up to two random pieces
+    per slot; `sampling.random_app` only builds identity rows."""
+    linear = tuple(tuple(int(rng.random() < 0.4) for _ in range(n)) for _ in range(n))
+    return AppTransform(name, linear, tuple(
+        tuple(sampling.random_delta(rng) for _ in range(rng.randrange(3))) for _ in range(n)))
+
+
+def random_stage(rng: random.Random, n: int, name: str) -> AppTransform:
+    if rng.random() < 0.2:
+        return linear_app(rng, n, name)
+    return sampling.random_app(rng, n, name)
+
+
+def with_templates(rng: random.Random, app: AppTransform, edit) -> AppTransform:
+    """The app with one arm of one piece replaced by `edit(rng, arm)`;
+    an app with no pieces is returned as is."""
+    placed = [(i, k) for i, slot in enumerate(app.translation) for k in range(len(slot))]
+    if not placed:
+        return app
+    i, k = rng.choice(placed)
+    piece = app.translation[i][k]
+    arm = rng.randrange(len(piece.branches) + 1)
+    if arm == len(piece.branches):
+        piece = GuardedDelta(piece.branches, edit(rng, piece.default))
+    else:
+        branches = list(piece.branches)
+        guard, tpls = branches[arm]
+        branches[arm] = (guard, edit(rng, tpls))
+        piece = GuardedDelta(tuple(branches), piece.default)
+    slot = app.translation[i][:k] + (piece,) + app.translation[i][k + 1:]
+    return AppTransform(app.name + "~", app.linear,
+                        app.translation[:i] + (slot,) + app.translation[i + 1:])
+
+
+def one_template(rng: random.Random, tpls):
+    """Replace one template by a fresh one, or add one to an empty arm."""
+    fresh = sampling.random_template(rng)
+    if not tpls:
+        return (fresh,)
+    j = rng.randrange(len(tpls))
+    return tpls[:j] + (fresh,) + tpls[j + 1:]
+
+
+def inverse_pair(rng: random.Random, tpls):
+    """Add two templates whose entries cancel: equal match, port and ttl,
+    forwards by p and by -p, so the tables differ but their reductions
+    need not."""
+    p = rng.randrange(1, 1 << 16)
+    base = sampling.random_template(rng)
+    return tpls + tuple(RuleTemplate(base.match, PortName("p0"), base.ttl, Forward(PortNumber(d)))
+                        for d in (p, -p & PORT_MASK))
+
+
+EDITS = {"one template": one_template, "inverse pair": inverse_pair}
+
+
+def partner(rng: random.Random, stages: list[AppTransform]) -> tuple[str, list[AppTransform]]:
+    """A congruent shuffle of the chain, or the chain with one stage edited."""
+    kind = rng.choice(("shuffled", *EDITS))
+    if kind == "shuffled":
+        return kind, [sampling.shuffled_variant(rng, s) for s in stages]
+    k = rng.randrange(len(stages))
+    return kind, stages[:k] + [with_templates(rng, stages[k], EDITS[kind])] + stages[k + 1:]
+
+
+def diff_outcome(diff, a, b, scenarios):
+    """The counterexamples, or the error's type and message."""
+    try:
+        return diff(a, b, scenarios)
+    except FlowspaceError as exc:
+        return type(exc), str(exc)
+
+
+def selected(t: AppTransform, nib: NIB, h: Header) -> set:
+    return {tpl for slot in t.translation for piece in slot
+            for tpl in transforms.select_templates(piece, nib, h)}
+
+
+def diff_case(rng: random.Random, topology: Topology):
+    n = topology.switch_count
+    stages = [random_stage(rng, n, f"s{i}") for i in range(rng.randint(1, 6))]
+    kind, other = partner(rng, stages)
+    scenarios = [sampling.random_scenario(rng, topology) for _ in range(3)]
+    return kind, transforms.chain(stages), transforms.chain(other), scenarios
+
+
+class TestBehavioralDiff:
+    def test_matches_separate_applies_on_seeded_pairs(self):
+        rng = random.Random(8001)
+        topologies = [sampling.random_topology(rng, n) for n in (1, 2, 3, 4)]
+        kinds, slots = Counter(), Counter()
+        for _ in range(1200):
+            kind, ta, tb, scenarios = diff_case(rng, rng.choice(topologies))
+            got = analysis.behavioral_diff(ta, tb, scenarios)
+            assert got == behavioral_diff_oracle(ta, tb, scenarios)
+            kinds[kind, bool(got)] += 1
+            if kind == "shuffled":
+                assert got == []
+            for nib, h in scenarios:
+                ra, rb = transforms.apply_transforms((ta, tb), nib, h)
+                assert ra == apply_transform_oracle(ta, nib, h)
+                assert rb == apply_transform_oracle(tb, nib, h) == transforms.apply_transform(
+                    tb, nib, h)
+                for x, y in zip(ra.tables, rb.tables):
+                    slots[x == y, reduce(x) == reduce(y)] += 1
+        # A changed template may or may not show; an added inverse pair
+        # is erased by reduction.  Slots are equal, differ only before
+        # reduction, and differ after it.
+        assert kinds["one template", True] and kinds["one template", False]
+        assert kinds["inverse pair", False]
+        assert min(slots[True, True], slots[False, True], slots[False, False]) > 100, slots
+
+    def test_unresolved_ports_raise_as_separate_applies(self):
+        rng = random.Random(8002)
+        # Half the port names and no server ports for half the pool.
+        topologies = [Topology(n, {name: i + 1 for i, name in enumerate(sampling.PORT_NAMES[:3])},
+                               {a: 1 for a in sampling.ADDRESS_POOL[:4]}) for n in (1, 2, 3)]
+        raised = Counter()
+        for _ in range(1000):
+            kind, ta, tb, scenarios = diff_case(rng, rng.choice(topologies))
+            got = diff_outcome(analysis.behavioral_diff, ta, tb, scenarios)
+            assert got == diff_outcome(behavioral_diff_oracle, ta, tb, scenarios)
+            if type(got) is tuple:
+                first = diff_outcome(behavioral_diff_oracle, ta, ta, scenarios)
+                where = "first" if first == got else "second only"
+                raised[where, got[1].split(" ")[1]] += 1
+        # Both kinds of unresolved port, in the first transform and in the
+        # second only.
+        assert {("first", "port"), ("first", "server"),
+                ("second only", "port"), ("second only", "server")} <= set(raised), raised
+
+    def test_error_in_second_transform_only(self):
+        topology = Topology(1, {"p0": 1}, {sampling.ADDRESS_POOL[0]: 1})
+        nib = NIB(topology, (FlowTable(),))
+        h = Header.from_fields(nw_dst=sampling.ADDRESS_POOL[1])
+        good = RuleTemplate(InputHeader(), PortName("p0"), 60, Drop())
+        ta = make_app("a", 0, unconditional([good]), 1)
+        for bad, message in ((RuleTemplate(InputHeader(), PortName("p9"), 60, Drop()),
+                              "no port named 'p9' in topology"),
+                             (RuleTemplate(InputHeader(), DestPort(), 60, Drop()),
+                              f"no server port for destination {sampling.ADDRESS_POOL[1]}")):
+            tb = make_app("b", 0, unconditional([good, bad]), 1)
+            for diff in (analysis.behavioral_diff, behavioral_diff_oracle):
+                assert diff_outcome(diff, ta, tb, [(nib, h)]) == (UnresolvedPortError, message)
+                # the failing transform first: the same error
+                assert diff_outcome(diff, tb, ta, [(nib, h)]) == (UnresolvedPortError, message)
+
+    def test_one_instantiation_per_distinct_template(self, monkeypatch):
+        rng = random.Random(8003)
+        topology = sampling.random_topology(rng, 3)
+        cases = [diff_case(rng, topology) for _ in range(200)]
+        expected = [behavioral_diff_oracle(ta, tb, sc) for _, ta, tb, sc in cases]
+        calls = Counter()
+        build_action = transforms.build_action
+
+        def counting(spec, nib, h):
+            calls["build_action"] += 1
+            return build_action(spec, nib, h)
+
+        monkeypatch.setattr(transforms, "build_action", counting)
+        distinct = 0
+        for (_, ta, tb, scenarios), want in zip(cases, expected):
+            assert analysis.behavioral_diff(ta, tb, scenarios) == want
+            distinct += sum(len(selected(ta, nib, h) | selected(tb, nib, h))
+                            for nib, h in scenarios)
+        placed = sum(len(tpls) for _, ta, tb, sc in cases for nib, h in sc for t in (ta, tb)
+                     for slot in t.translation for piece in slot
+                     for tpls in [transforms.select_templates(piece, nib, h)])
+        assert calls["build_action"] == distinct < placed
+
+    def test_equal_slots_are_not_reduced(self, monkeypatch):
+        rng = random.Random(8004)
+        topology = sampling.random_topology(rng, 3)
+        reduced = Counter()
+
+        def counting(t):
+            reduced["reduce"] += 1
+            return reduce(t)
+
+        monkeypatch.setattr(analysis, "reduce", counting)
+        unequal = 0
+        for _ in range(200):
+            kind, ta, tb, scenarios = diff_case(rng, topology)
+            before = reduced["reduce"]
+            analysis.behavioral_diff(ta, tb, scenarios)
+            if kind == "shuffled":
+                assert reduced["reduce"] == before  # every slot table is equal
+            unequal += sum(x != y for nib, h in scenarios
+                           for x, y in zip(*(t.tables for t in
+                                             transforms.apply_transforms((ta, tb), nib, h))))
+        assert reduced["reduce"] == 2 * unequal > 0
+
+
+class TestComposeApps:
+    def test_matches_entrywise_product_on_seeded_apps(self):
+        rng = random.Random(8005)
+        for _ in range(1500):
+            n = rng.randint(1, 6)
+            acc = acc_oracle = random_stage(rng, n, "s0")
+            for i in range(1, rng.randint(2, 8)):
+                stage = random_stage(rng, n, f"s{i}")
+                acc = transforms.compose_apps(stage, acc)
+                acc_oracle = compose_apps_oracle(stage, acc_oracle)
+                assert acc == acc_oracle
+
+    def test_linear_parts_are_not_all_identity(self):
+        rng = random.Random(8005)
+        apps = [linear_app(rng, 4, "x") for _ in range(20)]
+        assert not all(transforms.is_identity_linear(a) for a in apps)
+        products = {compose_apps_oracle(a, b).linear for a, b in zip(apps, apps[1:])}
+        assert len(products) > 10
+
+    def test_dimension_mismatch(self):
+        for compose in (transforms.compose_apps, compose_apps_oracle):
+            with pytest.raises(DimensionMismatchError):
+                compose(transforms.identity_transform(2), transforms.identity_transform(3))

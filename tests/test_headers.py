@@ -2,7 +2,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flowspace.errors import ArityMismatchError, UnknownFieldError, WidthOverflowError
+from flowspace.errors import (
+    ArityMismatchError,
+    InvalidRuleError,
+    UnknownFieldError,
+    WidthOverflowError,
+)
 from flowspace.headers import (
     FIELD_COUNT,
     FIELD_MASKS,
@@ -140,6 +145,13 @@ class TestMatches:
     def test_pattern_width_checked(self):
         with pytest.raises(WidthOverflowError):
             MatchPattern.from_fields(nw_tos=64)
+
+    @pytest.mark.parametrize("value", [True, 1.0, "1"])
+    def test_pattern_entries_are_real_ints(self, value):
+        # True equals and hashes as 1, yet must not stand in for it
+        with pytest.raises(InvalidRuleError,
+                           match=f"in_port must be an int, got {type(value).__name__}"):
+            MatchPattern((value,) + (None,) * (FIELD_COUNT - 1))
 
 
 def test_src_and_dest_projections():

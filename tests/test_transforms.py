@@ -1,4 +1,8 @@
+import os
+import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -7,6 +11,7 @@ from flowspace.actions import drop, forward
 from flowspace.errors import (
     DimensionMismatchError,
     EmptyChainError,
+    InvalidRuleError,
     RuleNotFoundError,
     SlotOutOfRangeError,
     UnresolvedPortError,
@@ -34,6 +39,7 @@ from flowspace.transforms import (
     SourceCountAtMost,
     TrueGuard,
     apply_transform,
+    apply_transforms,
     build_action,
     chain,
     compose_apps,
@@ -306,6 +312,134 @@ class TestApplyTransform:
         assert out.tables[0].entries[0].counter == 0
 
 
+class TestApplyTransforms:
+    def test_each_result_is_apply_transform(self):
+        rng = random.Random(21)
+        topology = sampling.random_topology(rng, 3)
+        for _ in range(100):
+            ts = [sampling.random_app(rng, 3, n) for n in "abc"]
+            nib, h = sampling.random_scenario(rng, topology)
+            assert apply_transforms(ts, nib, h) == tuple(apply_transform(t, nib, h) for t in ts)
+
+    def test_equal_templates_share_one_entry(self):
+        a = make_app("a", 0, unconditional([fwd_template()]), 2)
+        b = make_app("b", 1, unconditional([fwd_template()]), 2)
+        ra, rb = apply_transforms((a, b), nib_of(), Header.from_fields(nw_src=3))
+        assert ra.tables[0].entries[0] is rb.tables[1].entries[0]
+
+    def test_no_transforms(self):
+        assert apply_transforms((), nib_of(), Header.from_fields()) == ()
+
+
+class TestTemplateConstructors:
+    """Template values are real ints in range, as `FlowRule`'s are."""
+
+    def test_valid_values(self):
+        spec = Seq((SetField("nw_tos", 63), SetField("nw_dst", PickLessLoaded(0, 2**32 - 1))))
+        tpl = RuleTemplate(InputHeader(), PortNumber(0xFFFF), 0xFFFF, spec, counter=7)
+        assert (tpl.ttl, tpl.counter, tpl.out_port.value) == (0xFFFF, 7, 0xFFFF)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: RuleTemplate(InputHeader(), DestPort(), True, Drop()),
+         "ttl must be an int, got bool"),
+        (lambda: RuleTemplate(InputHeader(), DestPort(), 60.0, Drop()),
+         "ttl must be an int, got float"),
+        (lambda: RuleTemplate(InputHeader(), DestPort(), 70_000, Drop()),
+         "ttl 70000 exceeds 16-bit range"),
+        (lambda: RuleTemplate(InputHeader(), DestPort(), 60, Drop(), counter=True),
+         "counter must be an int, got bool"),
+        (lambda: RuleTemplate(InputHeader(), DestPort(), 60, Drop(), counter=-1),
+         "counter must be non-negative"),
+        (lambda: PortNumber(True), "value must be an int, got bool"),
+        (lambda: PortNumber("1"), "value must be an int, got str"),
+        (lambda: PortNumber(-1), "value -1 exceeds 16-bit range"),
+        (lambda: PickLessLoaded(1.0, 2), "server_a must be an int, got float"),
+        (lambda: PickLessLoaded(1, 2**32), "server_b 4294967296 exceeds 32-bit range"),
+        (lambda: SetField("nw_dst", False), "to must be an int, got bool"),
+        (lambda: SetField("nw_dst", -1), "to -1 exceeds 32-bit range"),
+        (lambda: SetField("tp_dst", 1 << 16), "to 65536 exceeds 16-bit range"),
+        (lambda: SetField("vlan", 1), "field must be a header field name, got 'vlan'"),
+        (lambda: SetField(6, 1), "field must be a header field name, got 6"),
+    ])
+    def test_invalid_values_name_the_field(self, build, message):
+        with pytest.raises(InvalidRuleError) as info:
+            build()
+        assert str(info.value) == message
+
+    def test_bool_ttl_no_longer_equals_int_ttl(self):
+        # A template that would not instantiate must not be equal, and
+        # hash equal, to one that does.
+        with pytest.raises(InvalidRuleError):
+            RuleTemplate(InputHeader(), PortName("p0"), True, Drop())
+        tpl = RuleTemplate(InputHeader(), PortName("p0"), 1, Drop())
+        assert apply_transform(make_app("a", 0, unconditional([tpl]), 2), nib_of(),
+                               Header.from_fields()).tables[0].entries[0].rule.ttl == 1
+
+
+class CountingName(PortName):
+    """A port name that counts how often it is hashed."""
+
+    calls = 0
+
+    def __hash__(self):
+        type(self).calls += 1
+        return hash(self.name)
+
+
+def hashed_template() -> RuleTemplate:
+    return RuleTemplate(InputHeader(), CountingName("p0"), 60,
+                        Seq((SetField("nw_dst", 5), Forward(PortName("p1")))))
+
+
+class TestTemplateHash:
+    def test_hash_is_computed_once(self):
+        CountingName.calls = 0
+        tpl = hashed_template()
+        first = hash(tpl)
+        index = {tpl: 1}
+        assert {tpl, tpl} == {tpl} and index[tpl] == 1 and hash(tpl) == first
+        assert CountingName.calls == 1
+
+    def test_hash_is_the_field_tuple_hash(self):
+        tpl = hashed_template()
+        assert hash(tpl) == hash((tpl.match, tpl.out_port, tpl.ttl, tpl.action, tpl.counter))
+
+    def test_cache_is_out_of_equality_and_repr(self):
+        tpl, fresh = hashed_template(), hashed_template()
+        before = repr(tpl)
+        hash(tpl)
+        assert "_hash" in vars(tpl) and "_hash" not in vars(fresh)
+        assert tpl == fresh and fresh == tpl
+        assert repr(tpl) == before == repr(fresh)
+
+    def test_pickle_carries_no_cached_hash(self):
+        tpl = fwd_template()
+        hash(tpl)
+        loaded = pickle.loads(pickle.dumps(tpl))
+        assert "_hash" not in vars(loaded)
+        assert loaded == tpl and hash(loaded) == hash(tpl)
+
+    def test_unpickled_in_another_hash_seed_hashes_as_built_there(self):
+        tpl = fwd_template("p-seeded")
+        hash(tpl)
+        child = (
+            "import pickle, sys\n"
+            "from flowspace.transforms import *\n"
+            "loaded = pickle.loads(sys.stdin.buffer.read())\n"
+            "built = RuleTemplate(InputHeader(), PortName('p-seeded'), 60,"
+            " Forward(PortName('p-seeded')))\n"
+            "assert loaded == built and hash(loaded) == hash(built)\n"
+            "print(hash(built))\n"
+        )
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        out = subprocess.run([sys.executable, "-c", child], input=pickle.dumps(tpl),
+                             capture_output=True, env=env, check=True)
+        # the seeds differ, so the strings hash differently there
+        assert int(out.stdout) != hash(tpl)
+
+
 def applied(spec, h: Header, nib: NIB | None = None) -> Header:
     """The header that spec's action for h makes of h."""
     a = build_action(spec, nib or nib_of(), h)
@@ -350,7 +484,11 @@ class TestBuildAction:
             build_action(spec, nib_of(), self.H)
 
     def test_target_wider_than_the_field(self):
-        spec = Seq((Drop(), SetField("nw_tos", 256)))
+        # An integer target is checked when the template is built, a
+        # deferred pick when it resolves.
+        with pytest.raises(InvalidRuleError, match="to 256 exceeds 6-bit range"):
+            SetField("nw_tos", 256)
+        spec = Seq((Drop(), SetField("nw_tos", PickLessLoaded(256, 257))))
         with pytest.raises(WidthOverflowError):
             build_action(spec, nib_of(), self.H)
 
