@@ -95,11 +95,9 @@ from flowspace.transforms import (
     apply_transforms,
     chain,
     compose_apps,
-    congruent,
     flow_mod_add,
     flow_mod_delete,
     flow_mod_modify,
-    is_translation_only,
     make_app,
     normalize,
 )

@@ -26,7 +26,7 @@ from typing import Sequence
 
 from flowspace import actions, transforms
 from flowspace.actions import AffineAction
-from flowspace.errors import InvalidRuleError, SlotOutOfRangeError
+from flowspace.errors import InvalidRuleError, SlotOutOfRangeError, type_error
 from flowspace.headers import Header
 from flowspace.nib import NIB
 from flowspace.tables import (
@@ -162,7 +162,7 @@ class LoopFinding:
 
     def __post_init__(self):
         if not actions.is_identity(self.certificate):
-            raise ValueError("certificate must be the identity action")
+            raise InvalidRuleError("must be the identity action", "certificate", self.certificate)
 
 
 def _finding(switch: int, x: FlowEntry, y: FlowEntry) -> LoopFinding:
@@ -210,16 +210,15 @@ class FlowModRequest:
 
     def __post_init__(self):
         if self.op not in ("add", "delete", "modify"):
-            raise InvalidRuleError(f"op must be add/delete/modify, not {self.op!r}")
+            raise InvalidRuleError(f"must be add/delete/modify, not {self.op!r}", "op", self.op)
         if type(self.switch) is not int:
-            raise InvalidRuleError(f"switch must be an int, got {type(self.switch).__name__}")
+            raise type_error("switch", self.switch)
         if not isinstance(self.rule, FlowRule):
-            raise InvalidRuleError(f"rule must be a FlowRule, got {type(self.rule).__name__}")
+            raise type_error("rule", self.rule, "a FlowRule")
         if self.op == "modify" and self.old_rule is None:
             raise InvalidRuleError("modify needs the rule being replaced")
         if self.old_rule is not None and not isinstance(self.old_rule, FlowRule):
-            raise InvalidRuleError(
-                f"old_rule must be a FlowRule, got {type(self.old_rule).__name__}")
+            raise type_error("old_rule", self.old_rule, "a FlowRule")
 
 
 @dataclass(frozen=True)

@@ -281,10 +281,7 @@ def _parse_header(scn: scenario.Scenario, literal: str) -> Header:
         raise FlowspaceError(f"--header is not valid JSON: {exc}") from None
     except RecursionError:
         raise FlowspaceError("--header is nested too deeply") from None
-    try:
-        return scenario.header_from_obj(obj, "--header")
-    except (TypeError, ValueError) as exc:
-        raise FlowspaceError(f"malformed --header: {exc}") from exc
+    return scenario.header_from_obj(obj, "--header")
 
 
 def cmd_apply(args) -> int:

@@ -28,8 +28,37 @@ class SingularActionError(FlowspaceError):
 
 
 class InvalidRuleError(FlowspaceError, ValueError):
-    """A flow rule, table entry or FLOW_MOD request was built from a value
-    of the wrong type or range (also a ValueError, as before it existed)."""
+    """A value of the wrong type or range was given to a library constructor
+    (also a ValueError, as before it existed).  An error about one named
+    value carries its `field`, the `value`, the `reason` it is wrong and,
+    for a range error, the `width` it exceeds, as `WidthOverflowError` does."""
+
+    def __init__(self, reason: str, field: str | None = None, value=None,
+                 width: int | None = None):
+        super().__init__(f"{field} {reason}" if field else reason)
+        self.field, self.value, self.reason, self.width = field, value, reason, width
+
+
+def type_error(field: str, value, kind: str = "an int") -> InvalidRuleError:
+    """The error for a value that is not of the `kind` the field takes."""
+    return InvalidRuleError(f"must be {kind}, got {type(value).__name__}", field, value)
+
+
+def int_error(field: str, value, mask: int) -> InvalidRuleError | None:
+    """Why `value` is not a real int (a bool or float is not) in 0..mask, or None."""
+    if type(value) is not int:
+        return type_error(field, value)
+    if not 0 <= value <= mask:
+        width = mask.bit_length()
+        return InvalidRuleError(f"{value} exceeds {width}-bit range", field, value, width)
+    return None
+
+
+def counter_error(counter) -> InvalidRuleError:
+    """The error for a packet counter that is not a non-negative int."""
+    if type(counter) is not int:
+        return type_error("counter", counter)
+    return InvalidRuleError("must be non-negative", "counter", counter)
 
 
 class RuleNotFoundError(FlowspaceError):

@@ -20,6 +20,7 @@ from flowspace.errors import (
     InvalidRuleError,
     UnknownFieldError,
     WidthOverflowError,
+    type_error,
 )
 
 
@@ -55,6 +56,10 @@ FIELD_BOUNDS: tuple[int, ...] = tuple(1 << f.width for f in FIELDS)
 NW_SRC = FIELD_INDEX["nw_src"]
 NW_DST = FIELD_INDEX["nw_dst"]
 
+#: Server addresses (flow assignments, load guards, server ports) are
+#: nw_dst values.
+ADDRESS_MASK = FIELD_MASKS[NW_DST]
+
 
 def field_index(field: int | str) -> int:
     """Resolve a field given by index or canonical name."""
@@ -69,18 +74,27 @@ def field_index(field: int | str) -> int:
 
 
 def _check_values(values: tuple[int, ...], kind: str) -> None:
+    """One real int (a bool or a float is not one) per field, in its range."""
     if len(values) != FIELD_COUNT:
-        raise ArityMismatchError(
-            f"{kind} needs {FIELD_COUNT} values, got {len(values)}"
-        )
+        raise ArityMismatchError(f"{kind} needs {FIELD_COUNT} values, got {len(values)}")
+    for value, bound in zip(values, FIELD_BOUNDS):
+        if not (type(value) is int and 0 <= value < bound):
+            raise _field_error(values)
+
+
+def _field_error(values: tuple) -> InvalidRuleError | WidthOverflowError:
+    """The error for the first value that is not a real int in its field's range."""
     for value, bound, spec in zip(values, FIELD_BOUNDS, FIELDS):
+        if type(value) is not int:
+            return type_error(spec.name, value)
         if not 0 <= value < bound:
-            raise WidthOverflowError(spec.name, value, spec.width)
+            return WidthOverflowError(spec.name, value, spec.width)
 
 
 @dataclass(frozen=True)
 class Header:
-    """A point in the header space: one value per canonical field."""
+    """A point in the header space: one value per canonical field, a real
+    int that fits the field."""
 
     values: tuple[int, ...]
 
@@ -167,14 +181,10 @@ class MatchPattern:
     def __post_init__(self):
         if len(self.entries) != FIELD_COUNT:
             raise ArityMismatchError(
-                f"pattern needs {FIELD_COUNT} entries, got {len(self.entries)}"
-            )
-        for entry, bound, spec in zip(self.entries, FIELD_BOUNDS, FIELDS):
+                f"pattern needs {FIELD_COUNT} entries, got {len(self.entries)}")
+        for entry, bound in zip(self.entries, FIELD_BOUNDS):
             if entry is not None and not (type(entry) is int and 0 <= entry < bound):
-                if type(entry) is not int:
-                    raise InvalidRuleError(
-                        f"{spec.name} must be an int, got {type(entry).__name__}")
-                raise WidthOverflowError(spec.name, entry, spec.width)
+                raise _field_error(tuple(0 if e is None else e for e in self.entries))
 
     @classmethod
     def wildcard(cls) -> MatchPattern:

@@ -21,24 +21,36 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
-from flowspace.errors import DimensionMismatchError
-from flowspace.headers import NW_DST, NW_SRC, Header, dest_of, src_of
+from flowspace.actions import PORT_MASK
+from flowspace.errors import DimensionMismatchError, InvalidRuleError, int_error, type_error
+from flowspace.headers import ADDRESS_MASK, NW_DST, NW_SRC, Header, dest_of, src_of
 from flowspace.tables import FlowTable
 
 
 @dataclass(frozen=True)
 class Topology:
-    """A fixed set of switches, named ports, and server-port bindings."""
+    """A fixed set of switches, named u16 ports, and server-port bindings
+    keyed by server address (an nw_dst value)."""
 
     switch_count: int
     ports: dict[str, int] = field(default_factory=dict)
     server_ports: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.switch_count < 1:
-            raise ValueError("topology needs at least one switch")
-        object.__setattr__(self, "ports", dict(self.ports))
-        object.__setattr__(self, "server_ports", dict(self.server_ports))
+        n = self.switch_count
+        if not (type(n) is int and n >= 1):
+            raise (type_error("switches", n) if type(n) is not int
+                   else InvalidRuleError(f"must be at least 1, got {n}", "switches", n))
+        ports, server_ports = dict(self.ports), dict(self.server_ports)
+        errors = [int_error(f"ports[{name}]", port, PORT_MASK) for name, port in ports.items()]
+        errors += [int_error(f"server_ports[{address}]", address, ADDRESS_MASK)
+                   or int_error(f"server_ports[{address}]", port, PORT_MASK)
+                   for address, port in server_ports.items()]
+        error = next(filter(None, errors), None)
+        if error:
+            raise error
+        object.__setattr__(self, "ports", ports)
+        object.__setattr__(self, "server_ports", server_ports)
 
 
 @dataclass(frozen=True)
@@ -47,6 +59,14 @@ class Flow:
 
     header: Header
     assigned_dest: int | None = None
+
+    def __post_init__(self):
+        dest = self.assigned_dest
+        if not (isinstance(self.header, Header)
+                and (dest is None or type(dest) is int and 0 <= dest <= ADDRESS_MASK)):
+            if not isinstance(self.header, Header):
+                raise type_error("header", self.header, "a Header")
+            raise int_error("assigned_dest", dest, ADDRESS_MASK)
 
     def effective_dest(self) -> int:
         return self.assigned_dest if self.assigned_dest is not None else dest_of(self.header)
@@ -106,7 +126,7 @@ def nib_vector(nib: NIB) -> tuple:
 def nib_from_vector(topology: Topology, vector: tuple, flows: tuple[Flow, ...] = ()) -> NIB:
     """Inverse of nib_vector (the unit slot is checked and stripped)."""
     if not vector or vector[-1] != 1:
-        raise ValueError("homogeneous vector must end in 1")
+        raise InvalidRuleError("homogeneous vector must end in 1")
     return NIB(topology, tuple(vector[:-1]), flows)
 
 

@@ -6,6 +6,11 @@ single-slot applications, named chains over those applications, and
 named query headers.  Parsing is strict: unknown keys are rejected so a
 typo cannot silently change an analysis.
 
+Each value goes as read to the constructor that owns its type and range;
+`_located` puts the value's JSON path on that constructor's error.  The
+decoder checks only JSON's own rules: shapes, keys, `kind` tags, the
+version, decimal `server_ports` keys, seq depth and names.
+
 Headers serialize as objects keyed by field name with omitted fields
 defaulting to 0; match patterns likewise, with omitted fields
 defaulting to wildcard.  Concrete actions serialize as tagged objects
@@ -21,16 +26,13 @@ from dataclasses import dataclass, field
 
 from flowspace import actions
 from flowspace.actions import PORT_SLOT, TTL_SLOT, AffineAction
-from flowspace.errors import ScenarioFormatError, WidthOverflowError
-from flowspace.headers import (
-    FIELD_COUNT,
-    FIELD_INDEX,
-    FIELDS,
-    NW_DST,
-    Header,
-    MatchPattern,
-    field_index,
+from flowspace.errors import (
+    InvalidRuleError,
+    ScenarioFormatError,
+    SlotOutOfRangeError,
+    WidthOverflowError,
 )
+from flowspace.headers import FIELD_COUNT, FIELD_INDEX, FIELDS, Header, MatchPattern, field_index
 from flowspace.nib import NIB, Flow, Topology
 from flowspace.tables import FlowEntry, FlowRule, FlowTable
 from flowspace.transforms import (
@@ -108,54 +110,45 @@ def _require(obj: dict, key: str, what: str):
 def _int(value, what: str) -> int:
     """A JSON integer, taken as is: bools, floats and strings are rejected."""
     if type(value) is not int:
-        raise ScenarioFormatError(f"{what} must be an integer, got {type(value).__name__}")
+        raise ScenarioFormatError(f"{what} must be an int, got {type(value).__name__}")
     return value
 
 
-def _unsigned(value, width: int, what: str) -> int:
-    """A JSON integer that fits `width` bits."""
-    value = _int(value, what)
-    if not 0 <= value < 1 << width:
-        raise ScenarioFormatError(f"{what}={value} exceeds {width}-bit range")
-    return value
+#: What the library constructors raise for a value of the wrong type or range.
+_VALUE_ERRORS = (InvalidRuleError, WidthOverflowError)
 
 
-def _u16(value, what: str) -> int:
-    """A port number or ttl: a JSON integer in 0..0xFFFF."""
-    return _unsigned(value, 16, what)
+def _located(exc: InvalidRuleError | WidthOverflowError, path: str) -> ScenarioFormatError:
+    """A constructor's error about one value, reported at the value's JSON path."""
+    if exc.width is not None:
+        return ScenarioFormatError(f"{path}={exc.value} exceeds {exc.width}-bit range")
+    return ScenarioFormatError(f"{path} {exc.reason}")
 
 
-def _counter(obj: dict, what: str) -> int:
-    """The optional packet counter of an entry or a template."""
-    counter = _int(obj.get("counter", 0), f"{what}.counter")
-    if counter < 0:
-        raise ScenarioFormatError(f"{what}.counter must be non-negative")
-    return counter
-
-
-#: Server addresses (assignments, load guards, pick-less-loaded) stand
-#: for nw_dst values.
-_ADDRESS_WIDTH = FIELDS[NW_DST].width
-
-
-def _address(value, what: str) -> int:
-    return _unsigned(value, _ADDRESS_WIDTH, what)
+def _build(what: str, make, *args):
+    """`make(*args)`, a value error reported at its field's path in the object at `what`."""
+    try:
+        return make(*args)
+    except _VALUE_ERRORS as exc:
+        raise _located(exc, f"{what}.{exc.field}") from None
 
 
 def _address_key(key: str, what: str) -> int:
     """An address written as an object key: canonical decimal, so that
     signs, spaces, underscores and leading zeros cannot make two keys
-    name one server."""
+    name one server.  `Topology` checks its range."""
     try:
         value = int(key)
     except (TypeError, ValueError):
         value = None
     if value is None or str(value) != key:
         raise ScenarioFormatError(f"{what} key {key!r} is not a decimal address")
-    return _address(value, f"{what}[{key}]")
+    return value
 
 
 _FIELD_NAMES = frozenset(FIELD_INDEX)
+_FIELD_ORDER = tuple(FIELD_INDEX)
+_ZEROS = (0,) * FIELD_COUNT
 
 
 def _field(value, what: str) -> str:
@@ -164,23 +157,6 @@ def _field(value, what: str) -> str:
         raise ScenarioFormatError(f"{what} must be a field name, got {type(value).__name__}")
     field_index(value)  # raises UnknownFieldError
     return value
-
-
-def _fields(obj: dict, what: str) -> dict[str, int]:
-    """A header or match object: integers keyed by field name.
-
-    Their widths are checked by the Header or MatchPattern built from
-    them; `_width_error` puts the JSON path on that error.
-    """
-    _check_keys(obj, _FIELD_NAMES, what)
-    for name, value in obj.items():
-        if type(value) is not int:
-            _int(value, f"{what}.{name}")  # raises, naming the field
-    return obj
-
-
-def _width_error(exc: WidthOverflowError, what: str) -> ScenarioFormatError:
-    return ScenarioFormatError(f"{what}.{exc.field}={exc.value} exceeds {exc.width}-bit range")
 
 
 # ---------------------------------------------------------------------------
@@ -192,13 +168,12 @@ def header_to_obj(h: Header) -> dict:
 
 
 def header_from_obj(obj, what: str = "header") -> Header:
-    values = [0] * FIELD_COUNT
-    for name, value in _fields(_require_obj(obj, what), what).items():
-        values[FIELD_INDEX[name]] = value
-    try:
-        return Header(tuple(values))
-    except WidthOverflowError as exc:
-        raise _width_error(exc, what) from None
+    obj = _require_obj(obj, what)
+    _check_keys(obj, _FIELD_NAMES, what)
+    try:  # not through `_build`: a NIB's flows make this the hottest path
+        return Header(tuple(map(obj.get, _FIELD_ORDER, _ZEROS)))
+    except _VALUE_ERRORS as exc:
+        raise _located(exc, f"{what}.{exc.field}") from None
 
 
 def pattern_to_obj(p: MatchPattern) -> dict:
@@ -206,10 +181,12 @@ def pattern_to_obj(p: MatchPattern) -> dict:
 
 
 def pattern_from_obj(obj, what: str = "match") -> MatchPattern:
-    try:
-        return MatchPattern.from_fields(**_fields(_require_obj(obj, what), what))
-    except WidthOverflowError as exc:
-        raise _width_error(exc, what) from None
+    obj = _require_obj(obj, what)
+    _check_keys(obj, _FIELD_NAMES, what)
+    if None in obj.values():  # a wildcard is written by leaving its field out
+        name = next(name for name, value in obj.items() if value is None)
+        raise ScenarioFormatError(f"{what}.{name} must be an int, got NoneType")
+    return _build(what, MatchPattern, tuple(map(obj.get, _FIELD_ORDER)))
 
 
 # ---------------------------------------------------------------------------
@@ -290,12 +267,15 @@ def rule_to_obj(r: FlowRule) -> dict:
 def rule_from_obj(obj, what: str = "rule") -> FlowRule:
     obj = _require_obj(obj, what)
     _check_keys(obj, _RULE_KEYS, what)
-    return FlowRule(
-        match=pattern_from_obj(_require(obj, "match", what), f"{what}.match"),
-        out_port=_u16(_require(obj, "out_port", what), f"{what}.out_port"),
-        ttl=_u16(_require(obj, "ttl", what), f"{what}.ttl"),
-        action=action_from_obj(_require(obj, "action", what), f"{what}.action"),
-    )
+    return _rule(obj, what)
+
+
+def _rule(obj: dict, what: str) -> FlowRule:
+    """The rule of a rule or entry object whose keys are checked."""
+    return _build(what, FlowRule,
+                  pattern_from_obj(_require(obj, "match", what), f"{what}.match"),
+                  _require(obj, "out_port", what), _require(obj, "ttl", what),
+                  action_from_obj(_require(obj, "action", what), f"{what}.action"))
 
 
 def entry_to_obj(e: FlowEntry) -> dict:
@@ -307,8 +287,7 @@ def entry_to_obj(e: FlowEntry) -> dict:
 def entry_from_obj(obj, what: str = "entry") -> FlowEntry:
     obj = _require_obj(obj, what)
     _check_keys(obj, _ENTRY_KEYS, what)
-    rule = rule_from_obj({k: v for k, v in obj.items() if k != "counter"}, what)
-    return FlowEntry(rule, _counter(obj, what))
+    return _build(what, FlowEntry, _rule(obj, what), obj.get("counter", 0))
 
 
 def table_to_obj(t: FlowTable) -> list:
@@ -330,11 +309,11 @@ def flow_to_obj(f: Flow) -> dict:
 def flow_from_obj(obj, what: str = "flow") -> Flow:
     obj = _require_obj(obj, what)
     _check_keys(obj, _FLOW_KEYS, what)
-    assigned = obj.get("assigned_dest")
-    return Flow(
-        header_from_obj(_require(obj, "header", what), f"{what}.header"),
-        _address(assigned, f"{what}.assigned_dest") if assigned is not None else None,
-    )
+    header = header_from_obj(_require(obj, "header", what), f"{what}.header")
+    try:  # not through `_build`, as in `header_from_obj`
+        return Flow(header, obj.get("assigned_dest"))
+    except _VALUE_ERRORS as exc:
+        raise _located(exc, f"{what}.{exc.field}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -353,17 +332,11 @@ def topology_from_obj(obj, what: str = "topology") -> Topology:
     obj = _require_obj(obj, what)
     _check_keys(obj, _TOPOLOGY_KEYS, what)
     ports = _require_obj(obj.get("ports", {}), f"{what}.ports")
-    server_ports = _require_obj(obj.get("server_ports", {}), f"{what}.server_ports")
     server_ports = {
-        _address_key(k, f"{what}.server_ports"): _u16(v, f"{what}.server_ports[{k}]")
-        for k, v in server_ports.items()
+        _address_key(k, f"{what}.server_ports"): v
+        for k, v in _require_obj(obj.get("server_ports", {}), f"{what}.server_ports").items()
     }
-    switches = _int(_require(obj, "switches", what), f"{what}.switches")
-    if switches < 1:
-        raise ScenarioFormatError(f"{what}.switches must be at least 1, got {switches}")
-    return Topology(switches,
-                    {str(k): _u16(v, f"{what}.ports[{k}]") for k, v in ports.items()},
-                    server_ports)
+    return _build(what, Topology, _require(obj, "switches", what), ports, server_ports)
 
 
 # ---------------------------------------------------------------------------
@@ -388,15 +361,11 @@ def guard_from_obj(obj, what: str = "guard"):
         return TrueGuard()
     if kind == "source_count_at_most":
         _check_keys(obj, _THRESHOLD_KEYS, what)
-        # Flow counts are non-negative, so no NIB meets a negative threshold.
-        threshold = _int(_require(obj, "threshold", what), f"{what}.threshold")
-        if threshold < 0:
-            raise ScenarioFormatError(f"{what}.threshold must be non-negative, got {threshold}")
-        return SourceCountAtMost(threshold)
+        return _build(what, SourceCountAtMost, _require(obj, "threshold", what))
     if kind == "load_at_most":
         _check_keys(obj, _SERVER_PAIR_KEYS, what)
-        return LoadAtMost(_address(_require(obj, "server_a", what), f"{what}.server_a"),
-                          _address(_require(obj, "server_b", what), f"{what}.server_b"))
+        return _build(what, LoadAtMost, _require(obj, "server_a", what),
+                      _require(obj, "server_b", what))
     raise ScenarioFormatError(f"{what}: unknown guard kind {kind!r}")
 
 
@@ -414,7 +383,10 @@ def port_ref_from_obj(obj, what: str = "port"):
     if isinstance(obj, str):
         return PortName(obj)
     if isinstance(obj, int):
-        return PortNumber(_u16(obj, what))
+        try:
+            return PortNumber(obj)
+        except _VALUE_ERRORS as exc:
+            raise _located(exc, what) from None  # the number stands alone at `what`
     obj = _require_obj(obj, what)
     _check_keys(obj, _KIND_KEYS, what)
     if obj.get("kind") == "dest_port":
@@ -429,15 +401,15 @@ def value_ref_to_obj(ref):
     return ref
 
 
-def value_ref_from_obj(obj, width: int, what: str = "value"):
-    """A set-field target: an integer that fits the field, or a deferred pick."""
+def value_ref_from_obj(obj, what: str = "value"):
+    """A set-field target: an integer (`SetField` checks it) or a deferred pick."""
     if isinstance(obj, int):
-        return _unsigned(obj, width, what)
+        return obj
     obj = _require_obj(obj, what)
     _check_keys(obj, _SERVER_PAIR_KEYS, what)
     if obj.get("kind") == "pick_less_loaded":
-        return PickLessLoaded(_address(_require(obj, "server_a", what), f"{what}.server_a"),
-                              _address(_require(obj, "server_b", what), f"{what}.server_b"))
+        return _build(what, PickLessLoaded, _require(obj, "server_a", what),
+                      _require(obj, "server_b", what))
     raise ScenarioFormatError(f"{what}: unknown value reference {obj!r}")
 
 
@@ -465,9 +437,8 @@ def action_spec_from_obj(obj, what: str = "action", depth: int = 0):
         return Forward(port_ref_from_obj(_require(obj, "port", what), f"{what}.port"))
     if kind == "set_field":
         _check_keys(obj, _SET_FIELD_KEYS, what)
-        name = _field(_require(obj, "field", what), f"{what}.field")
-        width = FIELDS[FIELD_INDEX[name]].width
-        return SetField(name, value_ref_from_obj(_require(obj, "to", what), width, f"{what}.to"))
+        return _build(what, SetField, _require(obj, "field", what),
+                      value_ref_from_obj(_require(obj, "to", what), f"{what}.to"))
     if kind == "seq":
         _check_keys(obj, _SEQ_KEYS, what)
         if depth == MAX_SEQ_DEPTH:
@@ -493,19 +464,13 @@ def template_to_obj(t: RuleTemplate) -> dict:
 def template_from_obj(obj, what: str = "rule template") -> RuleTemplate:
     obj = _require_obj(obj, what)
     _check_keys(obj, _ENTRY_KEYS, what)
-    counter = _counter(obj, what)
-    raw_match = _require(obj, "match", what)
-    if raw_match == "input":
-        match = InputHeader()
-    else:
-        match = pattern_from_obj(raw_match, f"{what}.match")
-    return RuleTemplate(
-        match=match,
-        out_port=port_ref_from_obj(_require(obj, "out_port", what), f"{what}.out_port"),
-        ttl=_u16(_require(obj, "ttl", what), f"{what}.ttl"),
-        action=action_spec_from_obj(_require(obj, "action", what), f"{what}.action"),
-        counter=counter,
-    )
+    match = _require(obj, "match", what)
+    match = InputHeader() if match == "input" else pattern_from_obj(match, f"{what}.match")
+    return _build(what, RuleTemplate, match,
+                  port_ref_from_obj(_require(obj, "out_port", what), f"{what}.out_port"),
+                  _require(obj, "ttl", what),
+                  action_spec_from_obj(_require(obj, "action", what), f"{what}.action"),
+                  obj.get("counter", 0))
 
 
 def delta_to_obj(d: GuardedDelta) -> dict:
@@ -555,13 +520,12 @@ def app_to_obj(app: AppTransform) -> dict:
 def app_from_obj(obj, n: int, what: str = "app") -> AppTransform:
     obj = _require_obj(obj, what)
     _check_keys(obj, _APP_KEYS, what)
-    name = _require(obj, "name", what)
-    if not isinstance(name, str):
-        raise ScenarioFormatError(f"{what}.name must be a string, got {type(name).__name__}")
-    slot = _int(_require(obj, "slot", what), f"{what}.slot")
-    if not 0 <= slot < n:
-        raise ScenarioFormatError(f"{what}.slot={slot} out of range for {n} switches")
-    return make_app(name, slot, delta_from_obj(_require(obj, "delta", what), f"{what}.delta"), n)
+    slot = _require(obj, "slot", what)
+    try:
+        return _build(what, make_app, _require(obj, "name", what), slot,
+                      delta_from_obj(_require(obj, "delta", what), f"{what}.delta"), n)
+    except SlotOutOfRangeError:
+        raise ScenarioFormatError(f"{what}.slot={slot} out of range for {n} switches") from None
 
 
 def transform_to_obj(app: AppTransform) -> dict:
@@ -606,7 +570,7 @@ def scenario_from_obj(obj) -> Scenario:
     _check_keys(obj, _SCENARIO_KEYS, "scenario")
     version = _require(obj, "version", "scenario")
     if type(version) is not int or version != FORMAT_VERSION:
-        raise ScenarioFormatError(f"unsupported scenario version {version!r}")
+        raise ScenarioFormatError(f"version must be {FORMAT_VERSION}, got {version!r}")
     topology = topology_from_obj(_require(obj, "topology", "scenario"))
     n = topology.switch_count
     raw_tables = _require_list(obj.get("tables", []), "tables")

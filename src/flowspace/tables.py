@@ -34,17 +34,8 @@ from typing import Collection, Iterable, Iterator
 
 from flowspace import actions
 from flowspace.actions import PORT_MASK, TTL_MASK, AffineAction, action_key
-from flowspace.errors import InvalidRuleError, SingularActionError
+from flowspace.errors import SingularActionError, counter_error, int_error, type_error
 from flowspace.headers import MatchPattern, pattern_key
-
-
-def _int_error(name: str, value, mask: int) -> InvalidRuleError | None:
-    """Why `value` is not a real int (not a bool or a float) in 0..mask, if it is not."""
-    if type(value) is not int:
-        return InvalidRuleError(f"{name} must be an int, got {type(value).__name__}")
-    if not 0 <= value <= mask:
-        return InvalidRuleError(f"{name} {value} exceeds {mask.bit_length()}-bit range")
-    return None
 
 
 @dataclass(frozen=True)
@@ -66,12 +57,10 @@ class FlowRule:
                 and isinstance(self.match, MatchPattern)
                 and isinstance(self.action, AffineAction)):
             if not isinstance(self.match, MatchPattern):
-                raise InvalidRuleError(
-                    f"match must be a MatchPattern, got {type(self.match).__name__}")
+                raise type_error("match", self.match, "a MatchPattern")
             if not isinstance(self.action, AffineAction):
-                raise InvalidRuleError(
-                    f"action must be an AffineAction, got {type(self.action).__name__}")
-            raise _int_error("out_port", port, PORT_MASK) or _int_error("ttl", ttl, TTL_MASK)
+                raise type_error("action", self.action, "an AffineAction")
+            raise int_error("out_port", port, PORT_MASK) or int_error("ttl", ttl, TTL_MASK)
 
 
 @dataclass(frozen=True)
@@ -85,10 +74,8 @@ class FlowEntry:
         counter = self.counter
         if not (type(counter) is int and counter >= 0 and isinstance(self.rule, FlowRule)):
             if not isinstance(self.rule, FlowRule):
-                raise InvalidRuleError(f"rule must be a FlowRule, got {type(self.rule).__name__}")
-            if type(counter) is not int:
-                raise InvalidRuleError(f"counter must be an int, got {type(counter).__name__}")
-            raise InvalidRuleError("counter must be non-negative")
+                raise type_error("rule", self.rule, "a FlowRule")
+            raise counter_error(counter)
 
 
 def rule_key(r: FlowRule) -> tuple:

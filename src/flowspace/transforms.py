@@ -44,12 +44,15 @@ from flowspace.errors import (
     RuleNotFoundError,
     SlotOutOfRangeError,
     UnresolvedPortError,
+    counter_error,
+    int_error,
+    type_error,
 )
 from flowspace.headers import (
+    ADDRESS_MASK,
     FIELD_INDEX,
     FIELD_MASKS,
     FIELDS,
-    NW_DST,
     Header,
     MatchPattern,
     field_delta,
@@ -62,7 +65,6 @@ from flowspace.tables import (
     FlowRule,
     FlowTable,
     _edit,
-    _int_error,
     add,
     rule_entries,
 )
@@ -82,6 +84,12 @@ class SourceCountAtMost:
 
     threshold: int
 
+    def __post_init__(self):
+        t = self.threshold
+        if not (type(t) is int and t >= 0):
+            raise (type_error("threshold", t) if type(t) is not int
+                   else InvalidRuleError(f"must be non-negative, got {t}", "threshold", t))
+
 
 @dataclass(frozen=True)
 class LoadAtMost:
@@ -89,6 +97,16 @@ class LoadAtMost:
 
     server_a: int
     server_b: int
+
+    def __post_init__(self):
+        _check_servers(self.server_a, self.server_b)
+
+
+def _check_servers(a, b) -> None:
+    """Both servers of a load comparison are real ints in address range."""
+    if not (type(a) is int and 0 <= a <= ADDRESS_MASK
+            and type(b) is int and 0 <= b <= ADDRESS_MASK):
+        raise int_error("server_a", a, ADDRESS_MASK) or int_error("server_b", b, ADDRESS_MASK)
 
 
 Guard = Union[TrueGuard, SourceCountAtMost, LoadAtMost]
@@ -134,7 +152,7 @@ class PortNumber:
     def __post_init__(self):
         value = self.value
         if not (type(value) is int and 0 <= value <= PORT_MASK):
-            raise _int_error("value", value, PORT_MASK)
+            raise int_error("value", value, PORT_MASK)
 
 
 @dataclass(frozen=True)
@@ -143,10 +161,6 @@ class DestPort:
 
 
 PortRef = Union[PortName, PortNumber, DestPort]
-
-
-#: Server addresses are `nw_dst` values.
-_ADDRESS_MASK = FIELD_MASKS[NW_DST]
 
 
 @dataclass(frozen=True)
@@ -163,11 +177,7 @@ class PickLessLoaded:
     server_b: int
 
     def __post_init__(self):
-        a, b = self.server_a, self.server_b
-        if not (type(a) is int and 0 <= a <= _ADDRESS_MASK
-                and type(b) is int and 0 <= b <= _ADDRESS_MASK):
-            raise (_int_error("server_a", a, _ADDRESS_MASK)
-                   or _int_error("server_b", b, _ADDRESS_MASK))
+        _check_servers(self.server_a, self.server_b)
 
 
 ValueRef = Union[int, PickLessLoaded]
@@ -206,8 +216,9 @@ class SetField:
         if i is None or not (isinstance(to, PickLessLoaded)
                              or (type(to) is int and 0 <= to <= FIELD_MASKS[i])):
             if i is None:
-                raise InvalidRuleError(f"field must be a header field name, got {field!r}")
-            raise _int_error("to", to, FIELD_MASKS[i])
+                raise InvalidRuleError(f"must be a header field name, got {field!r}",
+                                       "field", field)
+            raise int_error("to", to, FIELD_MASKS[i])
 
 
 @dataclass(frozen=True)
@@ -247,12 +258,7 @@ class RuleTemplate:
         ttl, counter = self.ttl, self.counter
         if not (type(ttl) is int and 0 <= ttl <= TTL_MASK
                 and type(counter) is int and counter >= 0):
-            error = _int_error("ttl", ttl, TTL_MASK)
-            if error is None:
-                error = InvalidRuleError(
-                    f"counter must be an int, got {type(counter).__name__}"
-                    if type(counter) is not int else "counter must be non-negative")
-            raise error
+            raise int_error("ttl", ttl, TTL_MASK) or counter_error(counter)
 
     def __hash__(self) -> int:
         cached = self.__dict__.get("_hash")
@@ -342,17 +348,28 @@ class AppTransform:
     translation: tuple[DeltaSum, ...]
 
     def __post_init__(self):
-        n = len(self.translation)
-        if len(self.linear) != n or any(len(row) != n for row in self.linear):
+        name, linear, n = self.name, self.linear, len(self.translation)
+        if type(name) is not str:
+            raise type_error("name", name, "a string")
+        if len(linear) != n or any(len(row) != n for row in linear):
             raise DimensionMismatchError("linear part must be square and match the slot count")
-        for row in self.linear:
+        for row in linear:
             for c in row:
-                if c not in (0, 1):
-                    raise ValueError("linear entries must be 0 or 1")
+                if type(c) is not int or c >> 1:  # an int 0 or 1: True equals 1 but is no int
+                    raise _linear_error(linear)
 
     @property
     def dimension(self) -> int:
         return len(self.translation)
+
+
+def _linear_error(linear) -> InvalidRuleError:
+    """The error for the first linear entry that is not an int 0 or 1."""
+    for i, row in enumerate(linear):
+        for j, c in enumerate(row):
+            error = int_error(f"linear[{i}][{j}]", c, 1)
+            if error:
+                return error
 
 
 @dataclass(frozen=True)
@@ -376,7 +393,9 @@ def identity_transform(n: int, name: str = "identity") -> AppTransform:
 
 def make_app(name: str, slot: int, delta: GuardedDelta, n: int) -> AppTransform:
     """An application that applies one delta to one switch slot."""
-    if not 0 <= slot < n:
+    if not (type(slot) is int and 0 <= slot < n):
+        if type(slot) is not int:
+            raise type_error("slot", slot)
         raise SlotOutOfRangeError(f"slot {slot} out of range for {n} switches")
     translation = tuple((delta,) if i == slot else () for i in range(n))
     return AppTransform(name, _identity_matrix(n), translation)
@@ -465,11 +484,6 @@ def _fold_spec(spec: ActionSpec, nib: NIB, h: Header, fold: ActionFold) -> None:
     else:
         for step in spec.steps:
             _fold_spec(step, nib, h, fold)
-
-
-def instantiate(tpl: RuleTemplate, nib: NIB, h: Header) -> FlowEntry:
-    match = MatchPattern.exact_for(h) if isinstance(tpl.match, InputHeader) else tpl.match
-    return _instantiate(tpl, nib, h, match)
 
 
 def _instantiate(tpl: RuleTemplate, nib: NIB, h: Header, match: MatchPattern) -> FlowEntry:
@@ -678,24 +692,3 @@ def normal_forms(a: AppTransform, b: AppTransform) -> tuple[AppTransform, AppTra
             f"cannot compare {a.dimension}-slot with {b.dimension}-slot transform"
         )
     return normalize(a), normalize(b)
-
-
-def congruent(a: AppTransform, b: AppTransform) -> bool:
-    """Equality of composite matrices, decided on normal forms."""
-    na, nb = normal_forms(a, b)
-    return na.linear == nb.linear and na.translation == nb.translation
-
-
-def is_translation_only(a: AppTransform) -> bool:
-    """True when the transform only adds unconditional deltas.
-
-    Such transforms commute under composition (union is commutative),
-    so chains built from them are order-insensitive.
-    """
-    if not is_identity_linear(a):
-        return False
-    return all(
-        not piece.branches
-        for s in normalize(a).translation
-        for piece in s
-    )

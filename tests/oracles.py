@@ -31,6 +31,11 @@ that selects it, and reduces every slot of both results.  Composition
 is checked against the entrywise matrix product it replaced, which
 XORs n terms for each of the n * n entries.
 
+Congruence has one verdict in the library, `analysis.check_congruence`.
+`congruent` here is the structural verdict it is built on, equality of
+normal forms, which the tests state laws with; `is_translation_only`
+and `instantiate` likewise serve the tests only.
+
 Template actions are checked against the instantiation that `ActionFold`
 replaced: it builds one validated action per step and composes them
 pairwise, and takes every `set_field` delta from the steered header, so
@@ -52,7 +57,15 @@ from flowspace.analysis import (
     _as_transform,
 )
 from flowspace.errors import DimensionMismatchError, RuleNotFoundError, ScenarioFormatError
-from flowspace.headers import FIELDS, Header, dest_of, field_delta, field_index, src_of
+from flowspace.headers import (
+    FIELDS,
+    Header,
+    MatchPattern,
+    dest_of,
+    field_delta,
+    field_index,
+    src_of,
+)
 from flowspace.nib import NIB
 from flowspace.scenario import _field, _int, _require, _require_list, _require_obj
 from flowspace.tables import FlowEntry, FlowRule, FlowTable, add, entry_key, reduce, table_equal
@@ -64,12 +77,17 @@ from flowspace.transforms import (
     Drop,
     Forward,
     GuardedDelta,
+    InputHeader,
+    RuleTemplate,
     ServiceChain,
     SetField,
     Templates,
     TrueGuard,
+    _instantiate,
     guard_key,
-    instantiate,
+    is_identity_linear,
+    normal_forms,
+    normalize,
     resolve_port,
     resolve_value,
     select_templates,
@@ -330,6 +348,28 @@ def _canon_sum(pieces: DeltaSum) -> DeltaSum:
 def normalize_oracle(a: AppTransform) -> AppTransform:
     """The normal form by merge passes repeated until a fixpoint."""
     return AppTransform(a.name, a.linear, tuple(_canon_sum(s) for s in a.translation))
+
+
+def congruent(a: AppTransform, b: AppTransform) -> bool:
+    """The structural verdict: equality of composite matrices, decided on normal forms."""
+    na, nb = normal_forms(a, b)
+    return na.linear == nb.linear and na.translation == nb.translation
+
+
+def is_translation_only(a: AppTransform) -> bool:
+    """True when the transform only adds unconditional deltas.
+
+    Such transforms commute under composition (union is commutative),
+    so chains built from them are order-insensitive.
+    """
+    return is_identity_linear(a) and all(
+        not piece.branches for s in normalize(a).translation for piece in s)
+
+
+def instantiate(tpl: RuleTemplate, nib: NIB, h: Header) -> FlowEntry:
+    """One template's entry for (nib, h), with the exact pattern of h built for it alone."""
+    match = MatchPattern.exact_for(h) if isinstance(tpl.match, InputHeader) else tpl.match
+    return _instantiate(tpl, nib, h, match)
 
 
 def _check_keys(obj: dict, allowed: tuple[str, ...] | frozenset[str], what: str) -> None:

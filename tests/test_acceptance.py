@@ -9,7 +9,7 @@ import random
 import subprocess
 import sys
 
-from oracles import dense, dense_product, loop_pairs_oracle
+from oracles import congruent, dense, dense_product, is_translation_only, loop_pairs_oracle
 from flowspace import sampling
 from flowspace.actions import compose, drop, forward, identity, invert, is_identity
 from flowspace.analysis import behavioral_diff, check_congruence, detect_loops
@@ -43,9 +43,7 @@ from flowspace.transforms import (
     apply_transform,
     chain,
     compose_apps,
-    congruent,
     is_identity_linear,
-    is_translation_only,
 )
 from flowspace.headers import MatchPattern
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import loop_pairs_oracle
+from oracles import congruent, loop_pairs_oracle
 from flowspace import sampling
 from flowspace.actions import drop, forward, is_identity
 from flowspace.analysis import (
@@ -24,7 +24,7 @@ from flowspace.errors import (
 from flowspace.headers import MatchPattern
 from flowspace.nib import NIB, Topology
 from flowspace.tables import FlowEntry, FlowRule, FlowTable, negate_rule, table_equal
-from flowspace.transforms import ServiceChain, chain, congruent, identity_transform, normalize
+from flowspace.transforms import ServiceChain, chain, identity_transform, normalize
 
 CFG = CaseStudyConfig()
 

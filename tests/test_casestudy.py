@@ -1,5 +1,6 @@
 import pytest
 
+from oracles import congruent
 from flowspace.analysis import behavioral_diff, check_congruence
 from flowspace.casestudy import (
     ATTACKER,
@@ -24,7 +25,6 @@ from flowspace.transforms import (
     LoadAtMost,
     SourceCountAtMost,
     chain,
-    congruent,
     is_identity_linear,
     make_app,
     normalize,

@@ -4,6 +4,7 @@ the exit-code contract."""
 import copy
 import io
 import json
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -184,6 +185,34 @@ class TestLoops:
         assert (code, out) == (2, "")
         assert err == ("error: apps[0].delta.branches[0].guard.threshold "
                        "must be non-negative, got -5\n")
+
+    @pytest.mark.parametrize("path, value, where", [
+        (("topology", "switches"), True, "topology.switches"),
+        (("topology", "ports", "p_lb"), True, "topology.ports[p_lb]"),
+        (("topology", "server_ports", "167772261"), 70_000, "topology.server_ports[167772261]"),
+        (("flows", 0, "header", "nw_src"), 1.0, "flows[0].header.nw_src"),
+        (("flows", 0, "assigned_dest"), -1, "flows[0].assigned_dest"),
+        (("apps", 0, "name"), 3, "apps[0].name"),
+        (("apps", 0, "slot"), True, "apps[0].slot"),
+        (("apps", 0, "delta", "branches", 0, "guard", "threshold"), 1.5,
+         "apps[0].delta.branches[0].guard.threshold"),
+        (("apps", 1, "delta", "branches", 0, "guard", "server_a"), True,
+         "apps[1].delta.branches[0].guard.server_a"),
+    ])
+    def test_constructor_errors_name_the_json_path(self, casestudy_path, tmp_path,
+                                                   path, value, where):
+        with open(casestudy_path) as fh:
+            obj = json.load(fh)
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        code, out, err = run_main("loops", str(bad))
+        assert (code, out) == (2, "")
+        assert re.match(f"error: {re.escape(where)}[= ]", err), err
+        assert err.count("\n") == 1, err
 
     def test_json_findings(self, loop_scenario_path):
         out = run_cli("--format", "json", "loops", loop_scenario_path)

@@ -1,8 +1,10 @@
 import json
 import random
+import re
 
 import pytest
 
+from oracles import congruent
 from flowspace import actions, sampling
 from flowspace.casestudy import build_scenario
 from flowspace.errors import ScenarioFormatError
@@ -199,16 +201,56 @@ class TestScenarioDocument:
         (("apps", 1, "delta", "default", 0, "action", "actions", 0, "to"), True),
         (("apps", 1, "delta", "default", 0, "action", "actions", 0, "field"), 1.5),
         (("queries", "fresh-client", "nw_dst"), False),
+        (("topology", "switches"), True),
+        (("topology", "ports", "p_lb"), True),
+        (("topology", "server_ports", "167772261"), 70_000),
+        (("flows", 0, "header", "nw_src"), True),
+        (("flows", 0, "assigned_dest"), -1),
+        (("apps", 0, "slot"), True),
+        (("apps", 1, "delta", "branches", 0, "guard", "server_a"), True),
+        (("apps", 5, "delta", "default", 0, "action", "actions", 0, "to", "server_b"), 1.0),
+        (("tables", 0, 0, "match", "nw_src"), None),
+        (("flows", 0, "header", "nw_src"), None),
     ])
     def test_numbers_are_checked_not_coerced(self, path, value):
         obj = scenario_to_obj(build_scenario())
+        obj["tables"][0] = [self.SEQ_ENTRY]
         obj = json.loads(json.dumps(obj))  # string keys, as in a file
         parent = obj
         for key in path[:-1]:
             parent = parent[key]
         parent[path[-1]] = value
-        with pytest.raises(ScenarioFormatError):
+        with pytest.raises(ScenarioFormatError) as exc:
             loads_scenario(json.dumps(obj))
+        # The path comes first, then "=" before a value out of range or a
+        # space before the reason.
+        assert re.match(re.escape(self.SPELLED[path]) + "[= ]", str(exc.value)), str(exc.value)
+
+    #: Each path above as errors spell it: map keys and seq steps in brackets.
+    SPELLED = {
+        ("version",): "version",
+        ("topology", "switches"): "topology.switches",
+        ("topology", "ports", "p_lb"): "topology.ports[p_lb]",
+        ("topology", "server_ports", "167772261"): "topology.server_ports[167772261]",
+        ("flows", 0, "header", "nw_src"): "flows[0].header.nw_src",
+        ("flows", 0, "assigned_dest"): "flows[0].assigned_dest",
+        ("apps", 0, "slot"): "apps[0].slot",
+        ("apps", 0, "delta", "branches", 0, "guard", "threshold"):
+            "apps[0].delta.branches[0].guard.threshold",
+        ("apps", 0, "delta", "default", 0, "ttl"): "apps[0].delta.default[0].ttl",
+        ("apps", 0, "delta", "default", 0, "counter"): "apps[0].delta.default[0].counter",
+        ("apps", 0, "delta", "default", 0, "out_port"): "apps[0].delta.default[0].out_port",
+        ("apps", 1, "delta", "default", 0, "action", "actions", 0, "to"):
+            "apps[1].delta.default[0].action[0].to",
+        ("apps", 1, "delta", "default", 0, "action", "actions", 0, "field"):
+            "apps[1].delta.default[0].action[0].field",
+        ("queries", "fresh-client", "nw_dst"): "queries[fresh-client].nw_dst",
+        ("apps", 1, "delta", "branches", 0, "guard", "server_a"):
+            "apps[1].delta.branches[0].guard.server_a",
+        ("apps", 5, "delta", "default", 0, "action", "actions", 0, "to", "server_b"):
+            "apps[5].delta.default[0].action[0].to.server_b",
+        ("tables", 0, 0, "match", "nw_src"): "tables[0][0].match.nw_src",
+    }
 
     @pytest.mark.parametrize("name", [5, {"a": 1}, None])
     def test_app_names_are_strings(self, name):
@@ -388,7 +430,7 @@ class TestScenarioDocument:
         assert dump_scenario(build_scenario()) == dump_scenario(build_scenario())
 
     def test_parsed_chains_rebuild_the_same_composites(self):
-        from flowspace.transforms import chain, congruent
+        from flowspace.transforms import chain
         scn = loads_scenario(dump_scenario(build_scenario()))
         original = build_scenario()
         for name in original.chains:

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from oracles import congruent, is_translation_only
 from flowspace import actions, sampling
 from flowspace.actions import drop, forward
 from flowspace.errors import (
@@ -18,9 +19,9 @@ from flowspace.errors import (
     WidthOverflowError,
 )
 from flowspace.headers import FIELD_INDEX, Header, MatchPattern
-from flowspace.nib import NIB, Flow, Topology
+from flowspace.nib import NIB, Flow, Topology, nib_from_vector
 from flowspace.tables import FlowEntry, FlowRule, FlowTable, add, empty, negate_rule, reduce
-from flowspace.analysis import behavioral_diff
+from flowspace.analysis import LoopFinding, behavioral_diff
 from flowspace.transforms import (
     AppTransform,
     DestPort,
@@ -43,13 +44,11 @@ from flowspace.transforms import (
     build_action,
     chain,
     compose_apps,
-    congruent,
     flow_mod_add,
     flow_mod_delete,
     flow_mod_modify,
     guarded,
     identity_transform,
-    is_translation_only,
     make_app,
     normalize,
     unconditional,
@@ -374,6 +373,61 @@ class TestTemplateConstructors:
         tpl = RuleTemplate(InputHeader(), PortName("p0"), 1, Drop())
         assert apply_transform(make_app("a", 0, unconditional([tpl]), 2), nib_of(),
                                Header.from_fields()).tables[0].entries[0].rule.ttl == 1
+
+
+class TestValueConstructors:
+    """Topologies, flows, headers, guards and applications take real ints
+    in range, as rules and templates do, and their errors name the field."""
+
+    H = Header.from_fields()
+    ENTRY = FlowEntry(FlowRule(MatchPattern.wildcard(), 1, 60, forward(3)), 0)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Topology(True), "switches must be an int, got bool"),
+        (lambda: Topology(1.0), "switches must be an int, got float"),
+        (lambda: Topology(0), "switches must be at least 1, got 0"),
+        (lambda: Topology(1, {"a": True}), "ports[a] must be an int, got bool"),
+        (lambda: Topology(1, {"a": -1}), "ports[a] -1 exceeds 16-bit range"),
+        (lambda: Topology(1, {"a": 70_000}), "ports[a] 70000 exceeds 16-bit range"),
+        (lambda: Topology(1, {}, {5: -1}), "server_ports[5] -1 exceeds 16-bit range"),
+        (lambda: Topology(1, {}, {5: 70_000}), "server_ports[5] 70000 exceeds 16-bit range"),
+        (lambda: Topology(1, {}, {2**32: 1}),
+         "server_ports[4294967296] 4294967296 exceeds 32-bit range"),
+        (lambda: Header.from_fields(nw_src=True), "nw_src must be an int, got bool"),
+        (lambda: Header.from_fields(nw_src=1.0), "nw_src must be an int, got float"),
+        (lambda: Header.from_fields(in_port=None), "in_port must be an int, got NoneType"),
+        (lambda: Flow(TestValueConstructors.H, -1), "assigned_dest -1 exceeds 32-bit range"),
+        (lambda: Flow(TestValueConstructors.H, 2**32),
+         "assigned_dest 4294967296 exceeds 32-bit range"),
+        (lambda: Flow(TestValueConstructors.H, True), "assigned_dest must be an int, got bool"),
+        (lambda: Flow({}, None), "header must be a Header, got dict"),
+        (lambda: LoadAtMost(True, "x"), "server_a must be an int, got bool"),
+        (lambda: LoadAtMost(1, "x"), "server_b must be an int, got str"),
+        (lambda: LoadAtMost(1, 2**32), "server_b 4294967296 exceeds 32-bit range"),
+        (lambda: SourceCountAtMost(-5), "threshold must be non-negative, got -5"),
+        (lambda: SourceCountAtMost(1.5), "threshold must be an int, got float"),
+        (lambda: AppTransform("a", ((True,),), ((),)), "linear[0][0] must be an int, got bool"),
+        (lambda: AppTransform("a", ((1, 0), (0, 2)), ((), ())),
+         "linear[1][1] 2 exceeds 1-bit range"),
+        (lambda: AppTransform(3, ((1,),), ((),)), "name must be a string, got int"),
+        (lambda: make_app("a", True, unconditional([]), 2), "slot must be an int, got bool"),
+        (lambda: make_app("a", 1.0, unconditional([]), 2), "slot must be an int, got float"),
+        (lambda: nib_from_vector(topo(), (FlowTable(), FlowTable(), 0)),
+         "homogeneous vector must end in 1"),
+        (lambda: LoopFinding(0, TestValueConstructors.ENTRY, TestValueConstructors.ENTRY,
+                             forward(1)),
+         "certificate must be the identity action"),
+    ])
+    def test_invalid_values_name_the_field(self, build, message):
+        with pytest.raises(InvalidRuleError) as info:
+            build()
+        assert str(info.value) == message
+
+    def test_valid_values(self):
+        topology = Topology(1, {"a": 0xFFFF}, {2**32 - 1: 0})
+        assert Flow(self.H, 2**32 - 1).assigned_dest == 2**32 - 1
+        assert LoadAtMost(0, 2**32 - 1) and SourceCountAtMost(0).threshold == 0
+        assert make_app("a", 0, unconditional([]), topology.switch_count).dimension == 1
 
 
 class CountingName(PortName):
