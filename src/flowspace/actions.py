@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from flowspace.errors import SingularActionError, WidthOverflowError
+from flowspace.errors import SingularActionError, WidthOverflowError, type_error
 from flowspace.headers import FIELD_COUNT, FIELD_MASKS, FIELDS, Header, field_index
 
 # State vector layout: the 12 header fields, then out_port, then ttl.
@@ -44,10 +44,18 @@ class RuleState:
     ttl: int
 
     def __post_init__(self):
-        if not 0 <= self.out_port <= PORT_MASK:
-            raise WidthOverflowError("out_port", self.out_port, 16)
-        if not 0 <= self.ttl <= TTL_MASK:
-            raise WidthOverflowError("ttl", self.ttl, 16)
+        # One test on the path every valid state takes, as in `FlowRule`.
+        port, ttl = self.out_port, self.ttl
+        if not (type(port) is int and 0 <= port <= PORT_MASK
+                and type(ttl) is int and 0 <= ttl <= TTL_MASK
+                and isinstance(self.header, Header)):
+            if not isinstance(self.header, Header):
+                raise type_error("header", self.header, "a Header")
+            for name, value, mask in (("out_port", port, PORT_MASK), ("ttl", ttl, TTL_MASK)):
+                if type(value) is not int:
+                    raise type_error(name, value)
+                if not 0 <= value <= mask:
+                    raise WidthOverflowError(name, value, mask.bit_length())
 
     def vector(self) -> tuple[int, ...]:
         return self.header.values + (self.out_port, self.ttl)

@@ -10,12 +10,11 @@ any loop the change would introduce.  Both find pairs through the
 inverse-key index of `flowspace.tables`, so a scan is linear in table
 entries and a preview looks up partners of the new entries only.
 
-`what_if` stores the index on the table a FLOW_MOD touches, so the
-previewed table and a later commit of any FLOW_MOD to that table both
-derive their index from it, and a chain of previews and commits never
-rebuilds one.  `detect_loops` reads an index a table carries and
-builds a throwaway one otherwise: a single scan gains nothing by
-storing it.
+`what_if` takes the new table and its diff from `tables.flow_mod`, and
+stores the index on the table a FLOW_MOD touches, so the previewed
+table and a later commit to that table both derive their index from
+it.  `detect_loops` reads an index a table carries and builds a
+throwaway one otherwise: a single scan gains nothing by storing it.
 """
 
 from __future__ import annotations
@@ -35,20 +34,17 @@ from flowspace.tables import (
     FlowTable,
     cache_inverse_index,
     entry_key,
+    flow_mod,
     inverse_index,
     inverse_key,
     partner_key,
     reduce,
-    rule_entries,
     table_equal,
 )
 from flowspace.transforms import (
     AppTransform,
     ServiceChain,
     chain,
-    flow_mod_add,
-    flow_mod_delete,
-    flow_mod_modify,
     is_identity_linear,
     normal_forms,
 )
@@ -238,15 +234,15 @@ class WhatIfReport:
 def what_if(nib: NIB, candidate: FlowModRequest) -> WhatIfReport:
     """Preview a FLOW_MOD: table diffs plus any loops it would introduce.
 
-    Only the touched switch changes, and a pair of its entries is a new
-    loop only if one of them is new, so partners are looked up for the
-    added entries alone; a delete introduces none.
+    Only the touched switch changes, by the entries `tables.flow_mod`
+    reports gained and lost, and a pair of its entries is a new loop
+    only if one of them is gained; a delete introduces none.
 
     The touched table's inverse index is built once and stored on it
     (see `tables.cache_inverse_index`).  The previewed table derives its
     index from that one, copying only the groups the FLOW_MOD touches,
-    and so does a table that `transforms.flow_mod_*` later commits from
-    the same parent; the partners are looked up in the derived index.
+    and so does a table that `flow_mod` later commits from the same
+    parent; the partners are looked up in the derived index.
     """
     n = nib.topology.switch_count
     s = candidate.switch
@@ -254,24 +250,12 @@ def what_if(nib: NIB, candidate: FlowModRequest) -> WhatIfReport:
         raise SlotOutOfRangeError(f"switch {s} out of range for {n} switches")
     table = nib.tables[s]
     cache_inverse_index(table)  # the preview and a later commit both derive from it
-    op, rule = candidate.op, candidate.rule
-    if op == "add":
-        updated = flow_mod_add(table, rule)
-    elif op == "delete":
-        updated = flow_mod_delete(table, rule)
-    else:
-        updated = flow_mod_modify(table, candidate.old_rule, rule)
+    old, new = {"add": (None, candidate.rule), "delete": (candidate.rule, None),
+                "modify": (candidate.old_rule, candidate.rule)}[candidate.op]
+    updated, gained, lost = flow_mod(table, old, new)
     tables = tuple(updated if i == s else t for i, t in enumerate(nib.tables))
     after = NIB(nib.topology, tables, nib.flows)
-    # The diff comes from the entries the FLOW_MOD touches: the new entry
-    # unless the table holds it, and the entries of the replaced rule.
-    new = FlowEntry(rule, 0)
-    added = () if op == "delete" or new in table else (new,)
-    removed = ()
-    if op != "add":
-        gone = rule_entries(table, candidate.old_rule if op == "modify" else rule)
-        removed = tuple(sorted((e for e in gone if e not in updated), key=entry_key))
-    touched = TableDiff(s, added, removed)
+    touched = TableDiff(s, tuple(gained), tuple(sorted(lost, key=entry_key)))
     pairs = set()
     index = inverse_index(updated)  # derived from the parent's, not rebuilt
     for e in touched.added:

@@ -269,19 +269,23 @@ def cmd_congruence(args) -> int:
     return 0 if report.congruent else 1
 
 
+def _json_literal(literal: str, name: str):
+    """A JSON value given on the command line, called `name` in errors."""
+    try:
+        return json.loads(literal)
+    except json.JSONDecodeError as exc:
+        raise FlowspaceError(f"{name} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise FlowspaceError(f"{name} is nested too deeply") from None
+
+
 def _parse_header(scn: scenario.Scenario, literal: str) -> Header:
     if literal.startswith("@"):
         name = literal[1:]
         if name not in scn.queries:
             raise FlowspaceError(f"no query named {name!r} in scenario")
         return scn.queries[name]
-    try:
-        obj = json.loads(literal)
-    except json.JSONDecodeError as exc:
-        raise FlowspaceError(f"--header is not valid JSON: {exc}") from None
-    except RecursionError:
-        raise FlowspaceError("--header is nested too deeply") from None
-    return scenario.header_from_obj(obj, "--header")
+    return scenario.header_from_obj(_json_literal(literal, "--header"), "--header")
 
 
 def cmd_apply(args) -> int:
@@ -315,13 +319,8 @@ def cmd_whatif(args) -> int:
     scn = scenario.load_scenario(args.scenario)
     if args.old_rule is not None and args.op != "modify":
         raise FlowspaceError(f"--old-rule applies to --op modify only, not --op {args.op}")
-    try:
-        rule_obj = json.loads(args.rule)
-        old_obj = json.loads(args.old_rule) if args.old_rule is not None else None
-    except json.JSONDecodeError as exc:
-        raise FlowspaceError(f"rule literal is not valid JSON: {exc}") from None
-    except RecursionError:
-        raise FlowspaceError("rule literal is nested too deeply") from None
+    rule_obj = _json_literal(args.rule, "rule literal")
+    old_obj = _json_literal(args.old_rule, "rule literal") if args.old_rule is not None else None
     try:
         request = FlowModRequest(
             op=args.op,

@@ -156,19 +156,9 @@ def field_delta(old: int, new: int, width: int) -> int:
     return (new - old) % bound
 
 
-def _translate(values: tuple[int, ...], deltas: tuple[int, ...]) -> tuple[int, ...]:
-    """Per-field modular addition: (v_i + d_i) mod 2**width_i."""
-    return tuple((v + d) & m for v, d, m in zip(values, deltas, FIELD_MASKS))
-
-
 def translate_header(h: Header, d: HeaderDelta) -> Header:
     """Translate every field of h by d, each modulo its own width."""
-    return Header(_translate(h.values, d.deltas))
-
-
-def combine_deltas(d1: HeaderDelta, d2: HeaderDelta) -> HeaderDelta:
-    """The single delta equivalent to translating by d1 and then d2."""
-    return HeaderDelta(_translate(d1.deltas, d2.deltas))
+    return Header(tuple((v + x) & m for v, x, m in zip(h.values, d.deltas, FIELD_MASKS)))
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from flowspace.errors import (
     SlotOutOfRangeError,
     WidthOverflowError,
 )
-from flowspace.headers import FIELD_COUNT, FIELD_INDEX, FIELDS, Header, MatchPattern, field_index
+from flowspace.headers import FIELD_COUNT, FIELD_INDEX, FIELDS, Header, MatchPattern
 from flowspace.nib import NIB, Flow, Topology
 from flowspace.tables import FlowEntry, FlowRule, FlowTable
 from flowspace.transforms import (
@@ -155,7 +155,8 @@ def _field(value, what: str) -> str:
     """A field name: the integer field indices of the library have no wire form."""
     if not isinstance(value, str):
         raise ScenarioFormatError(f"{what} must be a field name, got {type(value).__name__}")
-    field_index(value)  # raises UnknownFieldError
+    if value not in FIELD_INDEX:
+        raise ScenarioFormatError(f"{what} must be a header field name, got {value!r}")
     return value
 
 

@@ -16,10 +16,10 @@ by one lookup of its `partner_key` instead of a scan over the table.
 
 A table can carry its index.  `cache_inverse_index` builds it once and
 stores it on the table (`analysis.what_if` does so for the table a
-FLOW_MOD touches); the FLOW_MOD operations of `flowspace.transforms`
-then derive each new table's index from its parent's, copying the
-dict and rebuilding only the groups whose entries changed, so a chain
-of previews and commits costs the entries it touches, not the table.
+FLOW_MOD touches); `flow_mod`, the one FLOW_MOD edit, then derives
+each new table's index from its parent's, copying the dict and
+rebuilding only the groups whose entries changed, so a chain of
+previews and commits costs the entries it touches, not the table.
 `reduce` and `detect_loops` read a carried index but never store one.
 
 Entries are kept in a canonical total order so equality, serialization
@@ -34,7 +34,13 @@ from typing import Collection, Iterable, Iterator
 
 from flowspace import actions
 from flowspace.actions import PORT_MASK, TTL_MASK, AffineAction, action_key
-from flowspace.errors import SingularActionError, counter_error, int_error, type_error
+from flowspace.errors import (
+    RuleNotFoundError,
+    SingularActionError,
+    counter_error,
+    int_error,
+    type_error,
+)
 from flowspace.headers import MatchPattern, pattern_key
 
 
@@ -228,53 +234,55 @@ def cache_inverse_index(t: FlowTable) -> InverseIndex:
     return t._index
 
 
-def rule_entries(t: FlowTable, r: FlowRule) -> Collection[FlowEntry]:
-    """The entries of `t` whose rule equals `r`; they differ in counters.
+def flow_mod(t: FlowTable, old: FlowRule | None, new: FlowRule | None
+             ) -> tuple[FlowTable, Collection[FlowEntry], Collection[FlowEntry]]:
+    """One FLOW_MOD: `t` without every entry of rule `old` (there must be
+    one, else `RuleNotFoundError`) plus rule `new` with a zero counter,
+    and the entries that table gained and lost, unsorted.  An add has no
+    `old`, a delete no `new`.
 
     On a table that carries its index an invertible rule's entries are
     one lookup away, since equal inverse keys mean equal rules; a
     singular (drop) rule, or a table with no index, takes a scan.
-    """
-    key = inverse_key(r) if t._index is not None else None
-    if key is not None:
-        return t._index.get(key, ())
-    port = r.out_port  # comparing the port first spares most entries a dataclass __eq__
-    return [e for e in t._entries if e.rule.out_port == port and e.rule == r]
-
-
-def _edit(t: FlowTable, removed: Collection[FlowEntry],
-          added: Collection[FlowEntry]) -> FlowTable:
-    """t minus `removed` plus `added`, which the FLOW_MOD operations build on.
-
     frozenset difference and union reuse the stored entry hashes, so the
     table is not rehashed.  When `t` carries an index, the new table gets
     a copy of it in which only the groups of touched entries are rebuilt.
     """
-    entries = t._entries
-    if removed:
-        entries = entries.difference(removed)
-    if added:
-        entries = entries.union(added)
-    out = FlowTable(entries)
-    if t._index is not None:
-        index = dict(t._index)
-        edits: dict[tuple, tuple[list, list]] = {}
-        for e in removed:
-            key = inverse_key(e.rule)
-            if key is not None:
-                edits.setdefault(key, ([], []))[0].append(e)
-        for e in added:
-            key = inverse_key(e.rule)
-            if key is not None:
-                edits.setdefault(key, ([], []))[1].append(e)
-        for key, (gone, new) in edits.items():
-            group = set(index.get(key, ())).difference(gone).union(new)
-            if group:
-                index[key] = _group(group)
+    entries, index = t._entries, t._index
+    lost: Collection[FlowEntry] = ()
+    gained: Collection[FlowEntry] = ()
+    if old is not None:
+        key = inverse_key(old) if index is not None else None
+        if key is not None:
+            lost = index.get(key, ())
+        else:
+            port = old.out_port  # comparing the port first spares most entries a dataclass __eq__
+            lost = [e for e in entries if e.rule.out_port == port and e.rule == old]
+        if not lost:
+            raise RuleNotFoundError(f"no entry with rule {old!r}")
+        entries = entries.difference(lost)
+    if new is not None:
+        e = FlowEntry(new, 0)
+        size = len(entries)
+        entries = entries.union((e,))
+        if len(entries) > size:  # not held after the removal
+            if e in lost:  # a rule modified into itself keeps its zero-counter entry
+                lost = [x for x in lost if x != e]
             else:
-                index.pop(key, None)
+                gained = (e,)
+    out = FlowTable(entries)
+    if index is not None:
+        index = dict(index)
+        for r, gone, added in ((old, lost, ()), (new, (), gained)):
+            key = inverse_key(r) if gone or added else None
+            if key is not None:
+                group = set(index.get(key, ())).difference(gone).union(added)
+                if group:
+                    index[key] = _group(group)
+                else:
+                    del index[key]
         object.__setattr__(out, "_index", index)
-    return out
+    return out, gained, lost
 
 
 def reduce(t: FlowTable) -> FlowTable:

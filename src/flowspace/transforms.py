@@ -27,21 +27,21 @@ instantiated once, and the exact pattern of the header is built once.
 targets) must be real ints in range, so equal templates instantiate
 alike.
 
-The FLOW_MOD table operations (add / delete / modify a rule) live here
-as well, since an application's deltas are built from them.
+`flow_mod_add`, `flow_mod_delete` and `flow_mod_modify` are the three
+shapes of the FLOW_MOD edit `tables.flow_mod`, which owns the edit and
+the inverse index the new table carries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Collection, Sequence, Union
+from typing import Callable, Sequence, Union
 
 from flowspace.actions import PORT_MASK, PORT_SLOT, TTL_MASK, ActionFold, AffineAction
 from flowspace.errors import (
     DimensionMismatchError,
     EmptyChainError,
     InvalidRuleError,
-    RuleNotFoundError,
     SlotOutOfRangeError,
     UnresolvedPortError,
     counter_error,
@@ -64,9 +64,8 @@ from flowspace.tables import (
     FlowEntry,
     FlowRule,
     FlowTable,
-    _edit,
     add,
-    rule_entries,
+    flow_mod,
 )
 
 # ---------------------------------------------------------------------------
@@ -411,24 +410,17 @@ def is_identity_linear(a: AppTransform) -> bool:
 
 def flow_mod_add(t: FlowTable, r: FlowRule) -> FlowTable:
     """Install a rule; new entries start with a zero counter."""
-    return _edit(t, (), (FlowEntry(r, 0),))
-
-
-def _entries_of(t: FlowTable, r: FlowRule) -> Collection[FlowEntry]:
-    found = rule_entries(t, r)
-    if not found:
-        raise RuleNotFoundError(f"no entry with rule {r!r}")
-    return found
+    return flow_mod(t, None, r)[0]
 
 
 def flow_mod_delete(t: FlowTable, r: FlowRule) -> FlowTable:
     """Remove every entry whose rule equals r (counters included)."""
-    return _edit(t, _entries_of(t, r), ())
+    return flow_mod(t, r, None)[0]
 
 
 def flow_mod_modify(t: FlowTable, old: FlowRule, new: FlowRule) -> FlowTable:
     """Replace old with new; the new entry's counter restarts at zero."""
-    return _edit(t, _entries_of(t, old), (FlowEntry(new, 0),))
+    return flow_mod(t, old, new)[0]
 
 
 # ---------------------------------------------------------------------------

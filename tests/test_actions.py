@@ -23,7 +23,12 @@ from flowspace.actions import (
     label,
     modify_field,
 )
-from flowspace.errors import SingularActionError, UnknownFieldError, WidthOverflowError
+from flowspace.errors import (
+    InvalidRuleError,
+    SingularActionError,
+    UnknownFieldError,
+    WidthOverflowError,
+)
 from flowspace.headers import Header, field_delta
 
 translations = st.tuples(*[st.integers(0, m) for m in STATE_MASKS])
@@ -177,6 +182,17 @@ class TestValidation:
             RuleState(Header.from_fields(), out_port=2**16, ttl=0)
         with pytest.raises(WidthOverflowError):
             RuleState(Header.from_fields(), out_port=0, ttl=2**16)
+
+    @pytest.mark.parametrize("args, message", [
+        ((Header.from_fields(), True, 1), "out_port must be an int, got bool"),
+        ((Header.from_fields(), 1, 1.0), "ttl must be an int, got float"),
+        ((Header.from_fields(), "1", 1), "out_port must be an int, got str"),
+        (((0,) * 12, 1, 1), "header must be a Header, got tuple"),
+    ])
+    def test_rule_state_types(self, args, message):
+        with pytest.raises(InvalidRuleError) as info:
+            RuleState(*args)
+        assert str(info.value) == message
 
     def test_action_vector_bounds(self):
         with pytest.raises(ValueError):

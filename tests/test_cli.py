@@ -214,6 +214,16 @@ class TestLoops:
         assert re.match(f"error: {re.escape(where)}[= ]", err), err
         assert err.count("\n") == 1, err
 
+    def test_unknown_modify_field_names_the_json_path(self, loop_scenario_path, tmp_path):
+        with open(loop_scenario_path) as fh:
+            obj = json.load(fh)
+        obj["tables"][0][0]["action"] = {"kind": "modify", "field": "vlan", "delta": 1}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        code, out, err = run_main("loops", str(bad))
+        assert (code, out) == (2, "")
+        assert err == "error: tables[0][0].action.field must be a header field name, got 'vlan'\n"
+
     def test_json_findings(self, loop_scenario_path):
         out = run_cli("--format", "json", "loops", loop_scenario_path)
         obj = json.loads(out.stdout)
@@ -299,6 +309,8 @@ class TestWhatIf:
          "--rule.action.actions must be an array, got dict"),
         (("action",), {"kind": "seq", "actions": "ab"},
          "--rule.action.actions must be an array, got str"),
+        (("action",), {"kind": "modify", "field": "vlan", "delta": 1},
+         "--rule.action.field must be a header field name, got 'vlan'"),
     ])
     def test_rule_values_name_their_path(self, casestudy_path, path, value, message):
         rule = json.loads(self.RULE)

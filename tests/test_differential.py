@@ -350,6 +350,38 @@ class TestCarriedIndex:
             seen["drop rule out"] += committed.op != "add" and not all(old.action.linear)
         assert min(seen.values()) >= 50, seen
 
+    def test_flow_mod_returns_the_set_differences(self):
+        """On the chain above, `flow_mod` gains and loses exactly the set
+        differences of the two tables, from the carried index or a scan."""
+        rng = random.Random(9101)
+        seen = Counter()
+        nib = None
+        for step in range(2400):
+            if step % 300 == 0:
+                nib = NIB(Topology(2), (collision_table(rng, 24), planted_table(rng, 6)))
+            cands = chain_candidates(rng, nib)
+            preview = rng.choice(cands)
+            s = preview.switch
+            parent = nib.tables[s]
+            cache_inverse_index(parent)  # as `what_if` does
+            committed = preview if rng.random() < 0.5 else rng.choice(cands)
+            for c in (committed,) if committed is preview else (committed, preview):
+                old, new = {"add": (None, c.rule), "delete": (c.rule, None),
+                            "modify": (c.old_rule, c.rule)}[c.op]
+                for t in (FlowTable(parent), parent):  # a scan, then the carried index
+                    table, gained, lost = tables.flow_mod(t, old, new)
+                    assert table == commit_oracle(parent, c)
+                    assert Counter(gained) == Counter(table.entries) - Counter(parent.entries)
+                    assert Counter(lost) == Counter(parent.entries) - Counter(table.entries)
+                if c is committed:
+                    nib = NIB(nib.topology, tuple(table if i == s else t
+                                                  for i, t in enumerate(nib.tables)), nib.flows)
+                seen[c.op] += 1
+                seen["re-add"] += c.op == "add" and FlowEntry(new, 0) in parent
+                seen["into itself"] += old == new
+                seen["into its zero-counter entry"] += old == new and FlowEntry(new, 0) in parent
+        assert min(seen.values()) >= 50, seen
+
     def test_reduce_and_detect_loops_store_no_index(self):
         rng = random.Random(9102)
         for _ in range(50):

@@ -15,7 +15,6 @@ from flowspace.headers import (
     Header,
     HeaderDelta,
     MatchPattern,
-    combine_deltas,
     dest_of,
     field_delta,
     field_index,
@@ -117,11 +116,6 @@ class TestTranslate:
             assert HeaderDelta.single(name, delta).negated() == HeaderDelta.single(name, negated)
         back = translate_header(Header.from_fields(), HeaderDelta.single("dl_src", 1).negated())
         assert back.field("dl_src") == 2**48 - 1
-
-    @given(headers, deltas, deltas)
-    def test_translation_composes(self, h, d1, d2):
-        left = translate_header(translate_header(h, d1), d2)
-        assert left == translate_header(h, combine_deltas(d1, d2))
 
     @given(st.integers(0, 255), st.integers(0, 255))
     def test_delta_then_translate_reaches_target(self, old, new):

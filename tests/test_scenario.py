@@ -379,6 +379,8 @@ class TestScenarioDocument:
         (("apps", 0, "slot"), -1, "apps[0].slot=-1 out of range for 2 switches"),
         (("apps", 0, "delta", "branches", 0, "guard", "threshold"), -5,
          "apps[0].delta.branches[0].guard.threshold must be non-negative, got -5"),
+        (("tables", 0, 0, "action"), {"kind": "modify", "field": "vlan", "delta": 1},
+         "tables[0][0].action.field must be a header field name, got 'vlan'"),
     ])
     def test_values_are_checked_where_read(self, path, value, message):
         with pytest.raises(ScenarioFormatError) as exc:

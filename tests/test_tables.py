@@ -1,8 +1,11 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
 from oracles import mutually_inverse
+import flowspace
 from flowspace import sampling
 from flowspace.actions import drop, forward, identity, invert, modify_field
 from flowspace.errors import FlowspaceError, InvalidRuleError, SingularActionError
@@ -239,3 +242,46 @@ class TestTableEqualAndOrder:
             t = sampling.random_table(rng)
             keys = [entry_key(e) for e in t.entries]
             assert keys == sorted(keys)
+
+
+#: The package's modules, and the slots only `tables.py` may read.
+MODULES = sorted(Path(flowspace.__file__).parent.glob("*.py"))
+TABLE_SLOTS = {"_entries", "_order", "_index"}
+
+
+def private_uses(path: Path) -> list[str]:
+    """Underscore names `path` takes from another flowspace module, and
+    its reads of a table's slots unless it is `tables.py`."""
+    tree = ast.parse(path.read_text())
+    modules = set()  # names bound to flowspace modules
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "flowspace"):
+            modules.update(a.asname or a.name for a in node.names)
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "flowspace"):
+            out += [f"imports {node.module}.{a.name}" for a in node.names
+                    if a.name.startswith("_") and not a.name.startswith("__")]
+        elif isinstance(node, ast.Attribute):
+            if node.attr in TABLE_SLOTS and path.name != "tables.py":
+                out.append(f"reads .{node.attr} (line {node.lineno})")
+            elif (isinstance(node.value, ast.Name) and node.value.id in modules
+                    and node.attr.startswith("_") and not node.attr.startswith("__")):
+                out.append(f"reads {node.value.id}.{node.attr} (line {node.lineno})")
+    return out
+
+
+class TestModuleBoundary:
+    @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+    def test_no_module_reaches_into_another(self, path):
+        assert private_uses(path) == []
+
+    def test_the_check_sees_a_private_import_and_a_slot_read(self, tmp_path):
+        probe = tmp_path / "probe.py"
+        probe.write_text("from flowspace import tables\n"
+                         "from flowspace.tables import _group\n"
+                         "tables._counter(t._index)\n")
+        assert private_uses(probe) == ["imports flowspace.tables._group",
+                                       "reads tables._counter (line 3)",
+                                       "reads ._index (line 3)"]
