@@ -17,8 +17,15 @@ invertible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import and_, neg
 
-from flowspace.errors import SingularActionError, WidthOverflowError, type_error
+from flowspace.errors import (
+    InvalidRuleError,
+    SingularActionError,
+    WidthOverflowError,
+    int_error,
+    type_error,
+)
 from flowspace.headers import FIELD_COUNT, FIELD_MASKS, FIELDS, Header, field_index
 
 # State vector layout: the 12 header fields, then out_port, then ttl.
@@ -73,14 +80,35 @@ class AffineAction:
     translation: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.linear) != STATE_SIZE or len(self.translation) != STATE_SIZE:
-            raise ValueError(f"action vectors must have {STATE_SIZE} slots")
-        for l in self.linear:
-            if l not in (0, 1):
-                raise ValueError("diagonal entries must be 0 or 1")
-        for t, m in zip(self.translation, STATE_MASKS):
-            if not 0 <= t <= m:
-                raise ValueError(f"translation entry {t} exceeds mask {m:#x}")
+        # `_ONES` and `_ZEROS` are valid, and `identity`, `drop` and the
+        # single-step constructors pass them, so they skip the
+        # entry-by-entry check.  A diagonal entry's mask is 1.
+        linear, translation = self.linear, self.translation
+        if not ((linear is _ONES or linear is _ZEROS or _fits(linear, _ONES))
+                and (translation is _ZEROS or _fits(translation, STATE_MASKS))):
+            raise (_vector_error("linear", linear, _ONES)
+                   or _vector_error("translation", translation, STATE_MASKS))
+
+
+def _fits(vec, masks: tuple[int, ...]) -> bool:
+    """Whether vec is a tuple of STATE_SIZE real ints (a bool or float is
+    not), each in 0..its mask."""
+    if type(vec) is not tuple or len(vec) != STATE_SIZE:
+        return False
+    for v, m in zip(vec, masks):
+        if type(v) is not int or not 0 <= v <= m:
+            return False
+    return True
+
+
+def _vector_error(name: str, vec, masks: tuple[int, ...]) -> InvalidRuleError | None:
+    """Why vec is not an action vector, naming its first bad entry, or None."""
+    if type(vec) is not tuple:
+        return type_error(name, vec, "a tuple")
+    if len(vec) != STATE_SIZE:
+        return InvalidRuleError(f"must have {STATE_SIZE} slots, got {len(vec)}", name, vec)
+    return next(filter(None, (int_error(f"{name}[{i}]", v, m)
+                              for i, (v, m) in enumerate(zip(vec, masks)))), None)
 
 
 def identity() -> AffineAction:
@@ -123,13 +151,16 @@ def compose(second: AffineAction, first: AffineAction) -> AffineAction:
 
 class ActionFold:
     """A left-to-right product of forward, modify and drop steps, built in
-    place so that only the result is validated.
+    place.
 
     After steps s1, ..., sk, `action()` equals folding `compose` over them,
     compose(sk, ... compose(s1, identity())).  Diagonals stay exact: a
     translation step has an all-ones diagonal, so it keeps the diagonal
     and adds its delta to one slot under the slot's mask; a drop has an
-    all-zero diagonal and translation, so it zeroes both vectors.
+    all-zero diagonal and translation, so it zeroes both vectors.  The
+    diagonal is `_ONES` or `_ZEROS` and every translation entry is an int
+    under its slot's mask, so the result is valid by construction and
+    `action()` builds it without the constructor's entry-by-entry check.
     """
 
     __slots__ = ("linear", "translation")
@@ -152,7 +183,10 @@ class ActionFold:
         return (self.linear[slot] * start + self.translation[slot]) & STATE_MASKS[slot]
 
     def action(self) -> AffineAction:
-        return AffineAction(self.linear, tuple(self.translation))
+        a = object.__new__(AffineAction)
+        object.__setattr__(a, "linear", self.linear)
+        object.__setattr__(a, "translation", tuple(self.translation))
+        return a
 
 
 def apply_action(a: AffineAction, s: RuleState) -> RuleState:
@@ -164,7 +198,7 @@ def apply_action(a: AffineAction, s: RuleState) -> RuleState:
 
 def negate_translation(translation: tuple[int, ...]) -> tuple[int, ...]:
     """Slotwise additive inverse of a state translation: (-t_i) mod 2**width_i."""
-    return tuple(-t & m for t, m in zip(translation, STATE_MASKS))
+    return tuple(map(and_, map(neg, translation), STATE_MASKS))
 
 
 def invert(a: AffineAction) -> AffineAction:

@@ -128,19 +128,50 @@ def behavioral_diff(a: ServiceChain | AppTransform,
     Tables are compared slotwise after cancellation normal form, so
     differences that a reduction would erase do not count.
 
-    Both composites are applied in one `transforms.apply_transforms`
-    call, so a scenario costs one instantiation per distinct template
-    the two select, not one per selection.  `reduce` is a function of
-    the table, so a slot whose two tables are equal is not reduced: a
-    scenario costs two reductions per slot whose tables differ.
+    A scenario on which the linear parts are equal and each slot's two
+    selected template sets (`transforms.selections`) are equal gives
+    equal tables, so it is skipped: no template is instantiated and no
+    table reduced.  Before the skip, the distinct selected templates are
+    resolved in `a`'s apply order (`transforms.check_instantiable`), so
+    a template that cannot be instantiated raises as applying `a` would.
+
+    Other scenarios instantiate each distinct template the two select
+    once (`transforms.Instances`).  With equal linear parts, `b`'s
+    result reuses `a`'s table in every slot whose two template sets are
+    equal, and only the other slots are built for `b` and compared.
+    With different linear parts every slot is built for both and
+    compared.  `reduce` is a function of the table, so a compared slot
+    whose two tables are equal is not reduced: a scenario costs two
+    reductions per slot whose tables differ.
     """
     ta, tb = _as_transform(a), _as_transform(b)
+    same_linear = ta.linear == tb.linear
     out = []
     for index, (nib, h) in enumerate(scenarios):
-        ra, rb = transforms.apply_transforms((ta, tb), nib, h)
+        if same_linear:
+            sa = transforms.selections(ta, nib, h)
+            sb = transforms.selections(tb, nib, h)
+            slots = [i for i, (x, y) in enumerate(zip(sa, sb)) if set(x) != set(y)]
+            if not slots:
+                transforms.check_instantiable(
+                    dict.fromkeys(tpl for slot in sa for tpl in slot), nib, h)
+                continue
+            # b's templates in the shared slots are a's, so building b's
+            # other slots in order instantiates b's new templates in its
+            # apply order, and raises as applying b after a would.
+            inst = transforms.Instances(nib, h)
+            ra = inst.apply(ta, sa)
+            tables_b = list(ra.tables)
+            for i in slots:
+                tables_b[i] = inst.table(tb.linear[i], sb[i])
+            rb = NIB(nib.topology, tuple(tables_b), nib.flows)
+        else:
+            ra, rb = transforms.apply_transforms((ta, tb), nib, h)
+            slots = range(len(ra.tables))
         differing = tuple(
-            i for i, (x, y) in enumerate(zip(ra.tables, rb.tables))
-            if not table_equal(x, y) and not table_equal(reduce(x), reduce(y))
+            i for i in slots
+            if not table_equal(x := ra.tables[i], y := rb.tables[i])
+            and not table_equal(reduce(x), reduce(y))
         )
         if differing:
             out.append(Counterexample(index, h, ra, rb, differing))

@@ -19,13 +19,20 @@ pieces whose arms all agree, sorting each template set once - so that
 structural equality of normal forms (congruence) implies behavioral
 equality on every NIB, while the converse is not claimed.
 
-`apply_transforms` applies several transforms to one (NIB, header) in
-order, in one pass: each distinct template that any of them selects is
-instantiated once, and the exact pattern of the header is built once.
-`apply_transform` is that pass over one transform.  Template values
-(ttls, counters, literal ports, server addresses, integer `set_field`
-targets) must be real ints in range, so equal templates instantiate
-alike.
+`selections` evaluates a transform's guards for one (NIB, header) and
+gives each slot's selected templates in apply order; it is the only
+selection loop.  `Instances` builds slot tables and NIBs from
+selections, instantiating each distinct template once per (NIB,
+header).  `apply_transforms` applies several transforms to one (NIB,
+header) in order through one `Instances`, so a template that several
+of them select is instantiated once.  `apply_transform` is that pass
+over one transform.  Template values (ttls, counters, literal
+ports, server addresses, integer `set_field` targets) must be real ints
+in range, so equal templates instantiate alike: two transforms with
+equal linear parts whose slots select equal template sets give equal
+tables.  `check_instantiable` raises what instantiating templates would
+raise (an unresolvable port, or a picked server too wide for its field)
+without building anything, for a caller that skips the instantiation.
 
 `flow_mod_add`, `flow_mod_delete` and `flow_mod_modify` are the three
 shapes of the FLOW_MOD edit `tables.flow_mod`, which owns the edit and
@@ -35,7 +42,7 @@ the inverse index the new table carries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from flowspace.actions import PORT_MASK, PORT_SLOT, TTL_MASK, ActionFold, AffineAction
 from flowspace.errors import (
@@ -454,7 +461,7 @@ def build_action(spec: ActionSpec, nib: NIB, h: Header) -> AffineAction:
     """The concrete action of a template action for header h.
 
     The steps, nested `seq`s included, fold left to right into one
-    `ActionFold`, which validates only the result.  A `set_field`
+    `ActionFold`, whose result is valid by construction.  A `set_field`
     translates its field by the distance from the value the earlier
     steps leave there to the target, so applying the action to h's
     rule state sets the field to the target.
@@ -496,6 +503,61 @@ def select_templates(piece: GuardedDelta, nib: NIB, h: Header) -> Templates:
     return piece.default
 
 
+def selections(a: AppTransform, nib: NIB, h: Header) -> tuple[Templates, ...]:
+    """Each slot's selected templates for (NIB, header), in apply order.
+
+    A slot's entries are the instantiations of exactly these templates,
+    so two transforms with equal linear parts whose slots select equal
+    template sets give equal tables on this NIB and header.
+    """
+    n = nib.topology.switch_count
+    if a.dimension != n:
+        raise DimensionMismatchError(
+            f"transform has {a.dimension} slots, topology has {n} switches"
+        )
+    out = []
+    for slot in a.translation:
+        selected = []
+        for piece in slot:
+            selected.extend(select_templates(piece, nib, h))
+        out.append(tuple(selected))
+    return tuple(out)
+
+
+class _ResolveOnly:
+    """A stand-in for `ActionFold` that keeps nothing.
+
+    Folding a spec into it resolves the spec's ports and values and
+    checks them as building its action would, so it raises exactly what
+    `build_action` raises: every `value` it hands out is the start value,
+    which is in range, so `field_delta` fails only on the target.
+    """
+
+    __slots__ = ()
+
+    def translate(self, slot: int, delta: int) -> None:
+        pass
+
+    def drop(self) -> None:
+        pass
+
+    def value(self, slot: int, start: int) -> int:
+        return start
+
+
+_RESOLVE_ONLY = _ResolveOnly()
+
+
+def check_instantiable(templates: Iterable[RuleTemplate], nib: NIB, h: Header) -> None:
+    """Raise what instantiating the templates in order would raise.
+
+    Only ports and values are resolved; no action or entry is built.
+    """
+    for tpl in templates:
+        resolve_port(tpl.out_port, nib, h)
+        _fold_spec(tpl.action, nib, h, _RESOLVE_ONLY)
+
+
 def apply_transform(a: AppTransform, nib: NIB, h: Header) -> NIB:
     """Apply the application matrix to the NIB's table vector for header h.
 
@@ -510,43 +572,60 @@ def apply_transform(a: AppTransform, nib: NIB, h: Header) -> NIB:
 def apply_transforms(ts: Sequence[AppTransform], nib: NIB, h: Header) -> tuple[NIB, ...]:
     """`apply_transform` of each transform to one (NIB, header), in order.
 
-    A template's entry is a function of the template, the NIB and the
-    header, so each distinct selected template is instantiated once per
-    call and its entry is shared by every slot and transform that
-    selects it; the exact pattern of h is built once too.  Transforms
+    One `Instances` serves every transform, so each distinct template
+    that `selections` gives is instantiated once per call and its entry
+    is shared by every slot and transform that selects it.  Transforms
     are processed in order, so the first one that fails raises as
     `apply_transform` of it alone would.
     """
-    n = nib.topology.switch_count
-    entries: dict[RuleTemplate, FlowEntry] = {}
-    exact = None
-    out = []
-    for a in ts:
-        if a.dimension != n:
-            raise DimensionMismatchError(
-                f"transform has {a.dimension} slots, topology has {n} switches"
-            )
-        new_tables = []
-        for i in range(n):
-            acc = FlowTable()
-            for j, coeff in enumerate(a.linear[i]):
-                if coeff:
-                    acc = add(acc, nib.tables[j])
-            added = []
-            for piece in a.translation[i]:
-                for tpl in select_templates(piece, nib, h):
-                    e = entries.get(tpl)
-                    if e is None:
-                        match = tpl.match
-                        if isinstance(match, InputHeader):
-                            if exact is None:
-                                exact = MatchPattern.exact_for(h)
-                            match = exact
-                        e = entries[tpl] = _instantiate(tpl, nib, h, match)
-                    added.append(e)
-            new_tables.append(add(acc, FlowTable(added)))
-        out.append(NIB(nib.topology, tuple(new_tables), nib.flows))
-    return tuple(out)
+    inst = Instances(nib, h)
+    return tuple(inst.apply(a, selections(a, nib, h)) for a in ts)
+
+
+class Instances:
+    """The entries of templates instantiated for one (NIB, header).
+
+    A template's entry is a function of the template, the NIB and the
+    header, so each template is instantiated the first time it is asked
+    for and its entry is reused after that; the exact pattern of the
+    header is built once too.
+    """
+
+    __slots__ = ("nib", "h", "_built", "_exact")
+
+    def __init__(self, nib: NIB, h: Header):
+        self.nib, self.h = nib, h
+        self._built: dict[RuleTemplate, FlowEntry] = {}
+        self._exact: MatchPattern | None = None
+
+    def entry(self, tpl: RuleTemplate) -> FlowEntry:
+        e = self._built.get(tpl)
+        if e is None:
+            match = tpl.match
+            if isinstance(match, InputHeader):
+                if self._exact is None:
+                    self._exact = MatchPattern.exact_for(self.h)
+                match = self._exact
+            e = self._built[tpl] = _instantiate(tpl, self.nib, self.h, match)
+        return e
+
+    def table(self, row: tuple[int, ...], selected: Templates) -> FlowTable:
+        """One slot's table: the union of the NIB's tables that the
+        linear row selects, plus the entries of the selected templates."""
+        base = None
+        for j, coeff in enumerate(row):
+            if coeff:
+                t = self.nib.tables[j]
+                base = t if base is None else add(base, t)
+        added = FlowTable([self.entry(tpl) for tpl in selected])
+        return added if base is None else add(base, added)
+
+    def apply(self, a: AppTransform, selected: Sequence[Templates]) -> NIB:
+        """The NIB that `a` gives, from its `selections` for this NIB and header."""
+        nib = self.nib
+        return NIB(nib.topology,
+                   tuple(self.table(row, s) for row, s in zip(a.linear, selected)),
+                   nib.flows)
 
 
 # ---------------------------------------------------------------------------

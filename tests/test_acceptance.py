@@ -5,6 +5,7 @@ seeded, so the suite is deterministic.
 """
 
 import json
+import os
 import random
 import subprocess
 import sys
@@ -235,7 +236,9 @@ def test_criterion_8_cli_contract(tmp_path):
     """Exit codes and byte-determinism of the congruence command."""
     def run(*args):
         return subprocess.run([sys.executable, "-m", "flowspace", *args],
-                              capture_output=True, text=True, timeout=120)
+                              capture_output=True, text=True, timeout=120,
+                              env=dict(os.environ,
+                                       PYTHONPATH=os.pathsep.join(p for p in sys.path if p)))
 
     emitted = run("casestudy", "--emit-scenario")
     ok = emitted.returncode == 0

@@ -200,6 +200,21 @@ class TestValidation:
         with pytest.raises(ValueError):
             AffineAction((1,) * STATE_SIZE, (2**16,) + (0,) * (STATE_SIZE - 1))
 
+    @pytest.mark.parametrize("linear, translation, message", [
+        ((1.0,) * STATE_SIZE, (0,) * STATE_SIZE, "linear[0] must be an int, got float"),
+        ((1,) * 5 + (True,) + (1,) * 8, (0,) * STATE_SIZE, "linear[5] must be an int, got bool"),
+        ((1,) * STATE_SIZE, (0,) * 3 + (0.5,) + (0,) * 10,
+         "translation[3] must be an int, got float"),
+        ((1,) * STATE_SIZE, (0,) * 12 + (2**16, 0), "translation[12] 65536 exceeds 16-bit range"),
+        ((0,) * 13 + (2,), (0,) * STATE_SIZE, "linear[13] 2 exceeds 1-bit range"),
+        ((1,) * STATE_SIZE, (0,) * 3, f"translation must have {STATE_SIZE} slots, got 3"),
+        ([1] * STATE_SIZE, (0,) * STATE_SIZE, "linear must be a tuple, got list"),
+    ])
+    def test_action_vector_types(self, linear, translation, message):
+        with pytest.raises(InvalidRuleError) as info:
+            AffineAction(linear, translation)
+        assert str(info.value) == message
+
 
 class TestLabel:
     def test_kinds(self):

@@ -4,6 +4,7 @@ the exit-code contract."""
 import copy
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -22,9 +23,12 @@ from flowspace.tables import FlowEntry, FlowRule, FlowTable, negate_rule
 
 
 def run_cli(*args: str):
+    # The child gets this process's import path, so it runs the flowspace
+    # these tests import, also when only pytest's `pythonpath` finds it.
     return subprocess.run(
         [sys.executable, "-m", "flowspace", *args],
         capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p)),
     )
 
 

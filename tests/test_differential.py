@@ -28,8 +28,11 @@ running the steps one by one gives.
 exactly the separate applies' counterexamples, or the same error, on
 seeded chain pairs: shuffled partners, partners with one template
 changed and partners with an added inverse template pair.  It must
-instantiate each distinct selected template once per scenario and
-reduce no slot whose two tables are equal.  `compose_apps` must give
+instantiate nothing on a scenario whose two composites have equal linear
+parts and select equal template sets in every slot, yet raise there what
+an apply raises; on any other scenario it must instantiate each distinct
+selected template once.  It must reduce no slot whose two tables are
+equal.  `compose_apps` must give
 exactly the entrywise matrix product on seeded apps with random 0/1
 linear parts.
 """
@@ -70,7 +73,12 @@ from flowspace.actions import (
     modify_field,
 )
 from flowspace.analysis import FlowModRequest, detect_loops, what_if
-from flowspace.errors import DimensionMismatchError, FlowspaceError, UnresolvedPortError
+from flowspace.errors import (
+    DimensionMismatchError,
+    FlowspaceError,
+    UnresolvedPortError,
+    WidthOverflowError,
+)
 from flowspace.headers import FIELD_INDEX, FIELDS, Header, MatchPattern
 from flowspace.nib import (
     NIB,
@@ -107,6 +115,7 @@ from flowspace.transforms import (
     SetField,
     SourceCountAtMost,
     build_action,
+    guarded,
     make_app,
     normalize,
     resolve_port,
@@ -906,9 +915,10 @@ def diff_outcome(diff, a, b, scenarios):
         return type(exc), str(exc)
 
 
-def selected(t: AppTransform, nib: NIB, h: Header) -> set:
-    return {tpl for slot in t.translation for piece in slot
-            for tpl in transforms.select_templates(piece, nib, h)}
+def slot_selections(t: AppTransform, nib: NIB, h: Header) -> list[set]:
+    """Each slot's set of selected templates."""
+    return [{tpl for piece in slot for tpl in transforms.select_templates(piece, nib, h)}
+            for slot in t.translation]
 
 
 def diff_case(rng: random.Random, topology: Topology):
@@ -980,7 +990,52 @@ class TestBehavioralDiff:
                 # the failing transform first: the same error
                 assert diff_outcome(diff, tb, ta, [(nib, h)]) == (UnresolvedPortError, message)
 
+    def test_skip_raises_as_apply(self, monkeypatch):
+        # Both composites select the same failing templates, in another
+        # order, so the scenario takes the skip path; it must still raise
+        # what an apply of the first composite raises.
+        topology = Topology(1, {"p0": 1}, {sampling.ADDRESS_POOL[0]: 1})
+        nib = NIB(topology, (FlowTable(),))
+        h = Header.from_fields(nw_dst=sampling.ADDRESS_POOL[1])
+        good = RuleTemplate(InputHeader(), PortName("p0"), 60, Forward(PortNumber(2)))
+        unknown_out = RuleTemplate(InputHeader(), PortName("p9"), 60, Drop())
+        unknown_nested = RuleTemplate(InputHeader(), PortNumber(1), 60, Seq(
+            (Drop(), Seq((SetField("nw_tos", 3), Forward(PortName("p8")))))))
+        no_server = RuleTemplate(InputHeader(), DestPort(), 60, Drop())
+        too_wide = RuleTemplate(InputHeader(), PortNumber(1), 60, Seq(
+            (Forward(PortNumber(2)), SetField("nw_tos", PickLessLoaded(256, 257)))))
+        cases = [
+            (unknown_out, (UnresolvedPortError, "no port named 'p9' in topology")),
+            (unknown_nested, (UnresolvedPortError, "no port named 'p8' in topology")),
+            (no_server, (UnresolvedPortError,
+                         f"no server port for destination {sampling.ADDRESS_POOL[1]}")),
+            (too_wide, (WidthOverflowError, "new=256 exceeds 6-bit range")),
+        ]
+        runs = []
+        for (bad, message), (other, other_message) in zip(cases, cases[1:] + cases[:1]):
+            # One failing template, and two in either order: the first
+            # composite's apply order decides which error is raised.
+            for first, second, want in (([good, bad], [bad, good], message),
+                                        ([bad, good, other], [other, good, bad], message),
+                                        ([other, good, bad], [bad, other, good], other_message)):
+                ta = make_app("a", 0, unconditional(first), 1)
+                tb = make_app("b", 0, guarded([(SourceCountAtMost(0), second)], second), 1)
+                assert transforms.selections(ta, nib, h) != transforms.selections(tb, nib, h)
+                assert outcome(ta, nib, h) == want
+                assert diff_outcome(behavioral_diff_oracle, ta, tb, [(nib, h)]) == want
+                runs.append((ta, tb, want))
+
+        def applied(*args):
+            raise AssertionError("a scenario whose selections agree was applied")
+
+        monkeypatch.setattr(transforms, "apply_transforms", applied)
+        for ta, tb, want in runs:
+            assert diff_outcome(analysis.behavioral_diff, ta, tb, [(nib, h)]) == want
+
     def test_one_instantiation_per_distinct_template(self, monkeypatch):
+        # A scenario whose composites have equal linear parts and select
+        # equal template sets in every slot builds no action; any other
+        # builds one per distinct template the two select.
         rng = random.Random(8003)
         topology = sampling.random_topology(rng, 3)
         cases = [diff_case(rng, topology) for _ in range(200)]
@@ -993,15 +1048,26 @@ class TestBehavioralDiff:
             return build_action(spec, nib, h)
 
         monkeypatch.setattr(transforms, "build_action", counting)
-        distinct = 0
+        want_calls, distinct, agreeing = 0, 0, Counter()
         for (_, ta, tb, scenarios), want in zip(cases, expected):
             assert analysis.behavioral_diff(ta, tb, scenarios) == want
-            distinct += sum(len(selected(ta, nib, h) | selected(tb, nib, h))
-                            for nib, h in scenarios)
+            for nib, h in scenarios:
+                sa, sb = slot_selections(ta, nib, h), slot_selections(tb, nib, h)
+                agree = ta.linear == tb.linear and sa == sb
+                both = len(set().union(*sa, *sb))
+                before = calls["build_action"]
+                analysis.behavioral_diff(ta, tb, [(nib, h)])
+                assert calls["build_action"] - before == (0 if agree else both)
+                want_calls += 0 if agree else both
+                distinct += both
+                agreeing[agree] += 1
+        assert agreeing[True] and agreeing[False], agreeing
+        # Every call above ran twice: once in its case, once on its own.
+        assert calls["build_action"] == 2 * want_calls
         placed = sum(len(tpls) for _, ta, tb, sc in cases for nib, h in sc for t in (ta, tb)
                      for slot in t.translation for piece in slot
                      for tpls in [transforms.select_templates(piece, nib, h)])
-        assert calls["build_action"] == distinct < placed
+        assert want_calls < distinct < placed
 
     def test_equal_slots_are_not_reduced(self, monkeypatch):
         rng = random.Random(8004)
