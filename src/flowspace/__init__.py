@@ -92,7 +92,6 @@ from flowspace.transforms import (
     RuleTemplate,
     ServiceChain,
     apply_transform,
-    apply_transforms,
     chain,
     compose_apps,
     flow_mod_add,

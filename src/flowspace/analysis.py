@@ -79,13 +79,25 @@ def _first_difference(a: AppTransform, b: AppTransform) -> Difference | None:
             continue
         for pa, pb in zip(sa, sb):
             if pa != pb:
-                ga = [type(g).__name__ for g, _ in pa.branches] or ["unconditional"]
-                gb = [type(g).__name__ for g, _ in pb.branches] or ["unconditional"]
-                return Difference(i, f"slot {i}: piece guards {ga} vs {gb}")
+                return Difference(i, f"slot {i}: {_piece_difference(pa, pb)}")
         return Difference(
             i, f"slot {i}: {len(sa)} vs {len(sb)} delta pieces"
         )
     return None
+
+
+def _piece_difference(pa: transforms.GuardedDelta, pb: transforms.GuardedDelta) -> str:
+    """Their guard kinds, else the first arm whose guard or templates differ."""
+    ga = [type(g).__name__ for g, _ in pa.branches] or ["unconditional"]
+    gb = [type(g).__name__ for g, _ in pb.branches] or ["unconditional"]
+    if ga != gb:
+        return f"piece guards {ga} vs {gb}"
+    for k, ((g, x), (h, y)) in enumerate(zip(pa.branches, pb.branches)):
+        if g != h:
+            return f"piece guard {k}: {g} vs {h}"
+        if x != y:
+            return f"piece templates differ in arm {k} ({g})"
+    return "piece templates differ in the otherwise arm"
 
 
 def check_congruence(a: ServiceChain | AppTransform,
@@ -128,46 +140,39 @@ def behavioral_diff(a: ServiceChain | AppTransform,
     Tables are compared slotwise after cancellation normal form, so
     differences that a reduction would erase do not count.
 
-    A scenario on which the linear parts are equal and each slot's two
-    selected template sets (`transforms.selections`) are equal gives
-    equal tables, so it is skipped: no template is instantiated and no
-    table reduced.  Before the skip, the distinct selected templates are
-    resolved in `a`'s apply order (`transforms.check_instantiable`), so
-    a template that cannot be instantiated raises as applying `a` would.
-
-    Other scenarios instantiate each distinct template the two select
-    once (`transforms.Instances`).  With equal linear parts, `b`'s
-    result reuses `a`'s table in every slot whose two template sets are
-    equal, and only the other slots are built for `b` and compared.
-    With different linear parts every slot is built for both and
-    compared.  `reduce` is a function of the table, so a compared slot
-    whose two tables are equal is not reduced: a scenario costs two
-    reductions per slot whose tables differ.
+    Slot i of a result unions the input tables that linear row i
+    selects with the entries of the templates the slot selects
+    (`transforms.selections`), so the results can differ only in slots
+    whose rows or selected template sets differ.  A scenario with no
+    such slot is skipped, with no instantiation and no `reduce`, after
+    `transforms.check_instantiable` resolves the distinct selected
+    templates in `a`'s apply order, so a template that cannot be
+    instantiated raises as applying `a` would.  Any other scenario
+    applies `a` through one `transforms.Instances` and builds `b`'s
+    table only in those slots; a built slot whose two tables are equal
+    is not reduced.  Both selections come first, so a slot-count
+    mismatch raises before any template is instantiated.
     """
     ta, tb = _as_transform(a), _as_transform(b)
-    same_linear = ta.linear == tb.linear
     out = []
     for index, (nib, h) in enumerate(scenarios):
-        if same_linear:
-            sa = transforms.selections(ta, nib, h)
-            sb = transforms.selections(tb, nib, h)
-            slots = [i for i, (x, y) in enumerate(zip(sa, sb)) if set(x) != set(y)]
-            if not slots:
-                transforms.check_instantiable(
-                    dict.fromkeys(tpl for slot in sa for tpl in slot), nib, h)
-                continue
-            # b's templates in the shared slots are a's, so building b's
-            # other slots in order instantiates b's new templates in its
-            # apply order, and raises as applying b after a would.
-            inst = transforms.Instances(nib, h)
-            ra = inst.apply(ta, sa)
-            tables_b = list(ra.tables)
-            for i in slots:
-                tables_b[i] = inst.table(tb.linear[i], sb[i])
-            rb = NIB(nib.topology, tuple(tables_b), nib.flows)
-        else:
-            ra, rb = transforms.apply_transforms((ta, tb), nib, h)
-            slots = range(len(ra.tables))
+        sa = transforms.selections(ta, nib, h)
+        sb = transforms.selections(tb, nib, h)
+        slots = [i for i, (x, y) in enumerate(zip(sa, sb))
+                 if ta.linear[i] != tb.linear[i] or set(x) != set(y)]
+        if not slots:
+            transforms.check_instantiable(
+                dict.fromkeys(tpl for slot in sa for tpl in slot), nib, h)
+            continue
+        # b's templates in the other slots are a's, so building b's
+        # slots in order instantiates b's new templates in its apply
+        # order, and raises as applying b after a would.
+        inst = transforms.Instances(nib, h)
+        ra = inst.apply(ta, sa)
+        tables_b = list(ra.tables)
+        for i in slots:
+            tables_b[i] = inst.table(tb.linear[i], sb[i])
+        rb = NIB(nib.topology, tuple(tables_b), nib.flows)
         differing = tuple(
             i for i in slots
             if not table_equal(x := ra.tables[i], y := rb.tables[i])

@@ -33,7 +33,6 @@ from flowspace.nib import NIB
 from flowspace.tables import FlowEntry, FlowTable
 from flowspace.transforms import (
     AppTransform,
-    DestPort,
     Drop,
     Forward,
     GuardedDelta,
@@ -43,7 +42,6 @@ from flowspace.transforms import (
     PortName,
     PortNumber,
     RuleTemplate,
-    Seq,
     SetField,
     SourceCountAtMost,
     apply_transform,
@@ -77,9 +75,7 @@ def render_port_ref(ref) -> str:
         return ref.name
     if isinstance(ref, PortNumber):
         return f"#{ref.value}"
-    if isinstance(ref, DestPort):
-        return "port-of(dest)"
-    return repr(ref)
+    return "port-of(dest)"
 
 
 def render_value_ref(ref) -> str:
@@ -95,9 +91,7 @@ def render_action_spec(spec) -> str:
         return f"forward({render_port_ref(spec.port)})"
     if isinstance(spec, SetField):
         return f"set({spec.field}:={render_value_ref(spec.to)})"
-    if isinstance(spec, Seq):
-        return "; ".join(render_action_spec(s) for s in spec.steps)
-    return repr(spec)
+    return "; ".join(render_action_spec(s) for s in spec.steps)
 
 
 def render_template(t: RuleTemplate) -> str:

@@ -375,9 +375,7 @@ def port_ref_to_obj(ref):
         return ref.name
     if isinstance(ref, PortNumber):
         return ref.value
-    if isinstance(ref, DestPort):
-        return {"kind": "dest_port"}
-    raise ScenarioFormatError(f"not a port reference: {ref!r}")
+    return {"kind": "dest_port"}
 
 
 def port_ref_from_obj(obj, what: str = "port"):
@@ -422,9 +420,7 @@ def action_spec_to_obj(spec) -> dict:
     if isinstance(spec, SetField):
         return {"kind": "set_field", "field": spec.field,
                 "to": value_ref_to_obj(spec.to)}
-    if isinstance(spec, Seq):
-        return {"kind": "seq", "actions": [action_spec_to_obj(s) for s in spec.steps]}
-    raise ScenarioFormatError(f"not an action template: {spec!r}")
+    return {"kind": "seq", "actions": [action_spec_to_obj(s) for s in spec.steps]}
 
 
 def action_spec_from_obj(obj, what: str = "action", depth: int = 0):

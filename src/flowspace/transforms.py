@@ -23,16 +23,12 @@ equality on every NIB, while the converse is not claimed.
 gives each slot's selected templates in apply order; it is the only
 selection loop.  `Instances` builds slot tables and NIBs from
 selections, instantiating each distinct template once per (NIB,
-header).  `apply_transforms` applies several transforms to one (NIB,
-header) in order through one `Instances`, so a template that several
-of them select is instantiated once.  `apply_transform` is that pass
-over one transform.  Template values (ttls, counters, literal
-ports, server addresses, integer `set_field` targets) must be real ints
-in range, so equal templates instantiate alike: two transforms with
-equal linear parts whose slots select equal template sets give equal
-tables.  `check_instantiable` raises what instantiating templates would
-raise (an unresolvable port, or a picked server too wide for its field)
-without building anything, for a caller that skips the instantiation.
+header); `apply_transform` is that pass over one transform.  Template
+constructors check every value and reference a template holds, a
+deferred pick's servers against their field included, so equal
+templates instantiate alike and a template fails to instantiate only on
+a port lookup.  `check_instantiable` resolves the ports alone, for a
+caller that skips the instantiation.
 
 `flow_mod_add`, `flow_mod_delete` and `flow_mod_modify` are the three
 shapes of the FLOW_MOD edit `tables.flow_mod`, which owns the edit and
@@ -42,7 +38,7 @@ the inverse index the new table carries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from flowspace.actions import PORT_MASK, PORT_SLOT, TTL_MASK, ActionFold, AffineAction
 from flowspace.errors import (
@@ -148,6 +144,10 @@ class PortName:
 
     name: str
 
+    def __post_init__(self):
+        if type(self.name) is not str:
+            raise type_error("name", self.name, "a string")
+
 
 @dataclass(frozen=True)
 class PortNumber:
@@ -167,6 +167,8 @@ class DestPort:
 
 
 PortRef = Union[PortName, PortNumber, DestPort]
+_PORT_REFS = (PortName, PortNumber, DestPort)
+_PORT_KIND = "a PortName, PortNumber or DestPort"
 
 
 @dataclass(frozen=True)
@@ -195,6 +197,10 @@ class Forward:
 
     port: PortRef
 
+    def __post_init__(self):
+        if not isinstance(self.port, _PORT_REFS):
+            raise type_error("port", self.port, _PORT_KIND)
+
 
 @dataclass(frozen=True)
 class Drop:
@@ -210,7 +216,8 @@ class SetField:
     earlier steps of the enclosing `seq`s.  So the field ends at the
     target even after a drop or an earlier rewrite of the same field
     (f:=n; f:=m acts as f:=m), and the resulting action is a function
-    of the steered header.
+    of the steered header.  A deferred pick's two servers must both fit
+    the field, since either may be picked.
     """
 
     field: str
@@ -219,12 +226,15 @@ class SetField:
     def __post_init__(self):
         field, to = self.field, self.to
         i = FIELD_INDEX.get(field) if type(field) is str else None
-        if i is None or not (isinstance(to, PickLessLoaded)
-                             or (type(to) is int and 0 <= to <= FIELD_MASKS[i])):
-            if i is None:
-                raise InvalidRuleError(f"must be a header field name, got {field!r}",
-                                       "field", field)
-            raise int_error("to", to, FIELD_MASKS[i])
+        if i is None:
+            raise InvalidRuleError(f"must be a header field name, got {field!r}", "field", field)
+        mask = FIELD_MASKS[i]
+        if not (type(to) is int and 0 <= to <= mask
+                or isinstance(to, PickLessLoaded) and to.server_a <= mask and to.server_b <= mask):
+            if isinstance(to, PickLessLoaded):
+                raise (int_error("to.server_a", to.server_a, mask)
+                       or int_error("to.server_b", to.server_b, mask))
+            raise int_error("to", to, mask)
 
 
 @dataclass(frozen=True)
@@ -233,8 +243,17 @@ class Seq:
 
     steps: tuple[ActionSpec, ...]
 
+    def __post_init__(self):
+        if not isinstance(self.steps, tuple):
+            raise type_error("steps", self.steps, "a tuple")
+        for i, step in enumerate(self.steps):
+            if not isinstance(step, _ACTION_SPECS):
+                raise type_error(f"steps[{i}]", step, _ACTION_KIND)
+
 
 ActionSpec = Union[Forward, Drop, SetField, Seq]
+_ACTION_SPECS = (Forward, Drop, SetField, Seq)
+_ACTION_KIND = "a Forward, Drop, SetField or Seq"
 
 
 @dataclass(frozen=True)
@@ -243,6 +262,7 @@ class InputHeader:
 
 
 MatchSpec = Union[InputHeader, MatchPattern]
+_MATCH_SPECS = (InputHeader, MatchPattern)
 
 
 @dataclass(frozen=True)
@@ -261,9 +281,17 @@ class RuleTemplate:
     counter: int = 0
 
     def __post_init__(self):
+        # One test on the valid path; the error is worked out only when it fails.
         ttl, counter = self.ttl, self.counter
         if not (type(ttl) is int and 0 <= ttl <= TTL_MASK
-                and type(counter) is int and counter >= 0):
+                and type(counter) is int and counter >= 0 and isinstance(self.match, _MATCH_SPECS)
+                and isinstance(self.out_port, _PORT_REFS) and isinstance(self.action, _ACTION_SPECS)):
+            if not isinstance(self.match, _MATCH_SPECS):
+                raise type_error("match", self.match, "an InputHeader or a MatchPattern")
+            if not isinstance(self.out_port, _PORT_REFS):
+                raise type_error("out_port", self.out_port, _PORT_KIND)
+            if not isinstance(self.action, _ACTION_SPECS):
+                raise type_error("action", self.action, _ACTION_KIND)
             raise int_error("ttl", ttl, TTL_MASK) or counter_error(counter)
 
     def __hash__(self) -> int:
@@ -524,38 +552,25 @@ def selections(a: AppTransform, nib: NIB, h: Header) -> tuple[Templates, ...]:
     return tuple(out)
 
 
-class _ResolveOnly:
-    """A stand-in for `ActionFold` that keeps nothing.
-
-    Folding a spec into it resolves the spec's ports and values and
-    checks them as building its action would, so it raises exactly what
-    `build_action` raises: every `value` it hands out is the start value,
-    which is in range, so `field_delta` fails only on the target.
-    """
-
-    __slots__ = ()
-
-    def translate(self, slot: int, delta: int) -> None:
-        pass
-
-    def drop(self) -> None:
-        pass
-
-    def value(self, slot: int, start: int) -> int:
-        return start
-
-
-_RESOLVE_ONLY = _ResolveOnly()
+def _forward_ports(spec: ActionSpec) -> Iterator[PortRef]:
+    """The ports of a template action's `Forward` steps, in step order."""
+    if isinstance(spec, Forward):
+        yield spec.port
+    elif isinstance(spec, Seq):
+        for step in spec.steps:
+            yield from _forward_ports(step)
 
 
 def check_instantiable(templates: Iterable[RuleTemplate], nib: NIB, h: Header) -> None:
     """Raise what instantiating the templates in order would raise.
 
-    Only ports and values are resolved; no action or entry is built.
+    Instantiation can fail only on a port lookup, of the out port and
+    then of each `Forward` port in step order, so only those are resolved.
     """
     for tpl in templates:
         resolve_port(tpl.out_port, nib, h)
-        _fold_spec(tpl.action, nib, h, _RESOLVE_ONLY)
+        for port in _forward_ports(tpl.action):
+            resolve_port(port, nib, h)
 
 
 def apply_transform(a: AppTransform, nib: NIB, h: Header) -> NIB:
@@ -566,20 +581,7 @@ def apply_transform(a: AppTransform, nib: NIB, h: Header) -> NIB:
     (pre-transform) NIB and add their instantiated entries.  Flows are
     left untouched.
     """
-    return apply_transforms((a,), nib, h)[0]
-
-
-def apply_transforms(ts: Sequence[AppTransform], nib: NIB, h: Header) -> tuple[NIB, ...]:
-    """`apply_transform` of each transform to one (NIB, header), in order.
-
-    One `Instances` serves every transform, so each distinct template
-    that `selections` gives is instantiated once per call and its entry
-    is shared by every slot and transform that selects it.  Transforms
-    are processed in order, so the first one that fails raises as
-    `apply_transform` of it alone would.
-    """
-    inst = Instances(nib, h)
-    return tuple(inst.apply(a, selections(a, nib, h)) for a in ts)
+    return Instances(nib, h).apply(a, selections(a, nib, h))
 
 
 class Instances:

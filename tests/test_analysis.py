@@ -24,9 +24,23 @@ from flowspace.errors import (
 from flowspace.headers import MatchPattern
 from flowspace.nib import NIB, Topology
 from flowspace.tables import FlowEntry, FlowRule, FlowTable, negate_rule, table_equal
-from flowspace.transforms import ServiceChain, chain, identity_transform, normalize
+from flowspace.transforms import (
+    Drop,
+    InputHeader,
+    PortName,
+    RuleTemplate,
+    ServiceChain,
+    SourceCountAtMost,
+    chain,
+    guarded,
+    identity_transform,
+    make_app,
+    normalize,
+    unconditional,
+)
 
 CFG = CaseStudyConfig()
+P0, P1 = (RuleTemplate(InputHeader(), PortName(p), 60, Drop()) for p in ("p0", "p1"))
 
 
 def rule(action=None, port=1, ttl=60, **match_fields) -> FlowRule:
@@ -76,6 +90,21 @@ class TestCheckCongruence:
         ab, ba = ServiceChain((a, b)), ServiceChain((b, a))
         assert check_congruence(ab, ba) == CongruenceReport(
             True, None, normalize(chain(ab)), normalize(chain(ba)))
+
+    @pytest.mark.parametrize("delta_a, delta_b, detail", [
+        (unconditional([P0]), unconditional([P1]),
+         "slot 0: piece templates differ in the otherwise arm"),
+        (guarded([(SourceCountAtMost(3), [])], [P0]), guarded([(SourceCountAtMost(4), [])], [P0]),
+         "slot 0: piece guard 0: SourceCountAtMost(threshold=3) vs "
+         "SourceCountAtMost(threshold=4)"),
+        (guarded([(SourceCountAtMost(3), [])], [P0]), guarded([(SourceCountAtMost(3), [])], [P1]),
+         "slot 0: piece templates differ in the otherwise arm"),
+        (guarded([(SourceCountAtMost(3), [P0])], []), guarded([(SourceCountAtMost(3), [P1])], []),
+         "slot 0: piece templates differ in arm 0 (SourceCountAtMost(threshold=3))"),
+    ])
+    def test_pieces_of_one_guard_kind_name_what_differs(self, delta_a, delta_b, detail):
+        report = check_congruence(make_app("a", 0, delta_a, 1), make_app("b", 0, delta_b, 1))
+        assert report.first_difference == Difference(0, detail)
 
     def test_slot_count_mismatch_raises(self):
         with pytest.raises(DimensionMismatchError):

@@ -74,6 +74,22 @@ class TestCongruence:
         out = run_cli("congruence", "/no/such/file.json", "a", "b")
         assert out.returncode == 2
 
+    def test_pick_too_wide_for_its_field_exits_2(self, tmp_path):
+        # Either server of a deferred pick may be picked, so both must
+        # fit the field when the document loads, not when a header
+        # resolves the pick.
+        pick = {"kind": "pick_less_loaded", "server_a": 256, "server_b": 3}
+        action = {"kind": "seq", "actions": [{"kind": "forward", "port": "p0"},
+                                             {"kind": "set_field", "field": "nw_tos", "to": pick}]}
+        template = {"match": "input", "out_port": "p0", "ttl": 60, "action": action}
+        doc = {"version": 1, "topology": {"switches": 1, "ports": {"p0": 1}}, "tables": [[]],
+               "apps": [{"name": "a", "slot": 0, "delta": {"default": [template]}}],
+               "chains": {"c": ["a"]}}
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc))
+        assert run_main("congruence", str(path), "c", "c") == (
+            2, "", "error: apps[0].delta.default[0].action[1].to.server_a=256 exceeds 6-bit range\n")
+
     def test_output_is_byte_deterministic(self, casestudy_path):
         a = run_cli("congruence", casestudy_path, "ids-lb", "lb-ids")
         b = run_cli("congruence", casestudy_path, "ids-lb", "lb-ids")

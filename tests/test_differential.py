@@ -23,18 +23,18 @@ after a `drop` or after a `set_field` of the same field.  On every spec,
 the action must map the steered header's rule state to the state that
 running the steps one by one gives.
 
-`analysis.behavioral_diff`, which applies both composites in one
-`apply_transforms` pass and reduces only slots that differ, must give
-exactly the separate applies' counterexamples, or the same error, on
-seeded chain pairs: shuffled partners, partners with one template
-changed and partners with an added inverse template pair.  It must
-instantiate nothing on a scenario whose two composites have equal linear
-parts and select equal template sets in every slot, yet raise there what
-an apply raises; on any other scenario it must instantiate each distinct
-selected template once.  It must reduce no slot whose two tables are
-equal.  `compose_apps` must give
-exactly the entrywise matrix product on seeded apps with random 0/1
-linear parts.
+`analysis.behavioral_diff`, which builds the second composite's table
+only in slots whose linear rows or selected template sets differ and
+reduces only slots whose tables differ, must give exactly the separate
+applies' counterexamples, or the same error, on seeded chain pairs:
+shuffled partners, partners with one template changed, partners with an
+added inverse template pair and partners with one linear entry flipped.
+It must instantiate nothing on a scenario whose two composites have
+equal linear parts and select equal template sets in every slot, yet
+raise there what an apply raises; on any other scenario it must
+instantiate each distinct selected template once.  It must reduce no
+slot whose two tables are equal.  `compose_apps` must give exactly the
+entrywise matrix product on seeded apps with random 0/1 linear parts.
 """
 
 import random
@@ -77,7 +77,6 @@ from flowspace.errors import (
     DimensionMismatchError,
     FlowspaceError,
     UnresolvedPortError,
-    WidthOverflowError,
 )
 from flowspace.headers import FIELD_INDEX, FIELDS, Header, MatchPattern
 from flowspace.nib import (
@@ -737,23 +736,20 @@ class TestActionDecoder:
 
 
 def random_target(rng: random.Random, field: str):
-    """A set_field target: in the pool, anywhere in the field, or a
-    deferred pick, sometimes of servers just outside a field narrower
-    than an address (an integer target outside its field cannot be
-    built)."""
+    """A set_field target: near the pool, anywhere in the field, or a
+    deferred pick of two such servers (a target or a server outside its
+    field cannot be built)."""
     width = FIELDS[FIELD_INDEX[field]].width
-    if rng.random() < 0.1 and width < 32:
-        return PickLessLoaded(1 << width, (1 << width) + 1)
-    return rng.choice((
-        rng.choice(sampling.ADDRESS_POOL) if width == 32 else rng.randrange(8),
-        rng.randrange(1 << width),
-        PickLessLoaded(*rng.sample(sampling.ADDRESS_POOL, 2)),
-    ))
+
+    def near():
+        return rng.choice(sampling.ADDRESS_POOL) if width == 32 else rng.randrange(8)
+
+    return rng.choice((near(), rng.randrange(1 << width), PickLessLoaded(near(), near())))
 
 
 def random_template_action(rng: random.Random, depth: int = 0):
     """A template action; `seq` nests at most 4 deep and may be empty,
-    ports may not resolve and targets may not fit their field."""
+    and ports may not resolve."""
     r = rng.random()
     if depth < 4 and r < 0.35:
         return Seq(tuple(random_template_action(rng, depth + 1)
@@ -763,7 +759,7 @@ def random_template_action(rng: random.Random, depth: int = 0):
     if r < 0.6:
         return Drop()
     if r < 0.7:
-        port = PortName("nope") if rng.random() < 0.1 else sampling.random_port_ref(rng)
+        port = PortName("nope") if rng.random() < 0.6 else sampling.random_port_ref(rng)
         return Forward(port)
     # a few fields, so that one field is often set twice
     field = rng.choice(("nw_dst", "nw_dst", "nw_src", "tp_dst", rng.choice(FIELD_NAMES)))
@@ -942,10 +938,9 @@ class TestBehavioralDiff:
             if kind == "shuffled":
                 assert got == []
             for nib, h in scenarios:
-                ra, rb = transforms.apply_transforms((ta, tb), nib, h)
+                ra, rb = (transforms.apply_transform(t, nib, h) for t in (ta, tb))
                 assert ra == apply_transform_oracle(ta, nib, h)
-                assert rb == apply_transform_oracle(tb, nib, h) == transforms.apply_transform(
-                    tb, nib, h)
+                assert rb == apply_transform_oracle(tb, nib, h)
                 for x, y in zip(ra.tables, rb.tables):
                     slots[x == y, reduce(x) == reduce(y)] += 1
         # A changed template may or may not show; an added inverse pair
@@ -990,6 +985,62 @@ class TestBehavioralDiff:
                 # the failing transform first: the same error
                 assert diff_outcome(diff, tb, ta, [(nib, h)]) == (UnresolvedPortError, message)
 
+    def test_unequal_linear_parts_on_seeded_pairs(self, monkeypatch):
+        # The partner's linear part has one entry flipped, so some slot's
+        # rows differ and every scenario is applied: each distinct
+        # template the two select is built once, and a slot is reduced
+        # only when its two tables differ.
+        rng = random.Random(8006)
+        # One topology lacks a port name and two server ports.
+        topologies = [sampling.random_topology(rng, n) for n in (1, 2, 3)] + [
+            Topology(2, {name: i + 1 for i, name in enumerate(sampling.PORT_NAMES[:5])},
+                     {a: 1 for a in sampling.ADDRESS_POOL[:6]})]
+        calls = Counter()
+
+        def counting(name, f):
+            def wrapped(*args):
+                calls[name] += 1
+                return f(*args)
+            return wrapped
+
+        monkeypatch.setattr(transforms, "build_action", counting("build_action", build_action))
+        monkeypatch.setattr(analysis, "reduce", counting("reduce", reduce))
+        outcomes = Counter()
+        for _ in range(300):
+            _, ta, tb, scenarios = diff_case(rng, rng.choice(topologies))
+            i, j = rng.randrange(tb.dimension), rng.randrange(tb.dimension)
+            linear = [list(row) for row in tb.linear]
+            linear[i][j] ^= 1
+            tb = AppTransform(tb.name, tuple(map(tuple, linear)), tb.translation)
+            assert diff_outcome(analysis.behavioral_diff, ta, tb, scenarios) == diff_outcome(
+                behavioral_diff_oracle, ta, tb, scenarios)
+            for nib, h in scenarios:
+                calls.clear()
+                got = diff_outcome(analysis.behavioral_diff, ta, tb, [(nib, h)])
+                built, reduced = calls["build_action"], calls["reduce"]
+                outcomes["error" if type(got) is tuple else bool(got)] += 1
+                if type(got) is tuple:
+                    continue
+                sa, sb = slot_selections(ta, nib, h), slot_selections(tb, nib, h)
+                ra, rb = (apply_transform_oracle(t, nib, h) for t in (ta, tb))
+                assert built == len(set().union(*sa, *sb))
+                assert reduced == 2 * sum(x != y for x, y in zip(ra.tables, rb.tables))
+        assert min(outcomes[True], outcomes[False], outcomes["error"]) > 50, outcomes
+
+    def test_slot_count_mismatch_raises_before_instantiation(self):
+        # Both selections come before any template is built, so a second
+        # composite with the wrong slot count raises even where applying
+        # the first would fail on a port.
+        topology = Topology(1, {"p0": 1})
+        nib, h = NIB(topology, (FlowTable(),)), Header.from_fields()
+        bad = RuleTemplate(InputHeader(), PortName("p9"), 60, Drop())
+        ta = make_app("a", 0, unconditional([bad]), 1)
+        tb = transforms.identity_transform(2)
+        assert diff_outcome(analysis.behavioral_diff, ta, tb, [(nib, h)]) == (
+            DimensionMismatchError, "transform has 2 slots, topology has 1 switches")
+        assert diff_outcome(behavioral_diff_oracle, ta, tb, [(nib, h)]) == (
+            UnresolvedPortError, "no port named 'p9' in topology")
+
     def test_skip_raises_as_apply(self, monkeypatch):
         # Both composites select the same failing templates, in another
         # order, so the scenario takes the skip path; it must still raise
@@ -1002,14 +1053,11 @@ class TestBehavioralDiff:
         unknown_nested = RuleTemplate(InputHeader(), PortNumber(1), 60, Seq(
             (Drop(), Seq((SetField("nw_tos", 3), Forward(PortName("p8")))))))
         no_server = RuleTemplate(InputHeader(), DestPort(), 60, Drop())
-        too_wide = RuleTemplate(InputHeader(), PortNumber(1), 60, Seq(
-            (Forward(PortNumber(2)), SetField("nw_tos", PickLessLoaded(256, 257)))))
         cases = [
             (unknown_out, (UnresolvedPortError, "no port named 'p9' in topology")),
             (unknown_nested, (UnresolvedPortError, "no port named 'p8' in topology")),
             (no_server, (UnresolvedPortError,
                          f"no server port for destination {sampling.ADDRESS_POOL[1]}")),
-            (too_wide, (WidthOverflowError, "new=256 exceeds 6-bit range")),
         ]
         runs = []
         for (bad, message), (other, other_message) in zip(cases, cases[1:] + cases[:1]):
@@ -1028,7 +1076,7 @@ class TestBehavioralDiff:
         def applied(*args):
             raise AssertionError("a scenario whose selections agree was applied")
 
-        monkeypatch.setattr(transforms, "apply_transforms", applied)
+        monkeypatch.setattr(transforms, "Instances", applied)
         for ta, tb, want in runs:
             assert diff_outcome(analysis.behavioral_diff, ta, tb, [(nib, h)]) == want
 
@@ -1087,8 +1135,8 @@ class TestBehavioralDiff:
             if kind == "shuffled":
                 assert reduced["reduce"] == before  # every slot table is equal
             unequal += sum(x != y for nib, h in scenarios
-                           for x, y in zip(*(t.tables for t in
-                                             transforms.apply_transforms((ta, tb), nib, h))))
+                           for x, y in zip(*(transforms.apply_transform(t, nib, h).tables
+                                             for t in (ta, tb))))
         assert reduced["reduce"] == 2 * unequal > 0
 
 

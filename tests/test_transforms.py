@@ -16,7 +16,6 @@ from flowspace.errors import (
     RuleNotFoundError,
     SlotOutOfRangeError,
     UnresolvedPortError,
-    WidthOverflowError,
 )
 from flowspace.headers import FIELD_INDEX, Header, MatchPattern
 from flowspace.nib import NIB, Flow, Topology, nib_from_vector
@@ -40,7 +39,6 @@ from flowspace.transforms import (
     SourceCountAtMost,
     TrueGuard,
     apply_transform,
-    apply_transforms,
     build_action,
     chain,
     compose_apps,
@@ -311,25 +309,6 @@ class TestApplyTransform:
         assert out.tables[0].entries[0].counter == 0
 
 
-class TestApplyTransforms:
-    def test_each_result_is_apply_transform(self):
-        rng = random.Random(21)
-        topology = sampling.random_topology(rng, 3)
-        for _ in range(100):
-            ts = [sampling.random_app(rng, 3, n) for n in "abc"]
-            nib, h = sampling.random_scenario(rng, topology)
-            assert apply_transforms(ts, nib, h) == tuple(apply_transform(t, nib, h) for t in ts)
-
-    def test_equal_templates_share_one_entry(self):
-        a = make_app("a", 0, unconditional([fwd_template()]), 2)
-        b = make_app("b", 1, unconditional([fwd_template()]), 2)
-        ra, rb = apply_transforms((a, b), nib_of(), Header.from_fields(nw_src=3))
-        assert ra.tables[0].entries[0] is rb.tables[1].entries[0]
-
-    def test_no_transforms(self):
-        assert apply_transforms((), nib_of(), Header.from_fields()) == ()
-
-
 class TestTemplateConstructors:
     """Template values are real ints in range, as `FlowRule`'s are."""
 
@@ -417,6 +396,26 @@ class TestValueConstructors:
         (lambda: LoopFinding(0, TestValueConstructors.ENTRY, TestValueConstructors.ENTRY,
                              forward(1)),
          "certificate must be the identity action"),
+        (lambda: PortName(1), "name must be a string, got int"),
+        (lambda: Forward("p0"), "port must be a PortName, PortNumber or DestPort, got str"),
+        (lambda: Forward(1), "port must be a PortName, PortNumber or DestPort, got int"),
+        (lambda: RuleTemplate(InputHeader(), "p0", 60, Drop()),
+         "out_port must be a PortName, PortNumber or DestPort, got str"),
+        (lambda: RuleTemplate(InputHeader(), DestPort(), 60, "drop"),
+         "action must be a Forward, Drop, SetField or Seq, got str"),
+        (lambda: RuleTemplate(TestValueConstructors.H, DestPort(), 60, Drop()),
+         "match must be an InputHeader or a MatchPattern, got Header"),
+        (lambda: RuleTemplate(None, DestPort(), 60, Drop()),
+         "match must be an InputHeader or a MatchPattern, got NoneType"),
+        (lambda: Seq([Drop()]), "steps must be a tuple, got list"),
+        (lambda: Seq((Drop(), Seq(("drop",)))),
+         "steps[0] must be a Forward, Drop, SetField or Seq, got str"),
+        (lambda: Seq((Drop(), forward(1))),
+         "steps[1] must be a Forward, Drop, SetField or Seq, got AffineAction"),
+        (lambda: SetField("nw_tos", PickLessLoaded(256, 3)),
+         "to.server_a 256 exceeds 6-bit range"),
+        (lambda: SetField("tp_dst", PickLessLoaded(1, 1 << 16)),
+         "to.server_b 65536 exceeds 16-bit range"),
     ])
     def test_invalid_values_name_the_field(self, build, message):
         with pytest.raises(InvalidRuleError) as info:
@@ -538,13 +537,14 @@ class TestBuildAction:
             build_action(spec, nib_of(), self.H)
 
     def test_target_wider_than_the_field(self):
-        # An integer target is checked when the template is built, a
-        # deferred pick when it resolves.
+        # An integer target and both servers of a deferred pick are
+        # checked when the template is built.
         with pytest.raises(InvalidRuleError, match="to 256 exceeds 6-bit range"):
             SetField("nw_tos", 256)
-        spec = Seq((Drop(), SetField("nw_tos", PickLessLoaded(256, 257))))
-        with pytest.raises(WidthOverflowError):
-            build_action(spec, nib_of(), self.H)
+        with pytest.raises(InvalidRuleError, match="to.server_a 256 exceeds 6-bit range"):
+            SetField("nw_tos", PickLessLoaded(256, 3))
+        with pytest.raises(InvalidRuleError, match="to.server_b 257 exceeds 6-bit range"):
+            SetField("nw_tos", PickLessLoaded(3, 257))
 
     def test_seeded_last_set_field_reaches_its_target(self):
         rng = random.Random(4711)
