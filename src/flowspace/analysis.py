@@ -6,21 +6,15 @@ to concrete scenarios and reports where the resulting tables disagree;
 loop detection scans each flow table for entry pairs whose actions undo
 each other (a packet re-entering a rule it already traversed); what-if
 previews a single FLOW_MOD against a NIB, diffing tables and reporting
-any loop the change would introduce.  Both find pairs through the
-inverse-key index of `flowspace.tables`, so a scan is linear in table
-entries and a preview looks up partners of the new entries only.
-
-`what_if` takes the new table and its diff from `tables.flow_mod`, and
-stores the index on the table a FLOW_MOD touches, so the previewed
-table and a later commit to that table both derive their index from
-it.  `detect_loops` reads an index a table carries and builds a
-throwaway one otherwise: a single scan gains nothing by storing it.
+any loop the change would introduce.  Both pair entries through
+`tables.inverse_pairs` and `tables.partners`, which read the inverse
+index a table builds on first use and keeps, so a scan is linear in
+table entries and a preview looks up partners of the new entries only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
 from typing import Sequence
 
 from flowspace import actions, transforms
@@ -32,12 +26,10 @@ from flowspace.tables import (
     FlowEntry,
     FlowRule,
     FlowTable,
-    cache_inverse_index,
     entry_key,
     flow_mod,
-    inverse_index,
-    inverse_key,
-    partner_key,
+    inverse_pairs,
+    partners,
     reduce,
     table_equal,
 )
@@ -211,22 +203,11 @@ def detect_loops(nib: NIB) -> list[LoopFinding]:
 
     Entries pair only when match, output port and ttl agree and their
     actions are mutual inverses; the composed (identity) action is kept
-    as the certificate.  Each table is scanned independently: its
-    entries are indexed by inverse key and every group is paired with
-    the group under its partner key.
+    as the certificate.  Each table is scanned independently, through
+    `tables.inverse_pairs`.
     """
-    findings = []
-    for switch, table in enumerate(nib.tables):
-        index = inverse_index(table)
-        for key, group in index.items():
-            pkey = partner_key(key)
-            if pkey == key:  # a self-inverse rule under several counters
-                pairs = combinations(group, 2)
-            elif key[3] < pkey[3]:  # the keys differ in translation only; pair once
-                pairs = product(group, index.get(pkey, ()))
-            else:
-                continue
-            findings.extend(_finding(switch, x, y) for x, y in pairs)
+    findings = [_finding(switch, x, y) for switch, table in enumerate(nib.tables)
+                for x, y in inverse_pairs(table)]
     findings.sort(key=_finding_id)
     return findings
 
@@ -274,30 +255,21 @@ def what_if(nib: NIB, candidate: FlowModRequest) -> WhatIfReport:
     reports gained and lost, and a pair of its entries is a new loop
     only if one of them is gained; a delete introduces none.
 
-    The touched table's inverse index is built once and stored on it
-    (see `tables.cache_inverse_index`).  The previewed table derives its
-    index from that one, copying only the groups the FLOW_MOD touches,
-    and so does a table that `flow_mod` later commits from the same
-    parent; the partners are looked up in the derived index.
+    The previewed table, like a later commit from the same parent,
+    derives its inverse index from the touched table's (built on first
+    use and kept), and the gained entries' partners are looked up in it.
     """
     n = nib.topology.switch_count
     s = candidate.switch
     if not 0 <= s < n:
         raise SlotOutOfRangeError(f"switch {s} out of range for {n} switches")
-    table = nib.tables[s]
-    cache_inverse_index(table)  # the preview and a later commit both derive from it
     old, new = {"add": (None, candidate.rule), "delete": (candidate.rule, None),
                 "modify": (candidate.old_rule, candidate.rule)}[candidate.op]
-    updated, gained, lost = flow_mod(table, old, new)
+    updated, gained, lost = flow_mod(nib.tables[s], old, new)
     tables = tuple(updated if i == s else t for i, t in enumerate(nib.tables))
     after = NIB(nib.topology, tables, nib.flows)
     touched = TableDiff(s, tuple(gained), tuple(sorted(lost, key=entry_key)))
-    pairs = set()
-    index = inverse_index(updated)  # derived from the parent's, not rebuilt
-    for e in touched.added:
-        key = inverse_key(e.rule)
-        if key is not None:
-            pairs.update(frozenset((e, p)) for p in index.get(partner_key(key), ()) if p != e)
+    pairs = {frozenset((e, p)) for e in touched.added for p in partners(updated, e)}
     return WhatIfReport(
         diffs=tuple(touched if i == s else TableDiff(i, (), ()) for i in range(n)),
         new_loops=tuple(sorted((_finding(s, *pair) for pair in pairs), key=_finding_id)),

@@ -263,23 +263,13 @@ def cmd_congruence(args) -> int:
     return 0 if report.congruent else 1
 
 
-def _json_literal(literal: str, name: str):
-    """A JSON value given on the command line, called `name` in errors."""
-    try:
-        return json.loads(literal)
-    except json.JSONDecodeError as exc:
-        raise FlowspaceError(f"{name} is not valid JSON: {exc}") from None
-    except RecursionError:
-        raise FlowspaceError(f"{name} is nested too deeply") from None
-
-
 def _parse_header(scn: scenario.Scenario, literal: str) -> Header:
     if literal.startswith("@"):
         name = literal[1:]
         if name not in scn.queries:
             raise FlowspaceError(f"no query named {name!r} in scenario")
         return scn.queries[name]
-    return scenario.header_from_obj(_json_literal(literal, "--header"), "--header")
+    return scenario.header_from_obj(scenario.parse_json(literal, "--header"), "--header")
 
 
 def cmd_apply(args) -> int:
@@ -313,8 +303,9 @@ def cmd_whatif(args) -> int:
     scn = scenario.load_scenario(args.scenario)
     if args.old_rule is not None and args.op != "modify":
         raise FlowspaceError(f"--old-rule applies to --op modify only, not --op {args.op}")
-    rule_obj = _json_literal(args.rule, "rule literal")
-    old_obj = _json_literal(args.old_rule, "rule literal") if args.old_rule is not None else None
+    rule_obj = scenario.parse_json(args.rule, "--rule")
+    old_obj = (scenario.parse_json(args.old_rule, "--old-rule")
+               if args.old_rule is not None else None)
     try:
         request = FlowModRequest(
             op=args.op,

@@ -5,16 +5,6 @@ class FlowspaceError(Exception):
     """Base class for all flowspace errors."""
 
 
-class WidthOverflowError(FlowspaceError):
-    """A field value does not fit in its declared bit width."""
-
-    def __init__(self, field: str, value: int, width: int):
-        super().__init__(f"{field}={value} exceeds {width}-bit range")
-        self.field = field
-        self.value = value
-        self.width = width
-
-
 class ArityMismatchError(FlowspaceError):
     """A header literal does not supply one value per canonical field."""
 
@@ -29,14 +19,22 @@ class SingularActionError(FlowspaceError):
 
 class InvalidRuleError(FlowspaceError, ValueError):
     """A value of the wrong type or range was given to a library constructor
-    (also a ValueError, as before it existed).  An error about one named
+    (also a ValueError).  An error about one named
     value carries its `field`, the `value`, the `reason` it is wrong and,
-    for a range error, the `width` it exceeds, as `WidthOverflowError` does."""
+    for a range error, the `width` it exceeds."""
 
     def __init__(self, reason: str, field: str | None = None, value=None,
                  width: int | None = None):
         super().__init__(f"{field} {reason}" if field else reason)
         self.field, self.value, self.reason, self.width = field, value, reason, width
+
+
+class WidthOverflowError(InvalidRuleError):
+    """A header, match or rule-state value does not fit in its field's bit width."""
+
+    def __init__(self, field: str, value: int, width: int):
+        super().__init__(f"{value} exceeds {width}-bit range", field, value, width)
+        self.args = (f"{field}={value} exceeds {width}-bit range",)
 
 
 def type_error(field: str, value, kind: str = "an int") -> InvalidRuleError:

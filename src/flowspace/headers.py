@@ -82,7 +82,7 @@ def _check_values(values: tuple[int, ...], kind: str) -> None:
             raise _field_error(values)
 
 
-def _field_error(values: tuple) -> InvalidRuleError | WidthOverflowError:
+def _field_error(values: tuple) -> InvalidRuleError:
     """The error for the first value that is not a real int in its field's range."""
     for value, bound, spec in zip(values, FIELD_BOUNDS, FIELDS):
         if type(value) is not int:

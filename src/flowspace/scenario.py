@@ -30,7 +30,6 @@ from flowspace.errors import (
     InvalidRuleError,
     ScenarioFormatError,
     SlotOutOfRangeError,
-    WidthOverflowError,
 )
 from flowspace.headers import FIELD_COUNT, FIELD_INDEX, FIELDS, Header, MatchPattern
 from flowspace.nib import NIB, Flow, Topology
@@ -114,11 +113,7 @@ def _int(value, what: str) -> int:
     return value
 
 
-#: What the library constructors raise for a value of the wrong type or range.
-_VALUE_ERRORS = (InvalidRuleError, WidthOverflowError)
-
-
-def _located(exc: InvalidRuleError | WidthOverflowError, path: str) -> ScenarioFormatError:
+def _located(exc: InvalidRuleError, path: str) -> ScenarioFormatError:
     """A constructor's error about one value, reported at the value's JSON path."""
     if exc.width is not None:
         return ScenarioFormatError(f"{path}={exc.value} exceeds {exc.width}-bit range")
@@ -129,7 +124,7 @@ def _build(what: str, make, *args):
     """`make(*args)`, a value error reported at its field's path in the object at `what`."""
     try:
         return make(*args)
-    except _VALUE_ERRORS as exc:
+    except InvalidRuleError as exc:
         raise _located(exc, f"{what}.{exc.field}") from None
 
 
@@ -173,7 +168,7 @@ def header_from_obj(obj, what: str = "header") -> Header:
     _check_keys(obj, _FIELD_NAMES, what)
     try:  # not through `_build`: a NIB's flows make this the hottest path
         return Header(tuple(map(obj.get, _FIELD_ORDER, _ZEROS)))
-    except _VALUE_ERRORS as exc:
+    except InvalidRuleError as exc:
         raise _located(exc, f"{what}.{exc.field}") from None
 
 
@@ -313,7 +308,7 @@ def flow_from_obj(obj, what: str = "flow") -> Flow:
     header = header_from_obj(_require(obj, "header", what), f"{what}.header")
     try:  # not through `_build`, as in `header_from_obj`
         return Flow(header, obj.get("assigned_dest"))
-    except _VALUE_ERRORS as exc:
+    except InvalidRuleError as exc:
         raise _located(exc, f"{what}.{exc.field}") from None
 
 
@@ -349,9 +344,7 @@ def guard_to_obj(g) -> dict:
         return {"kind": "true"}
     if isinstance(g, SourceCountAtMost):
         return {"kind": "source_count_at_most", "threshold": g.threshold}
-    if isinstance(g, LoadAtMost):
-        return {"kind": "load_at_most", "server_a": g.server_a, "server_b": g.server_b}
-    raise ScenarioFormatError(f"not a guard: {g!r}")
+    return {"kind": "load_at_most", "server_a": g.server_a, "server_b": g.server_b}
 
 
 def guard_from_obj(obj, what: str = "guard"):
@@ -384,7 +377,7 @@ def port_ref_from_obj(obj, what: str = "port"):
     if isinstance(obj, int):
         try:
             return PortNumber(obj)
-        except _VALUE_ERRORS as exc:
+        except InvalidRuleError as exc:
             raise _located(exc, what) from None  # the number stands alone at `what`
     obj = _require_obj(obj, what)
     _check_keys(obj, _KIND_KEYS, what)
@@ -606,13 +599,18 @@ def dump_scenario(s: Scenario) -> str:
     return json.dumps(scenario_to_obj(s), indent=2, sort_keys=True) + "\n"
 
 
-def loads_scenario(text: str) -> Scenario:
+def parse_json(text: str, what: str):
+    """The JSON value `text` holds, called `what` in errors."""
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioFormatError(f"not valid JSON: {exc}") from None
+        return json.loads(text)
+    except ValueError as exc:  # not JSON, or an integer past Python's int-string limit
+        raise ScenarioFormatError(f"{what} is not valid JSON: {exc}") from None
     except RecursionError:
-        raise ScenarioFormatError("not valid JSON: nested too deeply") from None
+        raise ScenarioFormatError(f"{what} is nested too deeply") from None
+
+
+def loads_scenario(text: str) -> Scenario:
+    obj = parse_json(text, "scenario")
     try:
         return scenario_from_obj(obj)
     except (TypeError, ValueError) as exc:

@@ -14,13 +14,13 @@ slotwise negation of the other.  `inverse_index` groups a table's
 invertible entries by `inverse_key`, so an entry's partners are found
 by one lookup of its `partner_key` instead of a scan over the table.
 
-A table can carry its index.  `cache_inverse_index` builds it once and
-stores it on the table (`analysis.what_if` does so for the table a
-FLOW_MOD touches); `flow_mod`, the one FLOW_MOD edit, then derives
-each new table's index from its parent's, copying the dict and
-rebuilding only the groups whose entries changed, so a chain of
-previews and commits costs the entries it touches, not the table.
-`reduce` and `detect_loops` read a carried index but never store one.
+The index is derived state of the table, as its canonical order is:
+`inverse_index` builds it on first use and keeps it, and `flow_mod`,
+the one FLOW_MOD edit, derives the new table's index from its parent's
+by copying the dict and rebuilding only the groups whose entries
+changed, so a chain of previews and commits costs the entries it
+touches.  Only this module reads the key: `partners` and
+`inverse_pairs` pair entries for the others.
 
 Entries are kept in a canonical total order so equality, serialization
 and cancellation are deterministic.
@@ -29,6 +29,7 @@ and cancellation are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, product
 from operator import attrgetter
 from typing import Collection, Iterable, Iterator
 
@@ -96,8 +97,8 @@ class FlowTable:
     """An immutable set of flow entries with canonical iteration order."""
 
     # _order caches the canonical order and _index the inverse index
-    # (see `cache_inverse_index`); both are derived from _entries and
-    # take no part in equality, hashing or repr.
+    # (see `inverse_index`); both are derived from _entries on first use
+    # and take no part in equality, hashing or repr.
     __slots__ = ("_entries", "_order", "_index")
 
     def __init__(self, entries: Iterable[FlowEntry] = ()):
@@ -201,10 +202,7 @@ def inverse_index(t: FlowTable) -> InverseIndex:
     """The table's invertible entries grouped by `inverse_key`, each group
     a tuple in canonical order.
 
-    A table that carries its index (see `cache_inverse_index`) returns it
-    as is; callers must not mutate it.  Otherwise the index is built
-    here and not stored, so a caller that scans a table once pays for
-    one build and leaves the table as it was.
+    Built on first use and kept on the table; callers must not mutate it.
     """
     if t._index is not None:
         return t._index
@@ -221,17 +219,27 @@ def inverse_index(t: FlowTable) -> InverseIndex:
                 shared.add(key)
     for key in shared:
         index[key] = _group(index[key])
+    object.__setattr__(t, "_index", index)
     return index
 
 
-def cache_inverse_index(t: FlowTable) -> InverseIndex:
-    """The table's inverse index, built and stored on `t` if it has none.
+def partners(t: FlowTable, e: FlowEntry) -> tuple[FlowEntry, ...]:
+    """The entries of `t` other than `e` whose rule is the inverse of `e`'s."""
+    key = inverse_key(e.rule)
+    group = () if key is None else inverse_index(t).get(partner_key(key), ())
+    return tuple(p for p in group if p != e)
 
-    Tables derived from `t` by a FLOW_MOD then inherit an index of their own.
-    """
-    if t._index is None:
-        object.__setattr__(t, "_index", inverse_index(t))
-    return t._index
+
+def inverse_pairs(t: FlowTable) -> Iterator[tuple[FlowEntry, FlowEntry]]:
+    """Every pair of entries of `t` whose rules are mutual inverses, once;
+    the entries of a self-inverse rule pair among themselves."""
+    index = inverse_index(t)
+    for key, group in index.items():
+        pkey = partner_key(key)
+        if pkey == key:  # a self-inverse rule under several counters
+            yield from combinations(group, 2)
+        elif key[3] < pkey[3]:  # the keys differ in translation only; pair once
+            yield from product(group, index.get(pkey, ()))
 
 
 def flow_mod(t: FlowTable, old: FlowRule | None, new: FlowRule | None
@@ -241,18 +249,17 @@ def flow_mod(t: FlowTable, old: FlowRule | None, new: FlowRule | None
     and the entries that table gained and lost, unsorted.  An add has no
     `old`, a delete no `new`.
 
-    On a table that carries its index an invertible rule's entries are
-    one lookup away, since equal inverse keys mean equal rules; a
-    singular (drop) rule, or a table with no index, takes a scan.
-    frozenset difference and union reuse the stored entry hashes, so the
-    table is not rehashed.  When `t` carries an index, the new table gets
-    a copy of it in which only the groups of touched entries are rebuilt.
+    An invertible rule's entries are one lookup away in `t`'s inverse
+    index, since equal inverse keys mean equal rules; a singular (drop)
+    rule takes a scan.  frozenset difference and union reuse the stored
+    entry hashes, so the table is not rehashed.  The new table's index
+    is a copy of `t`'s with only the touched entries' groups rebuilt.
     """
-    entries, index = t._entries, t._index
+    entries, index = t._entries, inverse_index(t)
     lost: Collection[FlowEntry] = ()
     gained: Collection[FlowEntry] = ()
     if old is not None:
-        key = inverse_key(old) if index is not None else None
+        key = inverse_key(old)
         if key is not None:
             lost = index.get(key, ())
         else:
@@ -270,18 +277,17 @@ def flow_mod(t: FlowTable, old: FlowRule | None, new: FlowRule | None
                 lost = [x for x in lost if x != e]
             else:
                 gained = (e,)
+    index = dict(index)
+    for r, gone, added in ((old, lost, ()), (new, (), gained)):
+        key = inverse_key(r) if gone or added else None
+        if key is not None:
+            group = set(index.get(key, ())).difference(gone).union(added)
+            if group:
+                index[key] = _group(group)
+            else:
+                del index[key]
     out = FlowTable(entries)
-    if index is not None:
-        index = dict(index)
-        for r, gone, added in ((old, lost, ()), (new, (), gained)):
-            key = inverse_key(r) if gone or added else None
-            if key is not None:
-                group = set(index.get(key, ())).difference(gone).union(added)
-                if group:
-                    index[key] = _group(group)
-                else:
-                    del index[key]
-        object.__setattr__(out, "_index", index)
+    object.__setattr__(out, "_index", index)
     return out, gained, lost
 
 

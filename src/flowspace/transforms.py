@@ -112,6 +112,7 @@ def _check_servers(a, b) -> None:
 
 
 Guard = Union[TrueGuard, SourceCountAtMost, LoadAtMost]
+_GUARDS = (TrueGuard, SourceCountAtMost, LoadAtMost)
 
 
 def eval_guard(g: Guard, nib: NIB, h: Header) -> bool:
@@ -119,9 +120,7 @@ def eval_guard(g: Guard, nib: NIB, h: Header) -> bool:
         return True
     if isinstance(g, SourceCountAtMost):
         return count_by_src(nib, h) <= g.threshold
-    if isinstance(g, LoadAtMost):
-        return count_by_dest(nib, g.server_a) <= count_by_dest(nib, g.server_b)
-    raise TypeError(f"not a guard: {g!r}")
+    return count_by_dest(nib, g.server_a) <= count_by_dest(nib, g.server_b)
 
 
 def guard_key(g: Guard) -> tuple:
@@ -129,9 +128,7 @@ def guard_key(g: Guard) -> tuple:
         return (0,)
     if isinstance(g, SourceCountAtMost):
         return (1, g.threshold)
-    if isinstance(g, LoadAtMost):
-        return (2, g.server_a, g.server_b)
-    raise TypeError(f"not a guard: {g!r}")
+    return (2, g.server_a, g.server_b)
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +353,39 @@ class GuardedDelta:
     branches: tuple[Branch, ...]
     default: Templates
 
+    def __post_init__(self):
+        # One test on the valid path, which `normalize` takes for every
+        # piece it builds; the error is worked out only when it fails.
+        branches = self.branches
+        if not (_are_templates(self.default) and isinstance(branches, tuple)
+                and all([isinstance(b, tuple) and len(b) == 2 and isinstance(b[0], _GUARDS)
+                         and _are_templates(b[1]) for b in branches])):
+            raise _delta_error(branches, self.default)
+
+
+def _are_templates(x) -> bool:
+    return isinstance(x, tuple) and all([isinstance(t, RuleTemplate) for t in x])
+
+
+def _delta_error(branches, default) -> InvalidRuleError:
+    """The error for the first wrong branch shape or guard, else template tuple."""
+    if not isinstance(branches, tuple):
+        return type_error("branches", branches, "a tuple")
+    arms = []
+    for i, b in enumerate(branches):
+        if not (isinstance(b, tuple) and len(b) == 2):
+            return type_error(f"branches[{i}]", b, "a (guard, templates) pair")
+        if not isinstance(b[0], _GUARDS):
+            return type_error(f"branches[{i}][0]", b[0],
+                              "a TrueGuard, SourceCountAtMost or LoadAtMost")
+        arms.append((f"branches[{i}][1]", b[1]))
+    for field, x in arms + [("default", default)]:
+        if not isinstance(x, tuple):
+            return type_error(field, x, "a tuple")
+        for j, t in enumerate(x):
+            if not isinstance(t, RuleTemplate):
+                return type_error(f"{field}[{j}]", t, "a RuleTemplate")
+
 
 def unconditional(templates: Sequence[RuleTemplate]) -> GuardedDelta:
     return GuardedDelta((), tuple(templates))
@@ -427,6 +457,8 @@ def identity_transform(n: int, name: str = "identity") -> AppTransform:
 
 def make_app(name: str, slot: int, delta: GuardedDelta, n: int) -> AppTransform:
     """An application that applies one delta to one switch slot."""
+    if not isinstance(delta, GuardedDelta):
+        raise type_error("delta", delta, "a GuardedDelta")
     if not (type(slot) is int and 0 <= slot < n):
         if type(slot) is not int:
             raise type_error("slot", slot)

@@ -701,3 +701,29 @@ class TestExitCodeContract:
             assert err == ""
         if rule[1] or (old_rule is not None and (old_rule[1] or op != "modify")):
             assert code == 2
+
+
+class TestLongInteger:
+    """A JSON integer longer than Python's int-string limit (4,300 digits)
+    is an input error in a scenario file and in each JSON literal."""
+
+    BIG = "1" * 5000
+
+    @pytest.mark.parametrize("entry", ["scenario", "--header", "--rule", "--old-rule"])
+    def test_exits_2_with_one_error_line(self, entry, whatif_path, tmp_path):
+        doc = copy.deepcopy(BUNDLED)
+        doc["topology"]["switches"] = "<big>"
+        big_path = tmp_path / "big.json"
+        big_path.write_text(json.dumps(doc).replace('"<big>"', self.BIG))
+        literal = f'{{"nw_src": {self.BIG}}}'
+        argv = {
+            "scenario": ["loops", str(big_path)],
+            "--header": ["apply", whatif_path, "ids-lb", f"--header={literal}"],
+            "--rule": ["whatif", whatif_path, "--op", "add", "--switch", "0",
+                       f"--rule={literal}"],
+            "--old-rule": ["whatif", whatif_path, "--op", "modify", "--switch", "0",
+                           f"--rule={TestWhatIf.RULE}", f"--old-rule={literal}"],
+        }[entry]
+        code, out, err = run_main(*argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {entry} is not valid JSON: ") and err.count("\n") == 1, err

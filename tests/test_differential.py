@@ -92,7 +92,6 @@ from flowspace.tables import (
     FlowEntry,
     FlowRule,
     FlowTable,
-    cache_inverse_index,
     inverse_index,
     inverse_key,
     negate_rule,
@@ -360,7 +359,8 @@ class TestCarriedIndex:
 
     def test_flow_mod_returns_the_set_differences(self):
         """On the chain above, `flow_mod` gains and loses exactly the set
-        differences of the two tables, from the carried index or a scan."""
+        differences of the two tables, on a fresh table and on one that
+        carries its index."""
         rng = random.Random(9101)
         seen = Counter()
         nib = None
@@ -371,12 +371,11 @@ class TestCarriedIndex:
             preview = rng.choice(cands)
             s = preview.switch
             parent = nib.tables[s]
-            cache_inverse_index(parent)  # as `what_if` does
             committed = preview if rng.random() < 0.5 else rng.choice(cands)
             for c in (committed,) if committed is preview else (committed, preview):
                 old, new = {"add": (None, c.rule), "delete": (c.rule, None),
                             "modify": (c.old_rule, c.rule)}[c.op]
-                for t in (FlowTable(parent), parent):  # a scan, then the carried index
+                for t in (FlowTable(parent), parent):  # a fresh table, then the carried index
                     table, gained, lost = tables.flow_mod(t, old, new)
                     assert table == commit_oracle(parent, c)
                     assert Counter(gained) == Counter(table.entries) - Counter(parent.entries)
@@ -390,28 +389,31 @@ class TestCarriedIndex:
                 seen["into its zero-counter entry"] += old == new and FlowEntry(new, 0) in parent
         assert min(seen.values()) >= 50, seen
 
-    def test_reduce_and_detect_loops_store_no_index(self):
+    def test_reduce_and_detect_loops_keep_the_index(self):
         rng = random.Random(9102)
         for _ in range(50):
             nib = NIB(Topology(2), (collision_table(rng, 16), planted_table(rng, 4)))
-            detect_loops(nib)
+            assert detect_loops(nib) == detect_loops_oracle(nib)
             for t in nib.tables:
-                reduce(t)
-            assert [t._index for t in nib.tables] == [None, None]
+                assert_index_carried(t)
             t = nib.tables[1]
-            index = cache_inverse_index(t)
+            index = t._index
             assert reduce(t) == reduce_oracle(t)
             assert detect_loops(nib) == detect_loops_oracle(nib)
             assert t._index is index
+            fresh = FlowTable(t)
+            assert reduce(fresh) == reduce_oracle(t)
+            assert_index_carried(fresh)
 
-    def test_table_without_index_stays_without(self):
+    def test_flow_mod_indexes_a_fresh_table(self):
         rng = random.Random(9103)
         for _ in range(100):
             t = planted_table(rng, 3)
             c = rng.choice(candidates(rng, NIB(Topology(1), (t,))))
             out = commit(t, c)
             assert out == commit_oracle(t, c)
-            assert t._index is None and out._index is None
+            assert_index_carried(t)
+            assert_index_carried(out)
 
     @pytest.mark.parametrize("size", [8000, 32000])
     def test_preview_work_is_per_touched_entry(self, monkeypatch, size):
@@ -420,16 +422,14 @@ class TestCarriedIndex:
         live = entries[size // 2].rule
         entries.append(FlowEntry(live, 3))  # a second counter: two entries to remove
         nib = NIB(Topology(1), (FlowTable(entries),))
-        cache_inverse_index(nib.tables[0])
+        inverse_index(nib.tables[0])  # built once, before the counting starts
         calls = Counter()
 
         def counted(r):
             calls["inverse_key"] += 1
             return inverse_key(r)
 
-        # Every module that looks up inverse keys by name.
-        for module in (tables, analysis):
-            monkeypatch.setattr(module, "inverse_key", counted)
+        monkeypatch.setattr(tables, "inverse_key", counted)  # the one module that reads keys
         # (candidate, entries it touches, new loops): the inverse of `live`
         # pairs with both its counters.
         cases = [

@@ -49,6 +49,9 @@ class TestMakeHeader:
         with pytest.raises(WidthOverflowError) as err:
             make_header(tuple(values))
         assert err.value.field == "dl_vlan_pcp"
+        assert (err.value.value, err.value.width) == (8, 3)
+        assert str(err.value) == "dl_vlan_pcp=8 exceeds 3-bit range"
+        assert isinstance(err.value, InvalidRuleError)  # one type for every value error
 
     def test_arity(self):
         with pytest.raises(ArityMismatchError):

@@ -15,7 +15,6 @@ from flowspace.tables import (
     FlowRule,
     FlowTable,
     add,
-    cache_inverse_index,
     empty,
     entry_key,
     inverse_index,
@@ -224,16 +223,15 @@ class TestTableEqualAndOrder:
         fresh = FlowTable([e1, e2])
         assert t == fresh and hash(t) == hash(fresh)
 
-    def test_inverse_index_is_cached_outside_equality(self):
+    def test_inverse_index_is_kept_outside_equality(self):
         r = rule(forward(5), nw_src=1)
         t = table(FlowEntry(r, 0), FlowEntry(negate_rule(r), 2), FlowEntry(rule(drop()), 0))
         fresh = FlowTable(t)
-        assert inverse_index(t) == inverse_index(fresh)
-        assert t._index is None  # building an index does not store it
-        index = cache_inverse_index(t)
-        assert t._index is index and cache_inverse_index(t) is index
-        assert inverse_index(t) is index and fresh._index is None
+        assert t._index is None  # built on first use
+        index = inverse_index(t)
+        assert t._index is index and inverse_index(t) is index and fresh._index is None
         assert t == fresh and hash(t) == hash(fresh) and repr(t) == repr(fresh)
+        assert index == inverse_index(fresh)
         assert all(type(group) is tuple for group in index.values())
 
     def test_entries_are_canonically_sorted(self):
@@ -244,14 +242,17 @@ class TestTableEqualAndOrder:
             assert keys == sorted(keys)
 
 
-#: The package's modules, and the slots only `tables.py` may read.
+#: The package's modules, the slots only `tables.py` may read and the
+#: names of the inverse index's key layout only it may use.
 MODULES = sorted(Path(flowspace.__file__).parent.glob("*.py"))
 TABLE_SLOTS = {"_entries", "_order", "_index"}
+KEY_LAYOUT = {"inverse_key", "partner_key", "inverse_index"}
 
 
 def private_uses(path: Path) -> list[str]:
-    """Underscore names `path` takes from another flowspace module, and
-    its reads of a table's slots unless it is `tables.py`."""
+    """Underscore names `path` takes from another flowspace module, and,
+    unless it is `tables.py`, its reads of a table's slots and the
+    key-layout names it uses."""
     tree = ast.parse(path.read_text())
     modules = set()  # names bound to flowspace modules
     for node in ast.walk(tree):
@@ -269,6 +270,11 @@ def private_uses(path: Path) -> list[str]:
             elif (isinstance(node.value, ast.Name) and node.value.id in modules
                     and node.attr.startswith("_") and not node.attr.startswith("__")):
                 out.append(f"reads {node.value.id}.{node.attr} (line {node.lineno})")
+        name = (node.id if isinstance(node, ast.Name) else node.attr
+                if isinstance(node, ast.Attribute) else node.name
+                if isinstance(node, ast.alias) else None)
+        if name in KEY_LAYOUT and path.name != "tables.py":
+            out.append(f"names {name} (line {node.lineno})")
     return out
 
 
@@ -281,7 +287,9 @@ class TestModuleBoundary:
         probe = tmp_path / "probe.py"
         probe.write_text("from flowspace import tables\n"
                          "from flowspace.tables import _group\n"
-                         "tables._counter(t._index)\n")
+                         "tables._counter(t._index)\n"
+                         "tables.inverse_index(t)\n")
         assert private_uses(probe) == ["imports flowspace.tables._group",
                                        "reads tables._counter (line 3)",
-                                       "reads ._index (line 3)"]
+                                       "reads ._index (line 3)",
+                                       "names inverse_index (line 4)"]

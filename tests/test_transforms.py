@@ -360,6 +360,7 @@ class TestValueConstructors:
 
     H = Header.from_fields()
     ENTRY = FlowEntry(FlowRule(MatchPattern.wildcard(), 1, 60, forward(3)), 0)
+    TPL = RuleTemplate(InputHeader(), DestPort(), 60, Drop())
 
     @pytest.mark.parametrize("build, message", [
         (lambda: Topology(True), "switches must be an int, got bool"),
@@ -375,6 +376,7 @@ class TestValueConstructors:
         (lambda: Header.from_fields(nw_src=True), "nw_src must be an int, got bool"),
         (lambda: Header.from_fields(nw_src=1.0), "nw_src must be an int, got float"),
         (lambda: Header.from_fields(in_port=None), "in_port must be an int, got NoneType"),
+        (lambda: Header.from_fields(nw_tos=64), "nw_tos=64 exceeds 6-bit range"),
         (lambda: Flow(TestValueConstructors.H, -1), "assigned_dest -1 exceeds 32-bit range"),
         (lambda: Flow(TestValueConstructors.H, 2**32),
          "assigned_dest 4294967296 exceeds 32-bit range"),
@@ -391,6 +393,19 @@ class TestValueConstructors:
         (lambda: AppTransform(3, ((1,),), ((),)), "name must be a string, got int"),
         (lambda: make_app("a", True, unconditional([]), 2), "slot must be an int, got bool"),
         (lambda: make_app("a", 1.0, unconditional([]), 2), "slot must be an int, got float"),
+        (lambda: make_app("a", 0, "drop", 1), "delta must be a GuardedDelta, got str"),
+        (lambda: make_app("a", 0, unconditional(["drop"]), 1),
+         "default[0] must be a RuleTemplate, got str"),
+        (lambda: guarded([("x", [])], []),
+         "branches[0][0] must be a TrueGuard, SourceCountAtMost or LoadAtMost, got str"),
+        (lambda: GuardedDelta([], ()), "branches must be a tuple, got list"),
+        (lambda: GuardedDelta(((TrueGuard(),),), ()),
+         "branches[0] must be a (guard, templates) pair, got tuple"),
+        (lambda: GuardedDelta(((TrueGuard(), [TestValueConstructors.TPL]),), ()),
+         "branches[0][1] must be a tuple, got list"),
+        (lambda: GuardedDelta(((TrueGuard(), (TestValueConstructors.TPL, None)),), ()),
+         "branches[0][1][1] must be a RuleTemplate, got NoneType"),
+        (lambda: GuardedDelta((), [TestValueConstructors.TPL]), "default must be a tuple, got list"),
         (lambda: nib_from_vector(topo(), (FlowTable(), FlowTable(), 0)),
          "homogeneous vector must end in 1"),
         (lambda: LoopFinding(0, TestValueConstructors.ENTRY, TestValueConstructors.ENTRY,
@@ -427,6 +442,8 @@ class TestValueConstructors:
         assert Flow(self.H, 2**32 - 1).assigned_dest == 2**32 - 1
         assert LoadAtMost(0, 2**32 - 1) and SourceCountAtMost(0).threshold == 0
         assert make_app("a", 0, unconditional([]), topology.switch_count).dimension == 1
+        delta = guarded([(TrueGuard(), [self.TPL])], [self.TPL])
+        assert delta == GuardedDelta(((TrueGuard(), (self.TPL,)),), (self.TPL,))
 
 
 class CountingName(PortName):
