@@ -84,7 +84,6 @@ from flowspace.tables import (
     negate_table,
     reduce,
     scalar_mul,
-    table_equal,
 )
 from flowspace.transforms import (
     AppTransform,

@@ -31,7 +31,6 @@ from flowspace.tables import (
     inverse_pairs,
     partners,
     reduce,
-    table_equal,
 )
 from flowspace.transforms import (
     AppTransform,
@@ -167,8 +166,7 @@ def behavioral_diff(a: ServiceChain | AppTransform,
         rb = NIB(nib.topology, tuple(tables_b), nib.flows)
         differing = tuple(
             i for i in slots
-            if not table_equal(x := ra.tables[i], y := rb.tables[i])
-            and not table_equal(reduce(x), reduce(y))
+            if (x := ra.tables[i]) != (y := rb.tables[i]) and reduce(x) != reduce(y)
         )
         if differing:
             out.append(Counterexample(index, h, ra, rb, differing))

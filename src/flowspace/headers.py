@@ -209,6 +209,12 @@ def dest_of(h: Header) -> int:
     return h.values[NW_DST]
 
 
-def pattern_key(p: MatchPattern) -> tuple:
-    """Total-order key: exact entries sort before wildcards."""
-    return tuple((0, e) if e is not None else (1, 0) for e in p.entries)
+#: A wildcard's place in a pattern key: above every exact value of every field.
+WILDCARD_KEY = max(FIELD_BOUNDS)
+
+
+def pattern_key(p: MatchPattern) -> tuple[int, ...]:
+    """Total-order key, one int per field: an exact entry as its value, a
+    wildcard as `WILDCARD_KEY`, so exact entries sort by value and before
+    wildcards."""
+    return tuple([WILDCARD_KEY if e is None else e for e in p.entries])

@@ -317,7 +317,3 @@ def reduce(t: FlowTable) -> FlowTable:
         n = len(group) if pkey == key else len(index.get(pkey, ()))
         cancelled.update(group[:n])
     return FlowTable(t._entries - cancelled) if cancelled else t
-
-
-def table_equal(t1: FlowTable, t2: FlowTable) -> bool:
-    return t1 == t2

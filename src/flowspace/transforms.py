@@ -11,7 +11,8 @@ are unioned into the slot's table.
 
 Composition multiplies the linear parts over the two-element field and
 adds the deltas (formal-sum concatenation), mirroring how composite
-application matrices multiply.  `normalize` brings transforms to a
+application matrices multiply; `chain` composes a whole chain in one
+pass and builds one transform.  `normalize` brings transforms to a
 canonical form in one grouping pass per slot, using only
 semantics-preserving rewrites - dropping dead arms, merging summed
 pieces with identical guard sequences into template sets, collapsing
@@ -27,8 +28,11 @@ header); `apply_transform` is that pass over one transform.  Template
 constructors check every value and reference a template holds, a
 deferred pick's servers against their field included, so equal
 templates instantiate alike and a template fails to instantiate only on
-a port lookup.  `check_instantiable` resolves the ports alone, for a
-caller that skips the instantiation.
+a port lookup.  A template derives its canonical key (`template_key`)
+and the port names and destination ports it looks up once, and keeps
+them: equality compares the keys, `normalize` sorts by them, and
+`check_instantiable` resolves only those lookups, for a caller that
+skips the instantiation.
 
 `flow_mod_add`, `flow_mod_delete` and `flow_mod_modify` are the three
 shapes of the FLOW_MOD edit `tables.flow_mod`, which owns the edit and
@@ -38,7 +42,7 @@ the inverse index the new table carries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from flowspace.actions import PORT_MASK, PORT_SLOT, TTL_MASK, ActionFold, AffineAction
 from flowspace.errors import (
@@ -266,9 +270,14 @@ _MATCH_SPECS = (InputHeader, MatchPattern)
 class RuleTemplate:
     """A symbolic flow entry, instantiated per (NIB, header).
 
-    The hash is computed once per object and kept in `__dict__`, out of
-    equality and repr.  Pickling drops it: `PortName` and `SetField`
-    strings hash differently in a process with another hash seed.
+    Facts derived from the fields are computed together once per object,
+    on first use, and kept in `__dict__`, out of repr and pickling: the
+    hash, the canonical key (`template_key`) and the port references
+    that instantiation looks up.  Equality compares the hashes, then the
+    keys: constructors reject bools, unknown field names and
+    out-of-range values, so equal keys mean equal fields.  Pickling
+    drops the facts: `PortName` and `SetField` strings hash differently
+    in a process with another hash seed.
     """
 
     match: MatchSpec
@@ -291,17 +300,39 @@ class RuleTemplate:
                 raise type_error("action", self.action, _ACTION_KIND)
             raise int_error("ttl", ttl, TTL_MASK) or counter_error(counter)
 
+    # Both read the kept facts in place and call `_facts` only the first
+    # time: every set and dict operation on templates runs them.
     def __hash__(self) -> int:
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            cached = self.__dict__["_hash"] = hash(
-                (self.match, self.out_port, self.ttl, self.action, self.counter))
-        return cached
+        return (self.__dict__.get("_facts") or _facts(self))[0]
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not RuleTemplate:
+            return NotImplemented
+        x = self.__dict__.get("_facts") or _facts(self)
+        y = other.__dict__.get("_facts") or _facts(other)
+        return x[0] == y[0] and x[1] == y[1]
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
-        state.pop("_hash", None)
+        state.pop("_facts", None)
         return state
+
+
+def _facts(t: RuleTemplate) -> tuple[int, tuple, tuple[PortRef, ...]]:
+    """The template's hash, canonical key and port lookups, derived on
+    first use.
+
+    One `__dict__` entry holds them all: a second entry would grow every
+    template's dict.
+    """
+    facts = t.__dict__.get("_facts")
+    if facts is None:
+        facts = t.__dict__["_facts"] = (
+            hash((t.match, t.out_port, t.ttl, t.action, t.counter)),
+            _canonical_key(t), _port_lookups(t))
+    return facts
 
 
 def _port_key(ref: PortRef) -> tuple:
@@ -334,9 +365,32 @@ def _match_spec_key(m: MatchSpec) -> tuple:
     return (1, pattern_key(m))
 
 
-def template_key(t: RuleTemplate) -> tuple:
+def _canonical_key(t: RuleTemplate) -> tuple:
     return (_match_spec_key(t.match), _port_key(t.out_port), t.ttl,
             _action_spec_key(t.action), t.counter)
+
+
+def template_key(t: RuleTemplate) -> tuple:
+    """The template's canonical total-order key; equal exactly when the
+    templates are.  Computed once per template and kept."""
+    return _facts(t)[1]
+
+
+def _forward_ports(spec: ActionSpec) -> Iterator[PortRef]:
+    """The ports of a template action's `Forward` steps, in step order."""
+    if isinstance(spec, Forward):
+        yield spec.port
+    elif isinstance(spec, Seq):
+        for step in spec.steps:
+            yield from _forward_ports(step)
+
+
+def _port_lookups(t: RuleTemplate) -> tuple[PortRef, ...]:
+    """The ports instantiating `t` resolves through the NIB, in its order:
+    the out port, then each `Forward` port in step order.  A literal
+    `PortNumber` needs no lookup and cannot fail, so it is left out."""
+    return tuple([ref for ref in (t.out_port, *_forward_ports(t.action))
+                  if not isinstance(ref, PortNumber)])
 
 
 # ---------------------------------------------------------------------------
@@ -412,9 +466,16 @@ class AppTransform:
     translation: tuple[DeltaSum, ...]
 
     def __post_init__(self):
-        name, linear, n = self.name, self.linear, len(self.translation)
+        # One test on the valid path, which `chain` and `normalize` take
+        # for every transform they build; the error is worked out only
+        # when it fails.
+        name, linear, translation = self.name, self.linear, self.translation
         if type(name) is not str:
             raise type_error("name", name, "a string")
+        if not (isinstance(translation, tuple) and all([isinstance(s, tuple) for s in translation])
+                and all([isinstance(p, GuardedDelta) for s in translation for p in s])):
+            raise _translation_error(translation)
+        n = len(translation)
         if len(linear) != n or any(len(row) != n for row in linear):
             raise DimensionMismatchError("linear part must be square and match the slot count")
         for row in linear:
@@ -425,6 +486,18 @@ class AppTransform:
     @property
     def dimension(self) -> int:
         return len(self.translation)
+
+
+def _translation_error(translation) -> InvalidRuleError:
+    """The error for the first slot or piece that is not a tuple or a `GuardedDelta`."""
+    if not isinstance(translation, tuple):
+        return type_error("translation", translation, "a tuple")
+    for i, slot in enumerate(translation):
+        if not isinstance(slot, tuple):
+            return type_error(f"translation[{i}]", slot, "a tuple")
+        for j, piece in enumerate(slot):
+            if not isinstance(piece, GuardedDelta):
+                return type_error(f"translation[{i}][{j}]", piece, "a GuardedDelta")
 
 
 def _linear_error(linear) -> InvalidRuleError:
@@ -584,25 +657,17 @@ def selections(a: AppTransform, nib: NIB, h: Header) -> tuple[Templates, ...]:
     return tuple(out)
 
 
-def _forward_ports(spec: ActionSpec) -> Iterator[PortRef]:
-    """The ports of a template action's `Forward` steps, in step order."""
-    if isinstance(spec, Forward):
-        yield spec.port
-    elif isinstance(spec, Seq):
-        for step in spec.steps:
-            yield from _forward_ports(step)
-
-
 def check_instantiable(templates: Iterable[RuleTemplate], nib: NIB, h: Header) -> None:
     """Raise what instantiating the templates in order would raise.
 
     Instantiation can fail only on a port lookup, of the out port and
-    then of each `Forward` port in step order, so only those are resolved.
+    then of each `Forward` port in step order, so only those are
+    resolved, and of them only the names and destination ports that each
+    template keeps with its key: a literal port cannot fail.
     """
     for tpl in templates:
-        resolve_port(tpl.out_port, nib, h)
-        for port in _forward_ports(tpl.action):
-            resolve_port(port, nib, h)
+        for ref in _facts(tpl)[2]:
+            resolve_port(ref, nib, h)
 
 
 def apply_transform(a: AppTransform, nib: NIB, h: Header) -> NIB:
@@ -667,49 +732,54 @@ class Instances:
 
 
 def compose_apps(second: AppTransform, first: AppTransform) -> AppTransform:
-    """The transform applying `first` and then `second`.
-
-    Linear parts multiply over the two-element field, a row at a time:
-    row i of the product is the XOR of the rows of `first` that
-    second's row i selects (one selected row is reused as is).  Slot
-    i's delta gains the first transform's deltas for those same slots,
-    followed by second's own delta.
-    """
-    n = first.dimension
-    if second.dimension != n:
-        raise DimensionMismatchError(
-            f"cannot compose {second.dimension}-slot with {n}-slot transform"
-        )
-    linear = []
-    translation = []
-    for i in range(n):
-        selected = [j for j, c in enumerate(second.linear[i]) if c]
-        if len(selected) == 1:
-            row = tuple(first.linear[selected[0]])
-        else:
-            acc = [0] * n
-            for j in selected:
-                for k, c in enumerate(first.linear[j]):
-                    acc[k] ^= c
-            row = tuple(acc)
-        linear.append(row)
-        pieces = [p for j in selected for p in first.translation[j]]
-        pieces.extend(second.translation[i])
-        translation.append(tuple(pieces))
-    return AppTransform(
-        f"{second.name}*{first.name}", tuple(linear), tuple(translation)
-    )
+    """The transform applying `first` and then `second`."""
+    return chain((first, second))
 
 
 def chain(stages: ServiceChain | Sequence[AppTransform]) -> AppTransform:
-    """Collapse a chain into one composite; the first stage applies first."""
+    """Collapse a chain into one composite; the first stage applies first.
+
+    One pass over the stages, linear in their count and pieces.  Linear
+    parts multiply over the two-element field, a row at a time: after a
+    stage, row i is the XOR of the accumulated rows that the stage's
+    row i selects (one selected row is reused as is).  Slot i's pieces
+    become the accumulated pieces of those same slots, followed by the
+    stage's own; a slot that is the only one to select a single slot
+    extends that slot's list in place, so an identity stage copies
+    nothing.  The composite, named `s_k*...*s_0`, is built once.
+    """
     seq = stages.stages if isinstance(stages, ServiceChain) else tuple(stages)
     if not seq:
         raise EmptyChainError("cannot compose an empty chain")
-    composite = seq[0]
+    first = seq[0]
+    n = first.dimension
+    linear = tuple(map(tuple, first.linear))
+    pieces = [list(slot) for slot in first.translation]
     for stage in seq[1:]:
-        composite = compose_apps(stage, composite)
-    return composite
+        if stage.dimension != n:
+            raise DimensionMismatchError(
+                f"cannot compose {stage.dimension}-slot with {n}-slot transform"
+            )
+        uses = [sum(column) for column in zip(*stage.linear)]
+        rows, slots = [], []
+        for row, own in zip(stage.linear, stage.translation):
+            selected = [j for j, c in enumerate(row) if c]
+            if len(selected) == 1:
+                j = selected[0]
+                rows.append(linear[j])
+                slot = pieces[j] if uses[j] == 1 else pieces[j].copy()
+            else:
+                acc = [0] * n
+                for j in selected:
+                    for k, c in enumerate(linear[j]):
+                        acc[k] ^= c
+                rows.append(tuple(acc))
+                slot = [p for j in selected for p in pieces[j]]
+            slot.extend(own)
+            slots.append(slot)
+        linear, pieces = tuple(rows), slots
+    name = "*".join([stage.name for stage in reversed(seq)])
+    return AppTransform(name, linear, tuple(map(tuple, pieces)))
 
 
 # ---------------------------------------------------------------------------
@@ -739,7 +809,7 @@ def _canon_arms(piece: GuardedDelta) -> tuple[tuple[Guard, ...], list[set], set]
     return tuple(arms), list(arms.values()), default
 
 
-def _canon_sum(pieces: DeltaSum, key: Callable[[RuleTemplate], tuple]) -> DeltaSum:
+def _canon_sum(pieces: DeltaSum) -> DeltaSum:
     """Canonicalize a formal sum of pieces in one pass.
 
     Pieces with identical guard sequences always fire the same arm
@@ -747,7 +817,8 @@ def _canon_sum(pieces: DeltaSum, key: Callable[[RuleTemplate], tuple]) -> DeltaS
     whose arms all agree with its otherwise arm folds into the
     unconditional group, which cannot collapse further.  Pieces that
     contribute nothing vanish.  Guard sequences are unique after
-    grouping, so they alone order the surviving pieces.
+    grouping, so they alone order the surviving pieces.  Template sets
+    sort by `template_key`, which each template computes once and keeps.
     """
     groups: dict[tuple[Guard, ...], tuple[list[set], set]] = {}
     for piece in pieces:
@@ -769,25 +840,17 @@ def _canon_sum(pieces: DeltaSum, key: Callable[[RuleTemplate], tuple]) -> DeltaS
             always |= default
         else:
             out.append(GuardedDelta(
-                tuple((g, tuple(sorted(arm, key=key))) for g, arm in zip(guards, arms)),
-                tuple(sorted(default, key=key)),
+                tuple((g, tuple(sorted(arm, key=template_key))) for g, arm in zip(guards, arms)),
+                tuple(sorted(default, key=template_key)),
             ))
     if always:
-        out.append(GuardedDelta((), tuple(sorted(always, key=key))))
+        out.append(GuardedDelta((), tuple(sorted(always, key=template_key))))
     return tuple(sorted(out, key=lambda p: tuple(guard_key(g) for g, _ in p.branches)))
 
 
 def normalize(a: AppTransform) -> AppTransform:
     """Canonical form whose structural equality decides congruence."""
-    keys: dict[RuleTemplate, tuple] = {}
-
-    def key(t: RuleTemplate) -> tuple:
-        k = keys.get(t)
-        if k is None:
-            k = keys[t] = template_key(t)
-        return k
-
-    return AppTransform(a.name, a.linear, tuple(_canon_sum(s, key) for s in a.translation))
+    return AppTransform(a.name, a.linear, tuple(_canon_sum(s) for s in a.translation))
 
 
 def normal_forms(a: AppTransform, b: AppTransform) -> tuple[AppTransform, AppTransform]:

@@ -36,6 +36,10 @@ Congruence has one verdict in the library, `analysis.check_congruence`.
 normal forms, which the tests state laws with; `is_translation_only`
 and `instantiate` likewise serve the tests only.
 
+Template equality is checked against the field-by-field comparison
+that key-based equality replaced, and the flat pattern key against the
+nested one it replaced, by the orders they give.
+
 Template actions are checked against the instantiation that `ActionFold`
 replaced: it builds one validated action per step and composes them
 pairwise, and takes every `set_field` delta from the steered header, so
@@ -68,7 +72,7 @@ from flowspace.headers import (
 )
 from flowspace.nib import NIB
 from flowspace.scenario import _field, _int, _require, _require_list, _require_obj
-from flowspace.tables import FlowEntry, FlowRule, FlowTable, add, entry_key, reduce, table_equal
+from flowspace.tables import FlowEntry, FlowRule, FlowTable, add, entry_key, reduce
 from flowspace.transforms import (
     ActionSpec,
     AppTransform,
@@ -455,7 +459,7 @@ def behavioral_diff_oracle(a: ServiceChain | AppTransform,
         rb = apply_transform_oracle(tb, nib, h)
         differing = tuple(
             i for i, (x, y) in enumerate(zip(ra.tables, rb.tables))
-            if not table_equal(reduce(x), reduce(y))
+            if reduce(x) != reduce(y)
         )
         if differing:
             out.append(Counterexample(index, h, ra, rb, differing))
@@ -492,6 +496,24 @@ def compose_apps_oracle(second: AppTransform, first: AppTransform) -> AppTransfo
     return AppTransform(
         f"{second.name}*{first.name}", linear, tuple(translation)
     )
+
+
+def template_eq_oracle(a: RuleTemplate, b: RuleTemplate) -> bool:
+    """Equality as the dataclass compares: same class, equal field tuples."""
+    return a.__class__ is b.__class__ and (
+        (a.match, a.out_port, a.ttl, a.action, a.counter)
+        == (b.match, b.out_port, b.ttl, b.action, b.counter))
+
+
+def pattern_key_oracle(p: MatchPattern) -> tuple:
+    """Total-order key: exact entries sort before wildcards, nested per field."""
+    return tuple((0, e) if e is not None else (1, 0) for e in p.entries)
+
+
+def entry_key_oracle(e: FlowEntry) -> tuple:
+    r = e.rule
+    return (pattern_key_oracle(r.match), r.out_port, r.ttl, actions.action_key(r.action),
+            e.counter)
 
 
 def _xor_all(bits) -> int:

@@ -36,7 +36,6 @@ from flowspace.tables import (
     empty,
     negate_rule,
     scalar_mul,
-    table_equal,
 )
 from flowspace.transforms import (
     AppTransform,
@@ -69,8 +68,8 @@ def test_criterion_1_table_space_axioms():
         t = sampling.random_table(rng)
         if len(t) == 0:
             continue
-        ok = ok and table_equal(scalar_mul(1 ^ 1, t), empty())
-        ok = ok and table_equal(add(scalar_mul(1, t), scalar_mul(1, t)), t)
+        ok = ok and scalar_mul(1 ^ 1, t) == empty()
+        ok = ok and add(scalar_mul(1, t), scalar_mul(1, t)) == t
     report("1 table-space axiom suite (1000 tables, deviation observed)", ok)
 
 
@@ -165,7 +164,7 @@ def test_criterion_5_congruence_soundness():
         for nib, h in scenarios:
             ra = apply_transform(ca, nib, h)
             rb = apply_transform(cb, nib, h)
-            if not all(table_equal(x, y) for x, y in zip(ra.tables, rb.tables)):
+            if not all(x == y for x, y in zip(ra.tables, rb.tables)):
                 counterexamples += 1
         if behavioral_diff(va, vb, scenarios):
             counterexamples += 1

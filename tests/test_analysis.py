@@ -23,7 +23,7 @@ from flowspace.errors import (
 )
 from flowspace.headers import MatchPattern
 from flowspace.nib import NIB, Topology
-from flowspace.tables import FlowEntry, FlowRule, FlowTable, negate_rule, table_equal
+from flowspace.tables import FlowEntry, FlowRule, FlowTable, negate_rule
 from flowspace.transforms import (
     Drop,
     InputHeader,
@@ -211,7 +211,7 @@ class TestWhatIf:
             added = what_if(nib, FlowModRequest("add", 0, r)).result
             restored = what_if(added, FlowModRequest("delete", 0, r)).result
             expect = FlowTable(e for e in t if e.rule != r)
-            assert table_equal(restored.tables[0], expect)
+            assert restored.tables[0] == expect
 
     def test_diff_reconstructs_after_from_before(self):
         rng = random.Random(71)

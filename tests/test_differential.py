@@ -10,7 +10,10 @@ seeded NIBs whose headers collide, on hand-built NIBs, and inside
 
 `normalize` must give exactly the merge-pass fixpoint's normal form on
 seeded chains whose guard sequences collide and whose merged arms
-collapse.
+collapse, computing each template object's key once.  Template
+equality, hash agreement and key equality must agree with the
+field-by-field comparison on seeded pairs, and the flat pattern key
+must order patterns and table entries as the nested key did.
 
 `scenario.action_from_obj`, which folds a concrete action's steps into
 one action, must give exactly the pairwise-composing decoder's action,
@@ -33,11 +36,19 @@ It must instantiate nothing on a scenario whose two composites have
 equal linear parts and select equal template sets in every slot, yet
 raise there what an apply raises; on any other scenario it must
 instantiate each distinct selected template once.  It must reduce no
-slot whose two tables are equal.  `compose_apps` must give exactly the
-entrywise matrix product on seeded apps with random 0/1 linear parts.
+slot whose two tables are equal.  `check_instantiable` must resolve
+exactly the port names and destination ports that instantiation
+resolves, in its order, and raise its error.  `compose_apps` and
+`chain` must give exactly the entrywise matrix product, folded stage
+by stage, on seeded apps with random 0/1 linear parts, and `chain`'s
+work must grow linearly with the stage count.
 """
 
+import copy
+import dataclasses
+import pickle
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -53,9 +64,12 @@ from oracles import (
     count_by_src_oracle,
     detect_loops_oracle,
     effective_dest_of_header_oracle,
+    entry_key_oracle,
     normalize_oracle,
+    pattern_key_oracle,
     reduce_oracle,
     table_diffs_oracle,
+    template_eq_oracle,
     what_if_new_loops_oracle,
 )
 from flowspace import analysis, casestudy, sampling, tables, transforms
@@ -78,7 +92,7 @@ from flowspace.errors import (
     FlowspaceError,
     UnresolvedPortError,
 )
-from flowspace.headers import FIELD_INDEX, FIELDS, Header, MatchPattern
+from flowspace.headers import FIELD_INDEX, FIELD_MASKS, FIELDS, Header, MatchPattern, pattern_key
 from flowspace.nib import (
     NIB,
     Flow,
@@ -110,6 +124,7 @@ from flowspace.transforms import (
     PortNumber,
     RuleTemplate,
     Seq,
+    ServiceChain,
     SetField,
     SourceCountAtMost,
     build_action,
@@ -617,22 +632,89 @@ class TestNormalForm:
 
     def test_template_keys_are_computed_once(self, monkeypatch):
         calls = Counter()
-        template_key = transforms.template_key
+        canonical_key = transforms._canonical_key
 
         def counting(t):
-            calls[t] += 1
-            return template_key(t)
+            calls[id(t)] += 1
+            return canonical_key(t)
 
+        monkeypatch.setattr(transforms, "_canonical_key", counting)
         t = normal_form_chain(random.Random(6002), 192, 3)
-        expected = normalize_oracle(t)
-        monkeypatch.setattr(transforms, "template_key", counting)
-        assert normalize(t) == expected
-        placed = [tpl for slot in expected.translation for p in slot
+        # Unpickled, every template is an equal but distinct object.
+        twin = pickle.loads(pickle.dumps(t))
+        first, second = normalize(t), normalize(twin)
+        assert first == normalize_oracle(t) == second
+        placed = [tpl for n in (first, second) for slot in n.translation for p in slot
                   for tpls in [p.default, *(arm for _, arm in p.branches)] for tpl in tpls]
-        # Templates recur across arms, pieces and slots, yet each key is
-        # computed once.
-        assert len(placed) > len(set(placed)) == len(calls)
+        # Templates recur across arms, pieces and slots, the two normal
+        # forms compare template by template, yet each object's key is
+        # computed once, and only for objects of the two chains.
+        assert len(placed) > len({id(tpl) for tpl in placed})
+        assert {id(tpl) for tpl in placed} <= set(calls)
+        assert set(calls) <= {id(tpl) for c in (t, twin) for slot in c.translation
+                              for p in slot for tpls in [p.default, *(a for _, a in p.branches)]
+                              for tpl in tpls}
         assert set(calls.values()) == {1}
+
+
+def one_field_apart(rng: random.Random, tpl: RuleTemplate) -> RuleTemplate:
+    """The template with one field taken from a fresh random template."""
+    name = rng.choice([f.name for f in dataclasses.fields(RuleTemplate)])
+    return dataclasses.replace(tpl, **{name: getattr(sampling.random_template(rng), name)})
+
+
+def small_pattern(rng: random.Random) -> MatchPattern:
+    """A pattern over few values per field, so exact entries tie, differ
+    and face wildcards in every field."""
+    return MatchPattern(tuple(rng.choice((None, 0, 1, m)) for m in FIELD_MASKS))
+
+
+class TestTemplateFacts:
+    def test_equality_hash_and_key_agree_with_fields(self):
+        rng = random.Random(6101)
+        kinds = Counter()
+        for _ in range(3000):
+            a = sampling.random_template(rng)
+            roll = rng.random()
+            if roll < 0.3:
+                b, kind = copy.deepcopy(a), "copy"  # equal, distinct, no cached facts
+            elif roll < 0.7:
+                b, kind = one_field_apart(rng, a), "one field"
+            else:
+                b, kind = sampling.random_template(rng), "fresh"
+            want = template_eq_oracle(a, b)
+            assert (a == b) is (b == a) is want
+            assert (a != b) is not want
+            assert (transforms.template_key(a) == transforms.template_key(b)) is want
+            if want:
+                assert hash(a) == hash(b)
+            kinds[kind, want] += 1
+        assert kinds["copy", True] and kinds["fresh", False]
+        assert kinds["one field", True] and kinds["one field", False] > 500, kinds
+
+    def test_equality_is_not_with_other_types(self):
+        tpl = sampling.random_template(random.Random(6102))
+        assert tpl != (tpl.match, tpl.out_port, tpl.ttl, tpl.action, tpl.counter)
+        assert tpl != transforms.template_key(tpl) and tpl != None  # noqa: E711
+
+    def test_pattern_key_orders_as_the_nested_key(self):
+        rng = random.Random(6103)
+        for _ in range(300):
+            ps = [small_pattern(rng) for _ in range(20)] + [
+                sampling.random_pattern(rng) for _ in range(5)]
+            assert sorted(ps, key=pattern_key) == sorted(ps, key=pattern_key_oracle)
+            for p, q in zip(ps, ps[1:]):
+                assert (pattern_key(p) < pattern_key(q)) == (
+                    pattern_key_oracle(p) < pattern_key_oracle(q))
+                assert (pattern_key(p) == pattern_key(q)) == (p == q)
+
+    def test_table_order_is_the_nested_key_order(self):
+        rng = random.Random(6104)
+        for _ in range(300):
+            rules = [FlowRule(small_pattern(rng), rng.choice((1, 2)), 60,
+                              sampling.random_invertible_action(rng)) for _ in range(4)]
+            table = FlowTable(FlowEntry(rng.choice(rules), rng.randrange(2)) for _ in range(12))
+            assert table.entries == tuple(sorted(table, key=entry_key_oracle))
 
 
 # ---------------------------------------------------------------------------
@@ -1140,7 +1222,147 @@ class TestBehavioralDiff:
         assert reduced["reduce"] == 2 * unequal > 0
 
 
+def recording_resolve_port(monkeypatch) -> list:
+    """Record every port reference `transforms` resolves, in order."""
+    resolved = []
+
+    def recording(ref, nib, h):
+        resolved.append(ref)
+        return resolve_port(ref, nib, h)
+
+    monkeypatch.setattr(transforms, "resolve_port", recording)
+    return resolved
+
+
+class TestCheckInstantiable:
+    def test_literal_ports_are_never_resolved_on_a_skip(self, monkeypatch):
+        # The composites select the same templates in another order, so
+        # the scenario is skipped after the check: a template whose ports
+        # are all `PortNumber`s needs no lookup, a named port does.
+        topology = Topology(1, {"p0": 1}, {sampling.ADDRESS_POOL[0]: 1})
+        nib = NIB(topology, (FlowTable(),))
+        h = Header.from_fields(nw_dst=sampling.ADDRESS_POOL[0])
+        literal = RuleTemplate(InputHeader(), PortNumber(1), 60, Seq(
+            (Forward(PortNumber(2)), SetField("nw_tos", 3), Seq((Forward(PortNumber(4)),)))))
+        drop_only = RuleTemplate(MatchPattern.wildcard(), PortNumber(7), 30, Drop())
+        named = RuleTemplate(InputHeader(), PortNumber(1), 60,
+                             Seq((Forward(PortNumber(2)), Forward(PortName("p0")))))
+        at_dest = RuleTemplate(InputHeader(), DestPort(), 60, Forward(PortNumber(3)))
+        resolved = recording_resolve_port(monkeypatch)
+        for templates, want in (([literal], []),
+                                ([literal, drop_only], []),
+                                ([literal, named, drop_only], [PortName("p0")]),
+                                ([at_dest, literal, named], [DestPort(), PortName("p0")])):
+            ta = make_app("a", 0, unconditional(templates), 1)
+            tb = make_app("b", 0, unconditional(templates[::-1]), 1)
+            resolved.clear()
+            assert analysis.behavioral_diff(ta, tb, [(nib, h)]) == []
+            assert resolved == want
+
+    def test_lookups_are_the_applys_in_its_order(self, monkeypatch):
+        # On seeded templates whose ports may not resolve, the check
+        # resolves exactly the names and destination ports that
+        # instantiation resolves, out port first and then each `Forward`
+        # in step order, and fails with the same error at the same one.
+        rng = random.Random(8101)
+        topology = Topology(1, {name: 1 for name in sampling.PORT_NAMES[:3]},
+                            {a: 1 for a in sampling.ADDRESS_POOL[:4]})
+        resolved = recording_resolve_port(monkeypatch)
+        outcomes = Counter()
+        for _ in range(3000):
+            tpl = RuleTemplate(InputHeader(), sampling.random_port_ref(rng), 60,
+                               random_template_action(rng))
+            nib = NIB(topology, (FlowTable(),))
+            h = Header.from_fields(nw_dst=rng.choice(sampling.ADDRESS_POOL))
+            resolved.clear()
+            built = outcome_of(lambda: transforms.Instances(nib, h).entry(tpl))
+            applied = [ref for ref in resolved if not isinstance(ref, PortNumber)]
+            resolved.clear()
+            checked = outcome_of(lambda: transforms.check_instantiable([tpl], nib, h))
+            assert resolved == applied
+            assert checked == (built if type(built) is tuple else None)
+            outcomes[checked[1].split(" ")[1] if checked else "ok", len(applied) > 1] += 1
+        assert min(outcomes.values()) > 15 and len(outcomes) == 6, outcomes
+
+
+def outcome_of(run):
+    """What `run()` returns, or the error's type and message."""
+    try:
+        return run()
+    except UnresolvedPortError as exc:
+        return type(exc), str(exc)
+
+
+def chain_oracle(stages: list[AppTransform]) -> AppTransform:
+    """The composite by `compose_apps_oracle`, folded one stage at a time."""
+    acc = stages[0]
+    for stage in stages[1:]:
+        acc = compose_apps_oracle(stage, acc)
+    return acc
+
+
+def permuting_app(rng: random.Random, n: int, name: str) -> AppTransform:
+    """An app whose linear part permutes the slots, with up to two random
+    pieces per slot."""
+    order = rng.sample(range(n), n)
+    return AppTransform(name, tuple(tuple(int(j == k) for j in range(n)) for k in order),
+                        tuple(tuple(sampling.random_delta(rng) for _ in range(rng.randrange(3)))
+                              for _ in range(n)))
+
+
+def chain_work(monkeypatch, stages: list[AppTransform]) -> tuple[int, int]:
+    """The transforms `chain` builds and the lines of `transforms.py` it runs."""
+    built = Counter()
+    check = AppTransform.__post_init__
+
+    def counting(self):
+        built["transforms"] += 1
+        check(self)
+
+    monkeypatch.setattr(AppTransform, "__post_init__", counting)
+    code = transforms.chain.__code__.co_filename
+
+    def tracer(frame, event, arg):
+        if event == "line" and frame.f_code.co_filename == code:
+            built["lines"] += 1
+        return tracer
+
+    sys.settrace(tracer)
+    try:
+        composite = transforms.chain(stages)
+    finally:
+        sys.settrace(None)
+    monkeypatch.undo()
+    assert composite == chain_oracle(stages)
+    return built["transforms"], built["lines"]
+
+
 class TestComposeApps:
+    def test_chain_matches_the_stagewise_fold(self):
+        rng = random.Random(8007)
+        for _ in range(800):
+            n = rng.randint(1, 5)
+            stages = [random_stage(rng, n, f"s{i}") for i in range(rng.randint(1, 9))]
+            composite = transforms.chain(stages)
+            assert composite == chain_oracle(stages)
+            assert composite.name == "*".join(s.name for s in reversed(stages))
+        assert transforms.chain(ServiceChain(tuple(stages))) == composite
+
+    def test_chain_work_grows_linearly_with_stages(self, monkeypatch):
+        # One transform is built per chain, and the lines run grow with
+        # the stage count, not with the pieces accumulated before each
+        # stage (that was quadratic: about 16 times the work for 4 times
+        # the stages).  Every fifth stage permutes the slots.
+        rng = random.Random(8008)
+
+        def stages(k):
+            return [permuting_app(rng, 4, f"s{i}") if i % 5 == 4
+                    else sampling.random_app(rng, 4, f"s{i}") for i in range(k)]
+
+        small, large = chain_work(monkeypatch, stages(96)), chain_work(monkeypatch, stages(384))
+        assert small[0] == large[0] == 1
+        assert 3.5 * small[1] < large[1] < 4.5 * small[1], (small, large)
+
     def test_matches_entrywise_product_on_seeded_apps(self):
         rng = random.Random(8005)
         for _ in range(1500):

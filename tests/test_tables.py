@@ -22,7 +22,6 @@ from flowspace.tables import (
     negate_table,
     reduce,
     scalar_mul,
-    table_equal,
 )
 
 
@@ -45,7 +44,7 @@ class TestEmptyAndAdd:
 
     def test_add_identity(self):
         t = table(FlowEntry(rule(nw_src=1), 4))
-        assert table_equal(add(t, empty()), t)
+        assert add(t, empty()) == t
 
     def test_add_commutative_and_idempotent(self):
         t1 = table(FlowEntry(rule(nw_src=1), 0))
@@ -206,8 +205,8 @@ class TestStrictConstructors:
 class TestTableEqualAndOrder:
     def test_trivials(self):
         t = table(FlowEntry(rule(nw_src=1), 0))
-        assert table_equal(t, t)
-        assert not table_equal(empty(), t)
+        assert t == t
+        assert empty() != t
 
     def test_construction_order_is_irrelevant(self):
         e1 = FlowEntry(rule(nw_src=1), 0)

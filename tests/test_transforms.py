@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from oracles import congruent, is_translation_only
-from flowspace import actions, sampling
+from flowspace import actions, sampling, transforms
 from flowspace.actions import drop, forward
 from flowspace.errors import (
     DimensionMismatchError,
@@ -49,6 +49,7 @@ from flowspace.transforms import (
     identity_transform,
     make_app,
     normalize,
+    template_key,
     unconditional,
 )
 
@@ -391,6 +392,13 @@ class TestValueConstructors:
         (lambda: AppTransform("a", ((1, 0), (0, 2)), ((), ())),
          "linear[1][1] 2 exceeds 1-bit range"),
         (lambda: AppTransform(3, ((1,),), ((),)), "name must be a string, got int"),
+        (lambda: AppTransform("a", ((1,),), (("junk",),)),
+         "translation[0][0] must be a GuardedDelta, got str"),
+        (lambda: AppTransform("a", ((1, 0), (0, 1)), ((), [])),
+         "translation[1] must be a tuple, got list"),
+        (lambda: AppTransform("a", ((1,),), [()]), "translation must be a tuple, got list"),
+        (lambda: AppTransform("a", ((1,),), ((unconditional([]), None),)),
+         "translation[0][1] must be a GuardedDelta, got NoneType"),
         (lambda: make_app("a", True, unconditional([]), 2), "slot must be an int, got bool"),
         (lambda: make_app("a", 1.0, unconditional([]), 2), "slot must be an int, got float"),
         (lambda: make_app("a", 0, "drop", 1), "delta must be a GuardedDelta, got str"),
@@ -478,7 +486,7 @@ class TestTemplateHash:
         tpl, fresh = hashed_template(), hashed_template()
         before = repr(tpl)
         hash(tpl)
-        assert "_hash" in vars(tpl) and "_hash" not in vars(fresh)
+        assert "_facts" in vars(tpl) and "_facts" not in vars(fresh)
         assert tpl == fresh and fresh == tpl
         assert repr(tpl) == before == repr(fresh)
 
@@ -486,8 +494,21 @@ class TestTemplateHash:
         tpl = fwd_template()
         hash(tpl)
         loaded = pickle.loads(pickle.dumps(tpl))
-        assert "_hash" not in vars(loaded)
-        assert loaded == tpl and hash(loaded) == hash(tpl)
+        assert "_facts" not in vars(loaded)
+        assert loaded == tpl and tpl == loaded and loaded is not tpl
+        assert hash(loaded) == hash(tpl) and template_key(loaded) == template_key(tpl)
+
+    def test_facts_are_one_entry_computed_once(self, monkeypatch):
+        calls = []
+        canonical_key = transforms._canonical_key
+        monkeypatch.setattr(transforms, "_canonical_key",
+                            lambda t: calls.append(t) or canonical_key(t))
+        tpl, other = hashed_template(), hashed_template()
+        fields = set(vars(tpl))
+        assert tpl == other and other == tpl and template_key(tpl) == template_key(other)
+        # The hash, key and lookups share one entry: a second would grow the dict.
+        assert set(vars(tpl)) - fields == {"_facts"}
+        assert len(calls) == 2 and calls[0] is not calls[1]
 
     def test_unpickled_in_another_hash_seed_hashes_as_built_there(self):
         tpl = fwd_template("p-seeded")
