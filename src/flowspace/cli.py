@@ -1,7 +1,11 @@
 """Command-line front end.
 
-Commands load a scenario file, run an analysis and print a report in
-text or JSON form.  Exit codes are CI-friendly: 0 means clean
+Commands read a scenario file, run an analysis and print a report in
+text or JSON form.  Each command decodes only the sections of the file
+its analysis reads (README has the table): `loops` and `whatif` the
+NIB, `congruence` two chains and their apps, `apply` the NIB, one chain
+and its apps, and a query for `--header @name`.  Exit codes are
+CI-friendly: 0 means clean
 (congruent / no loops / all properties hold), 1 means the analysis
 verdict was negative, 2 means a usage or input error.  When the reader
 of standard output goes away early, the command stops quietly with
@@ -205,13 +209,6 @@ def emit_json(obj) -> None:
 # Commands
 
 
-def _chain_of(scn: scenario.Scenario, name: str):
-    try:
-        return scn.chains[name]
-    except KeyError:
-        raise FlowspaceError(f"no chain named {name!r} in scenario") from None
-
-
 def cmd_axioms(args) -> int:
     results = axioms.run_suite(seed=args.seed, cases=args.cases)
     if args.format == "json":
@@ -244,8 +241,8 @@ def _axiom_status(r: axioms.PropertyResult) -> str:
 
 
 def cmd_congruence(args) -> int:
-    scn = scenario.load_scenario(args.scenario)
-    report = check_congruence(_chain_of(scn, args.chain_a), _chain_of(scn, args.chain_b))
+    doc = scenario.read_document(args.scenario)
+    report = check_congruence(doc.chain(args.chain_a), doc.chain(args.chain_b))
     if args.format == "json":
         emit_json(congruence_to_obj(report))
     else:
@@ -263,20 +260,17 @@ def cmd_congruence(args) -> int:
     return 0 if report.congruent else 1
 
 
-def _parse_header(scn: scenario.Scenario, literal: str) -> Header:
+def _parse_header(doc: scenario.Document, literal: str) -> Header:
     if literal.startswith("@"):
-        name = literal[1:]
-        if name not in scn.queries:
-            raise FlowspaceError(f"no query named {name!r} in scenario")
-        return scn.queries[name]
+        return doc.query(literal[1:])
     return scenario.header_from_obj(scenario.parse_json(literal, "--header"), "--header")
 
 
 def cmd_apply(args) -> int:
-    scn = scenario.load_scenario(args.scenario)
-    h = _parse_header(scn, args.header)
-    composite = chain(_chain_of(scn, args.chain))
-    result = apply_transform(composite, scn.nib, h)
+    doc = scenario.read_document(args.scenario)
+    nib = doc.nib()
+    h = _parse_header(doc, args.header)
+    result = apply_transform(chain(doc.chain(args.chain)), nib, h)
     if args.format == "json":
         emit_json({"tables": [scenario.table_to_obj(t) for t in result.tables]})
     else:
@@ -286,8 +280,7 @@ def cmd_apply(args) -> int:
 
 
 def cmd_loops(args) -> int:
-    scn = scenario.load_scenario(args.scenario)
-    findings = detect_loops(scn.nib)
+    findings = detect_loops(scenario.read_document(args.scenario).nib())
     if args.format == "json":
         emit_json({"findings": [finding_to_obj(f) for f in findings]})
     else:
@@ -300,7 +293,7 @@ def cmd_loops(args) -> int:
 
 
 def cmd_whatif(args) -> int:
-    scn = scenario.load_scenario(args.scenario)
+    nib = scenario.read_document(args.scenario).nib()
     if args.old_rule is not None and args.op != "modify":
         raise FlowspaceError(f"--old-rule applies to --op modify only, not --op {args.op}")
     rule_obj = scenario.parse_json(args.rule, "--rule")
@@ -316,7 +309,7 @@ def cmd_whatif(args) -> int:
         )
     except (TypeError, ValueError) as exc:
         raise FlowspaceError(f"malformed rule literal: {exc}") from exc
-    report = what_if(scn.nib, request)
+    report = what_if(nib, request)
     if args.format == "json":
         emit_json(whatif_to_obj(report))
     else:

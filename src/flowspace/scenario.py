@@ -6,6 +6,13 @@ single-slot applications, named chains over those applications, and
 named query headers.  Parsing is strict: unknown keys are rejected so a
 typo cannot silently change an analysis.
 
+`read_document` checks a file's top level (its keys, the version, the
+topology and the length of `tables`) and returns a `Document` that decodes the other sections
+on request: the NIB, one named chain with the apps it names, one named
+query.  A command pays only for the sections it reads.  `load_scenario`
+decodes the whole document through the same section decoders, in file
+order.
+
 Each value goes as read to the constructor that owns its type and range;
 `_located` puts the value's JSON path on that constructor's error.  The
 decoder checks only JSON's own rules: shapes, keys, `kind` tags, the
@@ -27,6 +34,7 @@ from dataclasses import dataclass, field
 from flowspace import actions
 from flowspace.actions import PORT_SLOT, TTL_SLOT, AffineAction
 from flowspace.errors import (
+    FlowspaceError,
     InvalidRuleError,
     ScenarioFormatError,
     SlotOutOfRangeError,
@@ -555,44 +563,120 @@ def scenario_to_obj(s: Scenario) -> dict:
     }
 
 
-def scenario_from_obj(obj) -> Scenario:
-    obj = _require_obj(obj, "scenario")
-    _check_keys(obj, _SCENARIO_KEYS, "scenario")
-    version = _require(obj, "version", "scenario")
-    if type(version) is not int or version != FORMAT_VERSION:
-        raise ScenarioFormatError(f"version must be {FORMAT_VERSION}, got {version!r}")
-    topology = topology_from_obj(_require(obj, "topology", "scenario"))
-    n = topology.switch_count
-    raw_tables = _require_list(obj.get("tables", []), "tables")
-    if len(raw_tables) != n:
-        raise ScenarioFormatError(f"scenario needs exactly {n} tables")
-    tables = tuple(table_from_obj(t, f"tables[{i}]") for i, t in enumerate(raw_tables))
-    flows = tuple(flow_from_obj(f, f"flows[{i}]")
-                  for i, f in enumerate(_require_list(obj.get("flows", []), "flows")))
-    nib = NIB(topology, tables, flows)
-    apps: dict[str, AppTransform] = {}
-    for i, raw in enumerate(_require_list(obj.get("apps", []), "apps")):
-        app = app_from_obj(raw, n, f"apps[{i}]")
-        if app.name in apps:
-            raise ScenarioFormatError(f"duplicate app name {app.name!r}")
-        apps[app.name] = app
-    chains: dict[str, ServiceChain] = {}
-    for name, stage_names in _require_obj(obj.get("chains", {}), "chains").items():
+class Document:
+    """A scenario document with its top level checked (an object of known
+    keys, the version, the topology, one table per switch in `tables`)
+    and each section decoded on request, with every check the
+    whole-document decode makes on it:
+
+    - `nib` decodes the tables and the flows;
+    - `chain` decodes one chain and, of `apps`, the apps it names, each
+      at most once, so chains that name an app share it.  It reads every
+      app's name, to find them and to reject duplicates;
+    - `query` decodes one query header;
+    - `scenario` decodes the whole document through the three.
+
+    An error's JSON path keeps each item's position in the whole array.
+    """
+
+    def __init__(self, obj):
+        obj = _require_obj(obj, "scenario")
+        _check_keys(obj, _SCENARIO_KEYS, "scenario")
+        version = _require(obj, "version", "scenario")
+        if type(version) is not int or version != FORMAT_VERSION:
+            raise ScenarioFormatError(f"version must be {FORMAT_VERSION}, got {version!r}")
+        self.topology = topology_from_obj(_require(obj, "topology", "scenario"))
+        n = self.topology.switch_count
+        # Every app is an n x n matrix, so also a command that decodes no
+        # table checks n against the length of an array the file holds.
+        self._tables = _require_list(obj.get("tables", []), "tables")
+        if len(self._tables) != n:
+            raise ScenarioFormatError(f"scenario needs exactly {n} tables")
+        self._obj = obj
+        self._app_index: dict[str, int] | None = None  # name -> position in `apps`
+        self._apps: dict[int, AppTransform] = {}  # position -> the app, once decoded
+
+    def nib(self) -> NIB:
+        tables = tuple(table_from_obj(t, f"tables[{i}]") for i, t in enumerate(self._tables))
+        flows = tuple(flow_from_obj(f, f"flows[{i}]")
+                      for i, f in enumerate(_require_list(self._obj.get("flows", []), "flows")))
+        return NIB(self.topology, tables, flows)
+
+    def chain(self, name: str) -> ServiceChain:
+        chains = _require_obj(self._obj.get("chains", {}), "chains")
+        if name not in chains:
+            raise FlowspaceError(f"no chain named {name!r} in scenario")
         what = f"chains[{name}]"
+        stage_names = chains[name]
         if not _require_list(stage_names, what):
             raise ScenarioFormatError(f"{what} must be a non-empty array")
+        index = self._names()
         for i, stage in enumerate(stage_names):
             if not isinstance(stage, str):
                 raise ScenarioFormatError(
                     f"{what}[{i}] must be an app name, got {type(stage).__name__}")
-            if stage not in apps:
+            if stage not in index:
                 raise ScenarioFormatError(f"chain {name!r} references unknown app {stage!r}")
-        chains[name] = ServiceChain(tuple(apps[s] for s in stage_names))
-    queries = {
-        name: header_from_obj(h, f"queries[{name}]")
-        for name, h in _require_obj(obj.get("queries", {}), "queries").items()
-    }
-    return Scenario(topology, nib, apps, chains, queries)
+        return ServiceChain(tuple(self._app(index[s]) for s in stage_names))
+
+    def query(self, name: str) -> Header:
+        queries = _require_obj(self._obj.get("queries", {}), "queries")
+        if name not in queries:
+            raise FlowspaceError(f"no query named {name!r} in scenario")
+        return header_from_obj(queries[name], f"queries[{name}]")
+
+    def scenario(self) -> Scenario:
+        nib = self.nib()
+        # Every app decodes before the next name is checked, as in file order.
+        self._app_index = _positions(self._app(i).name for i in range(len(self._raw_apps())))
+        apps = {name: self._apps[i] for name, i in self._app_index.items()}
+        chains = {name: self.chain(name)
+                  for name in _require_obj(self._obj.get("chains", {}), "chains")}
+        queries = {name: self.query(name)
+                   for name in _require_obj(self._obj.get("queries", {}), "queries")}
+        return Scenario(self.topology, nib, apps, chains, queries)
+
+    def _raw_apps(self) -> list:
+        return _require_list(self._obj.get("apps", []), "apps")
+
+    def _names(self) -> dict[str, int]:
+        """Each app's position by name, found by reading the names alone."""
+        if self._app_index is None:
+            n = self.topology.switch_count
+            self._app_index = _positions(_app_name(raw, n, f"apps[{i}]")
+                                         for i, raw in enumerate(self._raw_apps()))
+        return self._app_index
+
+    def _app(self, i: int) -> AppTransform:
+        app = self._apps.get(i)
+        if app is None:
+            app = self._apps[i] = app_from_obj(self._raw_apps()[i], self.topology.switch_count,
+                                               f"apps[{i}]")
+        return app
+
+
+def _app_name(obj, n: int, what: str) -> str:
+    """The name of the app object at `what`, the rest of it unread.  A
+    name that is no string fails as decoding the app reports it, since
+    the app's constructor owns that check."""
+    name = _require(_require_obj(obj, what), "name", what)
+    if type(name) is not str:
+        app_from_obj(obj, n, what)
+    return name
+
+
+def _positions(names) -> dict[str, int]:
+    """Each app name's position, a name given twice rejected."""
+    index: dict[str, int] = {}
+    for i, name in enumerate(names):
+        if name in index:
+            raise ScenarioFormatError(f"duplicate app name {name!r}")
+        index[name] = i
+    return index
+
+
+def scenario_from_obj(obj) -> Scenario:
+    return Document(obj).scenario()
 
 
 def dump_scenario(s: Scenario) -> str:
@@ -618,6 +702,19 @@ def loads_scenario(text: str) -> Scenario:
         raise ScenarioFormatError(f"malformed scenario: {exc}") from exc
 
 
-def load_scenario(path) -> Scenario:
+def _read(path) -> str:
+    """The text of the scenario file at `path`; every command reads it here."""
     with open(path, "r", encoding="utf-8") as fh:
-        return loads_scenario(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ScenarioFormatError(f"scenario is not valid UTF-8: {exc}") from None
+
+
+def read_document(path) -> Document:
+    """The scenario file at `path`, its sections left to decode on request."""
+    return Document(parse_json(_read(path), "scenario"))
+
+
+def load_scenario(path) -> Scenario:
+    return loads_scenario(_read(path))

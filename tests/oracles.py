@@ -40,6 +40,12 @@ Template equality is checked against the field-by-field comparison
 that key-based equality replaced, and the flat pattern key against the
 nested one it replaced, by the orders they give.
 
+The scenario decoder is checked against the whole-document decode that
+per-section decoding replaced: one function that decodes every section
+in file order, each app as it is met, and looks chains' stages up in
+the apps decoded so far.  `random_document` gives seeded valid
+documents for it and for the CLI's commands.
+
 Template actions are checked against the instantiation that `ActionFold`
 replaced: it builds one validated action per step and composes them
 pairwise, and takes every `set_field` delta from the steered header, so
@@ -71,7 +77,27 @@ from flowspace.headers import (
     src_of,
 )
 from flowspace.nib import NIB
-from flowspace.scenario import _field, _int, _require, _require_list, _require_obj
+from flowspace.sampling import (
+    random_app,
+    random_collision_table,
+    random_flows,
+    random_header,
+    random_topology,
+)
+from flowspace.scenario import (
+    FORMAT_VERSION,
+    Scenario,
+    _field,
+    _int,
+    _require,
+    _require_list,
+    _require_obj,
+    app_from_obj,
+    flow_from_obj,
+    header_from_obj,
+    table_from_obj,
+    topology_from_obj,
+)
 from flowspace.tables import FlowEntry, FlowRule, FlowTable, add, entry_key, reduce
 from flowspace.transforms import (
     ActionSpec,
@@ -521,3 +547,63 @@ def _xor_all(bits) -> int:
     for b in bits:
         acc ^= b
     return acc
+
+
+SCENARIO_KEYS = ("version", "topology", "flows", "tables", "apps", "chains", "queries")
+
+
+def scenario_from_obj_oracle(obj) -> Scenario:
+    obj = _require_obj(obj, "scenario")
+    _check_keys(obj, SCENARIO_KEYS, "scenario")
+    version = _require(obj, "version", "scenario")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise ScenarioFormatError(f"version must be {FORMAT_VERSION}, got {version!r}")
+    topology = topology_from_obj(_require(obj, "topology", "scenario"))
+    n = topology.switch_count
+    raw_tables = _require_list(obj.get("tables", []), "tables")
+    if len(raw_tables) != n:
+        raise ScenarioFormatError(f"scenario needs exactly {n} tables")
+    tables = tuple(table_from_obj(t, f"tables[{i}]") for i, t in enumerate(raw_tables))
+    flows = tuple(flow_from_obj(f, f"flows[{i}]")
+                  for i, f in enumerate(_require_list(obj.get("flows", []), "flows")))
+    nib = NIB(topology, tables, flows)
+    apps: dict[str, AppTransform] = {}
+    for i, raw in enumerate(_require_list(obj.get("apps", []), "apps")):
+        app = app_from_obj(raw, n, f"apps[{i}]")
+        if app.name in apps:
+            raise ScenarioFormatError(f"duplicate app name {app.name!r}")
+        apps[app.name] = app
+    chains: dict[str, ServiceChain] = {}
+    for name, stage_names in _require_obj(obj.get("chains", {}), "chains").items():
+        what = f"chains[{name}]"
+        if not _require_list(stage_names, what):
+            raise ScenarioFormatError(f"{what} must be a non-empty array")
+        for i, stage in enumerate(stage_names):
+            if not isinstance(stage, str):
+                raise ScenarioFormatError(
+                    f"{what}[{i}] must be an app name, got {type(stage).__name__}")
+            if stage not in apps:
+                raise ScenarioFormatError(f"chain {name!r} references unknown app {stage!r}")
+        chains[name] = ServiceChain(tuple(apps[s] for s in stage_names))
+    queries = {
+        name: header_from_obj(h, f"queries[{name}]")
+        for name, h in _require_obj(obj.get("queries", {}), "queries").items()
+    }
+    return Scenario(topology, nib, apps, chains, queries)
+
+
+def random_document(rng) -> Scenario:
+    """A seeded valid scenario: tables where inverse pairs occur, up to
+    six apps, one to three chains whose stages may repeat an app and may
+    leave apps out, and zero to two queries."""
+    topology = random_topology(rng)
+    n = topology.switch_count
+    nib = NIB(topology, tuple(random_collision_table(rng, 8) for _ in range(n)),
+              random_flows(rng, 8))
+    apps = {f"app{i}": random_app(rng, n, f"app{i}") for i in range(rng.randint(1, 6))}
+    stages = list(apps.values())
+    chains = {f"chain{i}": ServiceChain(tuple(rng.choice(stages)
+                                              for _ in range(rng.randint(1, 4))))
+              for i in range(rng.randint(1, 3))}
+    queries = {f"q{i}": random_header(rng) for i in range(rng.randint(0, 2))}
+    return Scenario(topology, nib, apps, chains, queries)

@@ -1,10 +1,12 @@
 """End-to-end CLI checks via subprocess, and an in-process fuzz test of
 the exit-code contract."""
 
+import collections
 import copy
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -14,7 +16,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flowspace import actions, axioms, casestudy, cli, scenario
+from oracles import random_document
+from flowspace import actions, axioms, casestudy, cli, sampling, scenario
 from flowspace.cli import build_parser, main
 from flowspace.headers import FIELDS
 from flowspace.headers import MatchPattern
@@ -89,6 +92,30 @@ class TestCongruence:
         path.write_text(json.dumps(doc))
         assert run_main("congruence", str(path), "c", "c") == (
             2, "", "error: apps[0].delta.default[0].action[1].to.server_a=256 exceeds 6-bit range\n")
+
+    def test_negative_count_threshold_exits_2(self, casestudy_path, tmp_path):
+        with open(casestudy_path) as fh:
+            obj = json.load(fh)
+        obj["apps"][0]["delta"]["branches"][0]["guard"]["threshold"] = -5
+        path = tmp_path / "negative.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run_main("congruence", str(path), "ids-lb", "lb-ids")
+        assert (code, out) == (2, "")
+        assert err == ("error: apps[0].delta.branches[0].guard.threshold "
+                       "must be non-negative, got -5\n")
+
+    @pytest.mark.parametrize("path, value, where", [
+        (("apps", 0, "name"), 3, "apps[0].name"),
+        (("apps", 0, "slot"), True, "apps[0].slot"),
+        (("apps", 0, "delta", "branches", 0, "guard", "threshold"), 1.5,
+         "apps[0].delta.branches[0].guard.threshold"),
+        (("apps", 1, "delta", "branches", 0, "guard", "server_a"), True,
+         "apps[1].delta.branches[0].guard.server_a"),
+    ])
+    def test_constructor_errors_name_the_json_path(self, casestudy_path, tmp_path,
+                                                   path, value, where):
+        assert_names_the_path(casestudy_path, tmp_path, path, value, where,
+                              "congruence", "ids-lb", "lb-ids")
 
     def test_output_is_byte_deterministic(self, casestudy_path):
         a = run_cli("congruence", casestudy_path, "ids-lb", "lb-ids")
@@ -184,6 +211,23 @@ class TestBrokenPipe:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+def assert_names_the_path(casestudy_path, tmp_path, path, value, where, *argv):
+    """`argv` on the bundled document with `value` at `path` exits 2 with
+    one error line that starts with the JSON path `where`."""
+    with open(casestudy_path) as fh:
+        obj = json.load(fh)
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    code, out, err = run_main(argv[0], str(bad), *argv[1:])
+    assert (code, out) == (2, "")
+    assert re.match(f"error: {re.escape(where)}[= ]", err), err
+    assert err.count("\n") == 1, err
+
+
 class TestLoops:
     def test_clean_scenario_exits_0(self, casestudy_path):
         out = run_cli("loops", casestudy_path)
@@ -195,44 +239,16 @@ class TestLoops:
         assert out.returncode == 1
         assert "inverse rule pair" in out.stdout
 
-    def test_negative_count_threshold_exits_2(self, casestudy_path, tmp_path):
-        with open(casestudy_path) as fh:
-            obj = json.load(fh)
-        obj["apps"][0]["delta"]["branches"][0]["guard"]["threshold"] = -5
-        path = tmp_path / "negative.json"
-        path.write_text(json.dumps(obj))
-        code, out, err = run_main("loops", str(path))
-        assert (code, out) == (2, "")
-        assert err == ("error: apps[0].delta.branches[0].guard.threshold "
-                       "must be non-negative, got -5\n")
-
     @pytest.mark.parametrize("path, value, where", [
         (("topology", "switches"), True, "topology.switches"),
         (("topology", "ports", "p_lb"), True, "topology.ports[p_lb]"),
         (("topology", "server_ports", "167772261"), 70_000, "topology.server_ports[167772261]"),
         (("flows", 0, "header", "nw_src"), 1.0, "flows[0].header.nw_src"),
         (("flows", 0, "assigned_dest"), -1, "flows[0].assigned_dest"),
-        (("apps", 0, "name"), 3, "apps[0].name"),
-        (("apps", 0, "slot"), True, "apps[0].slot"),
-        (("apps", 0, "delta", "branches", 0, "guard", "threshold"), 1.5,
-         "apps[0].delta.branches[0].guard.threshold"),
-        (("apps", 1, "delta", "branches", 0, "guard", "server_a"), True,
-         "apps[1].delta.branches[0].guard.server_a"),
     ])
     def test_constructor_errors_name_the_json_path(self, casestudy_path, tmp_path,
                                                    path, value, where):
-        with open(casestudy_path) as fh:
-            obj = json.load(fh)
-        parent = obj
-        for key in path[:-1]:
-            parent = parent[key]
-        parent[path[-1]] = value
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(obj))
-        code, out, err = run_main("loops", str(bad))
-        assert (code, out) == (2, "")
-        assert re.match(f"error: {re.escape(where)}[= ]", err), err
-        assert err.count("\n") == 1, err
+        assert_names_the_path(casestudy_path, tmp_path, path, value, where, "loops")
 
     def test_unknown_modify_field_names_the_json_path(self, loop_scenario_path, tmp_path):
         with open(loop_scenario_path) as fh:
@@ -535,22 +551,27 @@ REPLACEMENTS = (1.5, -0.0, True, False, "7", "", "ab", None, -1, 70_000, 2**64, 
 
 def _mutate(mutations, base=FUZZ_DOC):
     """The base document (FUZZ_DOC by default) with the mutations
-    applied, as JSON text, and whether it now holds a non-integer where
-    the base holds an integer, or a non-array where the base holds an
-    array.  DROP deletes object keys only, so that no path shifts."""
+    applied, as JSON text; the paths at which it now holds a non-integer
+    where the base holds an integer, or a non-array where the base holds
+    an array; and the paths the mutations changed.  A document no parser
+    can read is broken and changed at the empty path, which every reader
+    reads.  DROP deletes object keys only, so that no path shifts."""
     doc = copy.deepcopy(base)
+    changed = set()
     for path, value in mutations:
         try:
             parent = _get(doc, path[:-1])
             if value == DROP:
                 if isinstance(parent, dict):
                     del parent[path[-1]]
+                    changed.add(path)
             else:
                 parent[path[-1]]  # the path must still exist
                 parent[path[-1]] = value
+                changed.add(path)
         except (KeyError, IndexError, TypeError):
             pass  # an earlier mutation replaced or removed this path
-    broken = False
+    broken = set()
     for path in _typed_paths(base):
         try:
             value = _get(doc, path)
@@ -559,9 +580,41 @@ def _mutate(mutations, base=FUZZ_DOC):
         # an absent assigned_dest may be written as null
         if type(value) is not type(_get(base, path)) and not (
                 value is None and path[-1] == "assigned_dest"):
-            broken = True
+            broken.add(path)
     text = json.dumps(doc)
-    return text.replace(json.dumps(DEEP), DEEP_TEXT), broken or DEEP in text
+    if DEEP in text:
+        broken.add(())
+        changed.add(())
+    return text.replace(json.dumps(DEEP), DEEP_TEXT), broken, changed
+
+
+def _app_paths(*chains):
+    return [("apps", i) for i, app in enumerate(FUZZ_DOC["apps"])
+            if any(app["name"] in FUZZ_DOC["chains"][c] for c in chains)]
+
+
+#: What each command reads of FUZZ_DOC with the arguments the fuzz test
+#: gives it, as paths.  Every command reads the version and the topology;
+#: `chain` reads every app's name.  `apply` reads a query only for
+#: `--header @name`.
+TOP = [("version",), ("topology",)]
+NIB_PATHS = [("tables",), ("flows",)]
+APP_NAMES = [("apps", i, "name") for i in range(len(FUZZ_DOC["apps"]))]
+READS = {
+    "loops": TOP + NIB_PATHS,
+    "whatif": TOP + NIB_PATHS,
+    "congruence": TOP + [("chains", "ids-lb"), ("chains", "lb-ids")] + APP_NAMES
+    + _app_paths("ids-lb", "lb-ids"),
+    "apply": TOP + NIB_PATHS + [("chains", "ids-lb")] + APP_NAMES + _app_paths("ids-lb"),
+}
+
+
+def _reads(paths, reads) -> bool:
+    """Whether a reader of `reads` reads any of `paths`: a path read, one
+    inside it, or one that holds it.  Every command also reads the
+    `tables` array itself, for its length."""
+    return any(p[:len(r)] == r or r[:len(p)] == p for p in paths for r in reads) or any(
+        ("tables",)[:len(p)] == p for p in paths)
 
 
 def _header_is_valid(literal: str) -> bool:
@@ -616,7 +669,7 @@ VALID_RULE = (TestWhatIf.RULE, False)
 rule_literals = st.lists(
     st.tuples(st.sampled_from(list(_paths(RULE_OBJ))), st.sampled_from(REPLACEMENTS)),
     max_size=2,
-).map(lambda mutations: _mutate(mutations, RULE_OBJ))
+).map(lambda mutations: _mutate(mutations, RULE_OBJ)[:2])
 #: Literals that are no rule at all, several of them falsy.
 NOT_RULES = [(text, True) for text in ("{}", "0", "[]", "null", '""', "{nope", DEEP_TEXT)]
 
@@ -644,8 +697,20 @@ class TestExitCodeContract:
     @example(mutations=[(("tables", 0, 0, "action", "actions"), {})], header="{}",
              command="whatif")
     @example(mutations=[(("chains", "ids-lb"), "ab")], header="{}", command="congruence")
+    @example(mutations=[(("apps", 5, "delta", "default"), 1.5)], header="{}", command="apply")
+    @example(mutations=[(("apps", 5, "delta", "default"), 1.5)], header="{}",
+             command="congruence")
+    @example(mutations=[(("apps",), {})], header="{}", command="loops")
+    @example(mutations=[(("tables", 1), "ab"), (("queries",), 7)], header="{}",
+             command="congruence")
+    @example(mutations=[(("topology", "switches"), 2**64)], header="{}", command="congruence")
+    @example(mutations=[(("tables",), [[]])], header="{}", command="congruence")
+    @example(mutations=[(("queries", "noisy-client"), [])], header="@fresh-client",
+             command="apply")
+    @example(mutations=[(("queries", "fresh-client"), [])], header="@fresh-client",
+             command="apply")
     def test_exit_code_and_stderr(self, fuzz_path, mutations, header, command):
-        text, broken = _mutate(mutations)
+        text, broken, changed = _mutate(mutations)
         fuzz_path.write_text(text)
         path = str(fuzz_path)
         argv = {
@@ -655,6 +720,9 @@ class TestExitCodeContract:
             "whatif": ["whatif", path, "--op", "add", "--switch", "1",
                        "--rule", TestWhatIf.RULE],
         }[command]
+        reads = READS[command]
+        if command == "apply" and header.startswith("@"):
+            reads = reads + [("queries", header[1:])]
         code, _, err = run_main(*argv)
         assert code in (0, 1, 2)
         assert "Traceback" not in err
@@ -662,8 +730,12 @@ class TestExitCodeContract:
             assert err.startswith("error: ") and err.count("\n") == 1, err
         else:
             assert err == ""
-        if broken or (command == "apply" and not _header_is_valid(header)):
+        bad_header = command == "apply" and not _header_is_valid(header)
+        if _reads(broken, reads) or bad_header:
             assert code == 2
+        elif not _reads(changed, reads):
+            # Only sections the command does not read were changed.
+            assert code in (0, 1) and err == ""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -701,6 +773,130 @@ class TestExitCodeContract:
             assert err == ""
         if rule[1] or (old_rule is not None and (old_rule[1] or op != "modify")):
             assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# Each command decodes only the sections it reads (see README's table).
+
+#: Each command that reads a scenario file, with arguments that succeed on
+#: the bundled document; "{path}" stands for the file.
+FILE_COMMANDS = {
+    "congruence": ["congruence", "{path}", "ids-lb", "lb-ids"],
+    "apply": ["apply", "{path}", "ids-lb", "--header", '{"nw_src": 7}'],
+    "loops": ["loops", "{path}"],
+    "whatif": ["whatif", "{path}", "--op", "add", "--switch", "0", "--rule", TestWhatIf.RULE],
+}
+#: For each command, sections of the bundled document it does not read,
+#: each broken.  apps[2] is y-ids-post, which `ids-lb` does not name.
+UNREAD = {
+    "congruence": [(("tables", 0), "ab"), (("flows", 0), 7), (("queries",), [])],
+    "apply": [(("apps", 2, "delta"), None), (("chains", "lb-ids"), {}), (("queries",), 7)],
+    "loops": [(("apps", 0, "delta"), None), (("chains",), 7), (("queries",), [])],
+    "whatif": [(("apps",), "ab"), (("chains", "ids-lb"), []), (("queries", "fresh-client"), 7)],
+}
+
+
+def _run_on(tmp_path, argv, doc):
+    """`argv` with "{path}" naming a file that holds `doc`, as bytes or as JSON."""
+    path = tmp_path / "doc.json"
+    path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
+    return run_main(*[str(path) if a == "{path}" else a for a in argv])
+
+
+def _with(doc, mutations):
+    doc = copy.deepcopy(doc)
+    for path, value in mutations:
+        _get(doc, path[:-1])[path[-1]] = value
+    return doc
+
+
+class WholeDocument:
+    """The reads a command makes of a scenario file, answered from
+    `load_scenario`'s whole-document decode."""
+
+    def __init__(self, path):
+        self.scn = scenario.load_scenario(path)
+
+    def nib(self):
+        return self.scn.nib
+
+    def chain(self, name):
+        return self.scn.chains[name]
+
+    def query(self, name):
+        return self.scn.queries[name]
+
+
+class TestSectionsRead:
+    @pytest.mark.parametrize("command", FILE_COMMANDS)
+    def test_unread_sections_are_not_checked(self, command, tmp_path):
+        clean = _run_on(tmp_path, FILE_COMMANDS[command], BUNDLED)
+        assert clean[0] in (0, 1) and clean[2] == ""
+        assert _run_on(tmp_path, FILE_COMMANDS[command], _with(BUNDLED, UNREAD[command])) == clean
+
+    @pytest.mark.parametrize("command", FILE_COMMANDS)
+    def test_switch_count_is_checked_against_the_tables(self, command, tmp_path):
+        # An app is a switches x switches matrix: a count that no array in
+        # the file bounds would let one number cost any time and memory.
+        doc = _with(BUNDLED, [(("topology", "switches"), 3)])
+        assert _run_on(tmp_path, FILE_COMMANDS[command], doc) == (
+            2, "", "error: scenario needs exactly 3 tables\n")
+
+    @pytest.mark.parametrize("command", FILE_COMMANDS)
+    def test_invalid_utf8_exits_2(self, command, tmp_path):
+        assert _run_on(tmp_path, FILE_COMMANDS[command], b'\xff\xfe{"version": 1}') == (
+            2, "", "error: scenario is not valid UTF-8: 'utf-8' codec can't decode byte 0xff "
+                   "in position 0: invalid start byte\n")
+
+    @pytest.mark.parametrize("command", ["congruence", "apply"])
+    def test_a_named_apps_error_keeps_its_position(self, command, tmp_path):
+        # apps[5] is y-lb-pre, which `lb-ids` names.
+        doc = _with(BUNDLED, [(("apps", 5, "delta", "default", 0, "ttl"), 70_000)])
+        argv = {"congruence": FILE_COMMANDS["congruence"],
+                "apply": ["apply", "{path}", "lb-ids", "--header", "{}"]}[command]
+        assert _run_on(tmp_path, argv, doc) == (
+            2, "", "error: apps[5].delta.default[0].ttl=70000 exceeds 16-bit range\n")
+
+    @pytest.mark.parametrize("command", ["congruence", "apply"])
+    def test_duplicate_app_name_exits_2(self, command, tmp_path):
+        doc = copy.deepcopy(BUNDLED)
+        doc["apps"].append(copy.deepcopy(doc["apps"][3]))  # y-ids-pre, named by no chain read
+        assert _run_on(tmp_path, FILE_COMMANDS[command], doc) == (
+            2, "", "error: duplicate app name 'y-ids-pre'\n")
+
+    def test_outputs_match_the_whole_document_decode(self, tmp_path, monkeypatch):
+        rng = random.Random(307)
+        path = str(tmp_path / "seeded.json")
+        codes = collections.Counter()
+        for _ in range(200):
+            scn = random_document(rng)
+            with open(path, "w") as fh:
+                fh.write(scenario.dump_scenario(scn))
+            chains, queries = sorted(scn.chains), sorted(scn.queries)
+            switch = rng.randrange(scn.topology.switch_count)
+            entries = scn.nib.tables[switch].entries
+            rule = (rng.choice(entries).rule if entries and rng.random() < 0.5
+                    else sampling.random_rule(rng))
+            op = rng.choice(["add", "delete", "modify"] if entries else ["add"])
+            whatif = ["whatif", path, "--op", op, "--switch", str(switch),
+                      "--rule", json.dumps(scenario.rule_to_obj(rule))]
+            if op == "modify":
+                whatif += ["--old-rule", json.dumps(scenario.rule_to_obj(entries[0].rule))]
+            header = (f"@{rng.choice(queries)}" if queries and rng.random() < 0.5
+                      else json.dumps(scenario.header_to_obj(sampling.random_header(rng))))
+            for argv in (["congruence", path, rng.choice(chains), rng.choice(chains)],
+                         ["apply", path, rng.choice(chains), "--header", header],
+                         ["loops", path],
+                         whatif):
+                argv = ["--format", rng.choice(["text", "json"]), *argv]
+                got = run_main(*argv)
+                with monkeypatch.context() as m:
+                    m.setattr(scenario, "read_document", WholeDocument)
+                    assert run_main(*argv) == got, argv
+                codes[argv[2], got[0]] += 1
+        # Both verdicts of each command with one (apply has none) occur.
+        assert all(codes[c, v] for c in ("congruence", "loops", "whatif") for v in (0, 1))
+        assert codes["apply", 0] == 200, codes
 
 
 class TestLongInteger:

@@ -1,16 +1,18 @@
+import copy
 import json
 import random
 import re
 
 import pytest
 
-from oracles import congruent
-from flowspace import actions, sampling
+from oracles import congruent, random_document, scenario_from_obj_oracle
+from flowspace import actions, sampling, scenario
 from flowspace.casestudy import build_scenario
-from flowspace.errors import ScenarioFormatError
+from flowspace.errors import FlowspaceError, ScenarioFormatError
 from flowspace.headers import Header, MatchPattern
 from flowspace.scenario import (
     MAX_SEQ_DEPTH,
+    Document,
     action_from_obj,
     action_spec_from_obj,
     action_to_obj,
@@ -263,6 +265,9 @@ class TestScenarioDocument:
             stages[:] = [str(name) if s == old else s for s in stages]
         with pytest.raises(ScenarioFormatError, match="name must be a string"):
             loads_scenario(json.dumps(obj))
+        # Reading the names alone, as a chain's decoder does, fails alike.
+        with pytest.raises(ScenarioFormatError, match=r"^apps\[0\]\.name must be a string"):
+            Document(json.loads(json.dumps(obj))).chain("lb-ids")
 
     SET_DST = ("apps", 1, "delta", "default", 0, "action", "actions", 0)
     PICK = ("apps", 5, "delta", "default", 0, "action", "actions", 0, "to")
@@ -437,3 +442,133 @@ class TestScenarioDocument:
         original = build_scenario()
         for name in original.chains:
             assert congruent(chain(scn.chains[name]), chain(original.chains[name]))
+
+
+def _seeded_objects(seed: int, count: int):
+    """`count` seeded valid documents, as a file holds them."""
+    rng = random.Random(seed)
+    return [json.loads(json.dumps(scenario_to_obj(random_document(rng)))) for _ in range(count)]
+
+
+def _paths(node, path=()):
+    if path:
+        yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node) \
+        if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+def _outcome(decode, obj):
+    try:
+        return decode(obj)
+    except FlowspaceError as exc:
+        return type(exc), str(exc)
+
+
+class TestSectionDecoders:
+    """`Document` decodes each section on request; `scenario_from_obj`,
+    built from the same decoders, stays today's whole-document decode."""
+
+    def test_whole_decode_matches_the_oracle(self):
+        for obj in _seeded_objects(211, 300):
+            scn = scenario_from_obj(obj)
+            assert scn == scenario_from_obj_oracle(obj)
+            assert list(scn.apps) == [app["name"] for app in obj["apps"]]
+            for chain in scn.chains.values():
+                assert all(stage is scn.apps[stage.name] for stage in chain.stages)
+
+    def test_errors_match_the_oracle_on_broken_documents(self):
+        # One to three values replaced: both decoders fail with the same
+        # error, which is the first in file order, or both give one result.
+        rng = random.Random(223)
+        values = (1.5, True, "7", "app0", None, -1, 70_000, [], {}, [[7]], "<drop>")
+        failed = 0
+        for obj in _seeded_objects(227, 400):
+            paths = list(_paths(obj))
+            names = [p for p in paths if p[0] == "apps" and p[-1] == "name"]
+            for _ in range(rng.randint(1, 3)):
+                # App names are few among the paths, and their checks
+                # interleave with the apps' own in file order.
+                path = rng.choice(names if rng.random() < 0.3 else paths)
+                value = rng.choice(values)
+                try:
+                    parent = obj
+                    for key in path[:-1]:
+                        parent = parent[key]
+                    if value != "<drop>":
+                        parent[path[-1]] = value
+                    elif isinstance(parent, dict):
+                        del parent[path[-1]]
+                except (KeyError, IndexError, TypeError):
+                    pass  # an earlier replacement removed this path
+            got = _outcome(scenario_from_obj, copy.deepcopy(obj))
+            assert got == _outcome(scenario_from_obj_oracle, obj)
+            failed += isinstance(got, tuple)
+        assert failed > 300
+
+    def test_chain_decodes_only_the_apps_it_names_each_once(self, monkeypatch):
+        decoded = []
+
+        def counting(obj, n, what="app"):
+            decoded.append(what)
+            return app_from_obj(obj, n, what)
+
+        monkeypatch.setattr(scenario, "app_from_obj", counting)
+        for obj in _seeded_objects(229, 200):
+            whole = scenario_from_obj_oracle(obj)
+            positions = {app["name"]: i for i, app in enumerate(obj["apps"])}
+            decoded.clear()
+            doc = Document(obj)
+            for name in obj["chains"]:
+                chain = doc.chain(name)
+                assert chain == whole.chains[name]
+                assert doc.chain(name) == chain
+            named = {positions[s] for stages in obj["chains"].values() for s in stages}
+            assert sorted(decoded) == sorted(f"apps[{i}]" for i in named)
+            for name in obj["queries"]:
+                assert doc.query(name) == whole.queries[name]
+            assert doc.nib() == whole.nib
+            assert len(decoded) == len(named)  # the NIB and the queries decode no app
+
+    def test_stages_of_one_document_share_their_apps(self):
+        obj = json.loads(json.dumps(scenario_to_obj(build_scenario())))
+        obj["chains"]["again"] = ["x-lb", "x-lb"]
+        doc = Document(obj)
+        a, b = doc.chain("ids-lb"), doc.chain("again")
+        assert b.stages[0] is b.stages[1] is a.stages[1]
+
+    def test_unknown_names_are_errors(self):
+        doc = Document(scenario_to_obj(build_scenario()))
+        with pytest.raises(FlowspaceError, match="^no chain named 'nope' in scenario$"):
+            doc.chain("nope")
+        with pytest.raises(FlowspaceError, match="^no query named 'nope' in scenario$"):
+            doc.query("nope")
+
+    def test_an_error_keeps_the_apps_position_in_the_file(self):
+        obj = json.loads(json.dumps(scenario_to_obj(build_scenario())))
+        obj["apps"][5]["delta"]["default"][0]["ttl"] = 70_000  # y-lb-pre, named by lb-ids only
+        doc = Document(obj)
+        assert len(doc.chain("ids-lb").stages) == 2
+        with pytest.raises(ScenarioFormatError) as exc:
+            doc.chain("lb-ids")
+        assert str(exc.value) == "apps[5].delta.default[0].ttl=70000 exceeds 16-bit range"
+
+    def test_duplicate_names_are_rejected_before_any_app_decodes(self):
+        obj = json.loads(json.dumps(scenario_to_obj(build_scenario())))
+        obj["apps"].append({"name": "x-lb"})
+        with pytest.raises(ScenarioFormatError, match="^duplicate app name 'x-lb'$"):
+            Document(obj).chain("ids-lb")
+        obj["apps"][-1] = {"slot": 0}
+        with pytest.raises(ScenarioFormatError, match=r"^apps\[6\] is missing required key 'name'$"):
+            Document(obj).chain("ids-lb")
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'\xff\xfe{"version": 1}')
+        message = ("scenario is not valid UTF-8: 'utf-8' codec can't decode byte 0xff "
+                   "in position 0: invalid start byte")
+        for read in (scenario.load_scenario, scenario.read_document):
+            with pytest.raises(ScenarioFormatError) as exc:
+                read(path)
+            assert str(exc.value) == message
