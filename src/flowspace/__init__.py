@@ -4,11 +4,14 @@ Control applications are modeled by the impact they have on the
 network information base: each application is a homogeneous matrix
 acting on the vector of per-switch flow tables, rule actions are
 affine maps on the rule state, and two applications (or service
-chains) are congruent exactly when their composite matrices are equal.
-On top of the algebra the package offers congruence reports,
-behavioral differencing, forwarding-loop detection by additive-inverse
-rule scanning, and what-if previews of FLOW_MOD changes, plus a CLI
-(`flowspace`) over JSON scenario files.
+chains) are reported congruent when the normal forms of their
+composite matrices are equal.  The check is sound, not complete:
+congruent transforms give equal tables on every NIB, but transforms
+whose guards differ in form can behave alike and still be reported
+not congruent.  On top of the algebra the package offers congruence
+reports, behavioral differencing, forwarding-loop detection by
+additive-inverse rule scanning, and what-if previews of FLOW_MOD
+changes, plus a CLI (`flowspace`) over JSON scenario files.
 """
 
 __version__ = "0.1.0"

@@ -201,6 +201,16 @@ def negate_translation(translation: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(map(and_, map(neg, translation), STATE_MASKS))
 
 
+#: Per slot, the bits below the top bit of its width.
+_LOW_BITS = tuple(m >> 1 for m in STATE_MASKS)
+
+
+def is_own_negation(translation: tuple[int, ...]) -> bool:
+    """Whether the translation equals its `negate_translation`: every slot
+    is 0 or half its modulus, so no slot has a bit below its top bit."""
+    return not any(map(and_, translation, _LOW_BITS))
+
+
 def invert(a: AffineAction) -> AffineAction:
     """The inverse map; only all-ones diagonals are invertible."""
     if not all(a.linear):

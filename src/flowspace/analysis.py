@@ -1,7 +1,8 @@
 """User-facing analyses over transforms and NIBs.
 
-Congruence reports decide whether two applications (or chains) have the
-same composite matrix; behavioral differencing applies two composites
+Congruence reports compare the normal forms of two applications' (or
+chains') composite matrices, a sound but not complete test of equal
+behaviour; behavioral differencing applies two composites
 to concrete scenarios and reports where the resulting tables disagree;
 loop detection scans each flow table for entry pairs whose actions undo
 each other (a packet re-entering a rule it already traversed); what-if
@@ -38,6 +39,7 @@ from flowspace.transforms import (
     chain,
     is_identity_linear,
     normal_forms,
+    normalize,
 )
 
 
@@ -138,19 +140,27 @@ def behavioral_diff(a: ServiceChain | AppTransform,
     such slot is skipped, with no instantiation and no `reduce`, after
     `transforms.check_instantiable` resolves the distinct selected
     templates in `a`'s apply order, so a template that cannot be
-    instantiated raises as applying `a` would.  Any other scenario
-    applies `a` through one `transforms.Instances` and builds `b`'s
-    table only in those slots; a built slot whose two tables are equal
-    is not reduced.  Both selections come first, so a slot-count
+    instantiated raises as applying `a` would.  Normal forms that are
+    equal but for their names (each kept on its transform) select equal
+    template sets in every slot on every NIB and header, so then every
+    scenario is skipped without selecting `b`'s templates.  Any other
+    scenario applies `a` through one `transforms.Instances` and builds
+    `b`'s table only in those slots; a built slot whose two tables are
+    equal is not reduced.  Both selections come first, so a slot-count
     mismatch raises before any template is instantiated.
     """
     ta, tb = _as_transform(a), _as_transform(b)
+    na, nb = normalize(ta), normalize(tb)
+    congruent = na.linear == nb.linear and na.translation == nb.translation
     out = []
     for index, (nib, h) in enumerate(scenarios):
         sa = transforms.selections(ta, nib, h)
-        sb = transforms.selections(tb, nib, h)
-        slots = [i for i, (x, y) in enumerate(zip(sa, sb))
-                 if ta.linear[i] != tb.linear[i] or set(x) != set(y)]
+        if congruent:
+            slots = []
+        else:
+            sb = transforms.selections(tb, nib, h)
+            slots = [i for i, (x, y) in enumerate(zip(sa, sb))
+                     if ta.linear[i] != tb.linear[i] or set(x) != set(y)]
         if not slots:
             transforms.check_instantiable(
                 dict.fromkeys(tpl for slot in sa for tpl in slot), nib, h)

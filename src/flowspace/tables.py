@@ -230,16 +230,45 @@ def partners(t: FlowTable, e: FlowEntry) -> tuple[FlowEntry, ...]:
     return tuple(p for p in group if p != e)
 
 
+def _partner_groups(index: InverseIndex
+                    ) -> Iterator[tuple[tuple[FlowEntry, ...], tuple[FlowEntry, ...]]]:
+    """Each pair of index groups whose rules are mutual inverses, once; a
+    self-inverse rule's group is paired with itself.
+
+    A partner shares match, out port and ttl, so the keys are bucketed by
+    those and a lone key can pair only with itself, which its translation
+    shows without negating it.  In a larger bucket, a key's partner is
+    the earlier key whose negated translation it is, else it leaves its
+    own negation for a later key, so a key that completes a pair is never
+    negated.
+    """
+    buckets: dict[tuple, list] = {}
+    for (match, out_port, ttl, translation), group in index.items():
+        buckets.setdefault((match.entries, out_port, ttl), []).append((translation, group))
+    for bucket in buckets.values():
+        if len(bucket) == 1:
+            translation, group = bucket[0]
+            if actions.is_own_negation(translation):
+                yield group, group
+            continue
+        wanted: dict[tuple, tuple[FlowEntry, ...]] = {}  # negated translation -> its group
+        for translation, group in bucket:
+            partner = wanted.pop(translation, None)
+            if partner is not None:
+                yield partner, group
+                continue
+            negated = actions.negate_translation(translation)
+            if negated == translation:
+                yield group, group
+            else:
+                wanted[negated] = group
+
+
 def inverse_pairs(t: FlowTable) -> Iterator[tuple[FlowEntry, FlowEntry]]:
     """Every pair of entries of `t` whose rules are mutual inverses, once;
     the entries of a self-inverse rule pair among themselves."""
-    index = inverse_index(t)
-    for key, group in index.items():
-        pkey = partner_key(key)
-        if pkey == key:  # a self-inverse rule under several counters
-            yield from combinations(group, 2)
-        elif key[3] < pkey[3]:  # the keys differ in translation only; pair once
-            yield from product(group, index.get(pkey, ()))
+    for group, partner in _partner_groups(inverse_index(t)):
+        yield from (combinations(group, 2) if group is partner else product(group, partner))
 
 
 def flow_mod(t: FlowTable, old: FlowRule | None, new: FlowRule | None
@@ -310,10 +339,11 @@ def reduce(t: FlowTable) -> FlowTable:
     smaller group runs out, and cancels a self-inverse group whole.
     That outcome is computed here directly.
     """
-    index = inverse_index(t)
-    cancelled: set[FlowEntry] = set()
-    for key, group in index.items():
-        pkey = partner_key(key)
-        n = len(group) if pkey == key else len(index.get(pkey, ()))
-        cancelled.update(group[:n])
-    return FlowTable(t._entries - cancelled) if cancelled else t
+    cancelled: list[FlowEntry] = []
+    for group, partner in _partner_groups(inverse_index(t)):
+        if group is partner:
+            cancelled += group
+        else:
+            n = min(len(group), len(partner))
+            cancelled += group[:n] + partner[:n]
+    return FlowTable(t._entries.difference(cancelled)) if cancelled else t

@@ -20,6 +20,15 @@ pieces whose arms all agree, sorting each template set once - so that
 structural equality of normal forms (congruence) implies behavioral
 equality on every NIB, while the converse is not claimed.
 
+A composite depends only on its chain, and a normal form only on its
+transform, so each is computed once, on first use, and kept: a
+`ServiceChain` keeps its composite (`chain` returns it) and an
+`AppTransform` its normal form (`normalize` returns it), both outside
+equality, hashing and repr.  A sequence of stages is composed on every
+call.  Two transforms whose normal forms are equal but for their names
+select equal template sets in every slot on every NIB and header, which
+lets `analysis.behavioral_diff` skip the per-slot comparison.
+
 `selections` evaluates a transform's guards for one (NIB, header) and
 gives each slot's selected templates in apply order; it is the only
 selection loop.  `Instances` builds slot tables and NIBs from
@@ -42,6 +51,7 @@ the inverse index the new table carries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence, Union
 
 from flowspace.actions import PORT_MASK, PORT_SLOT, TTL_MASK, ActionFold, AffineAction
@@ -475,6 +485,8 @@ class AppTransform:
         if not (isinstance(translation, tuple) and all([isinstance(s, tuple) for s in translation])
                 and all([isinstance(p, GuardedDelta) for s in translation for p in s])):
             raise _translation_error(translation)
+        if not (isinstance(linear, tuple) and all([isinstance(row, tuple) for row in linear])):
+            raise _linear_error(linear)
         n = len(translation)
         if len(linear) != n or any(len(row) != n for row in linear):
             raise DimensionMismatchError("linear part must be square and match the slot count")
@@ -486,6 +498,14 @@ class AppTransform:
     @property
     def dimension(self) -> int:
         return len(self.translation)
+
+    # Derived on first use and kept in the instance __dict__, so it takes
+    # no part in equality, hashing or repr.
+    @cached_property
+    def normal_form(self) -> AppTransform:
+        """The canonical form `normalize` returns; see `_canon_sum`."""
+        return AppTransform(self.name, self.linear,
+                            tuple(_canon_sum(s) for s in self.translation))
 
 
 def _translation_error(translation) -> InvalidRuleError:
@@ -501,7 +521,13 @@ def _translation_error(translation) -> InvalidRuleError:
 
 
 def _linear_error(linear) -> InvalidRuleError:
-    """The error for the first linear entry that is not an int 0 or 1."""
+    """The error for a linear part or row that is not a tuple, else for the
+    first entry that is not an int 0 or 1."""
+    if not isinstance(linear, tuple):
+        return type_error("linear", linear, "a tuple")
+    for i, row in enumerate(linear):
+        if not isinstance(row, tuple):
+            return type_error(f"linear[{i}]", row, "a tuple")
     for i, row in enumerate(linear):
         for j, c in enumerate(row):
             error = int_error(f"linear[{i}][{j}]", c, 1)
@@ -516,8 +542,20 @@ class ServiceChain:
     stages: tuple[AppTransform, ...]
 
     def __post_init__(self):
-        if not self.stages:
+        stages = self.stages
+        if not isinstance(stages, tuple):
+            raise type_error("stages", stages, "a tuple")
+        for i, stage in enumerate(stages):
+            if not isinstance(stage, AppTransform):
+                raise type_error(f"stages[{i}]", stage, "an AppTransform")
+        if not stages:
             raise EmptyChainError("a service chain needs at least one stage")
+
+    # Kept like `AppTransform.normal_form`, out of equality, hashing and repr.
+    @cached_property
+    def composite(self) -> AppTransform:
+        """The one transform of the chain, which `chain` returns."""
+        return _compose(self.stages)
 
 
 def _identity_matrix(n: int) -> tuple[tuple[int, ...], ...]:
@@ -739,6 +777,17 @@ def compose_apps(second: AppTransform, first: AppTransform) -> AppTransform:
 def chain(stages: ServiceChain | Sequence[AppTransform]) -> AppTransform:
     """Collapse a chain into one composite; the first stage applies first.
 
+    A `ServiceChain` composes once and keeps its composite, so every call
+    on it returns the same object; a sequence is composed on each call.
+    """
+    if isinstance(stages, ServiceChain):
+        return stages.composite
+    return _compose(tuple(stages))
+
+
+def _compose(seq: tuple[AppTransform, ...]) -> AppTransform:
+    """The composite of the stages, first stage first.
+
     One pass over the stages, linear in their count and pieces.  Linear
     parts multiply over the two-element field, a row at a time: after a
     stage, row i is the XOR of the accumulated rows that the stage's
@@ -748,7 +797,6 @@ def chain(stages: ServiceChain | Sequence[AppTransform]) -> AppTransform:
     extends that slot's list in place, so an identity stage copies
     nothing.  The composite, named `s_k*...*s_0`, is built once.
     """
-    seq = stages.stages if isinstance(stages, ServiceChain) else tuple(stages)
     if not seq:
         raise EmptyChainError("cannot compose an empty chain")
     first = seq[0]
@@ -849,8 +897,12 @@ def _canon_sum(pieces: DeltaSum) -> DeltaSum:
 
 
 def normalize(a: AppTransform) -> AppTransform:
-    """Canonical form whose structural equality decides congruence."""
-    return AppTransform(a.name, a.linear, tuple(_canon_sum(s) for s in a.translation))
+    """Canonical form whose structural equality decides congruence.
+
+    Computed once per transform and kept: every call on `a` returns the
+    same object.
+    """
+    return a.normal_form
 
 
 def normal_forms(a: AppTransform, b: AppTransform) -> tuple[AppTransform, AppTransform]:

@@ -42,6 +42,16 @@ resolves, in its order, and raise its error.  `compose_apps` and
 `chain` must give exactly the entrywise matrix product, folded stage
 by stage, on seeded apps with random 0/1 linear parts, and `chain`'s
 work must grow linearly with the stage count.
+
+A `ServiceChain`'s kept composite must equal that fold and be returned
+by every `chain` call on it, and a transform's kept normal form must
+equal the merge-pass fixpoint's, on seeded chains of `random_app`
+stages and their `shuffled_variant` or edited partners; neither may
+take part in equality, hashing or repr.  On those chain pairs
+`behavioral_diff` must give exactly the separate applies'
+counterexamples, or the same error (unresolved port names, destination
+ports and slot counts), and with equal normal forms it must select
+only the first chain's templates.
 """
 
 import copy
@@ -1385,3 +1395,124 @@ class TestComposeApps:
         for compose in (transforms.compose_apps, compose_apps_oracle):
             with pytest.raises(DimensionMismatchError):
                 compose(transforms.identity_transform(2), transforms.identity_transform(3))
+
+
+# ---------------------------------------------------------------------------
+# Values kept on chains and transforms
+
+
+#: Half the port names and server ports for half the address pool, so
+#: that some `PortName`s and `DestPort`s do not resolve.
+PARTIAL_PORTS = (dict(zip(sampling.PORT_NAMES[:3], (1, 2, 3))),
+                 {a: 1 for a in sampling.ADDRESS_POOL[:4]})
+
+
+def chain_pair(rng: random.Random, n: int) -> tuple[str, ServiceChain, ServiceChain]:
+    """A chain of `sampling.random_app` stages and a partner: shuffled by
+    `sampling.shuffled_variant` (congruent), or with one stage edited."""
+    stages = [sampling.random_app(rng, n, f"s{i}") for i in range(rng.randint(1, 6))]
+    kind, other = partner(rng, stages)
+    return kind, ServiceChain(tuple(stages)), ServiceChain(tuple(other))
+
+
+def equal_normal_forms(a: ServiceChain, b: ServiceChain) -> bool:
+    na, nb = (normalize(transforms.chain(c)) for c in (a, b))
+    return na.linear == nb.linear and na.translation == nb.translation
+
+
+class TestKeptChainValues:
+    def test_kept_composite_and_normal_form_match_the_oracles(self):
+        rng = random.Random(8201)
+        for _ in range(400):
+            _, a, b = chain_pair(rng, rng.randint(1, 4))
+            for c in (a, b):
+                composite = transforms.chain(c)
+                assert composite == chain_oracle(list(c.stages))
+                assert transforms.chain(c) is composite
+                normal = normalize(composite)
+                assert normal == normalize_oracle(composite)
+                assert normalize(composite) is normal
+                # A sequence of stages is composed afresh on every call.
+                fresh = transforms.chain(list(c.stages))
+                assert fresh == composite and fresh is not composite
+
+    def test_equality_hash_and_repr_ignore_kept_values(self):
+        rng = random.Random(8202)
+        stages = tuple(sampling.random_app(rng, 3, f"s{i}") for i in range(5))
+        kept, bare = ServiceChain(stages), ServiceChain(stages)
+        composite = transforms.chain(kept)
+        normalize(composite)
+        fresh = transforms.chain(list(stages))
+        assert "composite" in vars(kept) and "composite" not in vars(bare)
+        assert "normal_form" in vars(composite) and "normal_form" not in vars(fresh)
+        for x, y in ((kept, bare), (composite, fresh)):
+            assert x == y and hash(x) == hash(y) and repr(x) == repr(y)
+        assert ServiceChain(stages[:4]) != kept
+
+    def test_behavioral_diff_matches_separate_applies(self):
+        rng = random.Random(8203)
+        topologies = [sampling.random_topology(rng, n) for n in (1, 2, 3)] + [
+            Topology(n, *PARTIAL_PORTS) for n in (1, 2, 3)]
+        seen = Counter()
+        for _ in range(800):
+            topology = rng.choice(topologies)
+            kind, a, b = chain_pair(rng, topology.switch_count)
+            scenarios = [sampling.random_scenario(rng, topology) for _ in range(3)]
+            got = diff_outcome(analysis.behavioral_diff, a, b, scenarios)
+            assert got == diff_outcome(behavioral_diff_oracle, a, b, scenarios)
+            # A second call reads the kept composites and normal forms.
+            assert diff_outcome(analysis.behavioral_diff, a, b, scenarios) == got
+            outcome = " ".join(got[1].split(" ")[:2]) if type(got) is tuple else bool(got)
+            seen[equal_normal_forms(a, b), outcome] += 1
+        # Pairs with equal and unequal normal forms, each with both kinds
+        # of unresolved port; only unequal ones can differ.
+        assert not seen[True, True]
+        for equal in (True, False):
+            assert min(seen[equal, "no port"], seen[equal, "no server"], seen[equal, False]) > 10
+        assert seen[False, True] > 10, seen
+
+    def test_slot_count_mismatch_raises_as_separate_applies(self):
+        # A chain with one slot too many: in first place it fails on the
+        # first scenario, in second place once the first chain applies.
+        rng = random.Random(8204)
+        raised = Counter()
+        for _ in range(200):
+            n = rng.randint(1, 3)
+            topology = sampling.random_topology(rng, n)
+            _, a, _ = chain_pair(rng, n)
+            _, wide, _ = chain_pair(rng, n + 1)
+            scenarios = [sampling.random_scenario(rng, topology) for _ in range(2)]
+            for x, y in ((wide, a), (a, wide)):
+                want = diff_outcome(behavioral_diff_oracle, x, y, scenarios)
+                if want[0] is DimensionMismatchError:
+                    assert diff_outcome(analysis.behavioral_diff, x, y, scenarios) == want
+                    raised[x is wide] += 1
+        assert raised[True] == 200 and raised[False] > 50, raised
+
+    def test_equal_normal_forms_select_only_the_first_chain(self, monkeypatch):
+        # With equal normal forms, every scenario is skipped after the
+        # first composite's selections: the second's are never taken.
+        rng = random.Random(8205)
+        topology = sampling.random_topology(rng, 3)
+        selected = Counter()
+        selections = transforms.selections
+
+        def counting(t, nib, h):
+            selected[t.name] += 1
+            return selections(t, nib, h)
+
+        monkeypatch.setattr(transforms, "selections", counting)
+        kinds = Counter()
+        for _ in range(200):
+            kind, a, b = chain_pair(rng, 3)
+            scenarios = [sampling.random_scenario(rng, topology) for _ in range(3)]
+            selected.clear()
+            got = analysis.behavioral_diff(a, b, scenarios)
+            ta, tb = transforms.chain(a), transforms.chain(b)
+            equal = equal_normal_forms(a, b)
+            assert selected[ta.name] == 3
+            assert selected[tb.name] == (0 if equal else 3)
+            if equal:
+                assert got == []
+            kinds[kind, equal] += 1
+        assert kinds["shuffled", True] and kinds["one template", False], kinds

@@ -397,6 +397,12 @@ class TestValueConstructors:
         (lambda: AppTransform("a", ((1, 0), (0, 1)), ((), [])),
          "translation[1] must be a tuple, got list"),
         (lambda: AppTransform("a", ((1,),), [()]), "translation must be a tuple, got list"),
+        (lambda: AppTransform("x", [[1, 0], [0, 1]], ((), ())), "linear must be a tuple, got list"),
+        (lambda: AppTransform("x", ((1, 0), [0, 1]), ((), ())),
+         "linear[1] must be a tuple, got list"),
+        (lambda: ServiceChain([transforms.identity_transform(1)]),
+         "stages must be a tuple, got list"),
+        (lambda: ServiceChain(("nope",)), "stages[0] must be an AppTransform, got str"),
         (lambda: AppTransform("a", ((1,),), ((unconditional([]), None),)),
          "translation[0][1] must be a GuardedDelta, got NoneType"),
         (lambda: make_app("a", True, unconditional([]), 2), "slot must be an int, got bool"),
