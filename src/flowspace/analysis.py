@@ -3,11 +3,17 @@
 Congruence reports compare the normal forms of two applications' (or
 chains') composite matrices, a sound but not complete test of equal
 behaviour; behavioral differencing applies two composites
-to concrete scenarios and reports where the resulting tables disagree;
-loop detection scans each flow table for entry pairs whose actions undo
-each other (a packet re-entering a rule it already traversed); what-if
-previews a single FLOW_MOD against a NIB, diffing tables and reporting
-any loop the change would introduce.  Both pair entries through
+to concrete scenarios and reports where the resulting tables disagree.
+Both read the slot keys each normal form keeps: congruence finds its
+first difference by them, and differencing selects templates only in
+the slots where the keys or the linear rows differ, and compares
+reductions only in the (match, out_port, ttl) buckets where two tables
+differ (`tables.reductions_equal`).
+
+Loop detection scans each flow table for entry pairs whose actions
+undo each other (a packet re-entering a rule it already traversed);
+what-if previews a single FLOW_MOD against a NIB, diffing tables and
+reporting any loop the change would introduce.  Both pair entries through
 `tables.inverse_pairs` and `tables.partners`, which read the inverse
 index a table builds on first use and keeps, so a scan is linear in
 table entries and a preview looks up partners of the new entries only.
@@ -31,7 +37,7 @@ from flowspace.tables import (
     flow_mod,
     inverse_pairs,
     partners,
-    reduce,
+    reductions_equal,
 )
 from flowspace.transforms import (
     AppTransform,
@@ -65,13 +71,16 @@ def _as_transform(x: ServiceChain | AppTransform) -> AppTransform:
 
 
 def _first_difference(a: AppTransform, b: AppTransform) -> Difference | None:
+    """The first difference of two normal forms, found by their kept slot
+    keys (a piece's key is one item of its slot's)."""
     if a.linear != b.linear:
         return Difference(None, "linear parts differ")
-    for i, (sa, sb) in enumerate(zip(a.translation, b.translation)):
-        if sa == sb:
+    for i, (ka, kb) in enumerate(zip(a.slot_keys, b.slot_keys)):
+        if ka == kb:
             continue
-        for pa, pb in zip(sa, sb):
-            if pa != pb:
+        sa, sb = a.translation[i], b.translation[i]
+        for pa, pb, x, y in zip(sa, sb, ka, kb):
+            if x != y:
                 return Difference(i, f"slot {i}: {_piece_difference(pa, pb)}")
         return Difference(
             i, f"slot {i}: {len(sa)} vs {len(sb)} delta pieces"
@@ -95,7 +104,13 @@ def _piece_difference(pa: transforms.GuardedDelta, pb: transforms.GuardedDelta) 
 
 def check_congruence(a: ServiceChain | AppTransform,
                      b: ServiceChain | AppTransform) -> CongruenceReport:
-    """Decide congruence and describe the first structural difference."""
+    """Decide congruence and describe the first structural difference.
+
+    The normal forms are compared by their kept slot keys
+    (`AppTransform.slot_keys`), one tuple comparison per slot, and only
+    the first differing slot's pieces are read to describe how they
+    differ.
+    """
     na, nb = normal_forms(_as_transform(a), _as_transform(b))
     # Normal forms of equal slot count differ exactly where a first
     # difference exists, so its absence is the `congruent` verdict.
@@ -135,36 +150,49 @@ def behavioral_diff(a: ServiceChain | AppTransform,
 
     Slot i of a result unions the input tables that linear row i
     selects with the entries of the templates the slot selects
-    (`transforms.selections`), so the results can differ only in slots
-    whose rows or selected template sets differ.  A scenario with no
-    such slot is skipped, with no instantiation and no `reduce`, after
-    `transforms.check_instantiable` resolves the distinct selected
-    templates in `a`'s apply order, so a template that cannot be
-    instantiated raises as applying `a` would.  Normal forms that are
-    equal but for their names (each kept on its transform) select equal
-    template sets in every slot on every NIB and header, so then every
-    scenario is skipped without selecting `b`'s templates.  Any other
-    scenario applies `a` through one `transforms.Instances` and builds
-    `b`'s table only in those slots; a built slot whose two tables are
-    equal is not reduced.  Both selections come first, so a slot-count
-    mismatch raises before any template is instantiated.
+    (`transforms.select_slot`), so the results can differ only in slots
+    whose rows or selected template sets differ.  Two normal forms whose
+    kept keys agree in a slot select equal template sets there on every
+    NIB and header, so once per call the "open" slots are found: those
+    whose rows or normal-form keys differ.  Per scenario, only open slots
+    take both composites' selections and the set test.
+
+    A scenario where no slot differs is skipped, with no instantiation
+    and no reduction, once every port lookup of `a`'s templates resolves
+    (`transforms.lookups_resolve`); if one does not, `a`'s selections are
+    taken and `transforms.check_instantiable` resolves the distinct
+    selected templates in `a`'s apply order, so a template that cannot be
+    instantiated raises as applying `a` would.  Any other scenario
+    selects `a`'s remaining slots, applies `a` through one
+    `transforms.Instances` and builds `b`'s table only in the differing
+    slots; a built slot whose two tables differ is compared by
+    `tables.reductions_equal`, which reduces only the buckets where they
+    differ.  Slot counts are checked against each scenario's topology
+    before anything is selected, so a mismatch raises before any
+    template is instantiated.
     """
     ta, tb = _as_transform(a), _as_transform(b)
-    na, nb = normalize(ta), normalize(tb)
-    congruent = na.linear == nb.linear and na.translation == nb.translation
+    rows = {i for i, (x, y) in enumerate(zip(ta.linear, tb.linear)) if x != y}
+    open_slots = [i for i, (x, y) in enumerate(zip(normalize(ta).slot_keys,
+                                                   normalize(tb).slot_keys))
+                  if i in rows or x != y]
+    # With equal slot counts, b fits every topology that a fits; with
+    # unequal ones, the first scenario raises.
+    sized = (ta,) if ta.dimension == tb.dimension else (ta, tb)
     out = []
     for index, (nib, h) in enumerate(scenarios):
-        sa = transforms.selections(ta, nib, h)
-        if congruent:
-            slots = []
-        else:
-            sb = transforms.selections(tb, nib, h)
-            slots = [i for i, (x, y) in enumerate(zip(sa, sb))
-                     if ta.linear[i] != tb.linear[i] or set(x) != set(y)]
+        for t in sized:
+            transforms.check_dimension(t, nib)
+        picked = {i: (transforms.select_slot(ta, i, nib, h), transforms.select_slot(tb, i, nib, h))
+                  for i in open_slots}
+        slots = [i for i, (x, y) in picked.items() if i in rows or set(x) != set(y)]
         if not slots:
-            transforms.check_instantiable(
-                dict.fromkeys(tpl for slot in sa for tpl in slot), nib, h)
+            if not transforms.lookups_resolve(ta, nib, h):
+                transforms.check_instantiable(dict.fromkeys(
+                    tpl for slot in transforms.selections(ta, nib, h) for tpl in slot), nib, h)
             continue
+        sa = [picked[i][0] if i in picked else transforms.select_slot(ta, i, nib, h)
+              for i in range(ta.dimension)]
         # b's templates in the other slots are a's, so building b's
         # slots in order instantiates b's new templates in its apply
         # order, and raises as applying b after a would.
@@ -172,11 +200,11 @@ def behavioral_diff(a: ServiceChain | AppTransform,
         ra = inst.apply(ta, sa)
         tables_b = list(ra.tables)
         for i in slots:
-            tables_b[i] = inst.table(tb.linear[i], sb[i])
+            tables_b[i] = inst.table(tb.linear[i], picked[i][1])
         rb = NIB(nib.topology, tuple(tables_b), nib.flows)
         differing = tuple(
             i for i in slots
-            if (x := ra.tables[i]) != (y := rb.tables[i]) and reduce(x) != reduce(y)
+            if (x := ra.tables[i]) != (y := rb.tables[i]) and not reductions_equal(x, y)
         )
         if differing:
             out.append(Counterexample(index, h, ra, rb, differing))

@@ -20,7 +20,9 @@ the one FLOW_MOD edit, derives the new table's index from its parent's
 by copying the dict and rebuilding only the groups whose entries
 changed, so a chain of previews and commits costs the entries it
 touches.  Only this module reads the key: `partners` and
-`inverse_pairs` pair entries for the others.
+`inverse_pairs` pair entries for the others, and `reductions_equal`
+compares two tables' reductions by reducing only the buckets where the
+tables differ.
 
 Entries are kept in a canonical total order so equality, serialization
 and cancellation are deterministic.
@@ -206,9 +208,17 @@ def inverse_index(t: FlowTable) -> InverseIndex:
     """
     if t._index is not None:
         return t._index
+    index = _index(t._entries)
+    object.__setattr__(t, "_index", index)
+    return index
+
+
+def _index(entries: Iterable[FlowEntry]) -> InverseIndex:
+    """The invertible entries grouped by `inverse_key`, each group a tuple
+    in canonical order."""
     index: InverseIndex = {}
     shared = set()  # keys of groups with more than one entry
-    for e in t._entries:
+    for e in entries:
         key = inverse_key(e.rule)
         if key is not None:
             group = index.get(key)
@@ -219,7 +229,6 @@ def inverse_index(t: FlowTable) -> InverseIndex:
                 shared.add(key)
     for key in shared:
         index[key] = _group(index[key])
-    object.__setattr__(t, "_index", index)
     return index
 
 
@@ -339,11 +348,44 @@ def reduce(t: FlowTable) -> FlowTable:
     smaller group runs out, and cancels a self-inverse group whole.
     That outcome is computed here directly.
     """
+    cancelled = _cancelled(inverse_index(t))
+    return FlowTable(t._entries.difference(cancelled)) if cancelled else t
+
+
+def _cancelled(index: InverseIndex) -> list[FlowEntry]:
+    """The entries that `reduce` cancels, from their inverse index."""
     cancelled: list[FlowEntry] = []
-    for group, partner in _partner_groups(inverse_index(t)):
+    for group, partner in _partner_groups(index):
         if group is partner:
             cancelled += group
         else:
             n = min(len(group), len(partner))
             cancelled += group[:n] + partner[:n]
-    return FlowTable(t._entries.difference(cancelled)) if cancelled else t
+    return cancelled
+
+
+def reductions_equal(x: FlowTable, y: FlowTable) -> bool:
+    """Whether `reduce(x) == reduce(y)`, from the entries where they differ.
+
+    Entries cancel only within a (match, out_port, ttl) bucket, so the
+    reductions can differ only in the buckets of the entries that one
+    table holds and the other lacks, and only those buckets are reduced.
+    A singular entry never cancels, so one such entry decides.
+    """
+    only_x, only_y = x._entries - y._entries, y._entries - x._entries
+    touched = set()
+    for e in (*only_x, *only_y):
+        r = e.rule
+        if not all(r.action.linear):
+            return False
+        touched.add((r.match.entries, r.out_port, r.ttl))
+    if not touched:
+        return True
+    shared = [e for e in x._entries & y._entries
+              if ((r := e.rule).match.entries, r.out_port, r.ttl) in touched]
+
+    def kept(only: frozenset[FlowEntry]) -> set[FlowEntry]:
+        entries = [*shared, *only]
+        return set(entries).difference(_cancelled(_index(entries)))
+
+    return kept(only_x) == kept(only_y)

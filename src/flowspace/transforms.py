@@ -25,15 +25,21 @@ transform, so each is computed once, on first use, and kept: a
 `ServiceChain` keeps its composite (`chain` returns it) and an
 `AppTransform` its normal form (`normalize` returns it), both outside
 equality, hashing and repr.  A sequence of stages is composed on every
-call.  Two transforms whose normal forms are equal but for their names
-select equal template sets in every slot on every NIB and header, which
-lets `analysis.behavioral_diff` skip the per-slot comparison.
+call.  A transform keeps two more facts the same way: one key per slot
+(`slot_keys`, of `guard_key`s and `template_key`s), equal exactly when
+the slots are, and the distinct ports its templates look up
+(`port_lookups`).  Two normal forms whose keys agree in a slot select
+equal template sets there on every NIB and header, so
+`analysis.behavioral_diff` selects only the slots where they differ,
+and skips a scenario without selecting anything when
+`lookups_resolve` says no template can fail to instantiate.
 
 `selections` evaluates a transform's guards for one (NIB, header) and
-gives each slot's selected templates in apply order; it is the only
-selection loop.  `Instances` builds slot tables and NIBs from
-selections, instantiating each distinct template once per (NIB,
-header); `apply_transform` is that pass over one transform.  Template
+gives each slot's selected templates in apply order, after
+`check_dimension`; `select_slot` gives one slot's.  `Instances` builds
+slot tables and NIBs from selections, instantiating each distinct
+template once per (NIB, header); `apply_transform` is that pass over
+one transform.  Template
 constructors check every value and reference a template holds, a
 deferred pick's servers against their field included, so equal
 templates instantiate alike and a template fails to instantiate only on
@@ -42,6 +48,12 @@ and the port names and destination ports it looks up once, and keeps
 them: equality compares the keys, `normalize` sorts by them, and
 `check_instantiable` resolves only those lookups, for a caller that
 skips the instantiation.
+
+`make_app` and `identity_transform` share one identity matrix per
+size, and a transform holding it skips the entrywise check of its
+linear part, so decoding a document builds one matrix, not one per
+app, and checks none; a composite's linear part is still built and
+checked entry by entry.
 
 `flow_mod_add`, `flow_mod_delete` and `flow_mod_modify` are the three
 shapes of the FLOW_MOD edit `tables.flow_mod`, which owns the edit and
@@ -427,6 +439,14 @@ class GuardedDelta:
             raise _delta_error(branches, self.default)
 
 
+def _piece_key(piece: GuardedDelta) -> tuple:
+    """Equal exactly when the pieces are: guards and templates are keyed
+    one to one."""
+    return (tuple([(guard_key(g), tuple([_facts(t)[1] for t in arm]))
+                   for g, arm in piece.branches]),
+            tuple([_facts(t)[1] for t in piece.default]))
+
+
 def _are_templates(x) -> bool:
     return isinstance(x, tuple) and all([isinstance(t, RuleTemplate) for t in x])
 
@@ -485,9 +505,11 @@ class AppTransform:
         if not (isinstance(translation, tuple) and all([isinstance(s, tuple) for s in translation])
                 and all([isinstance(p, GuardedDelta) for s in translation for p in s])):
             raise _translation_error(translation)
+        n = len(translation)
+        if linear is _IDENTITIES.get(n):
+            return  # the shared identity of this size, square and 0/1 by construction
         if not (isinstance(linear, tuple) and all([isinstance(row, tuple) for row in linear])):
             raise _linear_error(linear)
-        n = len(translation)
         if len(linear) != n or any(len(row) != n for row in linear):
             raise DimensionMismatchError("linear part must be square and match the slot count")
         for row in linear:
@@ -499,13 +521,28 @@ class AppTransform:
     def dimension(self) -> int:
         return len(self.translation)
 
-    # Derived on first use and kept in the instance __dict__, so it takes
-    # no part in equality, hashing or repr.
+    # Each is derived on first use and kept in the instance __dict__, so
+    # it takes no part in equality, hashing or repr.
     @cached_property
     def normal_form(self) -> AppTransform:
         """The canonical form `normalize` returns; see `_canon_sum`."""
         return AppTransform(self.name, self.linear,
                             tuple(_canon_sum(s) for s in self.translation))
+
+    @cached_property
+    def slot_keys(self) -> tuple[tuple, ...]:
+        """One key per slot, of `guard_key`s and `template_key`s: two slots'
+        keys are equal exactly when their piece sums are."""
+        return tuple([tuple([_piece_key(p) for p in slot]) for slot in self.translation])
+
+    @cached_property
+    def port_lookups(self) -> tuple[PortRef, ...]:
+        """The distinct port names and destination ports that instantiating
+        any of its templates looks up, in order of first appearance."""
+        return tuple(dict.fromkeys([
+            ref for slot in self.translation for piece in slot
+            for templates in (*[arm for _, arm in piece.branches], piece.default)
+            for tpl in templates for ref in _facts(tpl)[2]]))
 
 
 def _translation_error(translation) -> InvalidRuleError:
@@ -558,8 +595,22 @@ class ServiceChain:
         return _compose(self.stages)
 
 
+#: The identity matrix of each size built so far, kept for the life of
+#: the process and shared by every transform of that size that
+#: `make_app` or `identity_transform` builds.
+_IDENTITIES: dict[int, tuple[tuple[int, ...], ...]] = {}
+
+
 def _identity_matrix(n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    matrix = _IDENTITIES.get(n)
+    if matrix is None:
+        row, rows = [0] * n, []
+        for i in range(n):
+            row[i] = 1
+            rows.append(tuple(row))
+            row[i] = 0
+        matrix = _IDENTITIES[n] = tuple(rows)
+    return matrix
 
 
 def identity_transform(n: int, name: str = "identity") -> AppTransform:
@@ -674,6 +725,23 @@ def select_templates(piece: GuardedDelta, nib: NIB, h: Header) -> Templates:
     return piece.default
 
 
+def check_dimension(a: AppTransform, nib: NIB) -> None:
+    """Raise unless `a` has one slot per switch of the NIB."""
+    n = nib.topology.switch_count
+    if a.dimension != n:
+        raise DimensionMismatchError(
+            f"transform has {a.dimension} slots, topology has {n} switches"
+        )
+
+
+def select_slot(a: AppTransform, i: int, nib: NIB, h: Header) -> Templates:
+    """Slot i's selected templates for (NIB, header), in apply order."""
+    selected = []
+    for piece in a.translation[i]:
+        selected.extend(select_templates(piece, nib, h))
+    return tuple(selected)
+
+
 def selections(a: AppTransform, nib: NIB, h: Header) -> tuple[Templates, ...]:
     """Each slot's selected templates for (NIB, header), in apply order.
 
@@ -681,11 +749,9 @@ def selections(a: AppTransform, nib: NIB, h: Header) -> tuple[Templates, ...]:
     so two transforms with equal linear parts whose slots select equal
     template sets give equal tables on this NIB and header.
     """
-    n = nib.topology.switch_count
-    if a.dimension != n:
-        raise DimensionMismatchError(
-            f"transform has {a.dimension} slots, topology has {n} switches"
-        )
+    check_dimension(a, nib)
+    # The loop of `select_slot`, inline: a call per slot costs `apply_transform`
+    # about 2% on the case-study chains.
     out = []
     for slot in a.translation:
         selected = []
@@ -693,6 +759,21 @@ def selections(a: AppTransform, nib: NIB, h: Header) -> tuple[Templates, ...]:
             selected.extend(select_templates(piece, nib, h))
         out.append(tuple(selected))
     return tuple(out)
+
+
+def lookups_resolve(a: AppTransform, nib: NIB, h: Header) -> bool:
+    """Whether every port lookup of `a`'s templates resolves for (NIB,
+    header), so that none of its selections can fail to instantiate.
+
+    Each distinct name and destination port is resolved once, through
+    `resolve_port`, in order of first appearance.
+    """
+    try:
+        for ref in a.port_lookups:
+            resolve_port(ref, nib, h)
+    except UnresolvedPortError:
+        return False
+    return True
 
 
 def check_instantiable(templates: Iterable[RuleTemplate], nib: NIB, h: Header) -> None:

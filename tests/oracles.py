@@ -31,6 +31,10 @@ that selects it, and reduces every slot of both results.  Composition
 is checked against the entrywise matrix product it replaced, which
 XORs n terms for each of the n * n entries.
 
+A congruence report's first difference is checked against the walk
+that kept slot keys replaced: it compares the normal forms' slots and
+then their pieces by dataclass equality, down to template equality.
+
 Congruence has one verdict in the library, `analysis.check_congruence`.
 `congruent` here is the structural verdict it is built on, equality of
 normal forms, which the tests state laws with; `is_translation_only`
@@ -61,10 +65,12 @@ from flowspace import actions
 from flowspace.actions import STATE_MASKS, STATE_SIZE, AffineAction
 from flowspace.analysis import (
     Counterexample,
+    Difference,
     FlowModRequest,
     LoopFinding,
     TableDiff,
     _as_transform,
+    _piece_difference,
 )
 from flowspace.errors import DimensionMismatchError, RuleNotFoundError, ScenarioFormatError
 from flowspace.headers import (
@@ -384,6 +390,21 @@ def congruent(a: AppTransform, b: AppTransform) -> bool:
     """The structural verdict: equality of composite matrices, decided on normal forms."""
     na, nb = normal_forms(a, b)
     return na.linear == nb.linear and na.translation == nb.translation
+
+
+def first_difference_oracle(a: AppTransform, b: AppTransform) -> Difference | None:
+    """Where two normal forms first differ, found by comparing slots and
+    then pieces by dataclass equality, down to template equality."""
+    if a.linear != b.linear:
+        return Difference(None, "linear parts differ")
+    for i, (sa, sb) in enumerate(zip(a.translation, b.translation)):
+        if sa == sb:
+            continue
+        for pa, pb in zip(sa, sb):
+            if pa != pb:
+                return Difference(i, f"slot {i}: {_piece_difference(pa, pb)}")
+        return Difference(i, f"slot {i}: {len(sa)} vs {len(sb)} delta pieces")
+    return None
 
 
 def is_translation_only(a: AppTransform) -> bool:

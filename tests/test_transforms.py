@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from oracles import congruent, is_translation_only
-from flowspace import actions, sampling, transforms
+from flowspace import actions, casestudy, sampling, scenario, transforms
 from flowspace.actions import drop, forward
 from flowspace.errors import (
     DimensionMismatchError,
@@ -147,6 +147,27 @@ class TestMakeApp:
     def test_empty_delta_is_congruent_to_identity(self):
         app = make_app("a", 0, unconditional([]), 2)
         assert congruent(app, identity_transform(2))
+
+    def test_apps_of_one_size_share_the_identity(self):
+        # Each size's identity is built once and shared, so a transform
+        # holding it skips the entrywise check of its linear part, and
+        # decoding a document is not quadratic in its switch count.
+        a = make_app("a", 0, unconditional([fwd_template()]), 3)
+        b = make_app("b", 2, unconditional([]), 3)
+        assert a.linear is b.linear is identity_transform(3).linear
+        assert a.linear == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        assert make_app("c", 0, unconditional([]), 4).linear is not a.linear
+        scn = scenario.loads_scenario(scenario.dump_scenario(casestudy.build_scenario()))
+        assert len({id(app.linear) for app in scn.apps.values()}) == 1
+
+    def test_only_the_shared_identity_of_its_size_skips_the_check(self):
+        shared = make_app("a", 0, unconditional([]), 2).linear
+        with pytest.raises(DimensionMismatchError):
+            AppTransform("x", shared, ((),) * 3)
+        with pytest.raises(InvalidRuleError, match=r"^linear\[0\]\[1\] 2 exceeds 1-bit range$"):
+            AppTransform("x", ((1, 2), (0, 1)), ((), ()))
+        built = tuple(tuple(int(i == j) for j in range(2)) for i in range(2))
+        assert AppTransform("x", built, ((), ())) == identity_transform(2, "x")
 
 
 class TestComposeApps:
