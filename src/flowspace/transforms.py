@@ -506,8 +506,8 @@ class AppTransform:
                 and all([isinstance(p, GuardedDelta) for s in translation for p in s])):
             raise _translation_error(translation)
         n = len(translation)
-        if linear is _IDENTITIES.get(n):
-            return  # the shared identity of this size, square and 0/1 by construction
+        if linear is _IDENTITY and len(linear) == n:
+            return  # the shared identity, of this size: square and 0/1 by construction
         if not (isinstance(linear, tuple) and all([isinstance(row, tuple) for row in linear])):
             raise _linear_error(linear)
         if len(linear) != n or any(len(row) != n for row in linear):
@@ -595,22 +595,24 @@ class ServiceChain:
         return _compose(self.stages)
 
 
-#: The identity matrix of each size built so far, kept for the life of
-#: the process and shared by every transform of that size that
-#: `make_app` or `identity_transform` builds.
-_IDENTITIES: dict[int, tuple[tuple[int, ...], ...]] = {}
+#: The identity matrix of the size last asked for, shared by every
+#: transform that `make_app` or `identity_transform` builds until another
+#: size is asked for. Only one is kept: the skip it allows in
+#: `AppTransform.__post_init__` is a fast path, and a matrix no longer
+#: kept just takes the entrywise check.
+_IDENTITY: tuple[tuple[int, ...], ...] = ()
 
 
 def _identity_matrix(n: int) -> tuple[tuple[int, ...], ...]:
-    matrix = _IDENTITIES.get(n)
-    if matrix is None:
+    global _IDENTITY
+    if len(_IDENTITY) != n:
         row, rows = [0] * n, []
         for i in range(n):
             row[i] = 1
             rows.append(tuple(row))
             row[i] = 0
-        matrix = _IDENTITIES[n] = tuple(rows)
-    return matrix
+        _IDENTITY = tuple(rows)
+    return _IDENTITY
 
 
 def identity_transform(n: int, name: str = "identity") -> AppTransform:
@@ -750,15 +752,7 @@ def selections(a: AppTransform, nib: NIB, h: Header) -> tuple[Templates, ...]:
     template sets give equal tables on this NIB and header.
     """
     check_dimension(a, nib)
-    # The loop of `select_slot`, inline: a call per slot costs `apply_transform`
-    # about 2% on the case-study chains.
-    out = []
-    for slot in a.translation:
-        selected = []
-        for piece in slot:
-            selected.extend(select_templates(piece, nib, h))
-        out.append(tuple(selected))
-    return tuple(out)
+    return tuple([select_slot(a, i, nib, h) for i in range(a.dimension)])
 
 
 def lookups_resolve(a: AppTransform, nib: NIB, h: Header) -> bool:

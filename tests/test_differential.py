@@ -1119,6 +1119,8 @@ class TestBehavioralDiff:
         monkeypatch.setattr(analysis, "reductions_equal",
                             counting("reductions_equal", tables.reductions_equal))
         monkeypatch.setattr(tables, "reduce", counting("reduce", reduce))
+        # `analysis` binds no `reduce` of its own that the patch above would miss.
+        assert not hasattr(analysis, "reduce")
         outcomes = Counter()
         for _ in range(300):
             _, ta, tb, scenarios = diff_case(rng, rng.choice(topologies))

@@ -149,14 +149,22 @@ class TestMakeApp:
         assert congruent(app, identity_transform(2))
 
     def test_apps_of_one_size_share_the_identity(self):
-        # Each size's identity is built once and shared, so a transform
-        # holding it skips the entrywise check of its linear part, and
-        # decoding a document is not quadratic in its switch count.
+        # The identity of the size last asked for is kept and shared, so a
+        # transform holding it skips the entrywise check of its linear
+        # part, and decoding a document is not quadratic in its switch
+        # count.
         a = make_app("a", 0, unconditional([fwd_template()]), 3)
         b = make_app("b", 2, unconditional([]), 3)
         assert a.linear is b.linear is identity_transform(3).linear
         assert a.linear == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-        assert make_app("c", 0, unconditional([]), 4).linear is not a.linear
+        c = make_app("c", 0, unconditional([]), 4)
+        assert c.linear is not a.linear and c.linear is identity_transform(4).linear
+        # Only that one is kept: size 3 is built anew, and a matrix no
+        # longer kept still passes the entrywise check.
+        assert transforms._IDENTITY is c.linear
+        d = make_app("d", 1, unconditional([]), 3)
+        assert d.linear == a.linear and d.linear is not a.linear
+        assert AppTransform("e", a.linear, ((),) * 3) == identity_transform(3, "e")
         scn = scenario.loads_scenario(scenario.dump_scenario(casestudy.build_scenario()))
         assert len({id(app.linear) for app in scn.apps.values()}) == 1
 
