@@ -200,7 +200,7 @@ def behavioral_diff(a: ServiceChain | AppTransform,
         ra = inst.apply(ta, sa)
         tables_b = list(ra.tables)
         for i in slots:
-            tables_b[i] = inst.table(tb.linear[i], picked[i][1])
+            tables_b[i] = inst.table(tb, i, picked[i][1])
         rb = NIB(nib.topology, tuple(tables_b), nib.flows)
         differing = tuple(
             i for i in slots

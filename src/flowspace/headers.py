@@ -190,8 +190,16 @@ class MatchPattern:
 
     @classmethod
     def exact_for(cls, h: Header) -> MatchPattern:
-        """The fully-exact pattern matching only h."""
-        return cls(h.values)
+        """The fully-exact pattern matching only h.
+
+        A `Header`'s values passed the per-field check that a pattern's
+        entries take, so the pattern is built without running it again.
+        """
+        if not isinstance(h, Header):
+            raise type_error("h", h, "a Header")
+        p = object.__new__(cls)
+        object.__setattr__(p, "entries", h.values)
+        return p
 
 
 def matches(p: MatchPattern, h: Header) -> bool:

@@ -87,6 +87,26 @@ class FlowEntry:
             raise counter_error(counter)
 
 
+def checked_entry(match: MatchPattern, out_port: int, ttl: int, action: AffineAction,
+                  counter: int) -> FlowEntry:
+    """The entry of rule (match, out_port, ttl, action) with `counter`,
+    built without running `FlowRule`'s and `FlowEntry`'s checks again.
+
+    The caller vouches for every part: a `MatchPattern` and an
+    `AffineAction` that their constructors built, a port and a ttl that
+    are ints in 0..0xFFFF, and a counter that is a non-negative int.
+    """
+    r = object.__new__(FlowRule)
+    object.__setattr__(r, "match", match)
+    object.__setattr__(r, "out_port", out_port)
+    object.__setattr__(r, "ttl", ttl)
+    object.__setattr__(r, "action", action)
+    e = object.__new__(FlowEntry)
+    object.__setattr__(e, "rule", r)
+    object.__setattr__(e, "counter", counter)
+    return e
+
+
 def rule_key(r: FlowRule) -> tuple:
     return (pattern_key(r.match), r.out_port, r.ttl, action_key(r.action))
 

@@ -49,11 +49,26 @@ them: equality compares the keys, `normalize` sorts by them, and
 `check_instantiable` resolves only those lookups, for a caller that
 skips the instantiation.
 
+Instantiation is the paper's translation step, run on every apply, so
+it is compiled once per template: on its first instantiation a
+template keeps a plan (`_plan`) of its out port, its action's steps
+flattened in order, its ttl and its counter, with literal ports and
+values in place.  `Instances.build` runs the plan through one
+`actions.ActionFold`, and builds the entry, its rule and the header's
+exact pattern from parts whose constructors already checked them (the
+template, `PortNumber`, `SetField`, `Header`), through
+`tables.checked_entry` and `MatchPattern.exact_for`, so those checks do
+not run again.  A port read from the topology is checked by
+`resolve_port` as it is read, since the topology's port maps are plain
+dicts.
+
 `make_app` and `identity_transform` share one identity matrix per
 size, and a transform holding it skips the entrywise check of its
 linear part, so decoding a document builds one matrix, not one per
-app, and checks none; a composite's linear part is still built and
-checked entry by entry.
+app, and checks none.  A chain whose stages all hold it keeps it for
+its composite (and so for the normal form), and `Instances` then takes
+table i for slot i without scanning row i; any other composite's
+linear part is built and checked entry by entry.
 
 `flow_mod_add`, `flow_mod_delete` and `flow_mod_modify` are the three
 shapes of the FLOW_MOD edit `tables.flow_mod`, which owns the edit and
@@ -66,7 +81,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence, Union
 
-from flowspace.actions import PORT_MASK, PORT_SLOT, TTL_MASK, ActionFold, AffineAction
+from flowspace.actions import PORT_MASK, PORT_SLOT, TTL_MASK, ActionFold
 from flowspace.errors import (
     DimensionMismatchError,
     EmptyChainError,
@@ -81,10 +96,8 @@ from flowspace.headers import (
     ADDRESS_MASK,
     FIELD_INDEX,
     FIELD_MASKS,
-    FIELDS,
     Header,
     MatchPattern,
-    field_delta,
     field_index,
     pattern_key,
 )
@@ -94,6 +107,7 @@ from flowspace.tables import (
     FlowRule,
     FlowTable,
     add,
+    checked_entry,
     flow_mod,
 )
 
@@ -295,11 +309,12 @@ class RuleTemplate:
     Facts derived from the fields are computed together once per object,
     on first use, and kept in `__dict__`, out of repr and pickling: the
     hash, the canonical key (`template_key`) and the port references
-    that instantiation looks up.  Equality compares the hashes, then the
-    keys: constructors reject bools, unknown field names and
-    out-of-range values, so equal keys mean equal fields.  Pickling
-    drops the facts: `PortName` and `SetField` strings hash differently
-    in a process with another hash seed.
+    that instantiation looks up.  The instantiation plan (`_plan`) joins
+    them on the first instantiation, never on hashing.  Equality
+    compares the hashes, then the keys: constructors reject bools,
+    unknown field names and out-of-range values, so equal keys mean
+    equal fields.  Pickling drops the facts: `PortName` and `SetField`
+    strings hash differently in a process with another hash seed.
     """
 
     match: MatchSpec
@@ -342,19 +357,65 @@ class RuleTemplate:
         return state
 
 
-def _facts(t: RuleTemplate) -> tuple[int, tuple, tuple[PortRef, ...]]:
+#: A template's instantiation plan (see `_plan`): (match, out port, ttl,
+#: steps, counter).
+Plan = tuple
+
+
+def _facts(t: RuleTemplate) -> tuple[int, tuple, tuple[PortRef, ...], Plan | None]:
     """The template's hash, canonical key and port lookups, derived on
-    first use.
+    first use, and its plan once it has been instantiated.
 
     One `__dict__` entry holds them all: a second entry would grow every
-    template's dict.
+    template's dict from 112 to 464 bytes (`sys.getsizeof`, Python 3.11).
     """
     facts = t.__dict__.get("_facts")
     if facts is None:
         facts = t.__dict__["_facts"] = (
             hash((t.match, t.out_port, t.ttl, t.action, t.counter)),
-            _canonical_key(t), _port_lookups(t))
+            _canonical_key(t), _port_lookups(t), None)
     return facts
+
+
+#: The slot of a plan step that drops.
+_DROP = -1
+
+
+def _plan(t: RuleTemplate) -> Plan:
+    """The template's instantiation plan, derived on its first
+    instantiation and kept in its facts.
+
+    The plan holds the match (None for the steered header's exact
+    pattern), the out port (an int, or the reference to look up), the
+    ttl, the steps and the counter.  The action's steps, nested `seq`s
+    included, are flattened in order into (slot, argument) pairs:
+    (`PORT_SLOT`, port) forwards to a port, an int or the reference to
+    look up; (field index, target) sets the field to an int or a
+    `PickLessLoaded`; (`_DROP`, None) drops.  Deriving it with the facts
+    would charge every template a decoder builds, instantiated or not.
+    """
+    facts = _facts(t)
+    plan = facts[3]
+    if plan is None:
+        out = t.out_port
+        plan = (None if isinstance(t.match, InputHeader) else t.match,
+                out.value if isinstance(out, PortNumber) else out,
+                t.ttl, tuple(_plan_steps(t.action)), t.counter)
+        t.__dict__["_facts"] = facts[:3] + (plan,)
+    return plan
+
+
+def _plan_steps(spec: ActionSpec) -> Iterator[tuple]:
+    if isinstance(spec, Drop):
+        yield _DROP, None
+    elif isinstance(spec, Forward):
+        port = spec.port
+        yield PORT_SLOT, port.value if isinstance(port, PortNumber) else port
+    elif isinstance(spec, SetField):
+        yield FIELD_INDEX[spec.field], spec.to
+    else:
+        for step in spec.steps:
+            yield from _plan_steps(step)
 
 
 def _port_key(ref: PortRef) -> tuple:
@@ -659,18 +720,32 @@ def flow_mod_modify(t: FlowTable, old: FlowRule, new: FlowRule) -> FlowTable:
 
 
 def resolve_port(ref: PortRef, nib: NIB, h: Header) -> int:
-    if isinstance(ref, PortNumber):
-        return ref.value
+    """The port `ref` stands for on (NIB, header).
+
+    A literal port was checked when it was built.  A port read from the
+    topology is checked where it is read, with one test: the topology's
+    port maps are plain dicts, which can change after it checked them.
+    Names come first: instantiation and the lookup checks resolve no
+    literal port.
+    """
     if isinstance(ref, PortName):
         try:
-            return nib.topology.ports[ref.name]
+            port = nib.topology.ports[ref.name]
         except KeyError:
             raise UnresolvedPortError(f"no port named {ref.name!r} in topology") from None
+        if type(port) is int and 0 <= port <= PORT_MASK:
+            return port
+        raise int_error(f"ports[{ref.name}]", port, PORT_MASK)
+    if isinstance(ref, PortNumber):
+        return ref.value
     dest = effective_dest_of_header(nib, h)
     try:
-        return nib.topology.server_ports[dest]
+        port = nib.topology.server_ports[dest]
     except KeyError:
         raise UnresolvedPortError(f"no server port for destination {dest}") from None
+    if type(port) is int and 0 <= port <= PORT_MASK:
+        return port
+    raise int_error(f"server_ports[{dest}]", port, PORT_MASK)
 
 
 def resolve_value(ref: ValueRef, nib: NIB) -> int:
@@ -679,44 +754,6 @@ def resolve_value(ref: ValueRef, nib: NIB) -> int:
             return ref.server_a
         return ref.server_b
     return ref
-
-
-def build_action(spec: ActionSpec, nib: NIB, h: Header) -> AffineAction:
-    """The concrete action of a template action for header h.
-
-    The steps, nested `seq`s included, fold left to right into one
-    `ActionFold`, whose result is valid by construction.  A `set_field`
-    translates its field by the distance from the value the earlier
-    steps leave there to the target, so applying the action to h's
-    rule state sets the field to the target.
-    """
-    fold = ActionFold()
-    _fold_spec(spec, nib, h, fold)
-    return fold.action()
-
-
-def _fold_spec(spec: ActionSpec, nib: NIB, h: Header, fold: ActionFold) -> None:
-    if isinstance(spec, Drop):
-        fold.drop()
-    elif isinstance(spec, Forward):
-        fold.translate(PORT_SLOT, resolve_port(spec.port, nib, h))
-    elif isinstance(spec, SetField):
-        i = field_index(spec.field)
-        target = resolve_value(spec.to, nib)
-        fold.translate(i, field_delta(fold.value(i, h.values[i]), target, FIELDS[i].width))
-    else:
-        for step in spec.steps:
-            _fold_spec(step, nib, h, fold)
-
-
-def _instantiate(tpl: RuleTemplate, nib: NIB, h: Header, match: MatchPattern) -> FlowEntry:
-    rule = FlowRule(
-        match=match,
-        out_port=resolve_port(tpl.out_port, nib, h),
-        ttl=tpl.ttl,
-        action=build_action(tpl.action, nib, h),
-    )
-    return FlowEntry(rule, tpl.counter)
 
 
 def select_templates(piece: GuardedDelta, nib: NIB, h: Header) -> Templates:
@@ -756,8 +793,9 @@ def selections(a: AppTransform, nib: NIB, h: Header) -> tuple[Templates, ...]:
 
 
 def lookups_resolve(a: AppTransform, nib: NIB, h: Header) -> bool:
-    """Whether every port lookup of `a`'s templates resolves for (NIB,
-    header), so that none of its selections can fail to instantiate.
+    """Whether every port lookup of `a`'s templates resolves to a valid
+    port for (NIB, header), so that none of its selections can fail to
+    instantiate.
 
     Each distinct name and destination port is resolved once, through
     `resolve_port`, in order of first appearance.
@@ -765,7 +803,7 @@ def lookups_resolve(a: AppTransform, nib: NIB, h: Header) -> bool:
     try:
         for ref in a.port_lookups:
             resolve_port(ref, nib, h)
-    except UnresolvedPortError:
+    except (UnresolvedPortError, InvalidRuleError):
         return False
     return True
 
@@ -798,9 +836,9 @@ class Instances:
     """The entries of templates instantiated for one (NIB, header).
 
     A template's entry is a function of the template, the NIB and the
-    header, so each template is instantiated the first time it is asked
-    for and its entry is reused after that; the exact pattern of the
-    header is built once too.
+    header, so each template is built the first time it is asked for
+    and its entry is reused after that; the exact pattern of the header
+    is built once too.
     """
 
     __slots__ = ("nib", "h", "_built", "_exact")
@@ -813,30 +851,61 @@ class Instances:
     def entry(self, tpl: RuleTemplate) -> FlowEntry:
         e = self._built.get(tpl)
         if e is None:
-            match = tpl.match
-            if isinstance(match, InputHeader):
-                if self._exact is None:
-                    self._exact = MatchPattern.exact_for(self.h)
-                match = self._exact
-            e = self._built[tpl] = _instantiate(tpl, self.nib, self.h, match)
+            e = self._built[tpl] = self.build(tpl)
         return e
 
-    def table(self, row: tuple[int, ...], selected: Templates) -> FlowTable:
-        """One slot's table: the union of the NIB's tables that the
-        linear row selects, plus the entries of the selected templates."""
-        base = None
-        for j, coeff in enumerate(row):
-            if coeff:
-                t = self.nib.tables[j]
-                base = t if base is None else add(base, t)
+    def build(self, tpl: RuleTemplate) -> FlowEntry:
+        """Run `tpl`'s instantiation plan (see `_plan`) for this NIB and header.
+
+        Ports are looked up in the template's order: the out port, then
+        each `Forward` step's.  The steps fold left to right into one
+        `ActionFold`; a `set_field` translates its field by the distance
+        from the value the earlier steps leave there to the target, so
+        the field ends at the target.  Every part of the entry passed a
+        check where it was built (the template, its `PortNumber`s and
+        `SetField`s, the `Header`, `resolve_port`), and the fold is valid
+        by construction, so the entry is built without checking them
+        again.
+        """
+        facts = tpl.__dict__.get("_facts")
+        match, out, ttl, steps, counter = facts and facts[3] or _plan(tpl)
+        nib, h = self.nib, self.h
+        if match is None:
+            match = self._exact
+            if match is None:
+                match = self._exact = MatchPattern.exact_for(h)
+        if type(out) is not int:
+            out = resolve_port(out, nib, h)
+        fold = ActionFold()
+        for slot, arg in steps:
+            if slot == PORT_SLOT:
+                fold.translate(slot, arg if type(arg) is int else resolve_port(arg, nib, h))
+            elif slot == _DROP:
+                fold.drop()
+            else:
+                target = arg if type(arg) is int else resolve_value(arg, nib)
+                fold.translate(slot, target - fold.value(slot, h.values[slot]))
+        return checked_entry(match, out, ttl, fold.action(), counter)
+
+    def table(self, a: AppTransform, i: int, selected: Templates) -> FlowTable:
+        """Slot i's table under `a`: the union of the NIB's tables that
+        row i of the linear part selects (table i itself under the shared
+        identity), plus the entries of the selected templates."""
+        tables = self.nib.tables
+        if a.linear is _IDENTITY:
+            base = tables[i]
+        else:
+            base = None
+            for j, coeff in enumerate(a.linear[i]):
+                if coeff:
+                    base = tables[j] if base is None else add(base, tables[j])
         added = FlowTable([self.entry(tpl) for tpl in selected])
         return added if base is None else add(base, added)
 
     def apply(self, a: AppTransform, selected: Sequence[Templates]) -> NIB:
         """The NIB that `a` gives, from its `selections` for this NIB and header."""
         nib = self.nib
-        return NIB(nib.topology,
-                   tuple(self.table(row, s) for row, s in zip(a.linear, selected)),
+        return NIB(nib.topology, tuple([self.table(a, i, s) for i, s in enumerate(selected)]),
                    nib.flows)
 
 
@@ -870,10 +939,18 @@ def _compose(seq: tuple[AppTransform, ...]) -> AppTransform:
     become the accumulated pieces of those same slots, followed by the
     stage's own; a slot that is the only one to select a single slot
     extends that slot's list in place, so an identity stage copies
-    nothing.  The composite, named `s_k*...*s_0`, is built once.
+    nothing.  When every stage holds the shared identity, so does the
+    composite, and slot i's pieces are the stages' slot-i pieces in
+    turn: no column is summed, no row scanned and nothing checked entry
+    by entry.  The composite, named `s_k*...*s_0`, is built once.
     """
     if not seq:
         raise EmptyChainError("cannot compose an empty chain")
+    name = "*".join([stage.name for stage in reversed(seq)])
+    if all([stage.linear is _IDENTITY for stage in seq]):  # one size, so no mismatch
+        return AppTransform(name, _IDENTITY, tuple([
+            tuple([p for own in slots for p in own])
+            for slots in zip(*[stage.translation for stage in seq])]))
     first = seq[0]
     n = first.dimension
     linear = tuple(map(tuple, first.linear))
@@ -901,7 +978,6 @@ def _compose(seq: tuple[AppTransform, ...]) -> AppTransform:
             slot.extend(own)
             slots.append(slot)
         linear, pieces = tuple(rows), slots
-    name = "*".join([stage.name for stage in reversed(seq)])
     return AppTransform(name, linear, tuple(map(tuple, pieces)))
 
 

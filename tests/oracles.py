@@ -38,7 +38,15 @@ then their pieces by dataclass equality, down to template equality.
 Congruence has one verdict in the library, `analysis.check_congruence`.
 `congruent` here is the structural verdict it is built on, equality of
 normal forms, which the tests state laws with; `is_translation_only`
-and `instantiate` likewise serve the tests only.
+likewise serves the tests only.
+
+Template instantiation is checked against the recursive instantiation
+that kept plans replaced: `instantiate` walks the template's action
+spec, nested `seq`s included, into one `ActionFold` on every call
+(`fold_action`), and builds the exact pattern, the rule and the entry
+through their checked constructors.  It shares only `ActionFold`,
+`resolve_port` and `resolve_value` with the library, and takes no
+private name from `flowspace.transforms`.
 
 Template equality is checked against the field-by-field comparison
 that key-based equality replaced, and the flat pattern key against the
@@ -50,11 +58,12 @@ in file order, each app as it is met, and looks chains' stages up in
 the apps decoded so far.  `random_document` gives seeded valid
 documents for it and for the CLI's commands.
 
-Template actions are checked against the instantiation that `ActionFold`
-replaced: it builds one validated action per step and composes them
-pairwise, and takes every `set_field` delta from the steered header, so
-it agrees with `build_action` only on specs with no `set_field` after a
-`drop` or after a `set_field` of the same field.
+Template actions are also checked against the instantiation that
+`ActionFold` replaced (`build_action_oracle`): it builds one validated
+action per step and composes them pairwise, and takes every `set_field`
+delta from the steered header, so it agrees with the fold only on specs
+with no `set_field` after a `drop` or after a `set_field` of the same
+field.
 """
 
 from __future__ import annotations
@@ -62,7 +71,7 @@ from __future__ import annotations
 import numpy as np
 
 from flowspace import actions
-from flowspace.actions import STATE_MASKS, STATE_SIZE, AffineAction
+from flowspace.actions import PORT_SLOT, STATE_MASKS, STATE_SIZE, ActionFold, AffineAction
 from flowspace.analysis import (
     Counterexample,
     Difference,
@@ -119,7 +128,6 @@ from flowspace.transforms import (
     SetField,
     Templates,
     TrueGuard,
-    _instantiate,
     guard_key,
     is_identity_linear,
     normal_forms,
@@ -418,9 +426,46 @@ def is_translation_only(a: AppTransform) -> bool:
 
 
 def instantiate(tpl: RuleTemplate, nib: NIB, h: Header) -> FlowEntry:
-    """One template's entry for (nib, h), with the exact pattern of h built for it alone."""
-    match = MatchPattern.exact_for(h) if isinstance(tpl.match, InputHeader) else tpl.match
-    return _instantiate(tpl, nib, h, match)
+    """One template's entry for (nib, h), every part built and checked anew.
+
+    Ports are resolved in the library's order: the out port, then each
+    `Forward` port in step order.
+    """
+    match = MatchPattern(h.values) if isinstance(tpl.match, InputHeader) else tpl.match
+    rule = FlowRule(
+        match=match,
+        out_port=resolve_port(tpl.out_port, nib, h),
+        ttl=tpl.ttl,
+        action=fold_action(tpl.action, nib, h),
+    )
+    return FlowEntry(rule, tpl.counter)
+
+
+def fold_action(spec: ActionSpec, nib: NIB, h: Header) -> AffineAction:
+    """The concrete action of a template action for header h.
+
+    The steps, nested `seq`s included, fold left to right into one
+    `ActionFold`.  A `set_field` translates its field by the distance
+    from the value the earlier steps leave there to the target, so
+    applying the action to h's rule state sets the field to the target.
+    """
+    fold = ActionFold()
+    _fold_spec(spec, nib, h, fold)
+    return fold.action()
+
+
+def _fold_spec(spec: ActionSpec, nib: NIB, h: Header, fold: ActionFold) -> None:
+    if isinstance(spec, Drop):
+        fold.drop()
+    elif isinstance(spec, Forward):
+        fold.translate(PORT_SLOT, resolve_port(spec.port, nib, h))
+    elif isinstance(spec, SetField):
+        i = field_index(spec.field)
+        target = resolve_value(spec.to, nib)
+        fold.translate(i, field_delta(fold.value(i, h.values[i]), target, FIELDS[i].width))
+    else:
+        for step in spec.steps:
+            _fold_spec(step, nib, h, fold)
 
 
 def _check_keys(obj: dict, allowed: tuple[str, ...] | frozenset[str], what: str) -> None:

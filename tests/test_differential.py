@@ -19,12 +19,15 @@ must order patterns and table entries as the nested key did.
 one action, must give exactly the pairwise-composing decoder's action,
 or the same error, on seeded action objects, malformed ones included.
 
-`transforms.build_action`, which folds a template action's steps into
-one action, must raise exactly the errors of the pairwise-composing
+A template's action, which `Instances.build` folds from its kept plan
+into one action, must raise exactly the errors of the pairwise-composing
 instantiation, and give its action on every spec with no `set_field`
 after a `drop` or after a `set_field` of the same field.  On every spec,
 the action must map the steered header's rule state to the state that
-running the steps one by one gives.
+running the steps one by one gives.  On seeded templates `Instances`
+must give exactly the recursive instantiation's entry, or its error,
+after the same port lookups in the same order; the plan must take no
+part in equality, hashing, repr or pickling.
 
 `analysis.behavioral_diff`, which selects templates only in slots whose
 linear rows or normal-form keys differ, builds the second composite's
@@ -44,7 +47,9 @@ exactly the port names and destination ports that instantiation
 resolves, in its order, and raise its error.  `compose_apps` and
 `chain` must give exactly the entrywise matrix product, folded stage
 by stage, on seeded apps with random 0/1 linear parts, and `chain`'s
-work must grow linearly with the stage count.
+work must grow linearly with the stage count.  A chain whose stages all
+hold the shared identity must keep it, and apply as an equal identity
+that is not shared does.
 
 A `ServiceChain`'s kept composite must equal that fold and be returned
 by every `chain` call on it, and a transform's kept normal form must
@@ -80,6 +85,7 @@ from collections import Counter
 
 import pytest
 
+import oracles
 from oracles import (
     action_from_obj_oracle,
     apply_flow_mod,
@@ -93,6 +99,7 @@ from oracles import (
     effective_dest_of_header_oracle,
     first_difference_oracle,
     entry_key_oracle,
+    instantiate,
     normalize_oracle,
     pattern_key_oracle,
     reduce_oracle,
@@ -156,7 +163,6 @@ from flowspace.transforms import (
     SetField,
     SourceCountAtMost,
     TrueGuard,
-    build_action,
     guarded,
     make_app,
     normalize,
@@ -922,6 +928,12 @@ def template_header(rng: random.Random) -> Header:
     return h
 
 
+def template_action(spec, nib: NIB, h: Header) -> AffineAction:
+    """The action `Instances` builds for a template with action `spec`."""
+    tpl = RuleTemplate(InputHeader(), PortNumber(0), 0, spec)
+    return transforms.Instances(nib, h).build(tpl).rule.action
+
+
 class TestTemplateActions:
     def test_fold_matches_pairwise_compose_on_seeded_specs(self):
         rng = random.Random(7002)
@@ -929,7 +941,7 @@ class TestTemplateActions:
         outcomes = Counter()
         for _ in range(20_000):
             spec, nib, h = random_template_action(rng), rng.choice(nibs), template_header(rng)
-            got = decoded(lambda s, _: build_action(s, nib, h), spec)
+            got = decoded(lambda s, _: template_action(s, nib, h), spec)
             want = decoded(lambda s, _: build_action_oracle(s, nib, h), spec)
             exact = oracle_is_exact(spec)
             if type(got) is tuple or exact:
@@ -1115,7 +1127,8 @@ class TestBehavioralDiff:
                 return f(*args)
             return wrapped
 
-        monkeypatch.setattr(transforms, "build_action", counting("build_action", build_action))
+        monkeypatch.setattr(transforms.Instances, "build",
+                            counting("build", transforms.Instances.build))
         monkeypatch.setattr(analysis, "reductions_equal",
                             counting("reductions_equal", tables.reductions_equal))
         monkeypatch.setattr(tables, "reduce", counting("reduce", reduce))
@@ -1133,7 +1146,7 @@ class TestBehavioralDiff:
             for nib, h in scenarios:
                 calls.clear()
                 got = diff_outcome(analysis.behavioral_diff, ta, tb, [(nib, h)])
-                built, compared = calls["build_action"], calls["reductions_equal"]
+                built, compared = calls["build"], calls["reductions_equal"]
                 assert calls["reduce"] == 0
                 outcomes["error" if type(got) is tuple else bool(got)] += 1
                 if type(got) is tuple:
@@ -1199,20 +1212,20 @@ class TestBehavioralDiff:
 
     def test_one_instantiation_per_distinct_template(self, monkeypatch):
         # A scenario whose composites have equal linear parts and select
-        # equal template sets in every slot builds no action; any other
+        # equal template sets in every slot builds no entry; any other
         # builds one per distinct template the two select.
         rng = random.Random(8003)
         topology = sampling.random_topology(rng, 3)
         cases = [diff_case(rng, topology) for _ in range(200)]
         expected = [behavioral_diff_oracle(ta, tb, sc) for _, ta, tb, sc in cases]
         calls = Counter()
-        build_action = transforms.build_action
+        build = transforms.Instances.build
 
-        def counting(spec, nib, h):
-            calls["build_action"] += 1
-            return build_action(spec, nib, h)
+        def counting(inst, tpl):
+            calls["build"] += 1
+            return build(inst, tpl)
 
-        monkeypatch.setattr(transforms, "build_action", counting)
+        monkeypatch.setattr(transforms.Instances, "build", counting)
         want_calls, distinct, agreeing = 0, 0, Counter()
         for (_, ta, tb, scenarios), want in zip(cases, expected):
             assert analysis.behavioral_diff(ta, tb, scenarios) == want
@@ -1220,15 +1233,15 @@ class TestBehavioralDiff:
                 sa, sb = slot_selections(ta, nib, h), slot_selections(tb, nib, h)
                 agree = ta.linear == tb.linear and sa == sb
                 both = len(set().union(*sa, *sb))
-                before = calls["build_action"]
+                before = calls["build"]
                 analysis.behavioral_diff(ta, tb, [(nib, h)])
-                assert calls["build_action"] - before == (0 if agree else both)
+                assert calls["build"] - before == (0 if agree else both)
                 want_calls += 0 if agree else both
                 distinct += both
                 agreeing[agree] += 1
         assert agreeing[True] and agreeing[False], agreeing
         # Every call above ran twice: once in its case, once on its own.
-        assert calls["build_action"] == 2 * want_calls
+        assert calls["build"] == 2 * want_calls
         placed = sum(len(tpls) for _, ta, tb, sc in cases for nib, h in sc for t in (ta, tb)
                      for slot in t.translation for piece in slot
                      for tpls in [transforms.select_templates(piece, nib, h)])
@@ -1258,15 +1271,15 @@ class TestBehavioralDiff:
         assert reduced["reduce"] == unequal > 0
 
 
-def recording_resolve_port(monkeypatch) -> list:
-    """Record every port reference `transforms` resolves, in order."""
+def recording_resolve_port(monkeypatch, module=transforms) -> list:
+    """Record every port reference `module` resolves, in order."""
     resolved = []
 
     def recording(ref, nib, h):
         resolved.append(ref)
         return resolve_port(ref, nib, h)
 
-    monkeypatch.setattr(transforms, "resolve_port", recording)
+    monkeypatch.setattr(module, "resolve_port", recording)
     return resolved
 
 
@@ -1300,6 +1313,7 @@ class TestCheckInstantiable:
         # resolves exactly the names and destination ports that
         # instantiation resolves, out port first and then each `Forward`
         # in step order, and fails with the same error at the same one.
+        # Instantiation resolves no literal port: its plan holds the int.
         rng = random.Random(8101)
         topology = Topology(1, {name: 1 for name in sampling.PORT_NAMES[:3]},
                             {a: 1 for a in sampling.ADDRESS_POOL[:4]})
@@ -1312,13 +1326,102 @@ class TestCheckInstantiable:
             h = Header.from_fields(nw_dst=rng.choice(sampling.ADDRESS_POOL))
             resolved.clear()
             built = outcome_of(lambda: transforms.Instances(nib, h).entry(tpl))
-            applied = [ref for ref in resolved if not isinstance(ref, PortNumber)]
+            applied = list(resolved)
+            assert not any(isinstance(ref, PortNumber) for ref in applied)
             resolved.clear()
             checked = outcome_of(lambda: transforms.check_instantiable([tpl], nib, h))
             assert resolved == applied
             assert checked == (built if type(built) is tuple else None)
             outcomes[checked[1].split(" ")[1] if checked else "ok", len(applied) > 1] += 1
         assert min(outcomes.values()) > 15 and len(outcomes) == 6, outcomes
+
+
+# ---------------------------------------------------------------------------
+# Instantiation plans
+
+
+def plan_template(rng: random.Random) -> RuleTemplate:
+    """A seeded template: `sampling.random_template`, or one whose action
+    nests `seq`s, drops, sets a field after a drop or twice, or picks a
+    server, and whose out port may be a name no topology has."""
+    if rng.random() < 0.3:
+        return sampling.random_template(rng)
+    match = InputHeader() if rng.random() < 0.5 else sampling.random_pattern(rng)
+    out = PortName("nope") if rng.random() < 0.1 else sampling.random_port_ref(rng)
+    return RuleTemplate(match, out, rng.choice(sampling.TTL_POOL),
+                        random_template_action(rng), rng.choice((0, 0, 2)))
+
+
+class TestInstantiationPlans:
+    def test_entries_match_the_recursive_instantiation(self, monkeypatch):
+        # Half the port names and server ports are missing, so out ports,
+        # `Forward` ports and `DestPort`s fail as often as they resolve;
+        # flows move the load that a `PickLessLoaded` reads.
+        rng = random.Random(8201)
+        topology = Topology(2, *PARTIAL_PORTS)
+        nibs = [NIB(topology, (FlowTable(), FlowTable()), sampling.random_flows(rng))
+                for _ in range(20)]
+        planned = recording_resolve_port(monkeypatch)
+        rebuilt = recording_resolve_port(monkeypatch, oracles)
+        outcomes = Counter()
+        for _ in range(4000):
+            tpl, nib, h = plan_template(rng), rng.choice(nibs), sampling.random_header(rng)
+            planned.clear()
+            rebuilt.clear()
+            got = outcome_of(lambda: transforms.Instances(nib, h).entry(tpl))
+            want = outcome_of(lambda: instantiate(tpl, nib, h))
+            assert got == want, tpl
+            # The plan holds literal ports as ints; every other lookup is
+            # made, in the same order.
+            assert planned == [ref for ref in rebuilt if not isinstance(ref, PortNumber)], tpl
+            if type(got) is not tuple:  # built again from the kept plan
+                assert transforms.Instances(nib, h).build(tpl) == got
+                assert got.rule.match == (MatchPattern(h.values) if tpl.match == InputHeader()
+                                          else tpl.match)
+            steps = list(flat_steps(tpl.action))
+            outcomes["error" if type(got) is tuple else "entry",
+                     any(isinstance(s, SetField) and isinstance(s.to, PickLessLoaded)
+                         for s in steps), oracle_is_exact(tpl.action)] += 1
+        assert len(outcomes) == 8 and min(outcomes.values()) > 40, outcomes
+
+    def test_errors_name_the_first_failing_lookup(self):
+        # The out port is looked up before any `Forward`, and a nested
+        # `Forward` after a drop still is.
+        topology = Topology(1, {"p0": 1}, {sampling.ADDRESS_POOL[0]: 2})
+        nib, h = NIB(topology, (FlowTable(),)), Header.from_fields(nw_dst=sampling.ADDRESS_POOL[1])
+        no_server = f"no server port for destination {sampling.ADDRESS_POOL[1]}"
+        for out, action, message in (
+                (PortName("p8"), Forward(PortName("p9")), "no port named 'p8' in topology"),
+                (DestPort(), Forward(PortName("p9")), no_server),
+                (PortNumber(3), Seq((Drop(), Seq((Forward(PortName("p9")),)))),
+                 "no port named 'p9' in topology"),
+                (PortName("p0"), Seq((SetField("nw_dst", 7), Forward(DestPort()))), no_server)):
+            tpl = RuleTemplate(InputHeader(), out, 60, action)
+            for build in (lambda: transforms.Instances(nib, h).entry(tpl),
+                          lambda: instantiate(tpl, nib, h)):
+                assert outcome_of(build) == (UnresolvedPortError, message)
+
+    def test_plan_is_kept_outside_equality_hash_repr_and_pickling(self):
+        rng = random.Random(8202)
+        topology = sampling.random_topology(rng, 1)  # every port resolves
+        nib, h = NIB(topology, (FlowTable(),)), sampling.random_header(rng)
+        for _ in range(300):
+            tpl = sampling.random_template(rng)
+            fresh = dataclasses.replace(tpl)
+            fields = set(vars(fresh))
+            hash(tpl)
+            assert vars(tpl)["_facts"][3] is None  # hashing builds no plan
+            entry = transforms.Instances(nib, h).entry(tpl)
+            plan = vars(tpl)["_facts"][3]
+            assert plan is not None and set(vars(tpl)) - fields == {"_facts"}
+            assert tpl == fresh and fresh == tpl and hash(tpl) == hash(fresh)
+            assert repr(tpl) == repr(fresh) and vars(fresh)["_facts"][3] is None
+            loaded = pickle.loads(pickle.dumps(tpl))
+            assert "_facts" not in vars(loaded) and loaded == tpl
+            assert transforms.Instances(nib, h).entry(loaded) == entry
+            # built once: a second instantiation reuses the kept plan
+            assert transforms.Instances(nib, h).entry(tpl) == entry
+            assert vars(tpl)["_facts"][3] is plan
 
 
 def outcome_of(run):
@@ -1409,6 +1512,34 @@ class TestComposeApps:
                 acc = transforms.compose_apps(stage, acc)
                 acc_oracle = compose_apps_oracle(stage, acc_oracle)
                 assert acc == acc_oracle
+
+    def test_identity_stages_keep_the_shared_identity(self):
+        # A chain of identity stages keeps the identity its stages share,
+        # and an apply then takes table i for slot i without scanning a
+        # row: both must agree with the entrywise product and with an
+        # apply through an equal identity that is not shared.
+        rng = random.Random(8009)
+        kept = 0
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            stages = [transforms.identity_transform(n, f"s{i}") if rng.random() < 0.2
+                      else sampling.random_app(rng, n, f"s{i}")
+                      for i in range(rng.randint(1, 8))]
+            if rng.random() < 0.2:
+                stages.insert(rng.randrange(len(stages)), linear_app(rng, n, "mixed"))
+            composite = transforms.chain(stages)
+            assert composite == chain_oracle(stages)
+            shared = all(s.linear is stages[0].linear for s in stages)
+            assert (composite.linear is stages[0].linear) == shared
+            kept += shared
+            unshared = AppTransform(composite.name, tuple(map(tuple, composite.linear)),
+                                    composite.translation)
+            nib, h = sampling.random_scenario(rng, sampling.random_topology(rng, n))
+            want = outcome(unshared, nib, h)
+            assert outcome(composite, nib, h) == want
+            if type(want) is not tuple:
+                assert want == apply_transform_oracle(composite, nib, h)
+        assert 150 < kept < 300
 
     def test_linear_parts_are_not_all_identity(self):
         rng = random.Random(8005)

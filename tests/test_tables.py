@@ -292,3 +292,22 @@ class TestModuleBoundary:
                                        "reads tables._counter (line 3)",
                                        "reads ._index (line 3)",
                                        "names inverse_index (line 4)"]
+
+    def test_oracles_take_no_private_name_from_transforms(self, tmp_path):
+        # An oracle that called into the path it checks would check
+        # nothing, so `tests/oracles.py` may import or read no private
+        # name of `flowspace.transforms`.
+        assert transforms_private_uses(Path(__file__).with_name("oracles.py")) == []
+        probe = tmp_path / "probe.py"
+        probe.write_text("from flowspace import transforms\n"
+                         "from flowspace.transforms import _plan, resolve_port\n"
+                         "from flowspace.analysis import _as_transform\n"
+                         "transforms._facts(t)\n")
+        assert transforms_private_uses(probe) == ["imports flowspace.transforms._plan",
+                                                  "reads transforms._facts (line 4)"]
+
+
+def transforms_private_uses(path: Path) -> list[str]:
+    """The private names of `flowspace.transforms` that `path` imports or reads."""
+    return [use for use in private_uses(path)
+            if use.startswith(("imports flowspace.transforms.", "reads transforms."))]

@@ -39,7 +39,6 @@ from flowspace.transforms import (
     SourceCountAtMost,
     TrueGuard,
     apply_transform,
-    build_action,
     chain,
     compose_apps,
     flow_mod_add,
@@ -338,6 +337,34 @@ class TestApplyTransform:
         out = apply_transform(app, nib_of(), Header.from_fields())
         assert out.tables[0].entries[0].counter == 0
 
+    @pytest.mark.parametrize("out_port, action, message", [
+        # a forward once read as port translation 65533
+        (PortNumber(1), Forward(PortName("p0")), "ports[p0] -3 exceeds 16-bit range"),
+        (PortName("p0"), Drop(), "ports[p0] -3 exceeds 16-bit range"),
+        (PortNumber(1), Seq((Drop(), Forward(DestPort()))),
+         "server_ports[50] must be an int, got bool"),
+        (DestPort(), Drop(), "server_ports[50] must be an int, got bool"),
+    ])
+    def test_a_topology_port_set_after_construction_is_checked(self, out_port, action, message):
+        # The topology checks its port maps once, but they stay dicts: a
+        # port read from them is checked again where it is resolved.
+        topology = topo(1)
+        topology.ports["p0"] = -3
+        topology.server_ports[50] = True
+        nib, h = nib_of(topology), Header.from_fields(nw_dst=50)
+        tpl = RuleTemplate(InputHeader(), out_port, 60, action)
+        app = make_app("a", 0, unconditional([tpl]), 1)
+        # a diff whose two transforms select the same templates raises
+        # what the apply raises
+        twin = make_app("b", 0, unconditional([tpl, tpl]), 1)
+        for run in (lambda: apply_transform(app, nib, h),
+                    lambda: transforms.check_instantiable([tpl], nib, h),
+                    lambda: behavioral_diff(app, twin, [(nib, h)])):
+            with pytest.raises(InvalidRuleError) as exc:
+                run()
+            assert str(exc.value) == message
+        assert not transforms.lookups_resolve(app, nib, h)
+
 
 class TestTemplateConstructors:
     """Template values are real ints in range, as `FlowRule`'s are."""
@@ -564,6 +591,12 @@ class TestTemplateHash:
                              capture_output=True, env=env, check=True)
         # the seeds differ, so the strings hash differently there
         assert int(out.stdout) != hash(tpl)
+
+
+def build_action(spec, nib: NIB, h: Header) -> actions.AffineAction:
+    """The action `Instances` builds for a template with action `spec`."""
+    tpl = RuleTemplate(InputHeader(), PortNumber(0), 0, spec)
+    return transforms.Instances(nib, h).build(tpl).rule.action
 
 
 def applied(spec, h: Header, nib: NIB | None = None) -> Header:
