@@ -6,9 +6,12 @@ behaviour; behavioral differencing applies two composites
 to concrete scenarios and reports where the resulting tables disagree.
 Both read the slot keys each normal form keeps: congruence finds its
 first difference by them, and differencing selects templates only in
-the slots where the keys or the linear rows differ, and compares
+the slots where the keys or the linear rows differ, builds tables only
+in the slots whose rows or selected template sets differ, and compares
 reductions only in the (match, out_port, ttl) buckets where two tables
-differ (`tables.reductions_equal`).
+differ (`tables.reductions_equal`).  A witness (`Counterexample`)
+builds its two whole results on first read, from the scenario's NIB and
+header and the work the diff already did.
 
 Loop detection scans each flow table for entry pairs whose actions
 undo each other (a packet re-entering a rule it already traversed);
@@ -131,13 +134,79 @@ def check_congruence(a: ServiceChain | AppTransform,
 
 @dataclass(frozen=True)
 class Counterexample:
-    """A scenario on which two composites produce different tables."""
+    """A scenario on which two composites produce different tables.
+
+    `result_a` and `result_b` are the two composites' results on the
+    scenario's NIB and header.  A witness that `behavioral_diff` returns
+    builds both the first time either is read, from that NIB and header,
+    the selections it took and the tables it built; the same objects are
+    returned on every later read.  Equality, repr, copying, pickling and
+    `dataclasses.replace` read the fields, so such a witness behaves as
+    one built with its results.  Changing the topology's port dicts
+    between the call and the first read is not supported.
+    """
 
     index: int
     header: Header
     result_a: NIB
     result_b: NIB
     differing_slots: tuple[int, ...]
+
+    def __getstate__(self) -> dict:
+        # Built first, so a copy or a pickle holds both results.
+        _ = self.result_a
+        return self.__dict__
+
+
+class _Pending:
+    """What a witness keeps until either result is read: the scenario's
+    `Instances`, the first composite `ta`, its selections taken and the
+    two composites' tables built, by slot."""
+
+    __slots__ = ("inst", "ta", "sa", "built")
+
+    def __init__(self, inst: transforms.Instances, ta: AppTransform,
+                 sa: dict[int, transforms.Templates],
+                 built: dict[int, tuple[FlowTable, FlowTable]]):
+        self.inst, self.ta, self.sa, self.built = inst, ta, sa, built
+
+    def results(self) -> tuple[NIB, NIB]:
+        """`ta`'s result, from the tables built and the selections taken,
+        and the second composite's, which is `ta`'s outside the built
+        slots."""
+        inst, ta, sa, built = self.inst, self.ta, self.sa, self.built
+        nib, h = inst.nib, inst.h
+        tables_a = [built[i][0] if i in built else
+                    inst.table(ta, i, sa[i] if i in sa else transforms.select_slot(ta, i, nib, h))
+                    for i in range(ta.dimension)]
+        tables_b = list(tables_a)
+        for i, (_, y) in built.items():
+            tables_b[i] = y
+        return (NIB(nib.topology, tuple(tables_a), nib.flows),
+                NIB(nib.topology, tuple(tables_b), nib.flows))
+
+
+def _result(name: str) -> property:
+    """A result field, kept in the instance dict, that builds both results
+    on the first read of either."""
+
+    def get(self: Counterexample) -> NIB:
+        kept = self.__dict__
+        if type(kept[name]) is _Pending:
+            kept["result_a"], kept["result_b"] = kept[name].results()
+        return kept[name]
+
+    def put(self: Counterexample, value: NIB | _Pending) -> None:
+        self.__dict__[name] = value
+
+    return property(get, put)
+
+
+# Set after the class is made: a property in the class body would become
+# the field's default.  The frozen `__init__` stores each field through
+# the property's setter.
+Counterexample.result_a = _result("result_a")
+Counterexample.result_b = _result("result_b")
 
 
 def behavioral_diff(a: ServiceChain | AppTransform,
@@ -157,19 +226,26 @@ def behavioral_diff(a: ServiceChain | AppTransform,
     whose rows or normal-form keys differ.  Per scenario, only open slots
     take both composites' selections and the set test.
 
-    A scenario where no slot differs is skipped, with no instantiation
-    and no reduction, once every port lookup of `a`'s templates resolves
-    (`transforms.lookups_resolve`); if one does not, `a`'s selections are
-    taken and `transforms.check_instantiable` resolves the distinct
-    selected templates in `a`'s apply order, so a template that cannot be
-    instantiated raises as applying `a` would.  Any other scenario
-    selects `a`'s remaining slots, applies `a` through one
-    `transforms.Instances` and builds `b`'s table only in the differing
-    slots; a built slot whose two tables differ is compared by
+    Slot counts are checked against each scenario's topology first, so
+    a mismatch raises before any template is instantiated.  Then `a`
+    must instantiate: when a port lookup of its templates does not
+    resolve (`transforms.lookups_resolve`), `a`'s selections are taken
+    and `transforms.check_instantiable` resolves the distinct selected
+    templates in `a`'s apply order, so a template that cannot be
+    instantiated raises as applying `a` would.  A scenario where no slot
+    differs is then skipped, with no instantiation and no reduction.  Any
+    other builds both composites' tables only in the differing slots,
+    through one `transforms.Instances`, which instantiates each distinct
+    template once; `b`'s slots are built in order, so one of its
+    templates that cannot be instantiated raises as applying `b` after
+    `a` would.  A built slot whose two tables differ is compared by
     `tables.reductions_equal`, which reduces only the buckets where they
-    differ.  Slot counts are checked against each scenario's topology
-    before anything is selected, so a mismatch raises before any
-    template is instantiated.
+    differ.
+
+    A witness keeps that `Instances`, the selections and the built
+    tables, and builds `a`'s other slots, and so both results, on the
+    first read of either (see `Counterexample`); `a` is known to
+    instantiate, so the read cannot raise.
     """
     ta, tb = _as_transform(a), _as_transform(b)
     rows = {i for i, (x, y) in enumerate(zip(ta.linear, tb.linear)) if x != y}
@@ -183,31 +259,27 @@ def behavioral_diff(a: ServiceChain | AppTransform,
     for index, (nib, h) in enumerate(scenarios):
         for t in sized:
             transforms.check_dimension(t, nib)
-        picked = {i: (transforms.select_slot(ta, i, nib, h), transforms.select_slot(tb, i, nib, h))
-                  for i in open_slots}
-        slots = [i for i, (x, y) in picked.items() if i in rows or set(x) != set(y)]
+        sa = {}
+        if not transforms.lookups_resolve(ta, nib, h):
+            sa = dict(enumerate(transforms.selections(ta, nib, h)))
+            transforms.check_instantiable(
+                dict.fromkeys(tpl for slot in sa.values() for tpl in slot), nib, h)
+        for i in open_slots:
+            if i not in sa:
+                sa[i] = transforms.select_slot(ta, i, nib, h)
+        sb = {i: transforms.select_slot(tb, i, nib, h) for i in open_slots}
+        slots = [i for i in open_slots if i in rows or set(sa[i]) != set(sb[i])]
         if not slots:
-            if not transforms.lookups_resolve(ta, nib, h):
-                transforms.check_instantiable(dict.fromkeys(
-                    tpl for slot in transforms.selections(ta, nib, h) for tpl in slot), nib, h)
             continue
-        sa = [picked[i][0] if i in picked else transforms.select_slot(ta, i, nib, h)
-              for i in range(ta.dimension)]
-        # b's templates in the other slots are a's, so building b's
-        # slots in order instantiates b's new templates in its apply
-        # order, and raises as applying b after a would.
+        # b's templates in the other slots are a's, which instantiate, so
+        # building b's slots in order raises as applying b after a would.
         inst = transforms.Instances(nib, h)
-        ra = inst.apply(ta, sa)
-        tables_b = list(ra.tables)
-        for i in slots:
-            tables_b[i] = inst.table(tb, i, picked[i][1])
-        rb = NIB(nib.topology, tuple(tables_b), nib.flows)
-        differing = tuple(
-            i for i in slots
-            if (x := ra.tables[i]) != (y := rb.tables[i]) and not reductions_equal(x, y)
-        )
+        built = {i: (inst.table(ta, i, sa[i]), inst.table(tb, i, sb[i])) for i in slots}
+        differing = tuple(i for i, (x, y) in built.items()
+                          if x != y and not reductions_equal(x, y))
         if differing:
-            out.append(Counterexample(index, h, ra, rb, differing))
+            pending = _Pending(inst, ta, sa, built)
+            out.append(Counterexample(index, h, pending, pending, differing))
     return out
 
 

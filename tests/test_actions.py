@@ -122,6 +122,10 @@ class TestCompose:
     def test_associative(self, a, b, c):
         assert compose(a, compose(b, c)) == compose(compose(a, b), c)
 
+    def test_compose_zero_diagonal_keeps_second_translation(self):
+        a = compose(forward(5), drop())
+        assert a.linear[PORT_SLOT] == 0 and a.translation[PORT_SLOT] == 5
+
 
 class TestInvert:
     def test_identity_is_self_inverse(self):

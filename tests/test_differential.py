@@ -30,17 +30,23 @@ after the same port lookups in the same order; the plan must take no
 part in equality, hashing, repr or pickling.
 
 `analysis.behavioral_diff`, which selects templates only in slots whose
-linear rows or normal-form keys differ, builds the second composite's
-table only in slots whose rows or selected template sets differ and
-compares reductions only in slots whose tables differ, must give
-exactly the separate applies' counterexamples, or the same error, on
-seeded chain pairs:
+linear rows or normal-form keys differ, builds both composites' tables
+only in slots whose rows or selected template sets differ and compares
+reductions only in slots whose tables differ, must give exactly the
+separate applies' counterexamples, or the same error, on seeded chain
+pairs:
 shuffled partners, partners with one template changed, partners with an
 added inverse template pair and partners with one linear entry flipped.
 It must instantiate nothing on a scenario whose two composites have
 equal linear parts and select equal template sets in every slot, yet
 raise there what an apply raises; on any other scenario it must
-instantiate each distinct selected template once.  It must compare the
+instantiate each distinct template selected in those slots once, and
+reading a witness's results must instantiate the first composite's
+other distinct templates once each.  Every error must be raised by the
+call, never by reading a witness.  An unread witness must equal the
+oracle's eager one in either order, and give its `dataclasses.replace`,
+repr, copies and pickle round trip, and a read result must be the same
+object on every read.  It must compare the
 reductions of no slot whose two tables are equal, and reduce no whole
 table.  `check_instantiable` must resolve
 exactly the port names and destination ports that instantiation
@@ -60,8 +66,8 @@ take part in equality, hashing or repr.  On those chain pairs
 counterexamples, or the same error (unresolved port names, destination
 ports and slot counts).  It must select only slots whose rows or
 normal forms differ, once for each chain per scenario, and the first
-chain's other slots only to build a witness, so pairs with equal normal
-forms select nothing where every port resolves.
+chain's other slots only when a witness's results are read, so pairs
+with equal normal forms select nothing where every port resolves.
 
 Kept slot keys must agree exactly where normal-form slots are equal,
 also across equal but distinct templates, and `check_congruence` must
@@ -1040,6 +1046,12 @@ def slot_selections(t: AppTransform, nib: NIB, h: Header) -> list[set]:
             for slot in t.translation]
 
 
+def built_slots(ta: AppTransform, tb: AppTransform, sa: list[set], sb: list[set]) -> list[int]:
+    """The slots whose rows or selected template sets differ: the only
+    slots where `behavioral_diff` builds tables."""
+    return [i for i in range(ta.dimension) if ta.linear[i] != tb.linear[i] or sa[i] != sb[i]]
+
+
 def diff_case(rng: random.Random, topology: Topology):
     n = topology.switch_count
     stages = [random_stage(rng, n, f"s{i}") for i in range(rng.randint(1, 6))]
@@ -1078,10 +1090,17 @@ class TestBehavioralDiff:
         # Half the port names and no server ports for half the pool.
         topologies = [Topology(n, {name: i + 1 for i, name in enumerate(sampling.PORT_NAMES[:3])},
                                {a: 1 for a in sampling.ADDRESS_POOL[:4]}) for n in (1, 2, 3)]
-        raised = Counter()
+        raised, read = Counter(), Counter()
         for _ in range(1000):
             kind, ta, tb, scenarios = diff_case(rng, rng.choice(topologies))
             got = diff_outcome(analysis.behavioral_diff, ta, tb, scenarios)
+            # Every error is raised by the call: reading a witness's
+            # results raises nothing, also where a lookup of the first
+            # composite fails in a template that is not selected.
+            for w in got if type(got) is list else ():
+                w.result_a, w.result_b
+                nib, h = scenarios[w.index]
+                read[transforms.lookups_resolve(ta, nib, h)] += 1
             assert got == diff_outcome(behavioral_diff_oracle, ta, tb, scenarios)
             if type(got) is tuple:
                 first = diff_outcome(behavioral_diff_oracle, ta, ta, scenarios)
@@ -1091,6 +1110,7 @@ class TestBehavioralDiff:
         # second only.
         assert {("first", "port"), ("first", "server"),
                 ("second only", "port"), ("second only", "server")} <= set(raised), raised
+        assert read[True] and read[False], read
 
     def test_error_in_second_transform_only(self):
         topology = Topology(1, {"p0": 1}, {sampling.ADDRESS_POOL[0]: 1})
@@ -1110,10 +1130,12 @@ class TestBehavioralDiff:
 
     def test_unequal_linear_parts_on_seeded_pairs(self, monkeypatch):
         # The partner's linear part has one entry flipped, so some slot's
-        # rows differ and every scenario is applied: each distinct
-        # template the two select is built once, and a slot's reductions
-        # are compared only when its two tables differ, never by reducing
-        # whole tables.
+        # rows differ and every scenario builds that slot: each distinct
+        # template the two select in the slots whose rows or template sets
+        # differ is built once, and a slot's reductions are compared only
+        # when its two tables differ, never by reducing whole tables.
+        # Reading a witness's results builds the first composite's other
+        # distinct templates, once each.
         rng = random.Random(8006)
         # One topology lacks a port name and two server ports.
         topologies = [sampling.random_topology(rng, n) for n in (1, 2, 3)] + [
@@ -1153,8 +1175,13 @@ class TestBehavioralDiff:
                     continue
                 sa, sb = slot_selections(ta, nib, h), slot_selections(tb, nib, h)
                 ra, rb = (apply_transform_oracle(t, nib, h) for t in (ta, tb))
-                assert built == len(set().union(*sa, *sb))
+                picked = set().union(*(sa[i] | sb[i] for i in built_slots(ta, tb, sa, sb)))
+                assert built == len(picked)
                 assert compared == sum(x != y for x, y in zip(ra.tables, rb.tables))
+                for w in got:
+                    w.result_a
+                    assert calls["build"] - built == len(set().union(*sa) - picked)
+                    assert (w.result_a, w.result_b) == (ra, rb)
         assert min(outcomes[True], outcomes[False], outcomes["error"]) > 50, outcomes
 
     def test_slot_count_mismatch_raises_before_instantiation(self):
@@ -1213,7 +1240,9 @@ class TestBehavioralDiff:
     def test_one_instantiation_per_distinct_template(self, monkeypatch):
         # A scenario whose composites have equal linear parts and select
         # equal template sets in every slot builds no entry; any other
-        # builds one per distinct template the two select.
+        # builds one per distinct template the two select in the slots
+        # whose rows or template sets differ.  Reading a witness's
+        # results builds the first composite's other distinct templates.
         rng = random.Random(8003)
         topology = sampling.random_topology(rng, 3)
         cases = [diff_case(rng, topology) for _ in range(200)]
@@ -1226,21 +1255,32 @@ class TestBehavioralDiff:
             return build(inst, tpl)
 
         monkeypatch.setattr(transforms.Instances, "build", counting)
-        want_calls, distinct, agreeing = 0, 0, Counter()
+        want_calls, distinct, agreeing, read = 0, 0, Counter(), Counter()
         for (_, ta, tb, scenarios), want in zip(cases, expected):
             assert analysis.behavioral_diff(ta, tb, scenarios) == want
             for nib, h in scenarios:
                 sa, sb = slot_selections(ta, nib, h), slot_selections(tb, nib, h)
                 agree = ta.linear == tb.linear and sa == sb
-                both = len(set().union(*sa, *sb))
+                picked = set().union(*(sa[i] | sb[i] for i in built_slots(ta, tb, sa, sb)))
                 before = calls["build"]
-                analysis.behavioral_diff(ta, tb, [(nib, h)])
-                assert calls["build"] - before == (0 if agree else both)
-                want_calls += 0 if agree else both
-                distinct += both
+                got = analysis.behavioral_diff(ta, tb, [(nib, h)])
+                assert calls["build"] - before == len(picked)
+                assert not (agree and picked)
+                want_calls += len(picked)
+                for w in got:
+                    before = calls["build"]
+                    w.result_b
+                    rest = len(set().union(*sa) - picked)
+                    assert calls["build"] - before == rest
+                    want_calls += rest
+                    read[rest > 0] += 1
+                distinct += len(set().union(*sa, *sb))
                 agreeing[agree] += 1
         assert agreeing[True] and agreeing[False], agreeing
-        # Every call above ran twice: once in its case, once on its own.
+        # Some witnesses build nothing more when read, some do.
+        assert read[True] and read[False], read
+        # Every call above ran twice, once in its case and once on its
+        # own, and every witness was read both times.
         assert calls["build"] == 2 * want_calls
         placed = sum(len(tpls) for _, ta, tb, sc in cases for nib, h in sc for t in (ta, tb)
                      for slot in t.translation for piece in slot
@@ -1269,6 +1309,79 @@ class TestBehavioralDiff:
                            for x, y in zip(*(transforms.apply_transform(t, nib, h).tables
                                              for t in (ta, tb))))
         assert reduced["reduce"] == unequal > 0
+
+
+class TestLazyWitness:
+    """A witness builds its results on first read, and until then acts
+    as one built with them."""
+
+    @staticmethod
+    def cases() -> list:
+        """Seeded pairs with witnesses, and the oracle's eager witnesses."""
+        rng = random.Random(8008)
+        topology = sampling.random_topology(rng, 3)
+        found = []
+        while len(found) < 25:
+            _, ta, tb, scenarios = diff_case(rng, topology)
+            want = behavioral_diff_oracle(ta, tb, scenarios)
+            if want:
+                found.append(((ta, tb, scenarios), want))
+        return found
+
+    @staticmethod
+    def unread(args, k: int) -> analysis.Counterexample:
+        w = analysis.behavioral_diff(*args)[k]
+        assert not isinstance(vars(w)["result_a"], NIB)
+        return w
+
+    def test_fields_are_the_eager_ones(self):
+        fields = dataclasses.fields(analysis.Counterexample)
+        assert [f.name for f in fields] == [
+            "index", "header", "result_a", "result_b", "differing_slots"]
+        assert all(f.default is dataclasses.MISSING for f in fields)
+        w = self.cases()[0][1][0]
+        eager = analysis.Counterexample(w.index, w.header, w.result_a, w.result_b,
+                                        w.differing_slots)
+        assert vars(eager)["result_a"] is w.result_a and eager == w
+
+    def test_equals_an_eager_witness_in_both_orders(self):
+        for args, want in self.cases():
+            for k, eager in enumerate(want):
+                assert self.unread(args, k) == eager
+                assert eager == self.unread(args, k)
+                assert not self.unread(args, k) != eager
+            assert analysis.behavioral_diff(*args) == want
+
+    def test_replace_repr_copy_and_pickle_as_an_eager_witness(self):
+        round_trips = (copy.copy, copy.deepcopy, lambda w: pickle.loads(pickle.dumps(w)))
+        for args, want in self.cases():
+            for k, eager in enumerate(want):
+                for change in ({"differing_slots": eager.differing_slots + (99,)},
+                               {"index": eager.index + 1}, {}):
+                    moved = dataclasses.replace(self.unread(args, k), **change)
+                    assert moved == dataclasses.replace(eager, **change)
+                assert repr(self.unread(args, k)) == repr(eager)
+                for trip in round_trips:
+                    # A copy holds both results, not what builds them.
+                    got, same = trip(self.unread(args, k)), trip(eager)
+                    assert type(got) is analysis.Counterexample
+                    assert isinstance(vars(got)["result_a"], NIB)
+                    assert isinstance(vars(got)["result_b"], NIB)
+                    assert got == eager == same
+                    assert vars(got) == vars(eager) == vars(same)
+
+    def test_results_are_built_once_and_kept(self):
+        for args, want in self.cases():
+            for k, eager in enumerate(want):
+                for first, second in (("result_a", "result_b"), ("result_b", "result_a")):
+                    w = self.unread(args, k)
+                    x = getattr(w, first)
+                    assert isinstance(vars(w)[second], NIB)
+                    y = getattr(w, second)
+                    assert getattr(w, first) is x and getattr(w, second) is y
+                    assert (x, y) == (getattr(eager, first), getattr(eager, second))
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    w.result_a = eager.result_a
 
 
 def recording_resolve_port(monkeypatch, module=transforms) -> list:
@@ -1649,9 +1762,9 @@ class TestKeptChainValues:
     def test_only_open_slots_are_selected(self, monkeypatch):
         # Only slots whose normal forms differ are selected, once for
         # each chain per scenario; the first chain's other slots are
-        # selected only on a scenario where an open slot's template sets
-        # differ, to build its witness.  Every port resolves on this
-        # topology, so pairs with equal normal forms select nothing.
+        # selected only when a witness's results are read, once per
+        # witness.  Every port resolves on this topology, so pairs with
+        # equal normal forms select nothing.
         rng = random.Random(8205)
         topology = sampling.random_topology(rng, 3)
         selected = Counter()
@@ -1671,15 +1784,19 @@ class TestKeptChainValues:
             ta, tb = transforms.chain(a), transforms.chain(b)
             na, nb = normalize(ta), normalize(tb)
             open_slots = [i for i in range(3) if na.translation[i] != nb.translation[i]]
-            applied = sum(any(x[i] != y[i] for i in open_slots)
-                          for x, y in [(slot_selections(ta, nib, h), slot_selections(tb, nib, h))
-                                       for nib, h in scenarios])
             for i in range(3):
                 assert selected[tb.name, i] == (3 if i in open_slots else 0)
-                assert selected[ta.name, i] == (3 if i in open_slots else applied)
+                assert selected[ta.name, i] == (3 if i in open_slots else 0)
+            for w in got:
+                nib, h = scenarios[w.index]
+                assert w.result_b == apply_transform_oracle(tb, nib, h)
+                assert w.result_a == apply_transform_oracle(ta, nib, h)
+            for i in range(3):
+                assert selected[tb.name, i] == (3 if i in open_slots else 0)
+                assert selected[ta.name, i] == (3 if i in open_slots else len(got))
             if not open_slots:
                 assert got == [] and not selected
-            kinds[kind, bool(open_slots), bool(applied)] += 1
+            kinds[kind, bool(open_slots), bool(got)] += 1
         assert min(kinds["shuffled", False, False], kinds["one template", True, True],
                    kinds["one template", True, False]) > 5, kinds
 

@@ -91,6 +91,11 @@ class TestFieldDelta:
 
 
 class TestTranslate:
+    def test_translate(self):
+        h = Header.from_fields(nw_proto=250)
+        d = HeaderDelta.single("nw_proto", 10)
+        assert translate_header(h, d).field("nw_proto") == 4
+
     def test_zero_delta_is_identity(self):
         h = Header.from_fields(dl_src=2**40, tp_dst=9)
         assert translate_header(h, HeaderDelta.zero()) == h
