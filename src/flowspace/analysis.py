@@ -322,7 +322,10 @@ def detect_loops(nib: NIB) -> list[LoopFinding]:
 
 @dataclass(frozen=True)
 class FlowModRequest:
-    """A candidate FLOW_MOD: add, delete or modify one rule on one switch."""
+    """A candidate FLOW_MOD: add, delete or modify one rule on one switch.
+
+    `old_rule`, the rule a modify replaces, is given for a modify only.
+    """
 
     op: str
     switch: int
@@ -338,8 +341,12 @@ class FlowModRequest:
             raise type_error("rule", self.rule, "a FlowRule")
         if self.op == "modify" and self.old_rule is None:
             raise InvalidRuleError("modify needs the rule being replaced")
-        if self.old_rule is not None and not isinstance(self.old_rule, FlowRule):
-            raise type_error("old_rule", self.old_rule, "a FlowRule")
+        if self.old_rule is not None:
+            if self.op != "modify":
+                raise InvalidRuleError(f"applies to op modify only, not {self.op!r}",
+                                       "old_rule", self.old_rule)
+            if not isinstance(self.old_rule, FlowRule):
+                raise type_error("old_rule", self.old_rule, "a FlowRule")
 
 
 @dataclass(frozen=True)
@@ -363,9 +370,12 @@ def what_if(nib: NIB, candidate: FlowModRequest) -> WhatIfReport:
     reports gained and lost, and a pair of its entries is a new loop
     only if one of them is gained; a delete introduces none.
 
-    The previewed table, like a later commit from the same parent,
-    derives its inverse index from the touched table's (built on first
-    use and kept), and the gained entries' partners are looked up in it.
+    The previewed table derives its inverse index from the touched
+    table's (built on first use and kept), and the gained entries'
+    partners are looked up in it.  While the report's result lives, a
+    commit of the same FLOW_MOD on the touched table
+    (`transforms.flow_mod_add`/`_delete`/`_modify`, or `tables.flow_mod`)
+    returns the previewed table without doing the edit again.
     """
     n = nib.topology.switch_count
     s = candidate.switch
@@ -376,7 +386,7 @@ def what_if(nib: NIB, candidate: FlowModRequest) -> WhatIfReport:
     updated, gained, lost = flow_mod(nib.tables[s], old, new)
     tables = tuple(updated if i == s else t for i, t in enumerate(nib.tables))
     after = NIB(nib.topology, tables, nib.flows)
-    touched = TableDiff(s, tuple(gained), tuple(sorted(lost, key=entry_key)))
+    touched = TableDiff(s, gained, tuple(sorted(lost, key=entry_key)))
     pairs = {frozenset((e, p)) for e in touched.added for p in partners(updated, e)}
     return WhatIfReport(
         diffs=tuple(touched if i == s else TableDiff(i, (), ()) for i in range(n)),

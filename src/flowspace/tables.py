@@ -19,10 +19,15 @@ The index is derived state of the table, as its canonical order is:
 the one FLOW_MOD edit, derives the new table's index from its parent's
 by copying the dict and rebuilding only the groups whose entries
 changed, so a chain of previews and commits costs the entries it
-touches.  Only this module reads the key: `partners` and
-`inverse_pairs` pair entries for the others, and `reductions_equal`
-compares two tables' reductions by reducing only the buckets where the
-tables differ.
+touches.  A table also remembers the last edit made from it, holding
+the new table by a weak reference: committing a FLOW_MOD that was just
+previewed returns the previewed table instead of editing again, and a
+table kept alive does not keep the tables edited from it alive.
+Copies and pickles hold the entries alone.
+
+Only this module reads the key: `partners` and `inverse_pairs` pair
+entries for the others, and `reductions_equal` compares two tables'
+reductions by reducing only the buckets where the tables differ.
 
 Entries are kept in a canonical total order so equality, serialization
 and cancellation are deterministic.
@@ -30,6 +35,7 @@ and cancellation are deterministic.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from itertools import combinations, product
 from operator import attrgetter
@@ -116,17 +122,26 @@ def entry_key(e: FlowEntry) -> tuple:
 
 
 class FlowTable:
-    """An immutable set of flow entries with canonical iteration order."""
+    """An immutable set of flow entries with canonical iteration order.
+
+    Copies and pickles hold the entries alone.
+    """
 
     # _order caches the canonical order and _index the inverse index
-    # (see `inverse_index`); both are derived from _entries on first use
-    # and take no part in equality, hashing or repr.
-    __slots__ = ("_entries", "_order", "_index")
+    # (see `inverse_index`); both are derived from _entries on first use.
+    # _last is `flow_mod`'s memo of the last edit made from this table.
+    # None of the three takes part in equality, hashing, repr, copying or
+    # pickling.
+    __slots__ = ("_entries", "_order", "_index", "_last", "__weakref__")
 
     def __init__(self, entries: Iterable[FlowEntry] = ()):
         object.__setattr__(self, "_entries", frozenset(entries))
         object.__setattr__(self, "_order", None)
         object.__setattr__(self, "_index", None)
+        object.__setattr__(self, "_last", None)
+
+    def __reduce__(self):
+        return FlowTable, (self._entries,)
 
     @property
     def entries(self) -> tuple[FlowEntry, ...]:
@@ -301,28 +316,40 @@ def inverse_pairs(t: FlowTable) -> Iterator[tuple[FlowEntry, FlowEntry]]:
 
 
 def flow_mod(t: FlowTable, old: FlowRule | None, new: FlowRule | None
-             ) -> tuple[FlowTable, Collection[FlowEntry], Collection[FlowEntry]]:
+             ) -> tuple[FlowTable, tuple[FlowEntry, ...], tuple[FlowEntry, ...]]:
     """One FLOW_MOD: `t` without every entry of rule `old` (there must be
     one, else `RuleNotFoundError`) plus rule `new` with a zero counter,
-    and the entries that table gained and lost, unsorted.  An add has no
-    `old`, a delete no `new`.
+    and the entries that table gained and lost, unsorted, as tuples.  An
+    add has no `old`, a delete no `new`.
 
     An invertible rule's entries are one lookup away in `t`'s inverse
     index, since equal inverse keys mean equal rules; a singular (drop)
     rule takes a scan.  frozenset difference and union reuse the stored
     entry hashes, so the table is not rehashed.  The new table's index
     is a copy of `t`'s with only the touched entries' groups rebuilt.
+
+    `t` remembers its last edit, with a weak reference to the new table,
+    so while that table lives the same edit again (equal `old` and
+    `new`, as when a previewed FLOW_MOD is committed) returns the same
+    table, gained and lost.  The reference is weak so that a long-lived
+    table does not keep every table derived from it alive.
     """
+    last = t._last
+    if last is not None:
+        o, n, ref = last[:3]
+        out = ref()
+        if out is not None and (o is old or o == old) and (n is new or n == new):
+            return out, last[3], last[4]
     entries, index = t._entries, inverse_index(t)
-    lost: Collection[FlowEntry] = ()
-    gained: Collection[FlowEntry] = ()
+    lost: tuple[FlowEntry, ...] = ()
+    gained: tuple[FlowEntry, ...] = ()
     if old is not None:
         key = inverse_key(old)
         if key is not None:
             lost = index.get(key, ())
         else:
             port = old.out_port  # comparing the port first spares most entries a dataclass __eq__
-            lost = [e for e in entries if e.rule.out_port == port and e.rule == old]
+            lost = tuple(e for e in entries if e.rule.out_port == port and e.rule == old)
         if not lost:
             raise RuleNotFoundError(f"no entry with rule {old!r}")
         entries = entries.difference(lost)
@@ -332,7 +359,7 @@ def flow_mod(t: FlowTable, old: FlowRule | None, new: FlowRule | None
         entries = entries.union((e,))
         if len(entries) > size:  # not held after the removal
             if e in lost:  # a rule modified into itself keeps its zero-counter entry
-                lost = [x for x in lost if x != e]
+                lost = tuple(x for x in lost if x != e)
             else:
                 gained = (e,)
     index = dict(index)
@@ -346,6 +373,7 @@ def flow_mod(t: FlowTable, old: FlowRule | None, new: FlowRule | None
                 del index[key]
     out = FlowTable(entries)
     object.__setattr__(out, "_index", index)
+    object.__setattr__(t, "_last", (old, new, weakref.ref(out), gained, lost))
     return out, gained, lost
 
 

@@ -232,6 +232,7 @@ class TestWhatIf:
     @pytest.mark.parametrize("args", [
         ("copy", 0, rule()), ("add", True, rule()), ("add", 0.0, rule()), ("add", "0", rule()),
         ("add", 0, "rule"), ("modify", 0, rule(), "old"),
+        ("add", 0, rule(), rule()), ("delete", 0, rule(), rule()), ("add", 0, rule(), "old"),
     ])
     def test_request_fields_are_strict(self, args):
         with pytest.raises(InvalidRuleError):

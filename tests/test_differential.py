@@ -3,6 +3,11 @@
 `reduce`, `detect_loops` and `what_if` must give exactly the output of
 the oracles in `oracles.py` on seeded collision tables, and on
 hand-built tables that hold the cases the index treats specially.
+Along a seeded chain of previews and commits, committing the FLOW_MOD
+just previewed must return the previewed table without editing again,
+and every other commit must equal the oracle's; a table kept alive
+must keep no table edited from it alive, and a copy or pickle of a
+table must hold its entries alone.
 
 The NIB statistics must equal the linear scans over the flows on
 seeded NIBs whose headers collide, on hand-built NIBs, and inside
@@ -84,9 +89,11 @@ entries of the buckets where the two tables differ.
 
 import copy
 import dataclasses
+import gc
 import pickle
 import random
 import sys
+import weakref
 from collections import Counter
 
 import pytest
@@ -397,17 +404,33 @@ class TestCarriedIndex:
             check_what_if(nib, preview)
             assert_index_carried(parent)
             report = what_if(nib, preview)
-            assert_index_carried(report.result.tables[s])
-            # Commit the previewed FLOW_MOD or another one on the same parent.
-            committed = preview if rng.random() < 0.5 else rng.choice(cands)
+            previewed = report.result.tables[s]
+            assert_index_carried(previewed)
+            # Commit the previewed FLOW_MOD, another one on the same parent,
+            # an equal request of rebuilt rules, or the previewed one after
+            # its report is gone.
+            kind = rng.choice(("previewed", "other", "rebuilt", "dropped"))
+            committed = preview
+            if kind == "other":
+                committed = rng.choice(cands)
+            elif kind == "rebuilt":
+                committed = copy.deepcopy(preview)
+                assert committed.rule == preview.rule and committed.rule is not preview.rule
+            elif kind == "dropped":
+                gone = weakref.ref(previewed)
+                del report, previewed
+                assert gone() is None
             table = commit(parent, committed)
             assert table == commit_oracle(parent, committed)
+            if kind == "previewed":
+                assert table is previewed
             assert_index_carried(table)
             nib = NIB(nib.topology, tuple(table if i == s else t
                                           for i, t in enumerate(nib.tables)), nib.flows)
             r = committed.rule
             seen[committed.op] += 1
-            seen["different commit"] += committed is not preview
+            seen[kind] += 1
+            seen["different commit"] += committed != preview
             seen["re-add"] += committed.op == "add" and FlowEntry(r, 0) in parent
             old = committed.old_rule if committed.op == "modify" else r
             seen["drop rule out"] += committed.op != "add" and not all(old.action.linear)
@@ -434,6 +457,7 @@ class TestCarriedIndex:
                 for t in (FlowTable(parent), parent):  # a fresh table, then the carried index
                     table, gained, lost = tables.flow_mod(t, old, new)
                     assert table == commit_oracle(parent, c)
+                    assert type(gained) is tuple and type(lost) is tuple
                     assert Counter(gained) == Counter(table.entries) - Counter(parent.entries)
                     assert Counter(lost) == Counter(parent.entries) - Counter(table.entries)
                 if c is committed:
@@ -499,6 +523,49 @@ class TestCarriedIndex:
             assert len(report.new_loops) == loops
             assert calls["inverse_key"] <= 3 * touched
             assert_index_carried(report.result.tables[0])
+            calls.clear()  # committing the previewed FLOW_MOD does not edit again
+            assert commit(nib.tables[0], candidate) is report.result.tables[0]
+            assert calls["inverse_key"] == 0
+
+    def test_a_kept_table_keeps_no_table_edited_from_it(self):
+        rng = random.Random(9104)
+        root = NIB(Topology(2), (collision_table(rng, 24), planted_table(rng, 6)))
+        nib, committed = root, []
+        for _ in range(1000):
+            preview = rng.choice(chain_candidates(rng, nib))
+            s = preview.switch
+            report = what_if(nib, preview)
+            table = commit(nib.tables[s], preview)
+            assert table is report.result.tables[s]
+            committed.append(weakref.ref(table))
+            nib = NIB(nib.topology, tuple(table if i == s else t
+                                          for i, t in enumerate(nib.tables)), nib.flows)
+        del nib, report, table
+        gc.collect()
+        assert [ref for ref in committed if ref() is not None] == []
+        assert all(t._last is not None for t in root.tables)  # the root was edited
+
+    @pytest.mark.parametrize("dup", [copy.copy, copy.deepcopy,
+                                     lambda t: pickle.loads(pickle.dumps(t))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_copies_hold_the_entries_alone(self, dup):
+        rng = random.Random(9105)
+        for _ in range(50):
+            nib = NIB(Topology(1), (planted_table(rng, 4),))
+            preview = rng.choice(chain_candidates(rng, nib))
+            report = what_if(nib, preview)  # indexes the table and leaves the memo on it
+            indexed, previewed = nib.tables[0], report.result.tables[0]
+            assert indexed._last is not None and previewed._index is not None
+            for t in (indexed, previewed):
+                twin = dup(t)
+                assert type(twin) is FlowTable and twin == t and twin is not t
+                assert (twin._order, twin._index, twin._last) == (None, None, None)
+                assert twin.entries == t.entries
+                assert reduce(twin) == reduce_oracle(t)
+                assert_index_carried(twin)
+            twin = dup(indexed)
+            table = commit(twin, preview)
+            assert table == commit_oracle(indexed, preview) and table is not previewed
 
 
 # ---------------------------------------------------------------------------
