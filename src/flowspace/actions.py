@@ -160,7 +160,8 @@ class ActionFold:
     all-zero diagonal and translation, so it zeroes both vectors.  The
     diagonal is `_ONES` or `_ZEROS` and every translation entry is an int
     under its slot's mask, so the result is valid by construction and
-    `action()` builds it without the constructor's entry-by-entry check.
+    `action()` builds it without the constructor's entry-by-entry check,
+    writing the two vectors straight into the instance `__dict__`.
     """
 
     __slots__ = ("linear", "translation")
@@ -184,8 +185,9 @@ class ActionFold:
 
     def action(self) -> AffineAction:
         a = object.__new__(AffineAction)
-        object.__setattr__(a, "linear", self.linear)
-        object.__setattr__(a, "translation", tuple(self.translation))
+        fields = a.__dict__
+        fields["linear"] = self.linear
+        fields["translation"] = tuple(self.translation)
         return a
 
 

@@ -381,8 +381,10 @@ def what_if(nib: NIB, candidate: FlowModRequest) -> WhatIfReport:
     s = candidate.switch
     if not 0 <= s < n:
         raise SlotOutOfRangeError(f"switch {s} out of range for {n} switches")
-    old, new = {"add": (None, candidate.rule), "delete": (candidate.rule, None),
-                "modify": (candidate.old_rule, candidate.rule)}[candidate.op]
+    # Only a modify has an old rule; a delete removes its rule.
+    delete = candidate.op == "delete"
+    old = candidate.rule if delete else candidate.old_rule
+    new = None if delete else candidate.rule
     updated, gained, lost = flow_mod(nib.tables[s], old, new)
     tables = tuple(updated if i == s else t for i, t in enumerate(nib.tables))
     after = NIB(nib.topology, tables, nib.flows)

@@ -161,10 +161,33 @@ def translate_header(h: Header, d: HeaderDelta) -> Header:
     return Header(tuple((v + x) & m for v, x, m in zip(h.values, d.deltas, FIELD_MASKS)))
 
 
+class KeptHash:
+    """Base of a frozen dataclass value that keeps its hash.
+
+    The subclass's `__hash__` works the hash out on first use and writes
+    it into the instance `__dict__` as `_hash`, which no field reads, so
+    it stays out of equality and repr; until then the class default
+    `None` stands.  Copies and pickles leave it out: `hash(None)` follows
+    the object's address on Python 3.10 and 3.11, so the hash of a value
+    holding a `None` is not the same in another process.
+    """
+
+    _hash = None
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
+
 @dataclass(frozen=True)
-class MatchPattern:
+class MatchPattern(KeptHash):
     """Per-field match: an exact value (a real int that fits the field)
-    or None for wildcard."""
+    or None for wildcard.
+
+    The hash is kept (see `KeptHash`): one pattern is hashed again in
+    every inverse-index key of the table entries that share it.
+    """
 
     entries: tuple[int | None, ...]
 
@@ -175,6 +198,12 @@ class MatchPattern:
         for entry, bound in zip(self.entries, FIELD_BOUNDS):
             if entry is not None and not (type(entry) is int and 0 <= entry < bound):
                 raise _field_error(tuple(0 if e is None else e for e in self.entries))
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = self.__dict__["_hash"] = hash(self.entries)
+        return h
 
     @classmethod
     def wildcard(cls) -> MatchPattern:
@@ -193,12 +222,13 @@ class MatchPattern:
         """The fully-exact pattern matching only h.
 
         A `Header`'s values passed the per-field check that a pattern's
-        entries take, so the pattern is built without running it again.
+        entries take, so the pattern is built without running it again:
+        its one field is written straight into the instance `__dict__`.
         """
         if not isinstance(h, Header):
             raise type_error("h", h, "a Header")
         p = object.__new__(cls)
-        object.__setattr__(p, "entries", h.values)
+        p.__dict__["entries"] = h.values
         return p
 
 

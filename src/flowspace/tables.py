@@ -17,13 +17,24 @@ by one lookup of its `partner_key` instead of a scan over the table.
 The index is derived state of the table, as its canonical order is:
 `inverse_index` builds it on first use and keeps it, and `flow_mod`,
 the one FLOW_MOD edit, derives the new table's index from its parent's
-by copying the dict and rebuilding only the groups whose entries
-changed, so a chain of previews and commits costs the entries it
-touches.  A table also remembers the last edit made from it, holding
-the new table by a weak reference: committing a FLOW_MOD that was just
-previewed returns the previewed table instead of editing again, and a
-table kept alive does not keep the tables edited from it alive.
-Copies and pickles hold the entries alone.
+by copying the dict and changing only the two groups the edit touches,
+without rehashing their entries, so a chain of previews and commits
+costs the entries it touches.  A table also remembers the last edit
+made from it, holding the new table by a weak reference: committing a
+FLOW_MOD that was just previewed returns the previewed table instead of
+editing again, and a table kept alive does not keep the tables edited
+from it alive.  Copies and pickles hold the entries alone.
+
+An entry hashes in one step, from flat parts (the pattern's entries,
+the port, the ttl, the action's two vectors and the counter), and keeps
+its hash, as a `MatchPattern` does (`headers.KeptHash`): sets of
+entries and inverse-index keys hash one value again and again.  A kept
+hash takes no part in equality or repr, and copies and pickles leave it
+out, since a pattern's `None`s hash by address on Python 3.10 and 3.11.
+A rule hashes from the same flat parts and keeps nothing.
+`checked_entry` builds an entry from parts already checked, writing its
+fields straight into the instance dicts, and `union` builds a table
+from tables and new entries with one frozenset union.
 
 Only this module reads the key: `partners` and `inverse_pairs` pair
 entries for the others, and `reductions_equal` compares two tables'
@@ -39,7 +50,7 @@ import weakref
 from dataclasses import dataclass
 from itertools import combinations, product
 from operator import attrgetter
-from typing import Collection, Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from flowspace import actions
 from flowspace.actions import PORT_MASK, TTL_MASK, AffineAction, action_key
@@ -50,7 +61,7 @@ from flowspace.errors import (
     int_error,
     type_error,
 )
-from flowspace.headers import MatchPattern, pattern_key
+from flowspace.headers import KeptHash, MatchPattern, pattern_key
 
 
 @dataclass(frozen=True)
@@ -77,10 +88,18 @@ class FlowRule:
                 raise type_error("action", self.action, "an AffineAction")
             raise int_error("out_port", port, PORT_MASK) or int_error("ttl", ttl, TTL_MASK)
 
+    def __hash__(self) -> int:
+        a = self.action
+        return hash((self.match.entries, self.out_port, self.ttl, a.linear, a.translation))
+
 
 @dataclass(frozen=True)
-class FlowEntry:
-    """A table element: a rule paired with its per-flow packet counter."""
+class FlowEntry(KeptHash):
+    """A table element: a rule paired with its per-flow packet counter.
+
+    The hash is kept (see `headers.KeptHash`): sets and dicts of entries
+    hash one entry again and again.
+    """
 
     rule: FlowRule
     counter: int
@@ -92,6 +111,15 @@ class FlowEntry:
                 raise type_error("rule", self.rule, "a FlowRule")
             raise counter_error(counter)
 
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            r = self.rule
+            a = r.action
+            h = self.__dict__["_hash"] = hash(
+                (r.match.entries, r.out_port, r.ttl, a.linear, a.translation, self.counter))
+        return h
+
 
 def checked_entry(match: MatchPattern, out_port: int, ttl: int, action: AffineAction,
                   counter: int) -> FlowEntry:
@@ -101,15 +129,19 @@ def checked_entry(match: MatchPattern, out_port: int, ttl: int, action: AffineAc
     The caller vouches for every part: a `MatchPattern` and an
     `AffineAction` that their constructors built, a port and a ttl that
     are ints in 0..0xFFFF, and a counter that is a non-negative int.
+    The fields are written straight into the instances' `__dict__`s, in
+    declaration order, as the generated `__init__` would set them.
     """
     r = object.__new__(FlowRule)
-    object.__setattr__(r, "match", match)
-    object.__setattr__(r, "out_port", out_port)
-    object.__setattr__(r, "ttl", ttl)
-    object.__setattr__(r, "action", action)
+    fields = r.__dict__
+    fields["match"] = match
+    fields["out_port"] = out_port
+    fields["ttl"] = ttl
+    fields["action"] = action
     e = object.__new__(FlowEntry)
-    object.__setattr__(e, "rule", r)
-    object.__setattr__(e, "counter", counter)
+    fields = e.__dict__
+    fields["rule"] = r
+    fields["counter"] = counter
     return e
 
 
@@ -135,10 +167,10 @@ class FlowTable:
     __slots__ = ("_entries", "_order", "_index", "_last", "__weakref__")
 
     def __init__(self, entries: Iterable[FlowEntry] = ()):
-        object.__setattr__(self, "_entries", frozenset(entries))
-        object.__setattr__(self, "_order", None)
-        object.__setattr__(self, "_index", None)
-        object.__setattr__(self, "_last", None)
+        self._entries = frozenset(entries)
+        self._order = None
+        self._index = None
+        self._last = None
 
     def __reduce__(self):
         return FlowTable, (self._entries,)
@@ -146,7 +178,7 @@ class FlowTable:
     @property
     def entries(self) -> tuple[FlowEntry, ...]:
         if self._order is None:
-            object.__setattr__(self, "_order", tuple(sorted(self._entries, key=entry_key)))
+            self._order = tuple(sorted(self._entries, key=entry_key))
         return self._order
 
     def __len__(self) -> int:
@@ -178,6 +210,13 @@ def empty() -> FlowTable:
 def add(t1: FlowTable, t2: FlowTable) -> FlowTable:
     """Table addition: set union of the entries."""
     return FlowTable(t1._entries | t2._entries)
+
+
+def union(ts: Sequence[FlowTable], entries: Iterable[FlowEntry]) -> FlowTable:
+    """The sum of the tables `ts` and the table of `entries`, built by one
+    frozenset union: the tables' entries keep their stored hashes, and
+    only `entries` are hashed."""
+    return FlowTable(frozenset().union(*[t._entries for t in ts], entries))
 
 
 def scalar_mul(a: int, t: FlowTable) -> FlowTable:
@@ -230,11 +269,6 @@ InverseIndex = dict[tuple, tuple[FlowEntry, ...]]
 _counter = attrgetter("counter")
 
 
-def _group(entries: Collection[FlowEntry]) -> tuple[FlowEntry, ...]:
-    """One index group in canonical order: one rule, so counters decide."""
-    return tuple(entries) if len(entries) < 2 else tuple(sorted(entries, key=_counter))
-
-
 def inverse_index(t: FlowTable) -> InverseIndex:
     """The table's invertible entries grouped by `inverse_key`, each group
     a tuple in canonical order.
@@ -243,8 +277,7 @@ def inverse_index(t: FlowTable) -> InverseIndex:
     """
     if t._index is not None:
         return t._index
-    index = _index(t._entries)
-    object.__setattr__(t, "_index", index)
+    index = t._index = _index(t._entries)
     return index
 
 
@@ -262,8 +295,8 @@ def _index(entries: Iterable[FlowEntry]) -> InverseIndex:
             else:
                 index[key] = group + (e,)
                 shared.add(key)
-    for key in shared:
-        index[key] = _group(index[key])
+    for key in shared:  # one rule per group, so counters decide the order
+        index[key] = tuple(sorted(index[key], key=_counter))
     return index
 
 
@@ -326,7 +359,9 @@ def flow_mod(t: FlowTable, old: FlowRule | None, new: FlowRule | None
     index, since equal inverse keys mean equal rules; a singular (drop)
     rule takes a scan.  frozenset difference and union reuse the stored
     entry hashes, so the table is not rehashed.  The new table's index
-    is a copy of `t`'s with only the touched entries' groups rebuilt.
+    is a copy of `t`'s without `old`'s group, all of whose entries are
+    lost, and with the gained entry put first in its rule's group, where
+    its zero counter sorts first; no group is rebuilt or rehashed.
 
     `t` remembers its last edit, with a weak reference to the new table,
     so while that table lives the same edit again (equal `old` and
@@ -340,13 +375,13 @@ def flow_mod(t: FlowTable, old: FlowRule | None, new: FlowRule | None
         out = ref()
         if out is not None and (o is old or o == old) and (n is new or n == new):
             return out, last[3], last[4]
-    entries, index = t._entries, inverse_index(t)
+    entries, index = t._entries, dict(inverse_index(t))
     lost: tuple[FlowEntry, ...] = ()
     gained: tuple[FlowEntry, ...] = ()
     if old is not None:
         key = inverse_key(old)
         if key is not None:
-            lost = index.get(key, ())
+            lost = index.pop(key, ())
         else:
             port = old.out_port  # comparing the port first spares most entries a dataclass __eq__
             lost = tuple(e for e in entries if e.rule.out_port == port and e.rule == old)
@@ -358,22 +393,16 @@ def flow_mod(t: FlowTable, old: FlowRule | None, new: FlowRule | None
         size = len(entries)
         entries = entries.union((e,))
         if len(entries) > size:  # not held after the removal
+            key = inverse_key(new)
+            if key is not None:
+                index[key] = (e,) + index.get(key, ())
             if e in lost:  # a rule modified into itself keeps its zero-counter entry
                 lost = tuple(x for x in lost if x != e)
             else:
                 gained = (e,)
-    index = dict(index)
-    for r, gone, added in ((old, lost, ()), (new, (), gained)):
-        key = inverse_key(r) if gone or added else None
-        if key is not None:
-            group = set(index.get(key, ())).difference(gone).union(added)
-            if group:
-                index[key] = _group(group)
-            else:
-                del index[key]
     out = FlowTable(entries)
-    object.__setattr__(out, "_index", index)
-    object.__setattr__(t, "_last", (old, new, weakref.ref(out), gained, lost))
+    out._index = index
+    t._last = (old, new, weakref.ref(out), gained, lost)
     return out, gained, lost
 
 

@@ -106,9 +106,9 @@ from flowspace.tables import (
     FlowEntry,
     FlowRule,
     FlowTable,
-    add,
     checked_entry,
     flow_mod,
+    union,
 )
 
 # ---------------------------------------------------------------------------
@@ -893,14 +893,10 @@ class Instances:
         identity), plus the entries of the selected templates."""
         tables = self.nib.tables
         if a.linear is _IDENTITY:
-            base = tables[i]
+            inputs = (tables[i],)
         else:
-            base = None
-            for j, coeff in enumerate(a.linear[i]):
-                if coeff:
-                    base = tables[j] if base is None else add(base, tables[j])
-        added = FlowTable([self.entry(tpl) for tpl in selected])
-        return added if base is None else add(base, added)
+            inputs = [tables[j] for j, coeff in enumerate(a.linear[i]) if coeff]
+        return union(inputs, [self.entry(tpl) for tpl in selected])
 
     def apply(self, a: AppTransform, selected: Sequence[Templates]) -> NIB:
         """The NIB that `a` gives, from its `selections` for this NIB and header."""

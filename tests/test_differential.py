@@ -32,7 +32,11 @@ the action must map the steered header's rule state to the state that
 running the steps one by one gives.  On seeded templates `Instances`
 must give exactly the recursive instantiation's entry, or its error,
 after the same port lookups in the same order; the plan must take no
-part in equality, hashing, repr or pickling.
+part in equality, hashing, repr or pickling.  The pattern, action, rule
+and entry that instantiation builds from checked parts, without the
+constructors' checks, must equal the values the constructors build,
+with the same hash and repr, also after a copy, a deep copy and
+`dataclasses.replace`.
 
 `analysis.behavioral_diff`, which selects templates only in slots whose
 linear rows or normal-form keys differ, builds both composites' tables
@@ -1602,6 +1606,59 @@ class TestInstantiationPlans:
             # built once: a second instantiation reuses the kept plan
             assert transforms.Instances(nib, h).entry(tpl) == entry
             assert vars(tpl)["_facts"][3] is plan
+
+
+def checked_parts(e: FlowEntry) -> list:
+    """The entry's pattern, action, rule and entry, each built anew
+    through its checking constructor."""
+    r, a = e.rule, e.rule.action
+    match, action = MatchPattern(r.match.entries), AffineAction(a.linear, a.translation)
+    rule = FlowRule(match, r.out_port, r.ttl, action)
+    return [match, action, rule, FlowEntry(rule, e.counter)]
+
+
+class TestCheckedParts:
+    def test_built_values_equal_the_checked_constructors(self):
+        # Every port resolves, so each template builds an entry; flows
+        # move the load that a `PickLessLoaded` reads.
+        rng = random.Random(8301)
+        nib = NIB(sampling.random_topology(rng, 1), (FlowTable(),),
+                  sampling.random_flows(rng))
+        kinds = Counter()
+        for _ in range(600):
+            tpl = plan_template(rng)
+            if tpl.out_port == PortName("nope") or any(
+                    isinstance(s, Forward) and s.port == PortName("nope")
+                    for s in flat_steps(tpl.action)):
+                continue
+            h = sampling.random_header(rng)
+            e = transforms.Instances(nib, h).entry(tpl)
+            built = [e.rule.match, e.rule.action, e.rule, e]
+            for got, want in zip(built, checked_parts(e)):
+                hash(got)  # kept where the type keeps its hash
+                for value in (got, copy.copy(got), copy.deepcopy(got),
+                              dataclasses.replace(got)):
+                    assert value == want and want == value
+                    assert hash(value) == hash(want) and repr(value) == repr(want)
+            moved = dataclasses.replace(e, counter=e.counter + 1)
+            assert moved == FlowEntry(e.rule, e.counter + 1)
+            assert hash(moved) == hash(FlowEntry(e.rule, e.counter + 1)) != hash(e)
+            steps = list(flat_steps(tpl.action))
+            kinds["exact" if isinstance(tpl.match, InputHeader) else "wildcard"] += 1
+            kinds["drop" if not any(e.rule.action.linear) else "kept"] += 1
+            kinds.update(type(s).__name__ for s in steps)
+            kinds.update(type(s.to).__name__ for s in steps if isinstance(s, SetField))
+            kinds["DestPort"] += isinstance(tpl.out_port, DestPort) or any(
+                isinstance(s, Forward) and isinstance(s.port, DestPort) for s in steps)
+        assert min(kinds[k] for k in ("exact", "wildcard", "drop", "kept", "Drop", "Forward",
+                                      "SetField", "PickLessLoaded", "DestPort")) > 20, kinds
+
+    def test_exact_pattern_equals_the_checked_pattern(self):
+        rng = random.Random(8302)
+        for _ in range(200):
+            h = sampling.random_header(rng)
+            got, want = MatchPattern.exact_for(h), MatchPattern(h.values)
+            assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
 
 
 def outcome_of(run):

@@ -1,5 +1,9 @@
 import ast
+import os
+import pickle
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,6 +26,7 @@ from flowspace.tables import (
     negate_table,
     reduce,
     scalar_mul,
+    union,
 )
 
 
@@ -61,6 +66,16 @@ class TestEmptyAndAdd:
             assert add(add(t1, t2), t3) == add(t1, add(t2, t3))
             assert add(t1, t2) == add(t2, t1)
             assert add(t1, empty()) == t1
+
+    def test_union_is_the_sum_of_tables_and_entries(self):
+        rng = random.Random(6)
+        for _ in range(100):
+            ts = [sampling.random_table(rng) for _ in range(rng.randrange(4))]
+            extra = list(sampling.random_table(rng))
+            want = FlowTable(extra)
+            for t in ts:
+                want = add(want, t)
+            assert union(ts, extra) == want
 
 
 class TestScalarMul:
@@ -239,6 +254,66 @@ class TestTableEqualAndOrder:
             t = sampling.random_table(rng)
             keys = [entry_key(e) for e in t.entries]
             assert keys == sorted(keys)
+
+
+#: Run in this process and in a child: one value of each kept-hash type
+#: and of the types that hold them, a pattern with wildcards among them.
+HASHED_VALUES = (
+    "from flowspace.actions import drop, forward\n"
+    "from flowspace.headers import MatchPattern\n"
+    "from flowspace.tables import FlowEntry, FlowRule, FlowTable\n"
+    "match = MatchPattern.from_fields(nw_src=7, tp_dst=80)\n"
+    "entry = FlowEntry(FlowRule(match, 2, 60, forward(3)), 4)\n"
+    "values = [match, forward(3), entry.rule, entry,\n"
+    "          FlowTable([entry, FlowEntry(FlowRule(match, 1, 0, drop()), 0)])]\n"
+)
+
+
+class TestKeptHashes:
+    def test_kept_hash_is_out_of_equality_and_repr(self):
+        e, fresh = FlowEntry(rule(nw_src=1), 3), FlowEntry(rule(nw_src=1), 3)
+        before = repr(e)
+        hash(e)
+        hash(e.rule.match)
+        assert "_hash" in vars(e) and "_hash" in vars(e.rule.match)
+        assert "_hash" not in vars(fresh) and "_hash" not in vars(fresh.rule.match)
+        assert e == fresh and fresh == e and repr(e) == before == repr(fresh)
+
+    def test_pickles_carry_no_kept_hash(self):
+        ns: dict = {}
+        exec(HASHED_VALUES, ns)
+        values = ns["values"]
+        for v in values:
+            hash(v)
+        assert "_hash" in vars(values[0]) and "_hash" in vars(values[3])
+        data = pickle.dumps(values)
+        assert b"_hash" not in data
+        assert pickle.loads(data) == values
+        # Loading a table hashes its entries anew; loading the others hashes nothing.
+        for v in pickle.loads(pickle.dumps(values[:4])):
+            assert "_hash" not in vars(v)
+
+    def test_unpickled_in_another_hash_seed_hashes_as_built_there(self):
+        ns: dict = {}
+        exec(HASHED_VALUES, ns)
+        for v in ns["values"]:
+            hash(v)
+        child = (
+            "import pickle, sys\n"
+            + HASHED_VALUES +
+            "loaded = pickle.loads(sys.stdin.buffer.read())\n"
+            "for got, built in zip(loaded, values, strict=True):\n"
+            "    assert got == built and hash(got) == hash(built) and got in {built}\n"
+            "table = values[-1]\n"
+            "assert all(e in table and e in set(table) for e in loaded[-1])\n"
+            "print('ok')\n"
+        )
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        out = subprocess.run([sys.executable, "-c", child], input=pickle.dumps(ns["values"]),
+                             capture_output=True, env=env)
+        assert out.returncode == 0 and out.stdout == b"ok\n", out.stderr.decode()
 
 
 #: The package's modules, the slots only `tables.py` may read and the
