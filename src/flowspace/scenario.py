@@ -59,6 +59,7 @@ from flowspace.transforms import (
     SetField,
     SourceCountAtMost,
     TrueGuard,
+    is_identity_linear,
     make_app,
 )
 
@@ -503,6 +504,10 @@ def delta_from_obj(obj, what: str = "delta") -> GuardedDelta:
 
 def app_to_obj(app: AppTransform) -> dict:
     """Single-slot application form used inside scenario files."""
+    if not is_identity_linear(app):
+        raise ScenarioFormatError(
+            f"app {app.name!r} has a non-identity linear part; a scenario file holds "
+            "single-slot apps only")
     hot = [i for i, s in enumerate(app.translation) if s]
     if len(hot) != 1 or len(app.translation[hot[0]]) != 1:
         raise ScenarioFormatError(
@@ -527,7 +532,8 @@ def app_from_obj(obj, n: int, what: str = "app") -> AppTransform:
 
 
 def transform_to_obj(app: AppTransform) -> dict:
-    """Full composite form (reports only; scenario files use app_to_obj)."""
+    """Full composite form (reports only; scenario files use app_to_obj).
+    `linear` lists each row's columns: the 3-switch identity is `[[0], [1], [2]]`."""
     return {
         "name": app.name,
         "linear": [list(row) for row in app.linear],
@@ -587,8 +593,8 @@ class Document:
             raise ScenarioFormatError(f"version must be {FORMAT_VERSION}, got {version!r}")
         self.topology = topology_from_obj(_require(obj, "topology", "scenario"))
         n = self.topology.switch_count
-        # Every app is an n x n matrix, so also a command that decodes no
-        # table checks n against the length of an array the file holds.
+        # Every app holds a row and a slot per switch, so also a command that
+        # decodes no table checks n against the length of an array the file holds.
         self._tables = _require_list(obj.get("tables", []), "tables")
         if len(self._tables) != n:
             raise ScenarioFormatError(f"scenario needs exactly {n} tables")

@@ -1,8 +1,11 @@
 """Control-application transforms over the NIB.
 
 A control application is modeled as a homogeneous matrix acting on the
-vector of per-switch flow tables: a square 0/1 linear part (almost
-always the identity) plus, per switch slot, a symbolic table delta.  A
+vector of per-switch flow tables: a 0/1 linear part (almost always the
+identity) plus, per switch slot, a symbolic table delta.  The linear
+part is stored sparse, one row per slot, each row the sorted tuple of
+the columns whose entry is 1 over the two-element field: the identity
+is `((0,), (1,), ..., (n-1,))` and a zero row is `()`.  A
 delta is a formal sum of guarded pieces; each piece selects a list of
 rule templates by evaluating its guards (first match wins, with a
 mandatory otherwise arm) against the ambient NIB and the header being
@@ -62,13 +65,9 @@ not run again.  A port read from the topology is checked by
 `resolve_port` as it is read, since the topology's port maps are plain
 dicts.
 
-`make_app` and `identity_transform` share one identity matrix per
-size, and a transform holding it skips the entrywise check of its
-linear part, so decoding a document builds one matrix, not one per
-app, and checks none.  A chain whose stages all hold it keeps it for
-its composite (and so for the normal form), and `Instances` then takes
-table i for slot i without scanning row i; any other composite's
-linear part is built and checked entry by entry.
+Composition, application and the constructor's check all follow the
+rows' nonzeros, so a transform of n identity rows costs O(n) to build,
+compose and apply, not O(n^2).
 
 `flow_mod_add`, `flow_mod_delete` and `flow_mod_modify` are the three
 shapes of the FLOW_MOD edit `tables.flow_mod`, which owns the edit and
@@ -550,7 +549,14 @@ DeltaSum = tuple[GuardedDelta, ...]
 
 @dataclass(frozen=True)
 class AppTransform:
-    """A control application as a matrix over the table vector."""
+    """A control application as a matrix over the table vector.
+
+    `linear` holds one row per slot, row i the sorted tuple of the
+    columns whose entry is 1 over the two-element field: slot i's input
+    is the union of the tables its row names.  The identity is
+    `((0,), (1,), ..., (n-1,))`, and a zero row `()` starts its slot
+    from the empty table.
+    """
 
     name: str
     linear: tuple[tuple[int, ...], ...]
@@ -567,16 +573,19 @@ class AppTransform:
                 and all([isinstance(p, GuardedDelta) for s in translation for p in s])):
             raise _translation_error(translation)
         n = len(translation)
-        if linear is _IDENTITY and len(linear) == n:
-            return  # the shared identity, of this size: square and 0/1 by construction
-        if not (isinstance(linear, tuple) and all([isinstance(row, tuple) for row in linear])):
-            raise _linear_error(linear)
-        if len(linear) != n or any(len(row) != n for row in linear):
-            raise DimensionMismatchError("linear part must be square and match the slot count")
-        for row in linear:
+        if not isinstance(linear, tuple):
+            raise type_error("linear", linear, "a tuple")
+        if len(linear) != n:
+            raise DimensionMismatchError(
+                f"linear part must have one row per slot, got {len(linear)} for {n}")
+        for row in linear:  # O(its length) per row; True equals 1 but is no int
+            if not isinstance(row, tuple):
+                raise _linear_error(linear, n)
+            last = -1
             for c in row:
-                if type(c) is not int or c >> 1:  # an int 0 or 1: True equals 1 but is no int
-                    raise _linear_error(linear)
+                if type(c) is not int or not last < c < n:
+                    raise _linear_error(linear, n)
+                last = c
 
     @property
     def dimension(self) -> int:
@@ -618,19 +627,22 @@ def _translation_error(translation) -> InvalidRuleError:
                 return type_error(f"translation[{i}][{j}]", piece, "a GuardedDelta")
 
 
-def _linear_error(linear) -> InvalidRuleError:
-    """The error for a linear part or row that is not a tuple, else for the
-    first entry that is not an int 0 or 1."""
-    if not isinstance(linear, tuple):
-        return type_error("linear", linear, "a tuple")
+def _linear_error(linear: tuple, n: int) -> InvalidRuleError:
+    """The error for the first row that is not a tuple, or for the first
+    column that is not a slot above the one before it in its row."""
     for i, row in enumerate(linear):
         if not isinstance(row, tuple):
             return type_error(f"linear[{i}]", row, "a tuple")
-    for i, row in enumerate(linear):
-        for j, c in enumerate(row):
-            error = int_error(f"linear[{i}][{j}]", c, 1)
-            if error:
-                return error
+        for k, c in enumerate(row):
+            if type(c) is not int:
+                return type_error(f"linear[{i}][{k}]", c)
+            if not 0 <= c < n:
+                return InvalidRuleError(f"must be a slot in 0..{n - 1}, got {c}",
+                                        f"linear[{i}][{k}]", c)
+            if k and c <= row[k - 1]:
+                return InvalidRuleError(
+                    f"must exceed the column before it, {row[k - 1]}, got {c}",
+                    f"linear[{i}][{k}]", c)
 
 
 @dataclass(frozen=True)
@@ -656,28 +668,12 @@ class ServiceChain:
         return _compose(self.stages)
 
 
-#: The identity matrix of the size last asked for, shared by every
-#: transform that `make_app` or `identity_transform` builds until another
-#: size is asked for. Only one is kept: the skip it allows in
-#: `AppTransform.__post_init__` is a fast path, and a matrix no longer
-#: kept just takes the entrywise check.
-_IDENTITY: tuple[tuple[int, ...], ...] = ()
-
-
-def _identity_matrix(n: int) -> tuple[tuple[int, ...], ...]:
-    global _IDENTITY
-    if len(_IDENTITY) != n:
-        row, rows = [0] * n, []
-        for i in range(n):
-            row[i] = 1
-            rows.append(tuple(row))
-            row[i] = 0
-        _IDENTITY = tuple(rows)
-    return _IDENTITY
+def _identity_rows(n: int) -> tuple[tuple[int], ...]:
+    return tuple([(i,) for i in range(n)])
 
 
 def identity_transform(n: int, name: str = "identity") -> AppTransform:
-    return AppTransform(name, _identity_matrix(n), ((),) * n)
+    return AppTransform(name, _identity_rows(n), ((),) * n)
 
 
 def make_app(name: str, slot: int, delta: GuardedDelta, n: int) -> AppTransform:
@@ -689,11 +685,11 @@ def make_app(name: str, slot: int, delta: GuardedDelta, n: int) -> AppTransform:
             raise type_error("slot", slot)
         raise SlotOutOfRangeError(f"slot {slot} out of range for {n} switches")
     translation = tuple((delta,) if i == slot else () for i in range(n))
-    return AppTransform(name, _identity_matrix(n), translation)
+    return AppTransform(name, _identity_rows(n), translation)
 
 
 def is_identity_linear(a: AppTransform) -> bool:
-    return a.linear == _identity_matrix(a.dimension)
+    return all([row == (i,) for i, row in enumerate(a.linear)])
 
 
 # ---------------------------------------------------------------------------
@@ -889,14 +885,10 @@ class Instances:
 
     def table(self, a: AppTransform, i: int, selected: Templates) -> FlowTable:
         """Slot i's table under `a`: the union of the NIB's tables that
-        row i of the linear part selects (table i itself under the shared
-        identity), plus the entries of the selected templates."""
+        row i of the linear part names, plus the entries of the selected
+        templates."""
         tables = self.nib.tables
-        if a.linear is _IDENTITY:
-            inputs = (tables[i],)
-        else:
-            inputs = [tables[j] for j, coeff in enumerate(a.linear[i]) if coeff]
-        return union(inputs, [self.entry(tpl) for tpl in selected])
+        return union([tables[j] for j in a.linear[i]], [self.entry(tpl) for tpl in selected])
 
     def apply(self, a: AppTransform, selected: Sequence[Templates]) -> NIB:
         """The NIB that `a` gives, from its `selections` for this NIB and header."""
@@ -928,49 +920,44 @@ def chain(stages: ServiceChain | Sequence[AppTransform]) -> AppTransform:
 def _compose(seq: tuple[AppTransform, ...]) -> AppTransform:
     """The composite of the stages, first stage first.
 
-    One pass over the stages, linear in their count and pieces.  Linear
-    parts multiply over the two-element field, a row at a time: after a
-    stage, row i is the XOR of the accumulated rows that the stage's
-    row i selects (one selected row is reused as is).  Slot i's pieces
-    become the accumulated pieces of those same slots, followed by the
-    stage's own; a slot that is the only one to select a single slot
-    extends that slot's list in place, so an identity stage copies
-    nothing.  When every stage holds the shared identity, so does the
-    composite, and slot i's pieces are the stages' slot-i pieces in
-    turn: no column is summed, no row scanned and nothing checked entry
-    by entry.  The composite, named `s_k*...*s_0`, is built once.
+    One pass over the stages, linear in their count, pieces and the
+    nonzeros of their rows.  Linear parts multiply over the two-element
+    field, a row at a time: after a stage, row i is the symmetric
+    difference of the accumulated rows that the stage's row i names (one
+    named row is reused as is).  Slot i's pieces become the accumulated
+    pieces of those same slots, followed by the stage's own; a row that
+    is the only one to name a single slot extends that slot's list in
+    place, so an identity or permuting stage copies nothing.  The
+    composite, named `s_k*...*s_0`, is built once.
     """
     if not seq:
         raise EmptyChainError("cannot compose an empty chain")
     name = "*".join([stage.name for stage in reversed(seq)])
-    if all([stage.linear is _IDENTITY for stage in seq]):  # one size, so no mismatch
-        return AppTransform(name, _IDENTITY, tuple([
-            tuple([p for own in slots for p in own])
-            for slots in zip(*[stage.translation for stage in seq])]))
     first = seq[0]
     n = first.dimension
-    linear = tuple(map(tuple, first.linear))
+    linear = first.linear
     pieces = [list(slot) for slot in first.translation]
     for stage in seq[1:]:
         if stage.dimension != n:
             raise DimensionMismatchError(
                 f"cannot compose {stage.dimension}-slot with {n}-slot transform"
             )
-        uses = [sum(column) for column in zip(*stage.linear)]
+        uses = [0] * n
+        for row in stage.linear:
+            for j in row:
+                uses[j] += 1
         rows, slots = [], []
         for row, own in zip(stage.linear, stage.translation):
-            selected = [j for j, c in enumerate(row) if c]
-            if len(selected) == 1:
-                j = selected[0]
+            if len(row) == 1:
+                j = row[0]
                 rows.append(linear[j])
                 slot = pieces[j] if uses[j] == 1 else pieces[j].copy()
             else:
-                acc = [0] * n
-                for j in selected:
-                    for k, c in enumerate(linear[j]):
-                        acc[k] ^= c
-                rows.append(tuple(acc))
-                slot = [p for j in selected for p in pieces[j]]
+                acc: set[int] = set()
+                for j in row:
+                    acc.symmetric_difference_update(linear[j])
+                rows.append(tuple(sorted(acc)))
+                slot = [p for j in row for p in pieces[j]]
             slot.extend(own)
             slots.append(slot)
         linear, pieces = tuple(rows), slots

@@ -29,7 +29,9 @@ applies each composite to each scenario on its own, through the apply
 loop that instantiates every selected template again for every slot
 that selects it, and reduces every slot of both results.  Composition
 is checked against the entrywise matrix product it replaced, which
-XORs n terms for each of the n * n entries.
+XORs n terms for each of the n * n entries.  Both it and the apply
+oracle read a transform's linear part as dense 0/1 rows (`dense_rows`),
+so they take nothing from the row supports the library stores.
 
 A congruence report's first difference is checked against the walk
 that kept slot keys replaced: it compares the normal forms' slots and
@@ -524,9 +526,9 @@ def apply_transform_oracle(a: AppTransform, nib: NIB, h: Header) -> NIB:
             f"transform has {a.dimension} slots, topology has {n} switches"
         )
     new_tables = []
-    for i in range(n):
+    for i, row in enumerate(dense_rows(a).tolist()):
         acc = FlowTable()
-        for j, coeff in enumerate(a.linear[i]):
+        for j, coeff in enumerate(row):
             if coeff:
                 acc = add(acc, nib.tables[j])
         entries = [instantiate(tpl, nib, h)
@@ -558,6 +560,14 @@ def behavioral_diff_oracle(a: ServiceChain | AppTransform,
     return out
 
 
+def dense_rows(a: AppTransform) -> np.ndarray:
+    """The linear part as an n x n array of entries 0 or 1."""
+    m = np.zeros((a.dimension, a.dimension), dtype=np.int64)
+    for i, support in enumerate(a.linear):
+        m[i, list(support)] = 1
+    return m
+
+
 def compose_apps_oracle(second: AppTransform, first: AppTransform) -> AppTransform:
     """The transform applying `first` and then `second`.
 
@@ -570,18 +580,16 @@ def compose_apps_oracle(second: AppTransform, first: AppTransform) -> AppTransfo
         raise DimensionMismatchError(
             f"cannot compose {second.dimension}-slot with {n}-slot transform"
         )
+    s, f = dense_rows(second).tolist(), dense_rows(first).tolist()
     linear = tuple(
-        tuple(
-            _xor_all(second.linear[i][j] & first.linear[j][k] for j in range(n))
-            for k in range(n)
-        )
+        tuple(k for k in range(n) if _xor_all(s[i][j] & f[j][k] for j in range(n)))
         for i in range(n)
     )
     translation = []
     for i in range(n):
         pieces: list[GuardedDelta] = []
         for j in range(n):
-            if second.linear[i][j]:
+            if s[i][j]:
                 pieces.extend(first.translation[j])
         pieces.extend(second.translation[i])
         translation.append(tuple(pieces))

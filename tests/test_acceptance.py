@@ -104,7 +104,7 @@ def test_criterion_3_case_study_reproduction():
 
     # detector-first composite: balancer delta in slot 0, detector in slot 1
     x_expected = AppTransform(
-        "x", ((1, 0), (0, 1)),
+        "x", ((0,), (1,)),
         ((balancer_steer_delta(cfg),), (detector_delta(cfg),)),
     )
     ok = ok and is_identity_linear(x)
@@ -113,7 +113,7 @@ def test_criterion_3_case_study_reproduction():
 
     # balancer-first composite: stagewise delta sums per slot
     y_expected = AppTransform(
-        "y", ((1, 0), (0, 1)),
+        "y", ((0,), (1,)),
         (
             (ingress_delta(cfg), detector_delta(cfg)),
             (balancer_presteer_delta(cfg), server_dispatch_delta(cfg)),

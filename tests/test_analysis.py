@@ -112,7 +112,7 @@ class TestCheckCongruence:
 
     def test_non_identity_linear_part_is_flagged(self):
         from flowspace.transforms import AppTransform, identity_transform
-        mix = AppTransform("mix", ((1, 1), (0, 1)), ((), ()))
+        mix = AppTransform("mix", ((0, 1), (1,)), ((), ()))
         report = check_congruence(mix, identity_transform(2))
         assert any("non-identity linear" in note for note in report.notes)
         assert not report.congruent

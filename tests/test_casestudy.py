@@ -44,7 +44,7 @@ class TestDetectorFirstComposite:
         composite = chain(build_x_chain(CFG))
         expected = AppTransform(
             "expected",
-            ((1, 0), (0, 1)),
+            ((0,), (1,)),
             ((balancer_steer_delta(CFG),), (detector_delta(CFG),)),
         )
         assert congruent(composite, expected)
@@ -77,7 +77,7 @@ class TestBalancerFirstComposite:
         composite = chain(build_y_chain(CFG))
         expected = AppTransform(
             "expected",
-            ((1, 0), (0, 1)),
+            ((0,), (1,)),
             (
                 (ingress_delta(CFG), detector_delta(CFG)),
                 (balancer_presteer_delta(CFG), server_dispatch_delta(CFG)),

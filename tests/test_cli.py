@@ -836,8 +836,8 @@ class TestSectionsRead:
 
     @pytest.mark.parametrize("command", FILE_COMMANDS)
     def test_switch_count_is_checked_against_the_tables(self, command, tmp_path):
-        # An app is a switches x switches matrix: a count that no array in
-        # the file bounds would let one number cost any time and memory.
+        # An app holds a row and a slot per switch: a count that no array
+        # in the file bounds would let one number cost any time and memory.
         doc = _with(BUNDLED, [(("topology", "switches"), 3)])
         assert _run_on(tmp_path, FILE_COMMANDS[command], doc) == (
             2, "", "error: scenario needs exactly 3 tables\n")

@@ -62,9 +62,10 @@ exactly the port names and destination ports that instantiation
 resolves, in its order, and raise its error.  `compose_apps` and
 `chain` must give exactly the entrywise matrix product, folded stage
 by stage, on seeded apps with random 0/1 linear parts, and `chain`'s
-work must grow linearly with the stage count.  A chain whose stages all
-hold the shared identity must keep it, and apply as an equal identity
-that is not shared does.
+work must grow linearly with the stage count.  On chains of identity,
+permuting, zero-row and random 0/1 stages, the composite must also
+apply as the apply oracle and as equal rows built apart do, and diff as
+the separate applies do.
 
 A `ServiceChain`'s kept composite must equal that fold and be returned
 by every `chain` call on it, and a transform's kept normal form must
@@ -1040,7 +1041,7 @@ class TestTemplateActions:
 def linear_app(rng: random.Random, n: int, name: str) -> AppTransform:
     """An app with a random 0/1 linear part and up to two random pieces
     per slot; `sampling.random_app` only builds identity rows."""
-    linear = tuple(tuple(int(rng.random() < 0.4) for _ in range(n)) for _ in range(n))
+    linear = tuple(tuple(j for j in range(n) if rng.random() < 0.4) for _ in range(n))
     return AppTransform(name, linear, tuple(
         tuple(sampling.random_delta(rng) for _ in range(rng.randrange(3))) for _ in range(n)))
 
@@ -1230,10 +1231,7 @@ class TestBehavioralDiff:
         outcomes = Counter()
         for _ in range(300):
             _, ta, tb, scenarios = diff_case(rng, rng.choice(topologies))
-            i, j = rng.randrange(tb.dimension), rng.randrange(tb.dimension)
-            linear = [list(row) for row in tb.linear]
-            linear[i][j] ^= 1
-            tb = AppTransform(tb.name, tuple(map(tuple, linear)), tb.translation)
+            tb = flipped(rng, tb)
             assert diff_outcome(analysis.behavioral_diff, ta, tb, scenarios) == diff_outcome(
                 behavioral_diff_oracle, ta, tb, scenarios)
             for nib, h in scenarios:
@@ -1681,9 +1679,29 @@ def permuting_app(rng: random.Random, n: int, name: str) -> AppTransform:
     """An app whose linear part permutes the slots, with up to two random
     pieces per slot."""
     order = rng.sample(range(n), n)
-    return AppTransform(name, tuple(tuple(int(j == k) for j in range(n)) for k in order),
+    return AppTransform(name, tuple((k,) for k in order),
                         tuple(tuple(sampling.random_delta(rng) for _ in range(rng.randrange(3)))
                               for _ in range(n)))
+
+
+def zero_row_app(rng: random.Random, n: int, name: str) -> AppTransform:
+    """A `random_app` with some identity rows made zero, so those slots
+    start from the empty table."""
+    app = sampling.random_app(rng, n, name)
+    return AppTransform(name, tuple(() if rng.random() < 0.4 else (i,) for i in range(n)),
+                        app.translation)
+
+
+STAGE_KINDS = {"identity": lambda rng, n, name: transforms.identity_transform(n, name),
+               "permuting": permuting_app, "zero rows": zero_row_app,
+               "random 0/1": linear_app, "random_app": sampling.random_app}
+
+
+def any_stage(rng: random.Random, n: int, name: str, kinds: Counter) -> AppTransform:
+    """A stage of a kind drawn from STAGE_KINDS, counted in `kinds`."""
+    kind = rng.choice(sorted(STAGE_KINDS))
+    kinds[kind] += 1
+    return STAGE_KINDS[kind](rng, n, name)
 
 
 def chain_work(monkeypatch, stages: list[AppTransform]) -> tuple[int, int]:
@@ -1750,33 +1768,32 @@ class TestComposeApps:
                 acc_oracle = compose_apps_oracle(stage, acc_oracle)
                 assert acc == acc_oracle
 
-    def test_identity_stages_keep_the_shared_identity(self):
-        # A chain of identity stages keeps the identity its stages share,
-        # and an apply then takes table i for slot i without scanning a
-        # row: both must agree with the entrywise product and with an
-        # apply through an equal identity that is not shared.
+    def test_every_kind_of_row_composes_and_applies_as_the_oracles(self):
+        # Chains of identity, permuting, zero-row, random 0/1 and
+        # `random_app` stages: the composite is the entrywise product,
+        # folded, and applies as the apply oracle and as a transform with
+        # equal rows built apart do; its diff against a chain with one
+        # more stage is the separate applies' diff.
         rng = random.Random(8009)
-        kept = 0
+        kinds = Counter()
         for _ in range(300):
             n = rng.randint(1, 5)
-            stages = [transforms.identity_transform(n, f"s{i}") if rng.random() < 0.2
-                      else sampling.random_app(rng, n, f"s{i}")
-                      for i in range(rng.randint(1, 8))]
-            if rng.random() < 0.2:
-                stages.insert(rng.randrange(len(stages)), linear_app(rng, n, "mixed"))
+            stages = [any_stage(rng, n, f"s{i}", kinds) for i in range(rng.randint(1, 8))]
             composite = transforms.chain(stages)
             assert composite == chain_oracle(stages)
-            shared = all(s.linear is stages[0].linear for s in stages)
-            assert (composite.linear is stages[0].linear) == shared
-            kept += shared
-            unshared = AppTransform(composite.name, tuple(map(tuple, composite.linear)),
-                                    composite.translation)
-            nib, h = sampling.random_scenario(rng, sampling.random_topology(rng, n))
-            want = outcome(unshared, nib, h)
-            assert outcome(composite, nib, h) == want
-            if type(want) is not tuple:
-                assert want == apply_transform_oracle(composite, nib, h)
-        assert 150 < kept < 300
+            rows = tuple([tuple(list(row)) for row in composite.linear])
+            apart = AppTransform(composite.name, rows, composite.translation)
+            topology = sampling.random_topology(rng, n)
+            scenarios = [sampling.random_scenario(rng, topology) for _ in range(2)]
+            for nib, h in scenarios:
+                want = outcome(apart, nib, h)
+                assert outcome(composite, nib, h) == want
+                if type(want) is not tuple:
+                    assert want == apply_transform_oracle(composite, nib, h)
+            other = transforms.chain(stages + [any_stage(rng, n, "t", kinds)])
+            assert diff_outcome(analysis.behavioral_diff, composite, other, scenarios) \
+                == diff_outcome(behavioral_diff_oracle, composite, other, scenarios)
+        assert min(kinds.values()) > 150, kinds
 
     def test_linear_parts_are_not_all_identity(self):
         rng = random.Random(8005)
@@ -1987,9 +2004,9 @@ def templates_of(t: AppTransform) -> list[RuleTemplate]:
 def flipped(rng: random.Random, t: AppTransform) -> AppTransform:
     """The transform with one linear entry flipped."""
     i, j = rng.randrange(t.dimension), rng.randrange(t.dimension)
-    linear = [list(row) for row in t.linear]
-    linear[i][j] ^= 1
-    return AppTransform(t.name, tuple(map(tuple, linear)), t.translation)
+    linear = list(t.linear)
+    linear[i] = tuple(sorted(set(linear[i]) ^ {j}))
+    return AppTransform(t.name, tuple(linear), t.translation)
 
 
 def other_guard(g):
@@ -2120,7 +2137,7 @@ def open_slot_cases() -> dict:
                  f"no server port for destination {sampling.ADDRESS_POOL[1]}")
     dead = guarded([(TrueGuard(), [GOOD]), (SourceCountAtMost(9), [NO_NAME])], [NO_NAME])
     false = guarded([(SourceCountAtMost(0), [NO_NAME])], [GOOD])
-    mix = AppTransform("mix", ((1, 1), (0, 1)), ((), ()))
+    mix = AppTransform("mix", ((0, 1), (1,)), ((), ()))
     wider = (DimensionMismatchError, "transform has 2 slots, topology has 1 switches")
     return {
         "unselected name, keys agree": (app("a", dead), app("b", unconditional([GOOD])),

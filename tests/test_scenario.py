@@ -174,6 +174,17 @@ class TestAppObjects:
         with pytest.raises(ScenarioFormatError):
             app_to_obj(composite)
 
+    def test_an_app_with_a_non_identity_linear_part_has_no_single_slot_form(self):
+        # The file form of an app holds no linear part, so writing one that
+        # is not the identity would decode to a different app.
+        from flowspace.transforms import AppTransform
+        rng = random.Random(109)
+        app = sampling.random_app(rng, 2, "a")
+        for linear in (((0, 1), (1,)), ((1,), (0,)), ((), (1,))):
+            with pytest.raises(ScenarioFormatError, match="non-identity linear part"):
+                app_to_obj(AppTransform("a", linear, app.translation))
+        assert app_from_obj(app_to_obj(app), 2) == app
+
 
 class TestScenarioDocument:
     def test_case_study_round_trips_byte_exactly(self):

@@ -1,12 +1,15 @@
+import functools
+import json
 import os
 import pickle
 import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from oracles import congruent, is_translation_only
+from oracles import congruent, dense_rows, is_translation_only
 from flowspace import actions, casestudy, sampling, scenario, transforms
 from flowspace.actions import drop, forward
 from flowspace.errors import (
@@ -137,7 +140,7 @@ class TestMakeApp:
         d = unconditional([fwd_template()])
         app = make_app("a", 1, d, 3)
         assert app.translation == ((), (d,), ())
-        assert app.linear == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        assert app.linear == ((0,), (1,), (2,))
 
     def test_out_of_range(self):
         with pytest.raises(SlotOutOfRangeError):
@@ -147,34 +150,45 @@ class TestMakeApp:
         app = make_app("a", 0, unconditional([]), 2)
         assert congruent(app, identity_transform(2))
 
-    def test_apps_of_one_size_share_the_identity(self):
-        # The identity of the size last asked for is kept and shared, so a
-        # transform holding it skips the entrywise check of its linear
-        # part, and decoding a document is not quadratic in its switch
-        # count.
+    def test_identity_rows_name_their_own_slot(self):
+        # Every app builds its own identity rows, row i naming slot i; a
+        # transform built from equal rows made apart is equal.
         a = make_app("a", 0, unconditional([fwd_template()]), 3)
-        b = make_app("b", 2, unconditional([]), 3)
-        assert a.linear is b.linear is identity_transform(3).linear
-        assert a.linear == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-        c = make_app("c", 0, unconditional([]), 4)
-        assert c.linear is not a.linear and c.linear is identity_transform(4).linear
-        # Only that one is kept: size 3 is built anew, and a matrix no
-        # longer kept still passes the entrywise check.
-        assert transforms._IDENTITY is c.linear
-        d = make_app("d", 1, unconditional([]), 3)
-        assert d.linear == a.linear and d.linear is not a.linear
-        assert AppTransform("e", a.linear, ((),) * 3) == identity_transform(3, "e")
+        assert a.linear == identity_transform(3).linear == ((0,), (1,), (2,))
+        assert AppTransform("e", tuple((i,) for i in range(3)), ((),) * 3) \
+            == identity_transform(3, "e")
         scn = scenario.loads_scenario(scenario.dump_scenario(casestudy.build_scenario()))
-        assert len({id(app.linear) for app in scn.apps.values()}) == 1
+        assert all(transforms.is_identity_linear(app) for app in scn.apps.values())
 
-    def test_only_the_shared_identity_of_its_size_skips_the_check(self):
-        shared = make_app("a", 0, unconditional([]), 2).linear
-        with pytest.raises(DimensionMismatchError):
-            AppTransform("x", shared, ((),) * 3)
-        with pytest.raises(InvalidRuleError, match=r"^linear\[0\]\[1\] 2 exceeds 1-bit range$"):
-            AppTransform("x", ((1, 2), (0, 1)), ((), ()))
-        built = tuple(tuple(int(i == j) for j in range(2)) for i in range(2))
-        assert AppTransform("x", built, ((), ())) == identity_transform(2, "x")
+
+class TestLinearRows:
+    """Row i of a linear part is the tuple of the columns whose entry is
+    1, plain ints in strictly increasing order, one row per slot."""
+
+    @pytest.mark.parametrize("linear, error, message", [
+        ([(0,), (1,)], InvalidRuleError, "linear must be a tuple, got list"),
+        (((0,), [1]), InvalidRuleError, "linear[1] must be a tuple, got list"),
+        (((0,), (True,)), InvalidRuleError, "linear[1][0] must be an int, got bool"),
+        (((0, 1.0), (1,)), InvalidRuleError, "linear[0][1] must be an int, got float"),
+        (((-1,), (1,)), InvalidRuleError, "linear[0][0] must be a slot in 0..1, got -1"),
+        (((0,), (0, 2)), InvalidRuleError, "linear[1][1] must be a slot in 0..1, got 2"),
+        (((0, 0), (1,)), InvalidRuleError,
+         "linear[0][1] must exceed the column before it, 0, got 0"),
+        (((1, 0), (1,)), InvalidRuleError,
+         "linear[0][1] must exceed the column before it, 1, got 0"),
+        (((0,),), DimensionMismatchError, "linear part must have one row per slot, got 1 for 2"),
+        (((0,), (1,), (0,)), DimensionMismatchError,
+         "linear part must have one row per slot, got 3 for 2"),
+    ])
+    def test_bad_row_is_named(self, linear, error, message):
+        with pytest.raises(error) as info:
+            AppTransform("x", linear, ((), ()))
+        assert str(info.value) == message
+
+    def test_zero_and_wide_rows_are_rows(self):
+        app = AppTransform("x", ((), (0, 1)), ((), ()))
+        assert not transforms.is_identity_linear(app)
+        assert not transforms.is_identity_linear(AppTransform("y", ((1,), (0,)), ((), ())))
 
 
 class TestComposeApps:
@@ -326,7 +340,7 @@ class TestApplyTransform:
     def test_non_identity_linear_row_unions_tables(self):
         e = FlowEntry(rule(nw_src=4), 0)
         nib = NIB(topo(), (FlowTable([e]), FlowTable()))
-        app = AppTransform("mix", ((1, 1), (0, 1)), ((), ()))
+        app = AppTransform("mix", ((0, 1), (1,)), ((), ()))
         out = apply_transform(app, nib, Header.from_fields())
         assert out.tables[0] == FlowTable([e])
         assert out.tables[1] == FlowTable()
@@ -444,22 +458,16 @@ class TestValueConstructors:
         (lambda: LoadAtMost(1, 2**32), "server_b 4294967296 exceeds 32-bit range"),
         (lambda: SourceCountAtMost(-5), "threshold must be non-negative, got -5"),
         (lambda: SourceCountAtMost(1.5), "threshold must be an int, got float"),
-        (lambda: AppTransform("a", ((True,),), ((),)), "linear[0][0] must be an int, got bool"),
-        (lambda: AppTransform("a", ((1, 0), (0, 2)), ((), ())),
-         "linear[1][1] 2 exceeds 1-bit range"),
-        (lambda: AppTransform(3, ((1,),), ((),)), "name must be a string, got int"),
-        (lambda: AppTransform("a", ((1,),), (("junk",),)),
+        (lambda: AppTransform(3, ((0,),), ((),)), "name must be a string, got int"),
+        (lambda: AppTransform("a", ((0,),), (("junk",),)),
          "translation[0][0] must be a GuardedDelta, got str"),
-        (lambda: AppTransform("a", ((1, 0), (0, 1)), ((), [])),
+        (lambda: AppTransform("a", ((0,), (1,)), ((), [])),
          "translation[1] must be a tuple, got list"),
-        (lambda: AppTransform("a", ((1,),), [()]), "translation must be a tuple, got list"),
-        (lambda: AppTransform("x", [[1, 0], [0, 1]], ((), ())), "linear must be a tuple, got list"),
-        (lambda: AppTransform("x", ((1, 0), [0, 1]), ((), ())),
-         "linear[1] must be a tuple, got list"),
+        (lambda: AppTransform("a", ((0,),), [()]), "translation must be a tuple, got list"),
         (lambda: ServiceChain([transforms.identity_transform(1)]),
          "stages must be a tuple, got list"),
         (lambda: ServiceChain(("nope",)), "stages[0] must be an AppTransform, got str"),
-        (lambda: AppTransform("a", ((1,),), ((unconditional([]), None),)),
+        (lambda: AppTransform("a", ((0,),), ((unconditional([]), None),)),
          "translation[0][1] must be a GuardedDelta, got NoneType"),
         (lambda: make_app("a", True, unconditional([]), 2), "slot must be an int, got bool"),
         (lambda: make_app("a", 1.0, unconditional([]), 2), "slot must be an int, got float"),
@@ -677,8 +685,8 @@ class TestNormalize:
     def test_piece_order_is_canonical(self):
         d1 = unconditional([fwd_template("p0")])
         d2 = guarded([(SourceCountAtMost(2), [fwd_template("p1")])], [fwd_template("p1")])
-        a = AppTransform("a", ((1,),), ((d1, d2),))
-        b = AppTransform("b", ((1,),), ((d2, d1),))
+        a = AppTransform("a", ((0,),), ((d1, d2),))
+        b = AppTransform("b", ((0,),), ((d2, d1),))
         assert congruent(a, b)
 
     def test_identical_arms_collapse_to_unconditional(self):
@@ -729,9 +737,9 @@ class TestNormalize:
         p1 = guarded([(g, [t1])], default=[t2])
         p2 = guarded([(g, [t2])], default=[t1])  # merged with p1: arm == default
         p3 = guarded([(g, [t3])], default=[])
-        summed = AppTransform("s", ((1,),), ((p1, p2, p3),))
+        summed = AppTransform("s", ((0,),), ((p1, p2, p3),))
         expected = AppTransform(
-            "e", ((1,),),
+            "e", ((0,),),
             ((guarded([(g, [t1, t2, t3])], default=[t1, t2]),),),
         )
         assert congruent(summed, expected)
@@ -767,7 +775,7 @@ class TestNormalizeSoundness:
                         default=sampling.random_templates(rng, 2))
                 for _ in range(rng.randint(2, 4))
             )
-            app = AppTransform("x", ((1, 0), (0, 1)), (pieces, ()))
+            app = AppTransform("x", ((0,), (1,)), (pieces, ()))
             norm = normalize(app)
             for _ in range(4):
                 nib, h = sampling.random_scenario(rng, topology)
@@ -833,5 +841,54 @@ class TestTranslationOnly:
         assert is_translation_only(app)
 
     def test_non_identity_linear_is_not(self):
-        app = AppTransform("mix", ((1, 1), (0, 1)), ((), ()))
+        app = AppTransform("mix", ((0, 1), (1,)), ((), ()))
         assert not is_translation_only(app)
+
+
+class TestWideTopology:
+    """A linear part is stored as its nonzeros, so on 2,000 switches the
+    sizes of a composite, its report and a decoded document grow with the
+    switch count, not with its square (a dense row would hold 2,000
+    entries)."""
+
+    N = 2000
+
+    def stages(self, rng):
+        apps = [sampling.random_app(rng, self.N, f"a{i}") for i in range(4)]
+        order = rng.sample(range(self.N), self.N)
+        permuting = AppTransform("perm", tuple((k,) for k in order), ((),) * self.N)
+        return apps[:2] + [permuting] + apps[2:]
+
+    def test_composite_holds_the_dense_products_nonzeros(self):
+        stages = self.stages(random.Random(2401))
+        composite = transforms.chain(stages)
+        # The oracle's dense product, over float32 so numpy multiplies in
+        # BLAS; entries stay below 2**24, so exact.
+        product = functools.reduce(lambda acc, stage: dense_rows(stage).astype(np.float32) @ acc,
+                                   stages[1:], dense_rows(stages[0]).astype(np.float32)) % 2
+        assert sum(map(len, composite.linear)) == np.count_nonzero(product) == self.N
+        assert composite.linear == tuple(tuple(np.flatnonzero(row).tolist()) for row in product)
+
+    def test_report_is_a_few_bytes_per_switch(self):
+        report = json.dumps(scenario.transform_to_obj(
+            normalize(transforms.chain(self.stages(random.Random(2402))))))
+        assert len(report) < 32 * self.N
+
+    def test_decoding_builds_rows_of_their_support_only(self, monkeypatch):
+        rng = random.Random(2403)
+        apps = {a.name: a for a in self.stages(rng) if a.name != "perm"}
+        topology = sampling.random_topology(rng, self.N)
+        doc = scenario.dump_scenario(scenario.Scenario(
+            topology, NIB(topology, (FlowTable(),) * self.N), apps,
+            {"c": ServiceChain(tuple(apps.values()))}))
+        built = []
+        check = AppTransform.__post_init__
+
+        def recording(self):
+            check(self)
+            built.append(self.linear)
+
+        monkeypatch.setattr(AppTransform, "__post_init__", recording)
+        scn = scenario.loads_scenario(doc)
+        assert len(built) == len(scn.apps) == 4
+        assert all(row == (i,) for linear in built for i, row in enumerate(linear))
