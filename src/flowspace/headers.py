@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from flowspace.errors import (
     ArityMismatchError,
+    FlowspaceError,
     InvalidRuleError,
     UnknownFieldError,
     WidthOverflowError,
@@ -52,6 +53,12 @@ FIELD_COUNT = len(FIELDS)
 FIELD_INDEX: dict[str, int] = {f.name: i for i, f in enumerate(FIELDS)}
 FIELD_MASKS: tuple[int, ...] = tuple((1 << f.width) - 1 for f in FIELDS)
 FIELD_BOUNDS: tuple[int, ...] = tuple(1 << f.width for f in FIELDS)
+
+_SLOTS: dict[str, tuple[int, int]] = {f.name: (i, 1 << f.width) for i, f in enumerate(FIELDS)}
+_ZEROS = (0,) * FIELD_COUNT
+# What a frozen dataclass's generated `__init__` calls to build an instance.
+_new = object.__new__
+_setattr = object.__setattr__
 
 NW_SRC = FIELD_INDEX["nw_src"]
 NW_DST = FIELD_INDEX["nw_dst"]
@@ -107,10 +114,39 @@ class Header:
     @classmethod
     def from_fields(cls, **fields: int) -> Header:
         """Build a header from named fields; omitted fields are 0."""
-        values = [0] * FIELD_COUNT
-        for name, value in fields.items():
-            values[field_index(name)] = value
-        return cls(tuple(values))
+        return cls.from_mapping(fields)
+
+    @classmethod
+    def from_mapping(cls, fields) -> Header:
+        """The header holding the values `fields` maps field names to;
+        omitted fields are 0.
+
+        Only the named values are tested, since 0 fits every field.  On a
+        failure the full check runs: an unknown name raises
+        `UnknownFieldError`, else the error names the first bad field in
+        field order.
+        """
+        values = list(_ZEROS)
+        try:
+            for name, value in fields.items():
+                i, bound = _SLOTS[name]
+                if not (type(value) is int and 0 <= value < bound):
+                    raise _mapping_error(fields)
+                values[i] = value
+        except KeyError:
+            raise _mapping_error(fields) from None
+        h = _new(cls)
+        _setattr(h, "values", tuple(values))
+        return h
+
+
+def _mapping_error(fields) -> FlowspaceError:
+    """The error for a field mapping that names no valid header: its first
+    unknown name, else its first bad value in field order."""
+    for name in fields:
+        if name not in FIELD_INDEX:
+            return UnknownFieldError(f"unknown field {name!r}")
+    return _field_error(tuple(map(fields.get, FIELD_INDEX, _ZEROS)))
 
 
 @dataclass(frozen=True)

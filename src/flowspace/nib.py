@@ -26,6 +26,8 @@ from flowspace.errors import DimensionMismatchError, InvalidRuleError, int_error
 from flowspace.headers import ADDRESS_MASK, NW_DST, NW_SRC, Header, dest_of, src_of
 from flowspace.tables import FlowTable
 
+_setattr = object.__setattr__  # as a frozen dataclass's generated `__init__` sets a field
+
 
 @dataclass(frozen=True)
 class Topology:
@@ -53,20 +55,27 @@ class Topology:
         object.__setattr__(self, "server_ports", server_ports)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Flow:
-    """An observed flow; assigned_dest is the balancer's server choice."""
+    """An observed flow; assigned_dest is the balancer's server choice.
+
+    A scenario holds one per observed flow, so `__init__` is written out:
+    one call that checks and sets the fields, as the generated
+    `__init__` and a `__post_init__` would in two.
+    """
 
     header: Header
     assigned_dest: int | None = None
 
-    def __post_init__(self):
-        dest = self.assigned_dest
-        if not (isinstance(self.header, Header)
-                and (dest is None or type(dest) is int and 0 <= dest <= ADDRESS_MASK)):
-            if not isinstance(self.header, Header):
-                raise type_error("header", self.header, "a Header")
-            raise int_error("assigned_dest", dest, ADDRESS_MASK)
+    def __init__(self, header: Header, assigned_dest: int | None = None):
+        if not (isinstance(header, Header)
+                and (assigned_dest is None
+                     or type(assigned_dest) is int and 0 <= assigned_dest <= ADDRESS_MASK)):
+            if not isinstance(header, Header):
+                raise type_error("header", header, "a Header")
+            raise int_error("assigned_dest", assigned_dest, ADDRESS_MASK)
+        _setattr(self, "header", header)
+        _setattr(self, "assigned_dest", assigned_dest)
 
     def effective_dest(self) -> int:
         return self.assigned_dest if self.assigned_dest is not None else dest_of(self.header)

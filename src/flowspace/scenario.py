@@ -13,10 +13,13 @@ query.  A command pays only for the sections it reads.  `load_scenario`
 decodes the whole document through the same section decoders, in file
 order.
 
-Each value goes as read to the constructor that owns its type and range;
-`_located` puts the value's JSON path on that constructor's error.  The
-decoder checks only JSON's own rules: shapes, keys, `kind` tags, the
-version, decimal `server_ports` keys, seq depth and names.
+Each value goes as read to the constructor that owns its type and range.
+The decoder checks only JSON's own rules: shapes, keys, `kind` tags, the
+version, decimal `server_ports` keys, seq depth and names.  Each section
+is walked once, and a value's JSON path is built only when a check or a
+constructor fails: the error (`_Unplaced`) takes one segment from each
+level it passes on its way out, so a valid document formats no path.
+An error names the first bad value in file order.
 
 Headers serialize as objects keyed by field name with omitted fields
 defaulting to 0; match patterns likewise, with omitted fields
@@ -38,6 +41,7 @@ from flowspace.errors import (
     InvalidRuleError,
     ScenarioFormatError,
     SlotOutOfRangeError,
+    UnknownFieldError,
 )
 from flowspace.headers import FIELD_COUNT, FIELD_INDEX, FIELDS, Header, MatchPattern
 from flowspace.nib import NIB, Flow, Topology
@@ -71,23 +75,120 @@ FORMAT_VERSION = 1
 MAX_SEQ_DEPTH = 64
 
 
-def _require_obj(value, what: str) -> dict:
+class _Unplaced(Exception):
+    """A decode error raised before its JSON path is known.
+
+    Its message reads `head + path + tail`.  The decoder that raises it
+    gives the path below the object it was handed (often none); each
+    level the error passes on its way out puts its own segment in front
+    (`under`), and the entry point that was handed the outermost value
+    makes the `ScenarioFormatError` (`error`).  So a valid document
+    formats no path at all, and an invalid one is reported where its
+    first error in file order lies.
+    """
+
+    def __init__(self, head: str, tail: str = "", path: str = ""):
+        super().__init__(head, tail)
+        self.head, self.tail, self.path = head, tail, path
+
+    def under(self, segment: str) -> _Unplaced:
+        self.path = segment + self.path
+        return self
+
+    def error(self) -> ScenarioFormatError:
+        return ScenarioFormatError(self.head + self.path + self.tail)
+
+
+def _placed(what: str, decode, *args):
+    """`decode(*args)`, whose first argument is the value at the JSON path
+    `what`, an error reported there."""
+    try:
+        return decode(*args)
+    except _Unplaced as exc:
+        raise exc.under(what).error() from None
+
+
+def _below(segment: str, decode, *args):
+    """`decode(*args)`, whose first argument is the value at `segment`
+    below the object being read."""
+    try:
+        return decode(*args)
+    except _Unplaced as exc:
+        raise exc.under(segment)
+
+
+def _items(decode, items, *args, at: str = "") -> list:
+    """`decode(item, *args)` of each item of the array `items`, which is
+    at `at`; an error is placed at its item's index."""
+    out = []
+    append = out.append
+    for item in _list(items, at):
+        try:
+            append(decode(item, *args))
+        except _Unplaced as exc:
+            raise exc.under(f"{at}[{len(out)}]")
+    return out
+
+
+def _obj(value, at: str = "") -> dict:
     if not isinstance(value, dict):
-        raise ScenarioFormatError(f"{what} must be an object, got {type(value).__name__}")
+        raise _not_object(value, at)
     return value
 
 
-def _require_list(value, what: str) -> list:
+def _not_object(value, at: str = "") -> _Unplaced:
+    return _Unplaced("", f" must be an object, got {type(value).__name__}", at)
+
+
+def _list(value, at: str = "") -> list:
     if not isinstance(value, list):
-        raise ScenarioFormatError(f"{what} must be an array, got {type(value).__name__}")
+        raise _Unplaced("", f" must be an array, got {type(value).__name__}", at)
     return value
 
 
-def _check_keys(obj: dict, allowed: frozenset[str], what: str) -> None:
-    if obj.keys() <= allowed:
-        return
-    unknown = sorted(set(obj) - allowed)
-    raise ScenarioFormatError(f"unknown keys in {what}: {unknown}")
+def _keys(obj: dict, allowed: frozenset[str]) -> None:
+    if not obj.keys() <= allowed:
+        raise _unknown_keys(obj, allowed)
+
+
+def _unknown_keys(obj: dict, allowed: frozenset[str]) -> _Unplaced:
+    return _Unplaced("unknown keys in ", f": {sorted(set(obj) - allowed)}")
+
+
+def _need(obj: dict, key: str):
+    try:
+        return obj[key]
+    except KeyError:
+        raise _missing(key) from None
+
+
+def _missing(key: str) -> _Unplaced:
+    return _Unplaced("", f" is missing required key {key!r}")
+
+
+def _int(value, at: str) -> int:
+    """A JSON integer, taken as is: bools, floats and strings are rejected."""
+    if type(value) is not int:
+        raise _Unplaced("", f" must be an int, got {type(value).__name__}", at)
+    return value
+
+
+def _misfit(exc: InvalidRuleError, at: str | None = None) -> _Unplaced:
+    """A constructor's error about one value, placed at `at`: by default
+    at the value's field in the object being read."""
+    if at is None:
+        at = "." + exc.field
+    if exc.width is not None:
+        return _Unplaced("", f"={exc.value} exceeds {exc.width}-bit range", at)
+    return _Unplaced("", f" {exc.reason}", at)
+
+
+def _make(make, *args):
+    """`make(*args)`, a value error placed at its field in the object being read."""
+    try:
+        return make(*args)
+    except InvalidRuleError as exc:
+        raise _misfit(exc) from None
 
 
 # The keys each kind of object may hold, built once.
@@ -109,35 +210,7 @@ _APP_KEYS = frozenset(("name", "slot", "delta"))
 _SCENARIO_KEYS = frozenset(("version", "topology", "flows", "tables", "apps", "chains", "queries"))
 
 
-def _require(obj: dict, key: str, what: str):
-    if key not in obj:
-        raise ScenarioFormatError(f"{what} is missing required key {key!r}")
-    return obj[key]
-
-
-def _int(value, what: str) -> int:
-    """A JSON integer, taken as is: bools, floats and strings are rejected."""
-    if type(value) is not int:
-        raise ScenarioFormatError(f"{what} must be an int, got {type(value).__name__}")
-    return value
-
-
-def _located(exc: InvalidRuleError, path: str) -> ScenarioFormatError:
-    """A constructor's error about one value, reported at the value's JSON path."""
-    if exc.width is not None:
-        return ScenarioFormatError(f"{path}={exc.value} exceeds {exc.width}-bit range")
-    return ScenarioFormatError(f"{path} {exc.reason}")
-
-
-def _build(what: str, make, *args):
-    """`make(*args)`, a value error reported at its field's path in the object at `what`."""
-    try:
-        return make(*args)
-    except InvalidRuleError as exc:
-        raise _located(exc, f"{what}.{exc.field}") from None
-
-
-def _address_key(key: str, what: str) -> int:
+def _address_key(key: str) -> int:
     """An address written as an object key: canonical decimal, so that
     signs, spaces, underscores and leading zeros cannot make two keys
     name one server.  `Topology` checks its range."""
@@ -146,21 +219,21 @@ def _address_key(key: str, what: str) -> int:
     except (TypeError, ValueError):
         value = None
     if value is None or str(value) != key:
-        raise ScenarioFormatError(f"{what} key {key!r} is not a decimal address")
+        raise _Unplaced("", f" key {key!r} is not a decimal address", ".server_ports")
     return value
 
 
 _FIELD_NAMES = frozenset(FIELD_INDEX)
 _FIELD_ORDER = tuple(FIELD_INDEX)
-_ZEROS = (0,) * FIELD_COUNT
+_header_of = Header.from_mapping
 
 
-def _field(value, what: str) -> str:
+def _field(value, at: str) -> str:
     """A field name: the integer field indices of the library have no wire form."""
     if not isinstance(value, str):
-        raise ScenarioFormatError(f"{what} must be a field name, got {type(value).__name__}")
+        raise _Unplaced("", f" must be a field name, got {type(value).__name__}", at)
     if value not in FIELD_INDEX:
-        raise ScenarioFormatError(f"{what} must be a header field name, got {value!r}")
+        raise _Unplaced("", f" must be a header field name, got {value!r}", at)
     return value
 
 
@@ -173,12 +246,18 @@ def header_to_obj(h: Header) -> dict:
 
 
 def header_from_obj(obj, what: str = "header") -> Header:
-    obj = _require_obj(obj, what)
-    _check_keys(obj, _FIELD_NAMES, what)
-    try:  # not through `_build`: a NIB's flows make this the hottest path
-        return Header(tuple(map(obj.get, _FIELD_ORDER, _ZEROS)))
+    return _placed(what, _header, obj)
+
+
+def _header(obj) -> Header:
+    if not isinstance(obj, dict):
+        raise _not_object(obj)
+    try:  # `Header` checks the names as well as the values
+        return _header_of(obj)
+    except UnknownFieldError:
+        raise _unknown_keys(obj, _FIELD_NAMES) from None
     except InvalidRuleError as exc:
-        raise _located(exc, f"{what}.{exc.field}") from None
+        raise _misfit(exc) from None
 
 
 def pattern_to_obj(p: MatchPattern) -> dict:
@@ -186,12 +265,16 @@ def pattern_to_obj(p: MatchPattern) -> dict:
 
 
 def pattern_from_obj(obj, what: str = "match") -> MatchPattern:
-    obj = _require_obj(obj, what)
-    _check_keys(obj, _FIELD_NAMES, what)
+    return _placed(what, _pattern, obj)
+
+
+def _pattern(obj) -> MatchPattern:
+    obj = _obj(obj)
+    _keys(obj, _FIELD_NAMES)
     if None in obj.values():  # a wildcard is written by leaving its field out
         name = next(name for name, value in obj.items() if value is None)
-        raise ScenarioFormatError(f"{what}.{name} must be an int, got NoneType")
-    return _build(what, MatchPattern, tuple(map(obj.get, _FIELD_ORDER)))
+        raise _Unplaced("", " must be an int, got NoneType", "." + name)
+    return _make(MatchPattern, tuple(map(obj.get, _FIELD_ORDER)))
 
 
 # ---------------------------------------------------------------------------
@@ -228,32 +311,39 @@ def action_to_obj(a: AffineAction) -> dict:
 
 
 def action_from_obj(obj, what: str = "action") -> AffineAction:
+    return _placed(what, _action, obj)
+
+
+def _action(obj) -> AffineAction:
     fold = actions.ActionFold()
-    _fold_action(obj, what, fold)
+    _fold_action(obj, fold)
     return fold.action()
 
 
-def _fold_action(obj, what: str, fold: actions.ActionFold) -> None:
+def _fold_action(obj, fold: actions.ActionFold) -> None:
     """Check one concrete action and apply it after the steps in `fold`;
     a `seq` applies its steps in order, nested ones included."""
-    obj = _require_obj(obj, what)
-    kind = _require(obj, "kind", what)
+    obj = _obj(obj)
+    kind = _need(obj, "kind")
     if kind == "drop":
-        _check_keys(obj, _KIND_KEYS, what)
+        _keys(obj, _KIND_KEYS)
         fold.drop()
     elif kind == "forward":
-        _check_keys(obj, _FORWARD_KEYS, what)
-        fold.translate(PORT_SLOT, _int(_require(obj, "delta", what), f"{what}.delta"))
+        _keys(obj, _FORWARD_KEYS)
+        fold.translate(PORT_SLOT, _int(_need(obj, "delta"), ".delta"))
     elif kind == "modify":
-        _check_keys(obj, _MODIFY_KEYS, what)
-        name = _field(_require(obj, "field", what), f"{what}.field")
-        fold.translate(FIELD_INDEX[name], _int(_require(obj, "delta", what), f"{what}.delta"))
+        _keys(obj, _MODIFY_KEYS)
+        name = _field(_need(obj, "field"), ".field")
+        fold.translate(FIELD_INDEX[name], _int(_need(obj, "delta"), ".delta"))
     elif kind == "seq":
-        _check_keys(obj, _SEQ_KEYS, what)
-        for i, sub in enumerate(_require_list(_require(obj, "actions", what), f"{what}.actions")):
-            _fold_action(sub, f"{what}[{i}]", fold)
+        _keys(obj, _SEQ_KEYS)
+        for i, step in enumerate(_list(_need(obj, "actions"), ".actions")):
+            try:
+                _fold_action(step, fold)
+            except _Unplaced as exc:
+                raise exc.under(f"[{i}]")
     else:
-        raise ScenarioFormatError(f"{what}: unknown action kind {kind!r}")
+        raise _Unplaced("", f": unknown action kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -270,17 +360,20 @@ def rule_to_obj(r: FlowRule) -> dict:
 
 
 def rule_from_obj(obj, what: str = "rule") -> FlowRule:
-    obj = _require_obj(obj, what)
-    _check_keys(obj, _RULE_KEYS, what)
-    return _rule(obj, what)
+    return _placed(what, _rule_obj, obj)
 
 
-def _rule(obj: dict, what: str) -> FlowRule:
+def _rule_obj(obj) -> FlowRule:
+    obj = _obj(obj)
+    _keys(obj, _RULE_KEYS)
+    return _rule(obj)
+
+
+def _rule(obj: dict) -> FlowRule:
     """The rule of a rule or entry object whose keys are checked."""
-    return _build(what, FlowRule,
-                  pattern_from_obj(_require(obj, "match", what), f"{what}.match"),
-                  _require(obj, "out_port", what), _require(obj, "ttl", what),
-                  action_from_obj(_require(obj, "action", what), f"{what}.action"))
+    return _make(FlowRule, _below(".match", _pattern, _need(obj, "match")),
+                 _need(obj, "out_port"), _need(obj, "ttl"),
+                 _below(".action", _action, _need(obj, "action")))
 
 
 def entry_to_obj(e: FlowEntry) -> dict:
@@ -290,9 +383,13 @@ def entry_to_obj(e: FlowEntry) -> dict:
 
 
 def entry_from_obj(obj, what: str = "entry") -> FlowEntry:
-    obj = _require_obj(obj, what)
-    _check_keys(obj, _ENTRY_KEYS, what)
-    return _build(what, FlowEntry, _rule(obj, what), obj.get("counter", 0))
+    return _placed(what, _entry, obj)
+
+
+def _entry(obj) -> FlowEntry:
+    obj = _obj(obj)
+    _keys(obj, _ENTRY_KEYS)
+    return _make(FlowEntry, _rule(obj), obj.get("counter", 0))
 
 
 def table_to_obj(t: FlowTable) -> list:
@@ -300,8 +397,11 @@ def table_to_obj(t: FlowTable) -> list:
 
 
 def table_from_obj(obj, what: str = "table") -> FlowTable:
-    return FlowTable(entry_from_obj(e, f"{what}[{i}]")
-                     for i, e in enumerate(_require_list(obj, what)))
+    return _placed(what, _table, obj)
+
+
+def _table(obj) -> FlowTable:
+    return FlowTable(_items(_entry, obj))
 
 
 def flow_to_obj(f: Flow) -> dict:
@@ -312,13 +412,27 @@ def flow_to_obj(f: Flow) -> dict:
 
 
 def flow_from_obj(obj, what: str = "flow") -> Flow:
-    obj = _require_obj(obj, what)
-    _check_keys(obj, _FLOW_KEYS, what)
-    header = header_from_obj(_require(obj, "header", what), f"{what}.header")
-    try:  # not through `_build`, as in `header_from_obj`
+    return _placed(what, _flow, obj)
+
+
+def _flow(obj) -> Flow:
+    # One per observed flow, so its checks are written out here.
+    if not isinstance(obj, dict):
+        raise _not_object(obj)
+    if not obj.keys() <= _FLOW_KEYS:
+        raise _unknown_keys(obj, _FLOW_KEYS)
+    try:
+        header = obj["header"]
+    except KeyError:
+        raise _missing("header") from None
+    try:
+        header = _header(header)
+    except _Unplaced as exc:
+        raise exc.under(".header")
+    try:
         return Flow(header, obj.get("assigned_dest"))
     except InvalidRuleError as exc:
-        raise _located(exc, f"{what}.{exc.field}") from None
+        raise _misfit(exc) from None
 
 
 # ---------------------------------------------------------------------------
@@ -334,14 +448,16 @@ def topology_to_obj(t: Topology) -> dict:
 
 
 def topology_from_obj(obj, what: str = "topology") -> Topology:
-    obj = _require_obj(obj, what)
-    _check_keys(obj, _TOPOLOGY_KEYS, what)
-    ports = _require_obj(obj.get("ports", {}), f"{what}.ports")
-    server_ports = {
-        _address_key(k, f"{what}.server_ports"): v
-        for k, v in _require_obj(obj.get("server_ports", {}), f"{what}.server_ports").items()
-    }
-    return _build(what, Topology, _require(obj, "switches", what), ports, server_ports)
+    return _placed(what, _topology, obj)
+
+
+def _topology(obj) -> Topology:
+    obj = _obj(obj)
+    _keys(obj, _TOPOLOGY_KEYS)
+    ports = _obj(obj.get("ports", {}), ".ports")
+    server_ports = {_address_key(k): v
+                    for k, v in _obj(obj.get("server_ports", {}), ".server_ports").items()}
+    return _make(Topology, _need(obj, "switches"), ports, server_ports)
 
 
 # ---------------------------------------------------------------------------
@@ -357,19 +473,22 @@ def guard_to_obj(g) -> dict:
 
 
 def guard_from_obj(obj, what: str = "guard"):
-    obj = _require_obj(obj, what)
-    kind = _require(obj, "kind", what)
+    return _placed(what, _guard, obj)
+
+
+def _guard(obj):
+    obj = _obj(obj)
+    kind = _need(obj, "kind")
     if kind == "true":
-        _check_keys(obj, _KIND_KEYS, what)
+        _keys(obj, _KIND_KEYS)
         return TrueGuard()
     if kind == "source_count_at_most":
-        _check_keys(obj, _THRESHOLD_KEYS, what)
-        return _build(what, SourceCountAtMost, _require(obj, "threshold", what))
+        _keys(obj, _THRESHOLD_KEYS)
+        return _make(SourceCountAtMost, _need(obj, "threshold"))
     if kind == "load_at_most":
-        _check_keys(obj, _SERVER_PAIR_KEYS, what)
-        return _build(what, LoadAtMost, _require(obj, "server_a", what),
-                      _require(obj, "server_b", what))
-    raise ScenarioFormatError(f"{what}: unknown guard kind {kind!r}")
+        _keys(obj, _SERVER_PAIR_KEYS)
+        return _make(LoadAtMost, _need(obj, "server_a"), _need(obj, "server_b"))
+    raise _Unplaced("", f": unknown guard kind {kind!r}")
 
 
 def port_ref_to_obj(ref):
@@ -381,18 +500,22 @@ def port_ref_to_obj(ref):
 
 
 def port_ref_from_obj(obj, what: str = "port"):
+    return _placed(what, _port_ref, obj)
+
+
+def _port_ref(obj):
     if isinstance(obj, str):
         return PortName(obj)
     if isinstance(obj, int):
         try:
             return PortNumber(obj)
         except InvalidRuleError as exc:
-            raise _located(exc, what) from None  # the number stands alone at `what`
-    obj = _require_obj(obj, what)
-    _check_keys(obj, _KIND_KEYS, what)
+            raise _misfit(exc, "") from None  # the number stands alone at the path
+    obj = _obj(obj)
+    _keys(obj, _KIND_KEYS)
     if obj.get("kind") == "dest_port":
         return DestPort()
-    raise ScenarioFormatError(f"{what}: unknown port reference {obj!r}")
+    raise _Unplaced("", f": unknown port reference {obj!r}")
 
 
 def value_ref_to_obj(ref):
@@ -403,15 +526,18 @@ def value_ref_to_obj(ref):
 
 
 def value_ref_from_obj(obj, what: str = "value"):
+    return _placed(what, _value_ref, obj)
+
+
+def _value_ref(obj):
     """A set-field target: an integer (`SetField` checks it) or a deferred pick."""
     if isinstance(obj, int):
         return obj
-    obj = _require_obj(obj, what)
-    _check_keys(obj, _SERVER_PAIR_KEYS, what)
+    obj = _obj(obj)
+    _keys(obj, _SERVER_PAIR_KEYS)
     if obj.get("kind") == "pick_less_loaded":
-        return _build(what, PickLessLoaded, _require(obj, "server_a", what),
-                      _require(obj, "server_b", what))
-    raise ScenarioFormatError(f"{what}: unknown value reference {obj!r}")
+        return _make(PickLessLoaded, _need(obj, "server_a"), _need(obj, "server_b"))
+    raise _Unplaced("", f": unknown value reference {obj!r}")
 
 
 def action_spec_to_obj(spec) -> dict:
@@ -426,26 +552,30 @@ def action_spec_to_obj(spec) -> dict:
 
 
 def action_spec_from_obj(obj, what: str = "action", depth: int = 0):
-    obj = _require_obj(obj, what)
-    kind = _require(obj, "kind", what)
+    return _placed(what, _action_spec, obj, depth)
+
+
+def _action_spec(obj, depth: int):
+    obj = _obj(obj)
+    kind = _need(obj, "kind")
     if kind == "drop":
-        _check_keys(obj, _KIND_KEYS, what)
+        _keys(obj, _KIND_KEYS)
         return Drop()
     if kind == "forward":
-        _check_keys(obj, _PORT_KEYS, what)
-        return Forward(port_ref_from_obj(_require(obj, "port", what), f"{what}.port"))
+        _keys(obj, _PORT_KEYS)
+        return Forward(_below(".port", _port_ref, _need(obj, "port")))
     if kind == "set_field":
-        _check_keys(obj, _SET_FIELD_KEYS, what)
-        return _build(what, SetField, _require(obj, "field", what),
-                      value_ref_from_obj(_require(obj, "to", what), f"{what}.to"))
+        _keys(obj, _SET_FIELD_KEYS)
+        return _make(SetField, _need(obj, "field"),
+                     _below(".to", _value_ref, _need(obj, "to")))
     if kind == "seq":
-        _check_keys(obj, _SEQ_KEYS, what)
+        _keys(obj, _SEQ_KEYS)
         if depth == MAX_SEQ_DEPTH:
-            raise ScenarioFormatError(f"{what}: seq nested deeper than {MAX_SEQ_DEPTH} levels")
-        steps = _require_list(_require(obj, "actions", what), f"{what}.actions")
-        return Seq(tuple(action_spec_from_obj(s, f"{what}[{i}]", depth + 1)
-                         for i, s in enumerate(steps)))
-    raise ScenarioFormatError(f"{what}: unknown action kind {kind!r}")
+            raise _Unplaced("", f": seq nested deeper than {MAX_SEQ_DEPTH} levels")
+        # The steps' array is at `.actions`, but each step is named `[i]`.
+        steps = _list(_need(obj, "actions"), ".actions")
+        return Seq(tuple(_items(_action_spec, steps, depth + 1)))
+    raise _Unplaced("", f": unknown action kind {kind!r}")
 
 
 def template_to_obj(t: RuleTemplate) -> dict:
@@ -461,15 +591,19 @@ def template_to_obj(t: RuleTemplate) -> dict:
 
 
 def template_from_obj(obj, what: str = "rule template") -> RuleTemplate:
-    obj = _require_obj(obj, what)
-    _check_keys(obj, _ENTRY_KEYS, what)
-    match = _require(obj, "match", what)
-    match = InputHeader() if match == "input" else pattern_from_obj(match, f"{what}.match")
-    return _build(what, RuleTemplate, match,
-                  port_ref_from_obj(_require(obj, "out_port", what), f"{what}.out_port"),
-                  _require(obj, "ttl", what),
-                  action_spec_from_obj(_require(obj, "action", what), f"{what}.action"),
-                  obj.get("counter", 0))
+    return _placed(what, _template, obj)
+
+
+def _template(obj) -> RuleTemplate:
+    obj = _obj(obj)
+    _keys(obj, _ENTRY_KEYS)
+    match = _need(obj, "match")
+    match = InputHeader() if match == "input" else _below(".match", _pattern, match)
+    return _make(RuleTemplate, match,
+                 _below(".out_port", _port_ref, _need(obj, "out_port")),
+                 _need(obj, "ttl"),
+                 _below(".action", _action_spec, _need(obj, "action"), 0),
+                 obj.get("counter", 0))
 
 
 def delta_to_obj(d: GuardedDelta) -> dict:
@@ -483,23 +617,24 @@ def delta_to_obj(d: GuardedDelta) -> dict:
 
 
 def delta_from_obj(obj, what: str = "delta") -> GuardedDelta:
-    obj = _require_obj(obj, what)
-    _check_keys(obj, _DELTA_KEYS, what)
-    branches = []
-    for i, b in enumerate(_require_list(obj.get("branches", []), f"{what}.branches")):
-        b = _require_obj(b, f"{what}.branches[{i}]")
-        _check_keys(b, _BRANCH_KEYS, f"{what}.branches[{i}]")
-        rules = _require_list(b.get("rules", []), f"{what}.branches[{i}].rules")
-        branches.append((
-            guard_from_obj(_require(b, "guard", f"{what}.branches[{i}]"),
-                           f"{what}.branches[{i}].guard"),
-            tuple(template_from_obj(t, f"{what}.branches[{i}].rules[{j}]")
-                  for j, t in enumerate(rules)),
-        ))
-    default = tuple(template_from_obj(t, f"{what}.default[{i}]")
-                    for i, t in enumerate(_require_list(obj.get("default", []),
-                                                        f"{what}.default")))
-    return GuardedDelta(tuple(branches), default)
+    return _placed(what, _delta, obj)
+
+
+def _delta(obj) -> GuardedDelta:
+    obj = _obj(obj)
+    _keys(obj, _DELTA_KEYS)
+    branches = _items(_branch, obj.get("branches", []), at=".branches")
+    default = _items(_template, obj.get("default", []), at=".default")
+    return GuardedDelta(tuple(branches), tuple(default))
+
+
+def _branch(obj) -> tuple:
+    """One branch of a delta: its guard and its rule templates."""
+    obj = _obj(obj)
+    _keys(obj, _BRANCH_KEYS)
+    rules = _list(obj.get("rules", []), ".rules")  # checked before the guard is read
+    guard = _below(".guard", _guard, _need(obj, "guard"))
+    return guard, tuple(_items(_template, rules, at=".rules"))
 
 
 def app_to_obj(app: AppTransform) -> dict:
@@ -521,14 +656,21 @@ def app_to_obj(app: AppTransform) -> dict:
 
 
 def app_from_obj(obj, n: int, what: str = "app") -> AppTransform:
-    obj = _require_obj(obj, what)
-    _check_keys(obj, _APP_KEYS, what)
-    slot = _require(obj, "slot", what)
+    return _placed(what, _app, obj, n)
+
+
+def _app(obj, n: int) -> AppTransform:
+    obj = _obj(obj)
+    _keys(obj, _APP_KEYS)
+    slot = _need(obj, "slot")
+    name = _need(obj, "name")
+    delta = _below(".delta", _delta, _need(obj, "delta"))
     try:
-        return _build(what, make_app, _require(obj, "name", what), slot,
-                      delta_from_obj(_require(obj, "delta", what), f"{what}.delta"), n)
+        return make_app(name, slot, delta, n)
     except SlotOutOfRangeError:
-        raise ScenarioFormatError(f"{what}.slot={slot} out of range for {n} switches") from None
+        raise _Unplaced("", f"={slot} out of range for {n} switches", ".slot") from None
+    except InvalidRuleError as exc:
+        raise _misfit(exc) from None
 
 
 def transform_to_obj(app: AppTransform) -> dict:
@@ -586,16 +728,14 @@ class Document:
     """
 
     def __init__(self, obj):
-        obj = _require_obj(obj, "scenario")
-        _check_keys(obj, _SCENARIO_KEYS, "scenario")
-        version = _require(obj, "version", "scenario")
+        version = _placed("scenario", _version, obj)
         if type(version) is not int or version != FORMAT_VERSION:
             raise ScenarioFormatError(f"version must be {FORMAT_VERSION}, got {version!r}")
-        self.topology = topology_from_obj(_require(obj, "topology", "scenario"))
+        self.topology = _placed("topology", _topology, _placed("scenario", _need, obj, "topology"))
         n = self.topology.switch_count
         # Every app holds a row and a slot per switch, so also a command that
         # decodes no table checks n against the length of an array the file holds.
-        self._tables = _require_list(obj.get("tables", []), "tables")
+        self._tables = _placed("tables", _list, obj.get("tables", []))
         if len(self._tables) != n:
             raise ScenarioFormatError(f"scenario needs exactly {n} tables")
         self._obj = obj
@@ -603,71 +743,85 @@ class Document:
         self._apps: dict[int, AppTransform] = {}  # position -> the app, once decoded
 
     def nib(self) -> NIB:
-        tables = tuple(table_from_obj(t, f"tables[{i}]") for i, t in enumerate(self._tables))
-        flows = tuple(flow_from_obj(f, f"flows[{i}]")
-                      for i, f in enumerate(_require_list(self._obj.get("flows", []), "flows")))
-        return NIB(self.topology, tables, flows)
+        tables = _placed("tables", _items, _table, self._tables)
+        flows = _placed("flows", _items, _flow, self._obj.get("flows", []))
+        return NIB(self.topology, tuple(tables), tuple(flows))
 
     def chain(self, name: str) -> ServiceChain:
-        chains = _require_obj(self._obj.get("chains", {}), "chains")
+        chains = _placed("chains", _obj, self._obj.get("chains", {}))
         if name not in chains:
             raise FlowspaceError(f"no chain named {name!r} in scenario")
-        what = f"chains[{name}]"
         stage_names = chains[name]
-        if not _require_list(stage_names, what):
-            raise ScenarioFormatError(f"{what} must be a non-empty array")
+        if not (isinstance(stage_names, list) and stage_names):
+            _placed(f"chains[{name}]", _list, stage_names)
+            raise ScenarioFormatError(f"chains[{name}] must be a non-empty array")
         index = self._names()
         for i, stage in enumerate(stage_names):
             if not isinstance(stage, str):
                 raise ScenarioFormatError(
-                    f"{what}[{i}] must be an app name, got {type(stage).__name__}")
+                    f"chains[{name}][{i}] must be an app name, got {type(stage).__name__}")
             if stage not in index:
                 raise ScenarioFormatError(f"chain {name!r} references unknown app {stage!r}")
-        return ServiceChain(tuple(self._app(index[s]) for s in stage_names))
+        return ServiceChain(tuple(self._app_at(index[s]) for s in stage_names))
 
     def query(self, name: str) -> Header:
-        queries = _require_obj(self._obj.get("queries", {}), "queries")
+        queries = _placed("queries", _obj, self._obj.get("queries", {}))
         if name not in queries:
             raise FlowspaceError(f"no query named {name!r} in scenario")
-        return header_from_obj(queries[name], f"queries[{name}]")
+        try:
+            return _header(queries[name])
+        except _Unplaced as exc:
+            raise exc.under(f"queries[{name}]").error() from None
 
     def scenario(self) -> Scenario:
         nib = self.nib()
         # Every app decodes before the next name is checked, as in file order.
-        self._app_index = _positions(self._app(i).name for i in range(len(self._raw_apps())))
+        self._app_index = _positions(self._app_at(i).name for i in range(len(self._raw_apps())))
         apps = {name: self._apps[i] for name, i in self._app_index.items()}
         chains = {name: self.chain(name)
-                  for name in _require_obj(self._obj.get("chains", {}), "chains")}
+                  for name in _placed("chains", _obj, self._obj.get("chains", {}))}
         queries = {name: self.query(name)
-                   for name in _require_obj(self._obj.get("queries", {}), "queries")}
+                   for name in _placed("queries", _obj, self._obj.get("queries", {}))}
         return Scenario(self.topology, nib, apps, chains, queries)
 
     def _raw_apps(self) -> list:
-        return _require_list(self._obj.get("apps", []), "apps")
+        return _placed("apps", _list, self._obj.get("apps", []))
 
     def _names(self) -> dict[str, int]:
         """Each app's position by name, found by reading the names alone."""
         if self._app_index is None:
-            n = self.topology.switch_count
-            self._app_index = _positions(_app_name(raw, n, f"apps[{i}]")
-                                         for i, raw in enumerate(self._raw_apps()))
+            self._app_index = _positions(self._read_app(i, _app_name)
+                                         for i in range(len(self._raw_apps())))
         return self._app_index
 
-    def _app(self, i: int) -> AppTransform:
+    def _app_at(self, i: int) -> AppTransform:
         app = self._apps.get(i)
         if app is None:
-            app = self._apps[i] = app_from_obj(self._raw_apps()[i], self.topology.switch_count,
-                                               f"apps[{i}]")
+            app = self._apps[i] = self._read_app(i, _app)
         return app
 
+    def _read_app(self, i: int, decode):
+        """`decode(obj, n)` of the app object at `apps[i]`, an error placed there."""
+        try:
+            return decode(self._raw_apps()[i], self.topology.switch_count)
+        except _Unplaced as exc:
+            raise exc.under(f"apps[{i}]").error() from None
 
-def _app_name(obj, n: int, what: str) -> str:
-    """The name of the app object at `what`, the rest of it unread.  A
-    name that is no string fails as decoding the app reports it, since
-    the app's constructor owns that check."""
-    name = _require(_require_obj(obj, what), "name", what)
+
+def _version(obj):
+    """The version of a scenario object whose keys are known."""
+    obj = _obj(obj)
+    _keys(obj, _SCENARIO_KEYS)
+    return _need(obj, "version")
+
+
+def _app_name(obj, n: int) -> str:
+    """The name of an app object, the rest of it unread.  A name that is
+    no string fails as decoding the app reports it, since the app's
+    constructor owns that check."""
+    name = _need(_obj(obj), "name")
     if type(name) is not str:
-        app_from_obj(obj, n, what)
+        _app(obj, n)
     return name
 
 

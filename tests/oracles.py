@@ -57,8 +57,12 @@ nested one it replaced, by the orders they give.
 The scenario decoder is checked against the whole-document decode that
 per-section decoding replaced: one function that decodes every section
 in file order, each app as it is met, and looks chains' stages up in
-the apps decoded so far.  `random_document` gives seeded valid
-documents for it and for the CLI's commands.
+the apps decoded so far.  Its item decoders are the located ones that
+building JSON paths only on failure replaced: each formats the path of
+every item and field as it reads it, and `_located` puts the path on a
+constructor's error.  They share only the constructors with the
+library.  `random_document` gives seeded valid documents for it and for
+the CLI's commands.
 
 Template actions are also checked against the instantiation that
 `ActionFold` replaced (`build_action_oracle`): it builds one validated
@@ -83,8 +87,16 @@ from flowspace.analysis import (
     _as_transform,
     _piece_difference,
 )
-from flowspace.errors import DimensionMismatchError, RuleNotFoundError, ScenarioFormatError
+from flowspace.errors import (
+    DimensionMismatchError,
+    InvalidRuleError,
+    RuleNotFoundError,
+    ScenarioFormatError,
+    SlotOutOfRangeError,
+)
 from flowspace.headers import (
+    FIELD_COUNT,
+    FIELD_INDEX,
     FIELDS,
     Header,
     MatchPattern,
@@ -93,7 +105,7 @@ from flowspace.headers import (
     field_index,
     src_of,
 )
-from flowspace.nib import NIB
+from flowspace.nib import NIB, Flow, Topology
 from flowspace.sampling import (
     random_app,
     random_collision_table,
@@ -101,37 +113,32 @@ from flowspace.sampling import (
     random_header,
     random_topology,
 )
-from flowspace.scenario import (
-    FORMAT_VERSION,
-    Scenario,
-    _field,
-    _int,
-    _require,
-    _require_list,
-    _require_obj,
-    app_from_obj,
-    flow_from_obj,
-    header_from_obj,
-    table_from_obj,
-    topology_from_obj,
-)
+from flowspace.scenario import FORMAT_VERSION, MAX_SEQ_DEPTH, Scenario
 from flowspace.tables import FlowEntry, FlowRule, FlowTable, add, entry_key, reduce
 from flowspace.transforms import (
     ActionSpec,
     AppTransform,
     Branch,
     DeltaSum,
+    DestPort,
     Drop,
     Forward,
     GuardedDelta,
     InputHeader,
+    LoadAtMost,
+    PickLessLoaded,
+    PortName,
+    PortNumber,
     RuleTemplate,
+    Seq,
     ServiceChain,
     SetField,
+    SourceCountAtMost,
     Templates,
     TrueGuard,
     guard_key,
     is_identity_linear,
+    make_app,
     normal_forms,
     normalize,
     resolve_port,
@@ -621,6 +628,289 @@ def _xor_all(bits) -> int:
     for b in bits:
         acc ^= b
     return acc
+
+
+# ---------------------------------------------------------------------------
+# The located item decoders, as `flowspace.scenario` had them before it
+# built JSON paths only on failure: each formats the path of every item
+# and field it reads, and `_located` puts it on a constructor's error.
+
+
+_KIND_KEYS = frozenset(("kind",))
+_FORWARD_KEYS = frozenset(("kind", "delta"))
+_MODIFY_KEYS = frozenset(("kind", "field", "delta"))
+_SEQ_KEYS = frozenset(("kind", "actions"))
+_ENTRY_KEYS = frozenset(("match", "out_port", "ttl", "action", "counter"))
+_FLOW_KEYS = frozenset(("header", "assigned_dest"))
+_TOPOLOGY_KEYS = frozenset(("switches", "ports", "server_ports"))
+_THRESHOLD_KEYS = frozenset(("kind", "threshold"))
+_SERVER_PAIR_KEYS = frozenset(("kind", "server_a", "server_b"))
+_PORT_KEYS = frozenset(("kind", "port"))
+_SET_FIELD_KEYS = frozenset(("kind", "field", "to"))
+_DELTA_KEYS = frozenset(("branches", "default"))
+_BRANCH_KEYS = frozenset(("guard", "rules"))
+_APP_KEYS = frozenset(("name", "slot", "delta"))
+_FIELD_NAMES = frozenset(FIELD_INDEX)
+_FIELD_ORDER = tuple(FIELD_INDEX)
+_ZEROS = (0,) * FIELD_COUNT
+
+
+def _require_obj(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ScenarioFormatError(f"{what} must be an object, got {type(value).__name__}")
+    return value
+
+
+def _require_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ScenarioFormatError(f"{what} must be an array, got {type(value).__name__}")
+    return value
+
+
+def _require(obj: dict, key: str, what: str):
+    if key not in obj:
+        raise ScenarioFormatError(f"{what} is missing required key {key!r}")
+    return obj[key]
+
+
+def _int(value, what: str) -> int:
+    """A JSON integer, taken as is: bools, floats and strings are rejected."""
+    if type(value) is not int:
+        raise ScenarioFormatError(f"{what} must be an int, got {type(value).__name__}")
+    return value
+
+
+def _located(exc: InvalidRuleError, path: str) -> ScenarioFormatError:
+    """A constructor's error about one value, reported at the value's JSON path."""
+    if exc.width is not None:
+        return ScenarioFormatError(f"{path}={exc.value} exceeds {exc.width}-bit range")
+    return ScenarioFormatError(f"{path} {exc.reason}")
+
+
+def _build(what: str, make, *args):
+    """`make(*args)`, a value error reported at its field's path in the object at `what`."""
+    try:
+        return make(*args)
+    except InvalidRuleError as exc:
+        raise _located(exc, f"{what}.{exc.field}") from None
+
+
+def _address_key(key: str, what: str) -> int:
+    """An address written as an object key: canonical decimal, so that
+    signs, spaces, underscores and leading zeros cannot make two keys
+    name one server.  `Topology` checks its range."""
+    try:
+        value = int(key)
+    except (TypeError, ValueError):
+        value = None
+    if value is None or str(value) != key:
+        raise ScenarioFormatError(f"{what} key {key!r} is not a decimal address")
+    return value
+
+
+def _field(value, what: str) -> str:
+    """A field name: the integer field indices of the library have no wire form."""
+    if not isinstance(value, str):
+        raise ScenarioFormatError(f"{what} must be a field name, got {type(value).__name__}")
+    if value not in FIELD_INDEX:
+        raise ScenarioFormatError(f"{what} must be a header field name, got {value!r}")
+    return value
+
+
+def header_from_obj(obj, what: str = "header") -> Header:
+    obj = _require_obj(obj, what)
+    _check_keys(obj, _FIELD_NAMES, what)
+    try:  # not through `_build`: a NIB's flows make this the hottest path
+        return Header(tuple(map(obj.get, _FIELD_ORDER, _ZEROS)))
+    except InvalidRuleError as exc:
+        raise _located(exc, f"{what}.{exc.field}") from None
+
+
+def pattern_from_obj(obj, what: str = "match") -> MatchPattern:
+    obj = _require_obj(obj, what)
+    _check_keys(obj, _FIELD_NAMES, what)
+    if None in obj.values():  # a wildcard is written by leaving its field out
+        name = next(name for name, value in obj.items() if value is None)
+        raise ScenarioFormatError(f"{what}.{name} must be an int, got NoneType")
+    return _build(what, MatchPattern, tuple(map(obj.get, _FIELD_ORDER)))
+
+
+def action_from_obj(obj, what: str = "action") -> AffineAction:
+    fold = actions.ActionFold()
+    _fold_action(obj, what, fold)
+    return fold.action()
+
+
+def _fold_action(obj, what: str, fold: actions.ActionFold) -> None:
+    """Check one concrete action and apply it after the steps in `fold`;
+    a `seq` applies its steps in order, nested ones included."""
+    obj = _require_obj(obj, what)
+    kind = _require(obj, "kind", what)
+    if kind == "drop":
+        _check_keys(obj, _KIND_KEYS, what)
+        fold.drop()
+    elif kind == "forward":
+        _check_keys(obj, _FORWARD_KEYS, what)
+        fold.translate(PORT_SLOT, _int(_require(obj, "delta", what), f"{what}.delta"))
+    elif kind == "modify":
+        _check_keys(obj, _MODIFY_KEYS, what)
+        name = _field(_require(obj, "field", what), f"{what}.field")
+        fold.translate(FIELD_INDEX[name], _int(_require(obj, "delta", what), f"{what}.delta"))
+    elif kind == "seq":
+        _check_keys(obj, _SEQ_KEYS, what)
+        for i, sub in enumerate(_require_list(_require(obj, "actions", what), f"{what}.actions")):
+            _fold_action(sub, f"{what}[{i}]", fold)
+    else:
+        raise ScenarioFormatError(f"{what}: unknown action kind {kind!r}")
+
+
+def _rule(obj: dict, what: str) -> FlowRule:
+    """The rule of a rule or entry object whose keys are checked."""
+    return _build(what, FlowRule,
+                  pattern_from_obj(_require(obj, "match", what), f"{what}.match"),
+                  _require(obj, "out_port", what), _require(obj, "ttl", what),
+                  action_from_obj(_require(obj, "action", what), f"{what}.action"))
+
+
+def entry_from_obj(obj, what: str = "entry") -> FlowEntry:
+    obj = _require_obj(obj, what)
+    _check_keys(obj, _ENTRY_KEYS, what)
+    return _build(what, FlowEntry, _rule(obj, what), obj.get("counter", 0))
+
+
+def table_from_obj(obj, what: str = "table") -> FlowTable:
+    return FlowTable(entry_from_obj(e, f"{what}[{i}]")
+                     for i, e in enumerate(_require_list(obj, what)))
+
+
+def flow_from_obj(obj, what: str = "flow") -> Flow:
+    obj = _require_obj(obj, what)
+    _check_keys(obj, _FLOW_KEYS, what)
+    header = header_from_obj(_require(obj, "header", what), f"{what}.header")
+    try:  # not through `_build`, as in `header_from_obj`
+        return Flow(header, obj.get("assigned_dest"))
+    except InvalidRuleError as exc:
+        raise _located(exc, f"{what}.{exc.field}") from None
+
+
+def topology_from_obj(obj, what: str = "topology") -> Topology:
+    obj = _require_obj(obj, what)
+    _check_keys(obj, _TOPOLOGY_KEYS, what)
+    ports = _require_obj(obj.get("ports", {}), f"{what}.ports")
+    server_ports = {
+        _address_key(k, f"{what}.server_ports"): v
+        for k, v in _require_obj(obj.get("server_ports", {}), f"{what}.server_ports").items()
+    }
+    return _build(what, Topology, _require(obj, "switches", what), ports, server_ports)
+
+
+def guard_from_obj(obj, what: str = "guard"):
+    obj = _require_obj(obj, what)
+    kind = _require(obj, "kind", what)
+    if kind == "true":
+        _check_keys(obj, _KIND_KEYS, what)
+        return TrueGuard()
+    if kind == "source_count_at_most":
+        _check_keys(obj, _THRESHOLD_KEYS, what)
+        return _build(what, SourceCountAtMost, _require(obj, "threshold", what))
+    if kind == "load_at_most":
+        _check_keys(obj, _SERVER_PAIR_KEYS, what)
+        return _build(what, LoadAtMost, _require(obj, "server_a", what),
+                      _require(obj, "server_b", what))
+    raise ScenarioFormatError(f"{what}: unknown guard kind {kind!r}")
+
+
+def port_ref_from_obj(obj, what: str = "port"):
+    if isinstance(obj, str):
+        return PortName(obj)
+    if isinstance(obj, int):
+        try:
+            return PortNumber(obj)
+        except InvalidRuleError as exc:
+            raise _located(exc, what) from None  # the number stands alone at `what`
+    obj = _require_obj(obj, what)
+    _check_keys(obj, _KIND_KEYS, what)
+    if obj.get("kind") == "dest_port":
+        return DestPort()
+    raise ScenarioFormatError(f"{what}: unknown port reference {obj!r}")
+
+
+def value_ref_from_obj(obj, what: str = "value"):
+    """A set-field target: an integer (`SetField` checks it) or a deferred pick."""
+    if isinstance(obj, int):
+        return obj
+    obj = _require_obj(obj, what)
+    _check_keys(obj, _SERVER_PAIR_KEYS, what)
+    if obj.get("kind") == "pick_less_loaded":
+        return _build(what, PickLessLoaded, _require(obj, "server_a", what),
+                      _require(obj, "server_b", what))
+    raise ScenarioFormatError(f"{what}: unknown value reference {obj!r}")
+
+
+def action_spec_from_obj(obj, what: str = "action", depth: int = 0):
+    obj = _require_obj(obj, what)
+    kind = _require(obj, "kind", what)
+    if kind == "drop":
+        _check_keys(obj, _KIND_KEYS, what)
+        return Drop()
+    if kind == "forward":
+        _check_keys(obj, _PORT_KEYS, what)
+        return Forward(port_ref_from_obj(_require(obj, "port", what), f"{what}.port"))
+    if kind == "set_field":
+        _check_keys(obj, _SET_FIELD_KEYS, what)
+        return _build(what, SetField, _require(obj, "field", what),
+                      value_ref_from_obj(_require(obj, "to", what), f"{what}.to"))
+    if kind == "seq":
+        _check_keys(obj, _SEQ_KEYS, what)
+        if depth == MAX_SEQ_DEPTH:
+            raise ScenarioFormatError(f"{what}: seq nested deeper than {MAX_SEQ_DEPTH} levels")
+        steps = _require_list(_require(obj, "actions", what), f"{what}.actions")
+        return Seq(tuple(action_spec_from_obj(s, f"{what}[{i}]", depth + 1)
+                         for i, s in enumerate(steps)))
+    raise ScenarioFormatError(f"{what}: unknown action kind {kind!r}")
+
+
+def template_from_obj(obj, what: str = "rule template") -> RuleTemplate:
+    obj = _require_obj(obj, what)
+    _check_keys(obj, _ENTRY_KEYS, what)
+    match = _require(obj, "match", what)
+    match = InputHeader() if match == "input" else pattern_from_obj(match, f"{what}.match")
+    return _build(what, RuleTemplate, match,
+                  port_ref_from_obj(_require(obj, "out_port", what), f"{what}.out_port"),
+                  _require(obj, "ttl", what),
+                  action_spec_from_obj(_require(obj, "action", what), f"{what}.action"),
+                  obj.get("counter", 0))
+
+
+def delta_from_obj(obj, what: str = "delta") -> GuardedDelta:
+    obj = _require_obj(obj, what)
+    _check_keys(obj, _DELTA_KEYS, what)
+    branches = []
+    for i, b in enumerate(_require_list(obj.get("branches", []), f"{what}.branches")):
+        b = _require_obj(b, f"{what}.branches[{i}]")
+        _check_keys(b, _BRANCH_KEYS, f"{what}.branches[{i}]")
+        rules = _require_list(b.get("rules", []), f"{what}.branches[{i}].rules")
+        branches.append((
+            guard_from_obj(_require(b, "guard", f"{what}.branches[{i}]"),
+                           f"{what}.branches[{i}].guard"),
+            tuple(template_from_obj(t, f"{what}.branches[{i}].rules[{j}]")
+                  for j, t in enumerate(rules)),
+        ))
+    default = tuple(template_from_obj(t, f"{what}.default[{i}]")
+                    for i, t in enumerate(_require_list(obj.get("default", []),
+                                                        f"{what}.default")))
+    return GuardedDelta(tuple(branches), default)
+
+
+def app_from_obj(obj, n: int, what: str = "app") -> AppTransform:
+    obj = _require_obj(obj, what)
+    _check_keys(obj, _APP_KEYS, what)
+    slot = _require(obj, "slot", what)
+    try:
+        return _build(what, make_app, _require(obj, "name", what), slot,
+                      delta_from_obj(_require(obj, "delta", what), f"{what}.delta"), n)
+    except SlotOutOfRangeError:
+        raise ScenarioFormatError(f"{what}.slot={slot} out of range for {n} switches") from None
 
 
 SCENARIO_KEYS = ("version", "topology", "flows", "tables", "apps", "chains", "queries")

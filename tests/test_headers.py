@@ -66,6 +66,27 @@ class TestMakeHeader:
         with pytest.raises(UnknownFieldError):
             Header.from_fields(nw_srcc=1)
 
+    @given(st.dictionaries(st.sampled_from([f.name for f in FIELDS]),
+                           st.one_of(st.integers(-2, 2**49), st.booleans(), st.floats())))
+    def test_from_mapping_agrees_with_the_full_check(self, fields):
+        # The mapping constructor tests only the named values; it builds
+        # and fails exactly as the full check on all twelve does.
+        values = tuple(fields.get(f.name, 0) for f in FIELDS)
+        try:
+            expected = Header(values)
+        except InvalidRuleError as exc:
+            with pytest.raises(InvalidRuleError) as got:
+                Header.from_mapping(fields)
+            assert (type(got.value), got.value.args) == (type(exc), exc.args)
+        else:
+            assert Header.from_mapping(fields) == expected
+
+    def test_from_mapping_reports_an_unknown_name_before_a_bad_value(self):
+        with pytest.raises(UnknownFieldError, match="^unknown field 'nw_srcc'$"):
+            Header.from_mapping({"nw_src": -1, "nw_srcc": 1})
+        with pytest.raises(WidthOverflowError, match="^nw_src=-1 exceeds 32-bit range$"):
+            Header.from_mapping({"tp_dst": 1 << 16, "nw_src": -1})
+
 
 class TestFieldDelta:
     def test_identity(self):

@@ -338,15 +338,30 @@ class TestScenarioDocument:
                      {"kind": "modify", "field": "nw_src", "delta": 5},
                      {"kind": "forward", "delta": 7}]}}
 
+    #: Observed flows after the bundled document's five, and entries of
+    #: the second table, so that a bad item can sit deep in its array.
+    MORE_FLOWS = [{"header": {"nw_src": 0x0B000000 + k, "nw_dst": 0x0A000064,
+                              "tp_src": 1024 + k}, "assigned_dest": 0x0A000065 + k % 2}
+                  for k in range(200)]
+    MORE_ENTRIES = [{"match": {"nw_src": k, "tp_dst": 80}, "out_port": 1, "ttl": 60,
+                     "counter": k, "action": {"kind": "forward", "delta": 1}}
+                    for k in range(4)]
+
     def _loads_with(self, path, value):
+        """Load the bundled document, grown with `SEQ_ENTRY` and the items
+        above, with `value` at `path`; the library and the oracle agree."""
         obj = scenario_to_obj(build_scenario())
         obj["tables"][0] = [self.SEQ_ENTRY]
+        obj["tables"][1] = self.MORE_ENTRIES
+        obj["flows"] += self.MORE_FLOWS
         obj = json.loads(json.dumps(obj))
         parent = obj
         for key in path[:-1]:
             parent = parent[key]
         parent[path[-1]] = value
-        return loads_scenario(json.dumps(obj))
+        text = json.dumps(obj)
+        assert _outcome(loads_scenario, text) == _outcome(scenario_from_obj_oracle, obj)
+        return loads_scenario(text)
 
     ARRAYS = {
         ("flows",): "flows",
@@ -397,6 +412,29 @@ class TestScenarioDocument:
          "apps[0].delta.branches[0].guard.threshold must be non-negative, got -5"),
         (("tables", 0, 0, "action"), {"kind": "modify", "field": "vlan", "delta": 1},
          "tables[0][0].action.field must be a header field name, got 'vlan'"),
+        # Deep in an array, the first error in file order: of two bad
+        # header fields the first in field order, whatever the key order;
+        # an unknown key before a bad value; a bad header before a bad
+        # assigned_dest.
+        (("flows", 137, "header"), {"tp_dst": 1 << 16, "nw_src": -1},
+         "flows[137].header.nw_src=-1 exceeds 32-bit range"),
+        (("flows", 137, "header"), {"nw_src": -1, "nw_srcc": 1},
+         "unknown keys in flows[137].header: ['nw_srcc']"),
+        (("flows", 137), {"assigned_dest": -1, "header": {}, "color": 1},
+         "unknown keys in flows[137]: ['color']"),
+        (("flows", 137), {"assigned_dest": -1, "header": {"tp_src": 1.5}},
+         "flows[137].header.tp_src must be an int, got float"),
+        (("flows", 137), {"assigned_dest": True}, "flows[137] is missing required key 'header'"),
+        (("flows", 137, "assigned_dest"), 1 << 32,
+         "flows[137].assigned_dest=4294967296 exceeds 32-bit range"),
+        (("tables", 1, 3, "match", "tp_dst"), 1 << 16,
+         "tables[1][3].match.tp_dst=65536 exceeds 16-bit range"),
+        (("tables", 1, 2, "action"), {"kind": "seq", "actions": [{"kind": "drop"}, {"kind": "x"}]},
+         "tables[1][2].action[1]: unknown action kind 'x'"),
+        (("apps", 5, "delta", "branches", 0, "rules", 0, "action", "actions", 1, "port"), 70_000,
+         "apps[5].delta.branches[0].rules[0].action[1].port=70000 exceeds 16-bit range"),
+        (("apps", 5, "delta", "branches", 0, "rules", 0, "action", "actions", 0, "to", "server_b"),
+         -1, "apps[5].delta.branches[0].rules[0].action[0].to.server_b=-1 exceeds 32-bit range"),
     ])
     def test_values_are_checked_where_read(self, path, value, message):
         with pytest.raises(ScenarioFormatError) as exc:
@@ -520,12 +558,13 @@ class TestSectionDecoders:
 
     def test_chain_decodes_only_the_apps_it_names_each_once(self, monkeypatch):
         decoded = []
+        decode = scenario._app
 
-        def counting(obj, n, what="app"):
-            decoded.append(what)
-            return app_from_obj(obj, n, what)
+        def counting(obj, n):
+            decoded.append(obj)
+            return decode(obj, n)
 
-        monkeypatch.setattr(scenario, "app_from_obj", counting)
+        monkeypatch.setattr(scenario, "_app", counting)
         for obj in _seeded_objects(229, 200):
             whole = scenario_from_obj_oracle(obj)
             positions = {app["name"]: i for i, app in enumerate(obj["apps"])}
@@ -536,7 +575,7 @@ class TestSectionDecoders:
                 assert chain == whole.chains[name]
                 assert doc.chain(name) == chain
             named = {positions[s] for stages in obj["chains"].values() for s in stages}
-            assert sorted(decoded) == sorted(f"apps[{i}]" for i in named)
+            assert sorted(positions[app["name"]] for app in decoded) == sorted(named)
             for name in obj["queries"]:
                 assert doc.query(name) == whole.queries[name]
             assert doc.nib() == whole.nib
