@@ -56,6 +56,7 @@ FIELD_BOUNDS: tuple[int, ...] = tuple(1 << f.width for f in FIELDS)
 
 _SLOTS: dict[str, tuple[int, int]] = {f.name: (i, 1 << f.width) for i, f in enumerate(FIELDS)}
 _ZEROS = (0,) * FIELD_COUNT
+_WILDCARDS = (None,) * FIELD_COUNT
 # What a frozen dataclass's generated `__init__` calls to build an instance.
 _new = object.__new__
 _setattr = object.__setattr__
@@ -140,13 +141,18 @@ class Header:
         return h
 
 
-def _mapping_error(fields) -> FlowspaceError:
-    """The error for a field mapping that names no valid header: its first
-    unknown name, else its first bad value in field order."""
+def _unknown_name(fields) -> UnknownFieldError | None:
+    """The error for the first name of a field mapping that names no field, or None."""
     for name in fields:
         if name not in FIELD_INDEX:
             return UnknownFieldError(f"unknown field {name!r}")
-    return _field_error(tuple(map(fields.get, FIELD_INDEX, _ZEROS)))
+    return None
+
+
+def _mapping_error(fields) -> FlowspaceError:
+    """The error for a field mapping that names no valid header: its first
+    unknown name, else its first bad value in field order."""
+    return _unknown_name(fields) or _field_error(tuple(map(fields.get, FIELD_INDEX, _ZEROS)))
 
 
 @dataclass(frozen=True)
@@ -243,15 +249,42 @@ class MatchPattern(KeptHash):
 
     @classmethod
     def wildcard(cls) -> MatchPattern:
-        return cls((None,) * FIELD_COUNT)
+        return cls(_WILDCARDS)
 
     @classmethod
     def from_fields(cls, **fields: int) -> MatchPattern:
         """Exact matches on the named fields; omitted fields are wildcards."""
-        entries: list[int | None] = [None] * FIELD_COUNT
-        for name, value in fields.items():
-            entries[field_index(name)] = value
-        return cls(tuple(entries))
+        return cls.from_mapping(fields)
+
+    @classmethod
+    def from_mapping(cls, fields) -> MatchPattern:
+        """The pattern matching exactly the values `fields` maps field
+        names to; omitted fields are wildcards.  The twin of
+        `Header.from_mapping`.
+
+        Only the named values are tested, since a wildcard fits every
+        field.  On a failure the full check runs: an unknown name raises
+        `UnknownFieldError`, else the constructor checks all twelve
+        entries, so the error names the first bad field in field order
+        and a `None` value stands for a wildcard, as it does there.
+        """
+        entries = list(_WILDCARDS)
+        try:
+            for name, value in fields.items():
+                i, bound = _SLOTS[name]
+                if not (type(value) is int and 0 <= value < bound):
+                    break
+                entries[i] = value
+            else:
+                p = _new(cls)
+                _setattr(p, "entries", tuple(entries))
+                return p
+        except KeyError:
+            pass
+        error = _unknown_name(fields)
+        if error is not None:
+            raise error
+        return cls(tuple(map(fields.get, FIELD_INDEX)))
 
     @classmethod
     def exact_for(cls, h: Header) -> MatchPattern:

@@ -13,13 +13,22 @@ query.  A command pays only for the sections it reads.  `load_scenario`
 decodes the whole document through the same section decoders, in file
 order.
 
-Each value goes as read to the constructor that owns its type and range.
-The decoder checks only JSON's own rules: shapes, keys, `kind` tags, the
-version, decimal `server_ports` keys, seq depth and names.  Each section
-is walked once, and a value's JSON path is built only when a check or a
-constructor fails: the error (`_Unplaced`) takes one segment from each
-level it passes on its way out, so a valid document formats no path.
-An error names the first bad value in file order.
+Each value goes as read to the module that owns its type and range.
+The owners expose one-test builders for the values a document holds
+many of: `Header.from_mapping` and `MatchPattern.from_mapping` test
+only the fields a JSON object names, `tables.make_entry` tests an
+entry's port, ttl and counter in one expression, and a rule template
+and its parts are built by their constructors.  A builder runs its
+full check only when that test fails, so its error names the first bad
+value as the constructor's would.  The decoder checks only JSON's own rules: shapes, keys, `kind` tags, the
+version, decimal `server_ports` keys, seq depth and names.  Each
+section is walked once, each object read once, and the checks of the
+items a document holds many of (flows, table entries and their
+actions, rule templates and their parts) are written out inline: a
+helper runs only to raise an error.  A value's JSON path is built only
+when a check or a builder fails: the error (`_Unplaced`) takes one
+segment from each level it passes on its way out, so a valid document
+formats no path.  An error names the first bad value in file order.
 
 Headers serialize as objects keyed by field name with omitted fields
 defaulting to 0; match patterns likewise, with omitted fields
@@ -45,7 +54,7 @@ from flowspace.errors import (
 )
 from flowspace.headers import FIELD_COUNT, FIELD_INDEX, FIELDS, Header, MatchPattern
 from flowspace.nib import NIB, Flow, Topology
-from flowspace.tables import FlowEntry, FlowRule, FlowTable
+from flowspace.tables import FlowEntry, FlowRule, FlowTable, make_entry
 from flowspace.transforms import (
     AppTransform,
     DestPort,
@@ -140,6 +149,12 @@ def _not_object(value, at: str = "") -> _Unplaced:
     return _Unplaced("", f" must be an object, got {type(value).__name__}", at)
 
 
+def _object_error(obj, allowed: frozenset[str]) -> _Unplaced:
+    """The error when `isinstance(obj, dict) and obj.keys() <= allowed`
+    fails: not an object, else its unknown keys."""
+    return _unknown_keys(obj, allowed) if isinstance(obj, dict) else _not_object(obj)
+
+
 def _list(value, at: str = "") -> list:
     if not isinstance(value, list):
         raise _Unplaced("", f" must be an array, got {type(value).__name__}", at)
@@ -224,8 +239,8 @@ def _address_key(key: str) -> int:
 
 
 _FIELD_NAMES = frozenset(FIELD_INDEX)
-_FIELD_ORDER = tuple(FIELD_INDEX)
 _header_of = Header.from_mapping
+_pattern_of = MatchPattern.from_mapping
 
 
 def _field(value, at: str) -> str:
@@ -269,12 +284,18 @@ def pattern_from_obj(obj, what: str = "match") -> MatchPattern:
 
 
 def _pattern(obj) -> MatchPattern:
-    obj = _obj(obj)
-    _keys(obj, _FIELD_NAMES)
-    if None in obj.values():  # a wildcard is written by leaving its field out
-        name = next(name for name, value in obj.items() if value is None)
-        raise _Unplaced("", " must be an int, got NoneType", "." + name)
-    return _make(MatchPattern, tuple(map(obj.get, _FIELD_ORDER)))
+    if not isinstance(obj, dict):
+        raise _not_object(obj)
+    if None not in obj.values():  # a wildcard is written by leaving its field out
+        try:  # `MatchPattern` checks the names as well as the values
+            return _pattern_of(obj)
+        except UnknownFieldError:
+            raise _unknown_keys(obj, _FIELD_NAMES) from None
+        except InvalidRuleError as exc:
+            raise _misfit(exc) from None
+    _keys(obj, _FIELD_NAMES)  # an unknown key is reported before a null
+    name = next(name for name, value in obj.items() if value is None)
+    raise _Unplaced("", " must be an int, got NoneType", "." + name)
 
 
 # ---------------------------------------------------------------------------
@@ -322,27 +343,46 @@ def _action(obj) -> AffineAction:
 
 def _fold_action(obj, fold: actions.ActionFold) -> None:
     """Check one concrete action and apply it after the steps in `fold`;
-    a `seq` applies its steps in order, nested ones included."""
-    obj = _obj(obj)
-    kind = _need(obj, "kind")
-    if kind == "drop":
-        _keys(obj, _KIND_KEYS)
-        fold.drop()
+    a `seq` applies its steps in order, nested ones included.
+
+    One or more per table entry, so the checks are written out here; a
+    helper runs only to raise the first error.
+    """
+    if not isinstance(obj, dict):
+        raise _not_object(obj)
+    kind = obj.get("kind")
+    if kind == "modify":
+        # Three keys, of which the two read are valid: no other key.
+        name, delta = obj.get("field"), obj.get("delta")
+        i = FIELD_INDEX.get(name) if type(name) is str else None  # a list is no dict key
+        if not (len(obj) == 3 and i is not None and type(delta) is int):
+            _keys(obj, _MODIFY_KEYS)
+            _field(_need(obj, "field"), ".field")
+            _int(_need(obj, "delta"), ".delta")
+        fold.translate(i, delta)
     elif kind == "forward":
-        _keys(obj, _FORWARD_KEYS)
-        fold.translate(PORT_SLOT, _int(_need(obj, "delta"), ".delta"))
-    elif kind == "modify":
-        _keys(obj, _MODIFY_KEYS)
-        name = _field(_need(obj, "field"), ".field")
-        fold.translate(FIELD_INDEX[name], _int(_need(obj, "delta"), ".delta"))
+        delta = obj.get("delta")
+        if not (len(obj) == 2 and type(delta) is int):
+            _keys(obj, _FORWARD_KEYS)
+            _int(_need(obj, "delta"), ".delta")
+        fold.translate(PORT_SLOT, delta)
     elif kind == "seq":
-        _keys(obj, _SEQ_KEYS)
-        for i, step in enumerate(_list(_need(obj, "actions"), ".actions")):
+        if not obj.keys() <= _SEQ_KEYS:
+            raise _unknown_keys(obj, _SEQ_KEYS)
+        steps = obj.get("actions")
+        if not isinstance(steps, list):
+            _list(_need(obj, "actions"), ".actions")
+        for i, step in enumerate(steps):
             try:
                 _fold_action(step, fold)
             except _Unplaced as exc:
                 raise exc.under(f"[{i}]")
+    elif kind == "drop":
+        if not obj.keys() <= _KIND_KEYS:
+            raise _unknown_keys(obj, _KIND_KEYS)
+        fold.drop()
     else:
+        _need(obj, "kind")
         raise _Unplaced("", f": unknown action kind {kind!r}")
 
 
@@ -364,16 +404,35 @@ def rule_from_obj(obj, what: str = "rule") -> FlowRule:
 
 
 def _rule_obj(obj) -> FlowRule:
-    obj = _obj(obj)
-    _keys(obj, _RULE_KEYS)
-    return _rule(obj)
+    if not (isinstance(obj, dict) and obj.keys() <= _RULE_KEYS):
+        raise _object_error(obj, _RULE_KEYS)
+    try:
+        return FlowRule(*_rule_parts(obj))
+    except InvalidRuleError as exc:
+        raise _misfit(exc) from None
 
 
-def _rule(obj: dict) -> FlowRule:
-    """The rule of a rule or entry object whose keys are checked."""
-    return _make(FlowRule, _below(".match", _pattern, _need(obj, "match")),
-                 _need(obj, "out_port"), _need(obj, "ttl"),
-                 _below(".action", _action, _need(obj, "action")))
+def _rule_parts(obj: dict) -> tuple:
+    """The match, out port, ttl and action of a rule or entry object whose
+    keys are checked, the match and the action decoded; the port and the
+    ttl are left to the rule's constructor."""
+    try:
+        match = obj["match"]
+    except KeyError:
+        raise _missing("match") from None
+    try:
+        match = _pattern(match)
+    except _Unplaced as exc:
+        raise exc.under(".match")
+    try:
+        out_port, ttl, action = obj["out_port"], obj["ttl"], obj["action"]
+    except KeyError as exc:  # the first key missing, in this order
+        raise _missing(exc.args[0]) from None
+    try:
+        action = _action(action)
+    except _Unplaced as exc:
+        raise exc.under(".action")
+    return match, out_port, ttl, action
 
 
 def entry_to_obj(e: FlowEntry) -> dict:
@@ -387,9 +446,14 @@ def entry_from_obj(obj, what: str = "entry") -> FlowEntry:
 
 
 def _entry(obj) -> FlowEntry:
-    obj = _obj(obj)
-    _keys(obj, _ENTRY_KEYS)
-    return _make(FlowEntry, _rule(obj), obj.get("counter", 0))
+    # One per table entry, so its checks are written out here.
+    if not (isinstance(obj, dict) and obj.keys() <= _ENTRY_KEYS):
+        raise _object_error(obj, _ENTRY_KEYS)
+    match, out_port, ttl, action = _rule_parts(obj)
+    try:
+        return make_entry(match, out_port, ttl, action, obj.get("counter", 0))
+    except InvalidRuleError as exc:
+        raise _misfit(exc) from None
 
 
 def table_to_obj(t: FlowTable) -> list:
@@ -417,10 +481,8 @@ def flow_from_obj(obj, what: str = "flow") -> Flow:
 
 def _flow(obj) -> Flow:
     # One per observed flow, so its checks are written out here.
-    if not isinstance(obj, dict):
-        raise _not_object(obj)
-    if not obj.keys() <= _FLOW_KEYS:
-        raise _unknown_keys(obj, _FLOW_KEYS)
+    if not (isinstance(obj, dict) and obj.keys() <= _FLOW_KEYS):
+        raise _object_error(obj, _FLOW_KEYS)
     try:
         header = obj["header"]
     except KeyError:
@@ -511,8 +573,8 @@ def _port_ref(obj):
             return PortNumber(obj)
         except InvalidRuleError as exc:
             raise _misfit(exc, "") from None  # the number stands alone at the path
-    obj = _obj(obj)
-    _keys(obj, _KIND_KEYS)
+    if not (isinstance(obj, dict) and obj.keys() <= _KIND_KEYS):
+        raise _object_error(obj, _KIND_KEYS)
     if obj.get("kind") == "dest_port":
         return DestPort()
     raise _Unplaced("", f": unknown port reference {obj!r}")
@@ -533,11 +595,16 @@ def _value_ref(obj):
     """A set-field target: an integer (`SetField` checks it) or a deferred pick."""
     if isinstance(obj, int):
         return obj
-    obj = _obj(obj)
-    _keys(obj, _SERVER_PAIR_KEYS)
-    if obj.get("kind") == "pick_less_loaded":
-        return _make(PickLessLoaded, _need(obj, "server_a"), _need(obj, "server_b"))
-    raise _Unplaced("", f": unknown value reference {obj!r}")
+    if not (isinstance(obj, dict) and obj.keys() <= _SERVER_PAIR_KEYS):
+        raise _object_error(obj, _SERVER_PAIR_KEYS)
+    if obj.get("kind") != "pick_less_loaded":
+        raise _Unplaced("", f": unknown value reference {obj!r}")
+    try:
+        return PickLessLoaded(obj["server_a"], obj["server_b"])
+    except KeyError as exc:
+        raise _missing(exc.args[0]) from None
+    except InvalidRuleError as exc:
+        raise _misfit(exc) from None
 
 
 def action_spec_to_obj(spec) -> dict:
@@ -556,25 +623,51 @@ def action_spec_from_obj(obj, what: str = "action", depth: int = 0):
 
 
 def _action_spec(obj, depth: int):
-    obj = _obj(obj)
-    kind = _need(obj, "kind")
-    if kind == "drop":
-        _keys(obj, _KIND_KEYS)
-        return Drop()
-    if kind == "forward":
-        _keys(obj, _PORT_KEYS)
-        return Forward(_below(".port", _port_ref, _need(obj, "port")))
+    # One or more per rule template, so its checks are written out here.
+    if not isinstance(obj, dict):
+        raise _not_object(obj)
+    kind = obj.get("kind")
     if kind == "set_field":
-        _keys(obj, _SET_FIELD_KEYS)
-        return _make(SetField, _need(obj, "field"),
-                     _below(".to", _value_ref, _need(obj, "to")))
+        if not obj.keys() <= _SET_FIELD_KEYS:
+            raise _unknown_keys(obj, _SET_FIELD_KEYS)
+        try:
+            field, to = obj["field"], obj["to"]
+        except KeyError as exc:  # the first key missing, in this order
+            raise _missing(exc.args[0]) from None
+        try:
+            to = _value_ref(to)
+        except _Unplaced as exc:
+            raise exc.under(".to")
+        try:
+            return SetField(field, to)
+        except InvalidRuleError as exc:
+            raise _misfit(exc) from None
+    if kind == "forward":
+        if not obj.keys() <= _PORT_KEYS:
+            raise _unknown_keys(obj, _PORT_KEYS)
+        try:
+            port = obj["port"]
+        except KeyError:
+            raise _missing("port") from None
+        try:
+            return Forward(_port_ref(port))
+        except _Unplaced as exc:
+            raise exc.under(".port")
+    if kind == "drop":
+        if not obj.keys() <= _KIND_KEYS:
+            raise _unknown_keys(obj, _KIND_KEYS)
+        return Drop()
     if kind == "seq":
-        _keys(obj, _SEQ_KEYS)
+        if not obj.keys() <= _SEQ_KEYS:
+            raise _unknown_keys(obj, _SEQ_KEYS)
         if depth == MAX_SEQ_DEPTH:
             raise _Unplaced("", f": seq nested deeper than {MAX_SEQ_DEPTH} levels")
         # The steps' array is at `.actions`, but each step is named `[i]`.
-        steps = _list(_need(obj, "actions"), ".actions")
+        steps = obj.get("actions")
+        if not isinstance(steps, list):
+            _list(_need(obj, "actions"), ".actions")
         return Seq(tuple(_items(_action_spec, steps, depth + 1)))
+    _need(obj, "kind")
     raise _Unplaced("", f": unknown action kind {kind!r}")
 
 
@@ -595,15 +688,37 @@ def template_from_obj(obj, what: str = "rule template") -> RuleTemplate:
 
 
 def _template(obj) -> RuleTemplate:
-    obj = _obj(obj)
-    _keys(obj, _ENTRY_KEYS)
-    match = _need(obj, "match")
-    match = InputHeader() if match == "input" else _below(".match", _pattern, match)
-    return _make(RuleTemplate, match,
-                 _below(".out_port", _port_ref, _need(obj, "out_port")),
-                 _need(obj, "ttl"),
-                 _below(".action", _action_spec, _need(obj, "action"), 0),
-                 obj.get("counter", 0))
+    # One per rule template, so its checks are written out here.
+    if not (isinstance(obj, dict) and obj.keys() <= _ENTRY_KEYS):
+        raise _object_error(obj, _ENTRY_KEYS)
+    try:
+        match = obj["match"]
+    except KeyError:
+        raise _missing("match") from None
+    try:
+        match = InputHeader() if match == "input" else _pattern(match)
+    except _Unplaced as exc:
+        raise exc.under(".match")
+    try:
+        out_port = obj["out_port"]
+    except KeyError:
+        raise _missing("out_port") from None
+    try:
+        out_port = _port_ref(out_port)
+    except _Unplaced as exc:
+        raise exc.under(".out_port")
+    try:
+        ttl, action = obj["ttl"], obj["action"]
+    except KeyError as exc:  # the first key missing, in this order
+        raise _missing(exc.args[0]) from None
+    try:
+        action = _action_spec(action, 0)
+    except _Unplaced as exc:
+        raise exc.under(".action")
+    try:
+        return RuleTemplate(match, out_port, ttl, action, obj.get("counter", 0))
+    except InvalidRuleError as exc:
+        raise _misfit(exc) from None
 
 
 def delta_to_obj(d: GuardedDelta) -> dict:

@@ -33,8 +33,9 @@ hash takes no part in equality or repr, and copies and pickles leave it
 out, since a pattern's `None`s hash by address on Python 3.10 and 3.11.
 A rule hashes from the same flat parts and keeps nothing.
 `checked_entry` builds an entry from parts already checked, writing its
-fields straight into the instance dicts, and `union` builds a table
-from tables and new entries with one frozenset union.
+fields straight into the instance dicts; `make_entry` builds one from
+parts it checks with one test, through `checked_entry`.  `union` builds
+a table from tables and new entries with one frozenset union.
 
 Only this module reads the key: `partners` and `inverse_pairs` pair
 entries for the others, and `reductions_equal` compares two tables'
@@ -143,6 +144,21 @@ def checked_entry(match: MatchPattern, out_port: int, ttl: int, action: AffineAc
     fields["rule"] = r
     fields["counter"] = counter
     return e
+
+
+def make_entry(match: MatchPattern, out_port: int, ttl: int, action: AffineAction,
+               counter: int) -> FlowEntry:
+    """The entry of rule (match, out_port, ttl, action) with `counter`.
+
+    One test covers what `FlowRule` and `FlowEntry` check, and a valid
+    entry is built by `checked_entry`; on a failure the two constructors
+    run, so the error is theirs."""
+    if (type(out_port) is int and 0 <= out_port <= PORT_MASK
+            and type(ttl) is int and 0 <= ttl <= TTL_MASK
+            and type(counter) is int and counter >= 0
+            and isinstance(match, MatchPattern) and isinstance(action, AffineAction)):
+        return checked_entry(match, out_port, ttl, action, counter)
+    return FlowEntry(FlowRule(match, out_port, ttl, action), counter)
 
 
 def rule_key(r: FlowRule) -> tuple:

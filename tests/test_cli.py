@@ -356,6 +356,35 @@ class TestWhatIf:
         assert (code, out) == (2, "")
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("literal, message", [
+        ('{"match": {"nw_src": 1}, "out_port": 2, "ttl": 60,'
+         ' "action": {"kind": "modify", "field": ["x"], "delta": 1}}',
+         "--rule.action.field must be a field name, got list"),
+        ('{"match": {"nw_src": 1}, "out_port": 2, "ttl": 60,'
+         ' "action": {"kind": "seq", "actions": [{"kind": "forward", "delta": true}]}}',
+         "--rule.action[0].delta must be an int, got bool"),
+        ('{"match": {"nw_src": null}, "out_port": 2, "ttl": 60, "action": {"kind": "drop"}}',
+         "--rule.match.nw_src must be an int, got NoneType"),
+        ('{"match": {"nw_src": 1}, "out_port": 2, "ttl": 60, "action": {"kind": "drop", "x": 1}}',
+         "unknown keys in --rule.action: ['x']"),
+        ('{"match": {"nw_src": 1}, "out_port": 1.5, "ttl": 60, "action": {"kind": "drop"}}',
+         "--rule.out_port must be an int, got float"),
+        ('{"match": {"nw_src": 1}, "out_port": 2, "ttl": 60, "action": {"kind": {"a": 1}}}',
+         "--rule.action: unknown action kind {'a': 1}"),
+    ])
+    def test_rule_literal_errors(self, casestudy_path, literal, message):
+        code, out, err = run_main("whatif", casestudy_path, "--op", "add", "--switch", "0",
+                                  "--rule", literal)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_old_rule_literal_errors(self, casestudy_path):
+        old = ('{"match": {"nw_src": 1}, "out_port": 2, "ttl": 60,'
+               ' "action": {"kind": "seq", "actions": [{"kind": "forward", "delta": true}]}}')
+        code, out, err = run_main("whatif", casestudy_path, "--op", "modify", "--switch", "0",
+                                  "--rule", self.RULE, "--old-rule", old)
+        assert (code, out, err) == (
+            2, "", "error: --old-rule.action[0].delta must be an int, got bool\n")
+
     def test_modify_without_old_rule(self, casestudy_path):
         code, _, err = run_main("whatif", casestudy_path, "--op", "modify", "--switch", "0",
                                 "--rule", self.RULE)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -168,6 +170,52 @@ class TestMatches:
     def test_pattern_width_checked(self):
         with pytest.raises(WidthOverflowError):
             MatchPattern.from_fields(nw_tos=64)
+
+    def test_from_fields_goes_through_from_mapping(self):
+        p = MatchPattern.from_fields(nw_src=1, tp_dst=80)
+        assert p == MatchPattern.from_mapping({"tp_dst": 80, "nw_src": 1})
+        assert p.entries == (None,) * 6 + (1,) + (None,) * 4 + (80,)
+        assert MatchPattern.from_fields() == MatchPattern.wildcard()
+        with pytest.raises(UnknownFieldError, match="^unknown field 'nw_srcc'$"):
+            MatchPattern.from_fields(nw_srcc=1)
+
+    def test_from_mapping_agrees_with_the_constructor(self):
+        # The mapping constructor tests only the named values; it builds
+        # and fails exactly as the constructor's check on all twelve does,
+        # a None standing for a wildcard in both.
+        rng = random.Random(131)
+        names = [f.name for f in FIELDS]
+        seen = set()
+        for _ in range(3000):
+            fields = {}
+            for name in rng.sample(names, rng.randint(0, 4)):
+                bound = 1 << FIELDS[names.index(name)].width
+                fields[name] = rng.choice(
+                    (True, False, 1.0, 2.5, None, -1, bound, bound - 1, 0, 2**64,
+                     rng.randrange(bound)))
+            entries = tuple(fields.get(name) for name in names)
+            try:
+                expected = MatchPattern(entries)
+            except InvalidRuleError as exc:
+                with pytest.raises(InvalidRuleError) as got:
+                    MatchPattern.from_mapping(fields)
+                assert (type(got.value), got.value.args) == (type(exc), exc.args)
+                seen.add(exc.reason.split()[-1] if exc.width is None else "range")
+            else:
+                got = MatchPattern.from_mapping(fields)
+                assert got == expected and got.entries == expected.entries
+                assert hash(got) == hash(expected)
+                seen.add("wildcard" if None in fields.values() else "valid")
+        assert seen == {"bool", "float", "range", "wildcard", "valid"}
+
+    def test_from_mapping_reports_an_unknown_name_then_the_first_bad_field(self):
+        with pytest.raises(UnknownFieldError, match="^unknown field 'nw_srcc'$"):
+            MatchPattern.from_mapping({"nw_src": -1, "nw_srcc": 1})
+        # Two bad fields: the first in field order, not in mapping order.
+        with pytest.raises(WidthOverflowError, match="^nw_src=-1 exceeds 32-bit range$"):
+            MatchPattern.from_mapping({"tp_dst": 1 << 16, "nw_src": -1})
+        with pytest.raises(InvalidRuleError, match="^in_port must be an int, got float$"):
+            MatchPattern.from_mapping({"dl_vlan": True, "in_port": 0.5})
 
     @pytest.mark.parametrize("value", [True, 1.0, "1"])
     def test_pattern_entries_are_real_ints(self, value):

@@ -1,10 +1,13 @@
 import copy
+import dataclasses
 import json
+import pickle
 import random
 import re
 
 import pytest
 
+import oracles
 from oracles import congruent, random_document, scenario_from_obj_oracle
 from flowspace import actions, sampling, scenario
 from flowspace.casestudy import build_scenario
@@ -28,13 +31,16 @@ from flowspace.scenario import (
     loads_scenario,
     pattern_from_obj,
     pattern_to_obj,
+    rule_from_obj,
     scenario_from_obj,
     scenario_to_obj,
     table_from_obj,
     table_to_obj,
+    template_from_obj,
     topology_from_obj,
     topology_to_obj,
 )
+from flowspace.tables import FlowEntry, FlowRule
 
 
 class TestHeaderObjects:
@@ -431,6 +437,16 @@ class TestScenarioDocument:
          "tables[1][3].match.tp_dst=65536 exceeds 16-bit range"),
         (("tables", 1, 2, "action"), {"kind": "seq", "actions": [{"kind": "drop"}, {"kind": "x"}]},
          "tables[1][2].action[1]: unknown action kind 'x'"),
+        # An unknown key beside valid values, and before a bad one.
+        (("tables", 1, 2, "action"),
+         {"kind": "seq", "actions": [{"kind": "modify", "field": "nw_tos", "delta": 1, "x": 0}]},
+         "unknown keys in tables[1][2].action[0]: ['x']"),
+        (("tables", 0, 0, "action"), {"kind": "modify", "field": "vlan", "delta": 1, "x": 0},
+         "unknown keys in tables[0][0].action: ['x']"),
+        (("tables", 0, 0, "action"), {"kind": "forward", "delta": 1, "x": 0},
+         "unknown keys in tables[0][0].action: ['x']"),
+        (("apps", 0, "delta", "default", 0, "action"), {"kind": "forward", "port": 1, "x": 0},
+         "unknown keys in apps[0].delta.default[0].action: ['x']"),
         (("apps", 5, "delta", "branches", 0, "rules", 0, "action", "actions", 1, "port"), 70_000,
          "apps[5].delta.branches[0].rules[0].action[1].port=70000 exceeds 16-bit range"),
         (("apps", 5, "delta", "branches", 0, "rules", 0, "action", "actions", 0, "to", "server_b"),
@@ -531,7 +547,10 @@ class TestSectionDecoders:
         # One to three values replaced: both decoders fail with the same
         # error, which is the first in file order, or both give one result.
         rng = random.Random(223)
-        values = (1.5, True, "7", "app0", None, -1, 70_000, [], {}, [[7]], "<drop>")
+        values = (1.5, True, "7", "app0", None, -1, 70_000, [], {}, [[7]], "<drop>",
+                  # the edges of the inline checks: port, ttl and field bounds,
+                  # ints past every width, and an action where another value was
+                  0xFFFF, 0x10000, 2**48, 2**64, -(2**70), {"kind": "drop"})
         failed = 0
         for obj in _seeded_objects(227, 400):
             paths = list(_paths(obj))
@@ -546,7 +565,7 @@ class TestSectionDecoders:
                     for key in path[:-1]:
                         parent = parent[key]
                     if value != "<drop>":
-                        parent[path[-1]] = value
+                        parent[path[-1]] = copy.deepcopy(value)  # a later path may lead into it
                     elif isinstance(parent, dict):
                         del parent[path[-1]]
                 except (KeyError, IndexError, TypeError):
@@ -622,3 +641,60 @@ class TestSectionDecoders:
             with pytest.raises(ScenarioFormatError) as exc:
                 read(path)
             assert str(exc.value) == message
+
+
+def _constructed_rule(r: FlowRule) -> FlowRule:
+    """`r` built again through the constructors alone."""
+    a = r.action
+    return FlowRule(MatchPattern(r.match.entries), r.out_port, r.ttl,
+                    actions.AffineAction(a.linear, a.translation))
+
+
+def _templates(obj):
+    """The rule-template objects of a document, in file order."""
+    for app in obj["apps"]:
+        for branch in app["delta"]["branches"]:
+            yield from branch["rules"]
+        yield from app["delta"]["default"]
+
+
+class TestDecodedValues:
+    """The decoder builds entries, rules and templates through their
+    owners' one-test builders; what it builds is the value that the
+    constructors build, in every way a caller can look at it."""
+
+    @staticmethod
+    def _unused(value) -> None:
+        """Nothing kept before first use: no hash, no template facts."""
+        for part in (value, getattr(value, "rule", None), getattr(value, "match", None),
+                     getattr(getattr(value, "rule", None), "match", None)):
+            if part is not None:
+                assert "_hash" not in vars(part) and "_facts" not in vars(part)
+
+    def _same(self, got, want) -> None:
+        self._unused(got)
+        self._unused(want)
+        assert got == want
+        assert hash(got) == hash(want)
+        assert repr(got) == repr(want)
+        for copied in (pickle.loads(pickle.dumps(got)), copy.deepcopy(got),
+                       dataclasses.replace(got)):
+            assert copied == want and repr(copied) == repr(want)
+            assert hash(copied) == hash(want)
+
+    def test_decoded_values_match_constructed_ones(self):
+        count = 0
+        for obj in _seeded_objects(233, 100):
+            for table in obj["tables"]:
+                for item in table:
+                    want = oracles.entry_from_obj(item)  # its action comes from a fold
+                    want = FlowEntry(_constructed_rule(want.rule), want.counter)
+                    self._same(entry_from_obj(item), want)
+                    rule = {key: value for key, value in item.items() if key != "counter"}
+                    self._same(rule_from_obj(rule), want.rule)
+                    count += 1
+            for item in _templates(obj):
+                want = oracles.template_from_obj(item)  # built through the constructors
+                self._same(template_from_obj(item), want)
+                count += 1
+        assert count > 1500
