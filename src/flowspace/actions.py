@@ -40,9 +40,10 @@ STATE_MASKS: tuple[int, ...] = FIELD_MASKS + (PORT_MASK, TTL_MASK)
 
 _ZEROS = (0,) * STATE_SIZE
 _ONES = (1,) * STATE_SIZE
+_new, _setattr = object.__new__, object.__setattr__  # as a generated `__init__` builds
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RuleState:
     """The vector an action acts on: a header, an output port and a ttl."""
 
@@ -72,7 +73,7 @@ class RuleState:
         return cls(Header(vec[:FIELD_COUNT]), vec[PORT_SLOT], vec[TTL_SLOT])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AffineAction:
     """Canonical diagonal-plus-translation form of a rule-state map."""
 
@@ -80,12 +81,8 @@ class AffineAction:
     translation: tuple[int, ...]
 
     def __post_init__(self):
-        # `_ONES` and `_ZEROS` are valid, and `identity`, `drop` and the
-        # single-step constructors pass them, so they skip the
-        # entry-by-entry check.  A diagonal entry's mask is 1.
-        linear, translation = self.linear, self.translation
-        if not ((linear is _ONES or linear is _ZEROS or _fits(linear, _ONES))
-                and (translation is _ZEROS or _fits(translation, STATE_MASKS))):
+        linear, translation = self.linear, self.translation  # a diagonal entry's mask is 1
+        if not (_fits(linear, _ONES) and _fits(translation, STATE_MASKS)):
             raise (_vector_error("linear", linear, _ONES)
                    or _vector_error("translation", translation, STATE_MASKS))
 
@@ -160,8 +157,9 @@ class ActionFold:
     all-zero diagonal and translation, so it zeroes both vectors.  The
     diagonal is `_ONES` or `_ZEROS` and every translation entry is an int
     under its slot's mask, so the result is valid by construction and
-    `action()` builds it without the constructor's entry-by-entry check,
-    writing the two vectors straight into the instance `__dict__`.
+    `action()` builds it without the constructor's entry-by-entry check
+    (see the `headers` module docstring for how a trusted builder writes
+    fields).
     """
 
     __slots__ = ("linear", "translation")
@@ -184,10 +182,9 @@ class ActionFold:
         return (self.linear[slot] * start + self.translation[slot]) & STATE_MASKS[slot]
 
     def action(self) -> AffineAction:
-        a = object.__new__(AffineAction)
-        fields = a.__dict__
-        fields["linear"] = self.linear
-        fields["translation"] = tuple(self.translation)
+        a = _new(AffineAction)
+        _setattr(a, "linear", self.linear)
+        _setattr(a, "translation", tuple(self.translation))
         return a
 
 
@@ -233,7 +230,7 @@ def action_key(a: AffineAction) -> tuple:
     return (a.linear, a.translation)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ActionLabel:
     """Human-facing classification of an action's matrix content.
 

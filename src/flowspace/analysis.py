@@ -52,7 +52,7 @@ from flowspace.transforms import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Difference:
     """Where two normalized transforms first disagree."""
 
@@ -60,7 +60,7 @@ class Difference:
     detail: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CongruenceReport:
     congruent: bool
     first_difference: Difference | None
@@ -283,7 +283,7 @@ def behavioral_diff(a: ServiceChain | AppTransform,
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LoopFinding:
     """Two entries in one table whose actions compose to the identity."""
 
@@ -320,7 +320,7 @@ def detect_loops(nib: NIB) -> list[LoopFinding]:
     return findings
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FlowModRequest:
     """A candidate FLOW_MOD: add, delete or modify one rule on one switch.
 
@@ -349,14 +349,14 @@ class FlowModRequest:
                 raise type_error("old_rule", self.old_rule, "a FlowRule")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TableDiff:
     switch: int
     added: tuple[FlowEntry, ...]
     removed: tuple[FlowEntry, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WhatIfReport:
     diffs: tuple[TableDiff, ...]
     new_loops: tuple[LoopFinding, ...]

@@ -26,7 +26,7 @@ from flowspace.tables import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PropertyResult:
     name: str
     description: str

@@ -53,7 +53,7 @@ SERVER_A = 0x0A000065  # 10.0.0.101
 SERVER_B = 0x0A000066  # 10.0.0.102
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CaseStudyConfig:
     anomaly_threshold: int = 3
     server_a: int = SERVER_A

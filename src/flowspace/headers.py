@@ -9,6 +9,17 @@ expressed as a translation (delta = new - old mod 2**width).
 Match patterns are the all-or-nothing wildcard form used by flow rules:
 per field, either an exact value or a wildcard.  Prefix masks are out
 of scope.
+
+Value convention: every value type is a frozen dataclass with
+`slots=True`, and has no instance `__dict__` unless it keeps a derived
+value there (`NIB`, `AppTransform`, `ServiceChain`, `Counterexample`).
+A builder for parts already checked writes fields as the generated
+`__init__` does, `object.__new__` then `object.__setattr__`.  A kept
+value is a slot a base class declares (`KeptHash._hash`,
+`RuleTemplate._facts`), so it stays out of equality, repr and
+`dataclasses.fields`; its type copies and pickles through a `__reduce__`
+that calls the constructor, as `hash(None)` and string hashes differ
+between processes.
 """
 
 from __future__ import annotations
@@ -25,7 +36,7 @@ from flowspace.errors import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FieldSpec:
     """One canonical match field: a name and a bit width in [1, 64]."""
 
@@ -57,9 +68,7 @@ FIELD_BOUNDS: tuple[int, ...] = tuple(1 << f.width for f in FIELDS)
 _SLOTS: dict[str, tuple[int, int]] = {f.name: (i, 1 << f.width) for i, f in enumerate(FIELDS)}
 _ZEROS = (0,) * FIELD_COUNT
 _WILDCARDS = (None,) * FIELD_COUNT
-# What a frozen dataclass's generated `__init__` calls to build an instance.
-_new = object.__new__
-_setattr = object.__setattr__
+_new, _setattr = object.__new__, object.__setattr__  # as a generated `__init__` builds
 
 NW_SRC = FIELD_INDEX["nw_src"]
 NW_DST = FIELD_INDEX["nw_dst"]
@@ -99,7 +108,7 @@ def _field_error(values: tuple) -> InvalidRuleError:
             return WidthOverflowError(spec.name, value, spec.width)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Header:
     """A point in the header space: one value per canonical field, a real
     int that fits the field."""
@@ -155,7 +164,7 @@ def _mapping_error(fields) -> FlowspaceError:
     return _unknown_name(fields) or _field_error(tuple(map(fields.get, FIELD_INDEX, _ZEROS)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HeaderDelta:
     """A per-field translation amount, interpreted modulo 2**width."""
 
@@ -204,25 +213,12 @@ def translate_header(h: Header, d: HeaderDelta) -> Header:
 
 
 class KeptHash:
-    """Base of a frozen dataclass value that keeps its hash.
+    """The `_hash` slot of a value that keeps its hash."""
 
-    The subclass's `__hash__` works the hash out on first use and writes
-    it into the instance `__dict__` as `_hash`, which no field reads, so
-    it stays out of equality and repr; until then the class default
-    `None` stands.  Copies and pickles leave it out: `hash(None)` follows
-    the object's address on Python 3.10 and 3.11, so the hash of a value
-    holding a `None` is not the same in another process.
-    """
-
-    _hash = None
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
+    __slots__ = ("_hash",)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MatchPattern(KeptHash):
     """Per-field match: an exact value (a real int that fits the field)
     or None for wildcard.
@@ -240,12 +236,13 @@ class MatchPattern(KeptHash):
         for entry, bound in zip(self.entries, FIELD_BOUNDS):
             if entry is not None and not (type(entry) is int and 0 <= entry < bound):
                 raise _field_error(tuple(0 if e is None else e for e in self.entries))
+        _setattr(self, "_hash", hash(self.entries))
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = self.__dict__["_hash"] = hash(self.entries)
-        return h
+        return self._hash
+
+    def __reduce__(self):
+        return MatchPattern, (self.entries,)
 
     @classmethod
     def wildcard(cls) -> MatchPattern:
@@ -276,9 +273,7 @@ class MatchPattern(KeptHash):
                     break
                 entries[i] = value
             else:
-                p = _new(cls)
-                _setattr(p, "entries", tuple(entries))
-                return p
+                return _pattern(tuple(entries))
         except KeyError:
             pass
         error = _unknown_name(fields)
@@ -291,14 +286,19 @@ class MatchPattern(KeptHash):
         """The fully-exact pattern matching only h.
 
         A `Header`'s values passed the per-field check that a pattern's
-        entries take, so the pattern is built without running it again:
-        its one field is written straight into the instance `__dict__`.
+        entries take, so the pattern is built without running it again.
         """
         if not isinstance(h, Header):
             raise type_error("h", h, "a Header")
-        p = object.__new__(cls)
-        p.__dict__["entries"] = h.values
-        return p
+        return _pattern(h.values)
+
+
+def _pattern(entries: tuple) -> MatchPattern:
+    """The pattern of `entries`, which passed `MatchPattern`'s check."""
+    p = _new(MatchPattern)
+    _setattr(p, "entries", entries)
+    _setattr(p, "_hash", hash(entries))
+    return p
 
 
 def matches(p: MatchPattern, h: Header) -> bool:

@@ -802,7 +802,7 @@ def transform_to_obj(app: AppTransform) -> dict:
 # Scenario
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Scenario:
     topology: Topology
     nib: NIB

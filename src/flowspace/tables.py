@@ -26,16 +26,14 @@ editing again, and a table kept alive does not keep the tables edited
 from it alive.  Copies and pickles hold the entries alone.
 
 An entry hashes in one step, from flat parts (the pattern's entries,
-the port, the ttl, the action's two vectors and the counter), and keeps
-its hash, as a `MatchPattern` does (`headers.KeptHash`): sets of
-entries and inverse-index keys hash one value again and again.  A kept
-hash takes no part in equality or repr, and copies and pickles leave it
-out, since a pattern's `None`s hash by address on Python 3.10 and 3.11.
-A rule hashes from the same flat parts and keeps nothing.
-`checked_entry` builds an entry from parts already checked, writing its
-fields straight into the instance dicts; `make_entry` builds one from
-parts it checks with one test, through `checked_entry`.  `union` builds
-a table from tables and new entries with one frozenset union.
+the port, the ttl, the action's two vectors and the counter), when it
+is built, and keeps that hash in its `_hash` slot, as a `MatchPattern`
+does (see the `headers` module docstring for the convention): sets of
+entries and inverse-index keys hash one value again and again.  A rule
+hashes from the same flat parts and keeps nothing.  `checked_entry`
+builds an entry from parts already checked; `make_entry` builds one
+from parts it checks with one test, through `checked_entry`.  `union`
+builds a table from tables and new entries with one frozenset union.
 
 Only this module reads the key: `partners` and `inverse_pairs` pair
 entries for the others, and `reductions_equal` compares two tables'
@@ -64,8 +62,10 @@ from flowspace.errors import (
 )
 from flowspace.headers import KeptHash, MatchPattern, pattern_key
 
+_new, _setattr = object.__new__, object.__setattr__  # as a generated `__init__` builds
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class FlowRule:
     """A flow rule: match pattern, output port, ttl and an action."""
 
@@ -94,7 +94,7 @@ class FlowRule:
         return hash((self.match.entries, self.out_port, self.ttl, a.linear, a.translation))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FlowEntry(KeptHash):
     """A table element: a rule paired with its per-flow packet counter.
 
@@ -106,20 +106,20 @@ class FlowEntry(KeptHash):
     counter: int
 
     def __post_init__(self):
-        counter = self.counter
-        if not (type(counter) is int and counter >= 0 and isinstance(self.rule, FlowRule)):
-            if not isinstance(self.rule, FlowRule):
-                raise type_error("rule", self.rule, "a FlowRule")
+        counter, r = self.counter, self.rule
+        if not (type(counter) is int and counter >= 0 and isinstance(r, FlowRule)):
+            if not isinstance(r, FlowRule):
+                raise type_error("rule", r, "a FlowRule")
             raise counter_error(counter)
+        a = r.action
+        _setattr(self, "_hash",
+                 hash((r.match.entries, r.out_port, r.ttl, a.linear, a.translation, counter)))
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            r = self.rule
-            a = r.action
-            h = self.__dict__["_hash"] = hash(
-                (r.match.entries, r.out_port, r.ttl, a.linear, a.translation, self.counter))
-        return h
+        return self._hash
+
+    def __reduce__(self):
+        return FlowEntry, (self.rule, self.counter)
 
 
 def checked_entry(match: MatchPattern, out_port: int, ttl: int, action: AffineAction,
@@ -130,19 +130,17 @@ def checked_entry(match: MatchPattern, out_port: int, ttl: int, action: AffineAc
     The caller vouches for every part: a `MatchPattern` and an
     `AffineAction` that their constructors built, a port and a ttl that
     are ints in 0..0xFFFF, and a counter that is a non-negative int.
-    The fields are written straight into the instances' `__dict__`s, in
-    declaration order, as the generated `__init__` would set them.
     """
-    r = object.__new__(FlowRule)
-    fields = r.__dict__
-    fields["match"] = match
-    fields["out_port"] = out_port
-    fields["ttl"] = ttl
-    fields["action"] = action
-    e = object.__new__(FlowEntry)
-    fields = e.__dict__
-    fields["rule"] = r
-    fields["counter"] = counter
+    r = _new(FlowRule)
+    _setattr(r, "match", match)
+    _setattr(r, "out_port", out_port)
+    _setattr(r, "ttl", ttl)
+    _setattr(r, "action", action)
+    e = _new(FlowEntry)
+    _setattr(e, "rule", r)
+    _setattr(e, "counter", counter)
+    _setattr(e, "_hash",
+             hash((match.entries, out_port, ttl, action.linear, action.translation, counter)))
     return e
 
 

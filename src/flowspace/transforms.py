@@ -110,16 +110,18 @@ from flowspace.tables import (
     union,
 )
 
+_setattr = object.__setattr__  # as a generated `__init__` sets a field
+
 # ---------------------------------------------------------------------------
 # Guards
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrueGuard:
     """Always satisfied."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SourceCountAtMost:
     """Holds when the per-source flow count of the steered header is <= threshold."""
 
@@ -132,7 +134,7 @@ class SourceCountAtMost:
                    else InvalidRuleError(f"must be non-negative, got {t}", "threshold", t))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LoadAtMost:
     """Holds when server_a currently handles no more flows than server_b."""
 
@@ -174,7 +176,7 @@ def guard_key(g: Guard) -> tuple:
 # Rule templates
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PortName:
     """A named port, resolved through the topology's port map."""
 
@@ -185,7 +187,7 @@ class PortName:
             raise type_error("name", self.name, "a string")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PortNumber:
     """A literal port."""
 
@@ -197,7 +199,7 @@ class PortNumber:
             raise int_error("value", value, PORT_MASK)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DestPort:
     """The port of the server addressed by the steered header's effective destination."""
 
@@ -207,7 +209,7 @@ _PORT_REFS = (PortName, PortNumber, DestPort)
 _PORT_KIND = "a PortName, PortNumber or DestPort"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PickLessLoaded:
     """The address of whichever of two servers currently has less load.
 
@@ -227,7 +229,7 @@ class PickLessLoaded:
 ValueRef = Union[int, PickLessLoaded]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Forward:
     """Translate the output port to the resolved port."""
 
@@ -238,12 +240,12 @@ class Forward:
             raise type_error("port", self.port, _PORT_KIND)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Drop:
     """The zero-scaling action."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetField:
     """Rewrite one header field to a target value.
 
@@ -273,7 +275,7 @@ class SetField:
             raise int_error("to", to, mask)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Seq:
     """A composite action: steps applied left to right."""
 
@@ -292,7 +294,7 @@ _ACTION_SPECS = (Forward, Drop, SetField, Seq)
 _ACTION_KIND = "a Forward, Drop, SetField or Seq"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InputHeader:
     """Match exactly the header being steered."""
 
@@ -301,19 +303,24 @@ MatchSpec = Union[InputHeader, MatchPattern]
 _MATCH_SPECS = (InputHeader, MatchPattern)
 
 
-@dataclass(frozen=True)
-class RuleTemplate:
+class KeptFacts:
+    """The `_facts` slot of a `RuleTemplate`."""
+
+    __slots__ = ("_facts",)
+
+
+@dataclass(frozen=True, slots=True)
+class RuleTemplate(KeptFacts):
     """A symbolic flow entry, instantiated per (NIB, header).
 
     Facts derived from the fields are computed together once per object,
-    on first use, and kept in `__dict__`, out of repr and pickling: the
-    hash, the canonical key (`template_key`) and the port references
-    that instantiation looks up.  The instantiation plan (`_plan`) joins
-    them on the first instantiation, never on hashing.  Equality
-    compares the hashes, then the keys: constructors reject bools,
-    unknown field names and out-of-range values, so equal keys mean
-    equal fields.  Pickling drops the facts: `PortName` and `SetField`
-    strings hash differently in a process with another hash seed.
+    on first use, and kept in the `_facts` slot, out of equality, repr
+    and pickling: the hash, the canonical key (`template_key`) and the
+    port references that instantiation looks up.  The instantiation plan
+    (`_plan`) joins them on the first instantiation, never on hashing.
+    Equality compares the hashes, then the keys: constructors reject
+    bools, unknown field names and out-of-range values, so equal keys
+    mean equal fields.
     """
 
     match: MatchSpec
@@ -335,25 +342,24 @@ class RuleTemplate:
             if not isinstance(self.action, _ACTION_SPECS):
                 raise type_error("action", self.action, _ACTION_KIND)
             raise int_error("ttl", ttl, TTL_MASK) or counter_error(counter)
+        _setattr(self, "_facts", None)
 
     # Both read the kept facts in place and call `_facts` only the first
     # time: every set and dict operation on templates runs them.
     def __hash__(self) -> int:
-        return (self.__dict__.get("_facts") or _facts(self))[0]
+        return (self._facts or _facts(self))[0]
 
     def __eq__(self, other) -> bool:
         if self is other:
             return True
         if other.__class__ is not RuleTemplate:
             return NotImplemented
-        x = self.__dict__.get("_facts") or _facts(self)
-        y = other.__dict__.get("_facts") or _facts(other)
+        x = self._facts or _facts(self)
+        y = other._facts or _facts(other)
         return x[0] == y[0] and x[1] == y[1]
 
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state.pop("_facts", None)
-        return state
+    def __reduce__(self):
+        return RuleTemplate, (self.match, self.out_port, self.ttl, self.action, self.counter)
 
 
 #: A template's instantiation plan (see `_plan`): (match, out port, ttl,
@@ -365,14 +371,13 @@ def _facts(t: RuleTemplate) -> tuple[int, tuple, tuple[PortRef, ...], Plan | Non
     """The template's hash, canonical key and port lookups, derived on
     first use, and its plan once it has been instantiated.
 
-    One `__dict__` entry holds them all: a second entry would grow every
-    template's dict from 112 to 464 bytes (`sys.getsizeof`, Python 3.11).
+    One slot holds them all, so that one test tells whether they exist.
     """
-    facts = t.__dict__.get("_facts")
+    facts = t._facts
     if facts is None:
-        facts = t.__dict__["_facts"] = (
-            hash((t.match, t.out_port, t.ttl, t.action, t.counter)),
-            _canonical_key(t), _port_lookups(t), None)
+        facts = (hash((t.match, t.out_port, t.ttl, t.action, t.counter)),
+                 _canonical_key(t), _port_lookups(t), None)
+        _setattr(t, "_facts", facts)
     return facts
 
 
@@ -400,7 +405,7 @@ def _plan(t: RuleTemplate) -> Plan:
         plan = (None if isinstance(t.match, InputHeader) else t.match,
                 out.value if isinstance(out, PortNumber) else out,
                 t.ttl, tuple(_plan_steps(t.action)), t.counter)
-        t.__dict__["_facts"] = facts[:3] + (plan,)
+        _setattr(t, "_facts", facts[:3] + (plan,))
     return plan
 
 
@@ -482,7 +487,7 @@ Templates = tuple[RuleTemplate, ...]
 Branch = tuple[Guard, Templates]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GuardedDelta:
     """One piecewise table delta: ordered guarded arms plus the otherwise arm."""
 
@@ -591,8 +596,8 @@ class AppTransform:
     def dimension(self) -> int:
         return len(self.translation)
 
-    # Each is derived on first use and kept in the instance __dict__, so
-    # it takes no part in equality, hashing or repr.
+    # Each is derived on first use and kept in the instance dict (this
+    # type has no slots), so it takes no part in equality, hashing or repr.
     @cached_property
     def normal_form(self) -> AppTransform:
         """The canonical form `normalize` returns; see `_canon_sum`."""
@@ -863,7 +868,7 @@ class Instances:
         by construction, so the entry is built without checking them
         again.
         """
-        facts = tpl.__dict__.get("_facts")
+        facts = tpl._facts
         match, out, ttl, steps, counter = facts and facts[3] or _plan(tpl)
         nib, h = self.nib, self.h
         if match is None:

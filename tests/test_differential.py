@@ -95,11 +95,14 @@ entries of the buckets where the two tables differ.
 import copy
 import dataclasses
 import gc
+import importlib
 import pickle
 import random
 import sys
 import weakref
 from collections import Counter
+from pathlib import Path
+from typing import Iterator
 
 import pytest
 
@@ -125,7 +128,8 @@ from oracles import (
     template_eq_oracle,
     what_if_new_loops_oracle,
 )
-from flowspace import analysis, casestudy, sampling, tables, transforms
+import flowspace
+from flowspace import actions, analysis, axioms, casestudy, sampling, tables, transforms
 from flowspace.actions import (
     PORT_MASK,
     PORT_SLOT,
@@ -145,7 +149,15 @@ from flowspace.errors import (
     FlowspaceError,
     UnresolvedPortError,
 )
-from flowspace.headers import FIELD_INDEX, FIELD_MASKS, FIELDS, Header, MatchPattern, pattern_key
+from flowspace.headers import (
+    FIELD_INDEX,
+    FIELD_MASKS,
+    FIELDS,
+    Header,
+    HeaderDelta,
+    MatchPattern,
+    pattern_key,
+)
 from flowspace.nib import (
     NIB,
     Flow,
@@ -1590,20 +1602,21 @@ class TestInstantiationPlans:
         for _ in range(300):
             tpl = sampling.random_template(rng)
             fresh = dataclasses.replace(tpl)
-            fields = set(vars(fresh))
             hash(tpl)
-            assert vars(tpl)["_facts"][3] is None  # hashing builds no plan
+            assert tpl._facts[3] is None  # hashing builds no plan
             entry = transforms.Instances(nib, h).entry(tpl)
-            plan = vars(tpl)["_facts"][3]
-            assert plan is not None and set(vars(tpl)) - fields == {"_facts"}
+            plan = tpl._facts[3]
+            assert plan is not None and fresh._facts is None
+            assert repr(tpl) == repr(fresh)
             assert tpl == fresh and fresh == tpl and hash(tpl) == hash(fresh)
-            assert repr(tpl) == repr(fresh) and vars(fresh)["_facts"][3] is None
-            loaded = pickle.loads(pickle.dumps(tpl))
-            assert "_facts" not in vars(loaded) and loaded == tpl
+            assert fresh._facts[3] is None
+            data = pickle.dumps(tpl)
+            loaded = pickle.loads(data)
+            assert b"_facts" not in data and loaded._facts is None and loaded == tpl
             assert transforms.Instances(nib, h).entry(loaded) == entry
             # built once: a second instantiation reuses the kept plan
             assert transforms.Instances(nib, h).entry(tpl) == entry
-            assert vars(tpl)["_facts"][3] is plan
+            assert tpl._facts[3] is plan
 
 
 def checked_parts(e: FlowEntry) -> list:
@@ -1657,6 +1670,105 @@ class TestCheckedParts:
             h = sampling.random_header(rng)
             got, want = MatchPattern.exact_for(h), MatchPattern(h.values)
             assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+
+
+#: The dataclasses that keep an instance dict: `NIB`, `AppTransform` and
+#: `ServiceChain` for their `cached_property`s, `Counterexample` for the
+#: results it builds on first read.
+DICT_TYPES = {"NIB", "AppTransform", "ServiceChain", "Counterexample"}
+
+
+def package_dataclasses() -> list[type]:
+    """Every dataclass that a flowspace module defines."""
+    found = []
+    for path in sorted(Path(flowspace.__file__).parent.glob("*.py")):
+        if not path.stem.startswith("__"):
+            module = importlib.import_module(f"flowspace.{path.stem}")
+            found += [v for v in vars(module).values() if isinstance(v, type)
+                      and dataclasses.is_dataclass(v) and v.__module__ == module.__name__]
+    return found
+
+
+def held_values(roots) -> Iterator:
+    """Every dataclass value the roots are or hold, each once."""
+    seen, stack = set(), list(roots)
+    while stack:
+        x = stack.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        if dataclasses.is_dataclass(x):
+            yield x
+            stack += [getattr(x, f.name) for f in dataclasses.fields(x)]
+        elif isinstance(x, (tuple, list, frozenset, FlowTable)):
+            stack += list(x)
+        elif isinstance(x, dict):
+            stack += list(x.values())
+
+
+def seeded_roots(rng: random.Random) -> list:
+    """Seeded values of every flowspace dataclass, or values that hold
+    them: scenarios, transforms, analyses' reports, and entries built from
+    templates through the trusted builders."""
+    roots: list = [FIELDS, casestudy.CaseStudyConfig(), casestudy.build_scenario(),
+                   axioms.run_suite(seed=rng.randrange(1000), cases=5)]
+    for _ in range(30):
+        topology = sampling.random_topology(rng)
+        n = topology.switch_count
+        nib = NIB(topology, tuple(sampling.random_collision_table(rng, 12) for _ in range(n)),
+                  sampling.random_flows(rng))
+        h = sampling.random_header(rng)
+        a = sampling.random_app(rng, n, "a")
+        b = sampling.shuffled_variant(rng, a) if rng.random() < 0.5 else \
+            sampling.random_app(rng, n, "b")
+        old = next(iter(nib.tables[0]), None)
+        request = (FlowModRequest("add", 0, sampling.random_rule(rng)) if old is None else
+                   FlowModRequest("modify", 0, sampling.random_rule(rng), old.rule))
+        state = RuleState(h, rng.randint(0, PORT_MASK), rng.choice(sampling.TTL_POOL))
+        roots += [nib, h, analysis.check_congruence(a, b), ServiceChain((a, b)),
+                  analysis.behavioral_diff(a, b, [(nib, h)]), detect_loops(nib),
+                  request, what_if(nib, request), apply_action(sampling.random_action(rng), state),
+                  HeaderDelta.single(rng.choice(FIELDS).name, rng.randrange(1 << 16)),
+                  actions.label(sampling.random_action(rng))]
+        tpl = plan_template(rng)
+        try:
+            roots.append(transforms.Instances(nib, h).entry(tpl))
+        except UnresolvedPortError:
+            pass
+    return roots
+
+
+def hash_or_error(value):
+    """The value's hash, or the type of the error hashing it raises."""
+    try:
+        return hash(value)
+    except TypeError as exc:
+        return type(exc)
+
+
+class TestValueConvention:
+    def test_slotted_values_round_trip(self):
+        # Every value type keeps its fields in slots and no instance dict,
+        # but the four that keep derived values in one; a copy, a pickle
+        # and `dataclasses.replace` of each give an equal value.
+        types = package_dataclasses()
+        assert DICT_TYPES <= {t.__name__ for t in types}
+        for t in types:
+            slotted = all("__slots__" in vars(c) for c in t.__mro__[:-1])
+            assert slotted is (t.__name__ not in DICT_TYPES), t
+        checked = Counter()
+        for value in held_values(seeded_roots(random.Random(8303))):
+            name = type(value).__name__
+            if name in DICT_TYPES or checked[name] >= 40:
+                continue
+            checked[name] += 1
+            assert not hasattr(value, "__dict__"), value
+            for copied in (pickle.loads(pickle.dumps(value)), copy.copy(value),
+                           copy.deepcopy(value), dataclasses.replace(value)):
+                assert type(copied) is type(value)
+                assert copied == value and value == copied and repr(copied) == repr(value)
+                assert hash_or_error(copied) == hash_or_error(value)
+        assert set(checked) == {t.__name__ for t in types} - DICT_TYPES, checked
 
 
 def outcome_of(run):

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import os
@@ -556,15 +557,18 @@ class TestTemplateHash:
         tpl, fresh = hashed_template(), hashed_template()
         before = repr(tpl)
         hash(tpl)
-        assert "_facts" in vars(tpl) and "_facts" not in vars(fresh)
+        assert tpl._facts is not None and fresh._facts is None
+        assert repr(tpl) == before == repr(fresh)  # with and without facts
+        assert "_facts" not in {f.name for f in dataclasses.fields(tpl)}
         assert tpl == fresh and fresh == tpl
-        assert repr(tpl) == before == repr(fresh)
 
     def test_pickle_carries_no_cached_hash(self):
         tpl = fwd_template()
         hash(tpl)
-        loaded = pickle.loads(pickle.dumps(tpl))
-        assert "_facts" not in vars(loaded)
+        data = pickle.dumps(tpl)
+        assert b"_facts" not in data
+        loaded = pickle.loads(data)
+        assert loaded._facts is None
         assert loaded == tpl and tpl == loaded and loaded is not tpl
         assert hash(loaded) == hash(tpl) and template_key(loaded) == template_key(tpl)
 
@@ -574,10 +578,10 @@ class TestTemplateHash:
         monkeypatch.setattr(transforms, "_canonical_key",
                             lambda t: calls.append(t) or canonical_key(t))
         tpl, other = hashed_template(), hashed_template()
-        fields = set(vars(tpl))
+        assert tpl._facts is None and other._facts is None
         assert tpl == other and other == tpl and template_key(tpl) == template_key(other)
-        # The hash, key and lookups share one entry: a second would grow the dict.
-        assert set(vars(tpl)) - fields == {"_facts"}
+        # The hash, key and lookups are worked out together into one slot.
+        assert tpl._facts[:2] == (hash(tpl), template_key(tpl))
         assert len(calls) == 2 and calls[0] is not calls[1]
 
     def test_unpickled_in_another_hash_seed_hashes_as_built_there(self):
