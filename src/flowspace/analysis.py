@@ -142,8 +142,7 @@ class Counterexample:
     the selections it took and the tables it built; the same objects are
     returned on every later read.  Equality, repr, copying, pickling and
     `dataclasses.replace` read the fields, so such a witness behaves as
-    one built with its results.  Changing the topology's port dicts
-    between the call and the first read is not supported.
+    one built with its results.
     """
 
     index: int

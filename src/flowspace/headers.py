@@ -19,7 +19,11 @@ value is a slot a base class declares (`KeptHash._hash`,
 `RuleTemplate._facts`), so it stays out of equality, repr and
 `dataclasses.fields`; its type copies and pickles through a `__reduce__`
 that calls the constructor, as `hash(None)` and string hashes differ
-between processes.
+between processes.  A `Topology` keeps its port maps as read-only views
+(`types.MappingProxyType`) of the copies its constructor checked, so
+they cannot change after the check and the topology hashes; a view
+cannot be pickled or deep-copied, so `Topology` has such a `__reduce__`
+too.
 """
 
 from __future__ import annotations

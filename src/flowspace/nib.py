@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from flowspace.actions import PORT_MASK
 from flowspace.errors import DimensionMismatchError, InvalidRuleError, int_error, type_error
@@ -32,11 +33,13 @@ _setattr = object.__setattr__  # as a frozen dataclass's generated `__init__` se
 @dataclass(frozen=True, slots=True)
 class Topology:
     """A fixed set of switches, named u16 ports, and server-port bindings
-    keyed by server address (an nw_dst value)."""
+    keyed by server address (an nw_dst value).  Its port maps are
+    read-only views of the copies its constructor checked (see the
+    `flowspace.headers` module docstring)."""
 
     switch_count: int
-    ports: dict[str, int] = field(default_factory=dict)
-    server_ports: dict[int, int] = field(default_factory=dict)
+    ports: Mapping[str, int] = field(default_factory=dict)
+    server_ports: Mapping[int, int] = field(default_factory=dict)
 
     def __post_init__(self):
         n = self.switch_count
@@ -44,15 +47,24 @@ class Topology:
             raise (type_error("switches", n) if type(n) is not int
                    else InvalidRuleError(f"must be at least 1, got {n}", "switches", n))
         ports, server_ports = dict(self.ports), dict(self.server_ports)
-        errors = [int_error(f"ports[{name}]", port, PORT_MASK) for name, port in ports.items()]
+        errors = [type_error(f"ports[{name}] name", name, "a string") if type(name) is not str
+                  else int_error(f"ports[{name}]", port, PORT_MASK)
+                  for name, port in ports.items()]
         errors += [int_error(f"server_ports[{address}]", address, ADDRESS_MASK)
                    or int_error(f"server_ports[{address}]", port, PORT_MASK)
                    for address, port in server_ports.items()]
         error = next(filter(None, errors), None)
         if error:
             raise error
-        object.__setattr__(self, "ports", ports)
-        object.__setattr__(self, "server_ports", server_ports)
+        _setattr(self, "ports", MappingProxyType(ports))
+        _setattr(self, "server_ports", MappingProxyType(server_ports))
+
+    def __hash__(self):
+        return hash((self.switch_count, frozenset(self.ports.items()),
+                     frozenset(self.server_ports.items())))
+
+    def __reduce__(self):
+        return Topology, (self.switch_count, dict(self.ports), dict(self.server_ports))
 
 
 @dataclass(frozen=True, slots=True, init=False)

@@ -475,10 +475,6 @@ def flow_to_obj(f: Flow) -> dict:
     return obj
 
 
-def flow_from_obj(obj, what: str = "flow") -> Flow:
-    return _placed(what, _flow, obj)
-
-
 def _flow(obj) -> Flow:
     # One per observed flow, so its checks are written out here.
     if not (isinstance(obj, dict) and obj.keys() <= _FLOW_KEYS):
@@ -534,10 +530,6 @@ def guard_to_obj(g) -> dict:
     return {"kind": "load_at_most", "server_a": g.server_a, "server_b": g.server_b}
 
 
-def guard_from_obj(obj, what: str = "guard"):
-    return _placed(what, _guard, obj)
-
-
 def _guard(obj):
     obj = _obj(obj)
     kind = _need(obj, "kind")
@@ -561,10 +553,6 @@ def port_ref_to_obj(ref):
     return {"kind": "dest_port"}
 
 
-def port_ref_from_obj(obj, what: str = "port"):
-    return _placed(what, _port_ref, obj)
-
-
 def _port_ref(obj):
     if isinstance(obj, str):
         return PortName(obj)
@@ -585,10 +573,6 @@ def value_ref_to_obj(ref):
         return {"kind": "pick_less_loaded", "server_a": ref.server_a,
                 "server_b": ref.server_b}
     return ref
-
-
-def value_ref_from_obj(obj, what: str = "value"):
-    return _placed(what, _value_ref, obj)
 
 
 def _value_ref(obj):
@@ -969,12 +953,7 @@ def parse_json(text: str, what: str):
 
 
 def loads_scenario(text: str) -> Scenario:
-    obj = parse_json(text, "scenario")
-    try:
-        return scenario_from_obj(obj)
-    except (TypeError, ValueError) as exc:
-        # malformed field values (wrong JSON types, out-of-range ints)
-        raise ScenarioFormatError(f"malformed scenario: {exc}") from exc
+    return Document(parse_json(text, "scenario")).scenario()
 
 
 def _read(path) -> str:

@@ -59,11 +59,9 @@ flattened in order, its ttl and its counter, with literal ports and
 values in place.  `Instances.build` runs the plan through one
 `actions.ActionFold`, and builds the entry, its rule and the header's
 exact pattern from parts whose constructors already checked them (the
-template, `PortNumber`, `SetField`, `Header`), through
-`tables.checked_entry` and `MatchPattern.exact_for`, so those checks do
-not run again.  A port read from the topology is checked by
-`resolve_port` as it is read, since the topology's port maps are plain
-dicts.
+template, `PortNumber`, `SetField`, `Header` and `Topology`, whose port
+maps are read-only), through `tables.checked_entry` and
+`MatchPattern.exact_for`, so those checks do not run again.
 
 Composition, application and the constructor's check all follow the
 rows' nonzeros, so a transform of n identity rows costs O(n) to build,
@@ -723,30 +721,23 @@ def flow_mod_modify(t: FlowTable, old: FlowRule, new: FlowRule) -> FlowTable:
 def resolve_port(ref: PortRef, nib: NIB, h: Header) -> int:
     """The port `ref` stands for on (NIB, header).
 
-    A literal port was checked when it was built.  A port read from the
-    topology is checked where it is read, with one test: the topology's
-    port maps are plain dicts, which can change after it checked them.
-    Names come first: instantiation and the lookup checks resolve no
-    literal port.
+    Every port was checked where it was built: a literal port by its
+    constructor, a port the topology holds by the topology's.  Names
+    come first: instantiation and the lookup checks resolve no literal
+    port.
     """
     if isinstance(ref, PortName):
         try:
-            port = nib.topology.ports[ref.name]
+            return nib.topology.ports[ref.name]
         except KeyError:
             raise UnresolvedPortError(f"no port named {ref.name!r} in topology") from None
-        if type(port) is int and 0 <= port <= PORT_MASK:
-            return port
-        raise int_error(f"ports[{ref.name}]", port, PORT_MASK)
     if isinstance(ref, PortNumber):
         return ref.value
     dest = effective_dest_of_header(nib, h)
     try:
-        port = nib.topology.server_ports[dest]
+        return nib.topology.server_ports[dest]
     except KeyError:
         raise UnresolvedPortError(f"no server port for destination {dest}") from None
-    if type(port) is int and 0 <= port <= PORT_MASK:
-        return port
-    raise int_error(f"server_ports[{dest}]", port, PORT_MASK)
 
 
 def resolve_value(ref: ValueRef, nib: NIB) -> int:
@@ -794,9 +785,8 @@ def selections(a: AppTransform, nib: NIB, h: Header) -> tuple[Templates, ...]:
 
 
 def lookups_resolve(a: AppTransform, nib: NIB, h: Header) -> bool:
-    """Whether every port lookup of `a`'s templates resolves to a valid
-    port for (NIB, header), so that none of its selections can fail to
-    instantiate.
+    """Whether every port lookup of `a`'s templates resolves for (NIB,
+    header), so that none of its selections can fail to instantiate.
 
     Each distinct name and destination port is resolved once, through
     `resolve_port`, in order of first appearance.
@@ -804,7 +794,7 @@ def lookups_resolve(a: AppTransform, nib: NIB, h: Header) -> bool:
     try:
         for ref in a.port_lookups:
             resolve_port(ref, nib, h)
-    except (UnresolvedPortError, InvalidRuleError):
+    except UnresolvedPortError:
         return False
     return True
 
@@ -864,7 +854,7 @@ class Instances:
         from the value the earlier steps leave there to the target, so
         the field ends at the target.  Every part of the entry passed a
         check where it was built (the template, its `PortNumber`s and
-        `SetField`s, the `Header`, `resolve_port`), and the fold is valid
+        `SetField`s, the `Header`, the `Topology`), and the fold is valid
         by construction, so the entry is built without checking them
         again.
         """

@@ -1770,6 +1770,21 @@ class TestValueConvention:
                 assert hash_or_error(copied) == hash_or_error(value)
         assert set(checked) == {t.__name__ for t in types} - DICT_TYPES, checked
 
+    def test_held_values_hash(self):
+        # Every value hashes, and its copies hash as it does, but the two
+        # that hold dicts of named parts.
+        checked = Counter()
+        for value in held_values(seeded_roots(random.Random(8303))):
+            name = type(value).__name__
+            if name in {"Scenario", "CaseStudyConfig"}:
+                assert hash_or_error(value) is TypeError
+            elif checked[name] < 40:
+                checked[name] += 1
+                assert all(hash(copied) == hash(value) and copied == value for copied in (
+                    pickle.loads(pickle.dumps(value)), copy.copy(value),
+                    copy.deepcopy(value), dataclasses.replace(value)))
+        assert {"Topology", "NIB", "WhatIfReport", "Counterexample"} <= set(checked), checked
+
 
 def outcome_of(run):
     """What `run()` returns, or the error's type and message."""

@@ -352,33 +352,27 @@ class TestApplyTransform:
         out = apply_transform(app, nib_of(), Header.from_fields())
         assert out.tables[0].entries[0].counter == 0
 
-    @pytest.mark.parametrize("out_port, action, message", [
-        # a forward once read as port translation 65533
-        (PortNumber(1), Forward(PortName("p0")), "ports[p0] -3 exceeds 16-bit range"),
-        (PortName("p0"), Drop(), "ports[p0] -3 exceeds 16-bit range"),
-        (PortNumber(1), Seq((Drop(), Forward(DestPort()))),
-         "server_ports[50] must be an int, got bool"),
-        (DestPort(), Drop(), "server_ports[50] must be an int, got bool"),
-    ])
-    def test_a_topology_port_set_after_construction_is_checked(self, out_port, action, message):
-        # The topology checks its port maps once, but they stay dicts: a
-        # port read from them is checked again where it is resolved.
-        topology = topo(1)
-        topology.ports["p0"] = -3
-        topology.server_ports[50] = True
+    def test_a_topology_port_map_cannot_change_after_construction(self):
+        # The topology checks copies of its port maps once and keeps them
+        # read-only, so a port read from them is not checked again.
+        ports, server_ports = {"p0": 1, "p1": 2}, {50: 1, 60: 2}
+        topology = Topology(1, ports, server_ports)
+        for held, key in ((topology.ports, "p0"), (topology.server_ports, 50)):
+            with pytest.raises(TypeError):
+                held[key] = -3
+            with pytest.raises(TypeError):
+                del held[key]
+        ports["p0"], server_ports[50] = -3, True
+        ports["p9"], server_ports[70] = 9, 9
+        assert topology == topo(1) and hash(topology) == hash(topo(1))
+        assert repr(topology) == repr(topo(1))
         nib, h = nib_of(topology), Header.from_fields(nw_dst=50)
-        tpl = RuleTemplate(InputHeader(), out_port, 60, action)
-        app = make_app("a", 0, unconditional([tpl]), 1)
-        # a diff whose two transforms select the same templates raises
-        # what the apply raises
-        twin = make_app("b", 0, unconditional([tpl, tpl]), 1)
-        for run in (lambda: apply_transform(app, nib, h),
-                    lambda: transforms.check_instantiable([tpl], nib, h),
-                    lambda: behavioral_diff(app, twin, [(nib, h)])):
-            with pytest.raises(InvalidRuleError) as exc:
-                run()
-            assert str(exc.value) == message
-        assert not transforms.lookups_resolve(app, nib, h)
+        looked_up = RuleTemplate(InputHeader(), PortName("p0"), 60, Forward(DestPort()))
+        literal = RuleTemplate(InputHeader(), PortNumber(1), 60, Forward(PortNumber(1)))
+        app = make_app("a", 0, unconditional([looked_up]), 1)
+        assert transforms.lookups_resolve(app, nib, h)
+        assert (apply_transform(app, nib, h)
+                == apply_transform(make_app("a", 0, unconditional([literal]), 1), nib, h))
 
 
 class TestTemplateConstructors:
@@ -441,6 +435,8 @@ class TestValueConstructors:
         (lambda: Topology(1, {"a": True}), "ports[a] must be an int, got bool"),
         (lambda: Topology(1, {"a": -1}), "ports[a] -1 exceeds 16-bit range"),
         (lambda: Topology(1, {"a": 70_000}), "ports[a] 70000 exceeds 16-bit range"),
+        (lambda: Topology(1, {1: 2}), "ports[1] name must be a string, got int"),
+        (lambda: Topology(1, {1: 2, "a": 3}), "ports[1] name must be a string, got int"),
         (lambda: Topology(1, {}, {5: -1}), "server_ports[5] -1 exceeds 16-bit range"),
         (lambda: Topology(1, {}, {5: 70_000}), "server_ports[5] 70000 exceeds 16-bit range"),
         (lambda: Topology(1, {}, {2**32: 1}),
