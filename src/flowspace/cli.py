@@ -296,19 +296,18 @@ def cmd_whatif(args) -> int:
     nib = scenario.read_document(args.scenario).nib()
     if args.old_rule is not None and args.op != "modify":
         raise FlowspaceError(f"--old-rule applies to --op modify only, not --op {args.op}")
+    if args.old_rule is None and args.op == "modify":
+        raise FlowspaceError("--op modify needs --old-rule, the rule being replaced")
     rule_obj = scenario.parse_json(args.rule, "--rule")
     old_obj = (scenario.parse_json(args.old_rule, "--old-rule")
                if args.old_rule is not None else None)
-    try:
-        request = FlowModRequest(
-            op=args.op,
-            switch=args.switch,
-            rule=scenario.rule_from_obj(rule_obj, "--rule"),
-            old_rule=(scenario.rule_from_obj(old_obj, "--old-rule")
-                      if args.old_rule is not None else None),
-        )
-    except (TypeError, ValueError) as exc:
-        raise FlowspaceError(f"malformed rule literal: {exc}") from exc
+    request = FlowModRequest(
+        op=args.op,
+        switch=args.switch,
+        rule=scenario.rule_from_obj(rule_obj, "--rule"),
+        old_rule=(scenario.rule_from_obj(old_obj, "--old-rule")
+                  if args.old_rule is not None else None),
+    )
     report = what_if(nib, request)
     if args.format == "json":
         emit_json(whatif_to_obj(report))

@@ -83,12 +83,15 @@ ADDRESS_MASK = FIELD_MASKS[NW_DST]
 
 
 def field_index(field: int | str) -> int:
-    """Resolve a field given by index or canonical name."""
+    """Resolve a field given by index or canonical name; a bool or a
+    float is neither."""
     if isinstance(field, str):
         try:
             return FIELD_INDEX[field]
         except KeyError:
             raise UnknownFieldError(f"unknown field {field!r}") from None
+    if type(field) is not int:
+        raise UnknownFieldError(f"a field is a name or an index, got {type(field).__name__}")
     if not 0 <= field < FIELD_COUNT:
         raise UnknownFieldError(f"field index {field} out of range")
     return field

@@ -46,17 +46,17 @@ one transform.  Template
 constructors check every value and reference a template holds, a
 deferred pick's servers against their field included, so equal
 templates instantiate alike and a template fails to instantiate only on
-a port lookup.  A template derives its canonical key (`template_key`)
-and the port names and destination ports it looks up once, and keeps
-them: equality compares the keys, `normalize` sorts by them, and
-`check_instantiable` resolves only those lookups, for a caller that
-skips the instantiation.
+a port lookup.
 
 Instantiation is the paper's translation step, run on every apply, so
-it is compiled once per template: on its first instantiation a
-template keeps a plan (`_plan`) of its out port, its action's steps
-flattened in order, its ttl and its counter, with literal ports and
-values in place.  `Instances.build` runs the plan through one
+it is compiled once per template: on first use a template derives its
+hash, its canonical key (`template_key`) and its instantiation plan
+together, and keeps them.  The plan holds the out port, the action's
+steps flattened in order, the ttl and the counter, with literal ports
+and values in place.  Equality compares the keys, `normalize` sorts by
+them, and `check_instantiable`, for a caller that skips the
+instantiation, resolves only the port names and destination ports the
+plan looks up.  `Instances.build` runs the plan through one
 `actions.ActionFold`, and builds the entry, its rule and the header's
 exact pattern from parts whose constructors already checked them (the
 template, `PortNumber`, `SetField`, `Header` and `Topology`, whose port
@@ -314,8 +314,8 @@ class RuleTemplate(KeptFacts):
     Facts derived from the fields are computed together once per object,
     on first use, and kept in the `_facts` slot, out of equality, repr
     and pickling: the hash, the canonical key (`template_key`) and the
-    port references that instantiation looks up.  The instantiation plan
-    (`_plan`) joins them on the first instantiation, never on hashing.
+    instantiation plan (`Plan`), whose port references are the lookups
+    instantiation makes.  The slot is written once and never rewritten.
     Equality compares the hashes, then the keys: constructors reject
     bools, unknown field names and out-of-range values, so equal keys
     mean equal fields.
@@ -360,51 +360,35 @@ class RuleTemplate(KeptFacts):
         return RuleTemplate, (self.match, self.out_port, self.ttl, self.action, self.counter)
 
 
-#: A template's instantiation plan (see `_plan`): (match, out port, ttl,
-#: steps, counter).
+#: A template's instantiation plan: (match, out port, ttl, steps,
+#: counter).  The match is None for the steered header's exact pattern
+#: and the out port an int, or the reference to look up.  The action's
+#: steps, nested `seq`s included, are flattened in order into (slot,
+#: argument) pairs: (`PORT_SLOT`, port) forwards to a port, an int or
+#: the reference to look up; (field index, target) sets the field to an
+#: int or a `PickLessLoaded`; (`_DROP`, None) drops.
 Plan = tuple
-
-
-def _facts(t: RuleTemplate) -> tuple[int, tuple, tuple[PortRef, ...], Plan | None]:
-    """The template's hash, canonical key and port lookups, derived on
-    first use, and its plan once it has been instantiated.
-
-    One slot holds them all, so that one test tells whether they exist.
-    """
-    facts = t._facts
-    if facts is None:
-        facts = (hash((t.match, t.out_port, t.ttl, t.action, t.counter)),
-                 _canonical_key(t), _port_lookups(t), None)
-        _setattr(t, "_facts", facts)
-    return facts
-
 
 #: The slot of a plan step that drops.
 _DROP = -1
 
 
-def _plan(t: RuleTemplate) -> Plan:
-    """The template's instantiation plan, derived on its first
-    instantiation and kept in its facts.
+def _facts(t: RuleTemplate) -> tuple[int, tuple, Plan]:
+    """The template's hash, canonical key and instantiation plan, derived
+    together on first use and kept.
 
-    The plan holds the match (None for the steered header's exact
-    pattern), the out port (an int, or the reference to look up), the
-    ttl, the steps and the counter.  The action's steps, nested `seq`s
-    included, are flattened in order into (slot, argument) pairs:
-    (`PORT_SLOT`, port) forwards to a port, an int or the reference to
-    look up; (field index, target) sets the field to an int or a
-    `PickLessLoaded`; (`_DROP`, None) drops.  Deriving it with the facts
-    would charge every template a decoder builds, instantiated or not.
+    One slot holds them all, written once, so that one test tells
+    whether they exist.
     """
-    facts = _facts(t)
-    plan = facts[3]
-    if plan is None:
+    facts = t._facts
+    if facts is None:
         out = t.out_port
-        plan = (None if isinstance(t.match, InputHeader) else t.match,
-                out.value if isinstance(out, PortNumber) else out,
-                t.ttl, tuple(_plan_steps(t.action)), t.counter)
-        _setattr(t, "_facts", facts[:3] + (plan,))
-    return plan
+        facts = (hash((t.match, out, t.ttl, t.action, t.counter)), _canonical_key(t),
+                 (None if isinstance(t.match, InputHeader) else t.match,
+                  out.value if isinstance(out, PortNumber) else out,
+                  t.ttl, tuple(_plan_steps(t.action)), t.counter))
+        _setattr(t, "_facts", facts)
+    return facts
 
 
 def _plan_steps(spec: ActionSpec) -> Iterator[tuple]:
@@ -418,6 +402,18 @@ def _plan_steps(spec: ActionSpec) -> Iterator[tuple]:
     else:
         for step in spec.steps:
             yield from _plan_steps(step)
+
+
+def _lookups(plan: Plan) -> Iterator[PortRef]:
+    """The port names and destination ports that running `plan` looks up,
+    in its order: the out port, then each forward step's.  A literal port
+    is an int there, needs no lookup and cannot fail."""
+    out, steps = plan[1], plan[3]
+    if type(out) is not int:
+        yield out
+    for slot, arg in steps:
+        if slot == PORT_SLOT and type(arg) is not int:
+            yield arg
 
 
 def _port_key(ref: PortRef) -> tuple:
@@ -459,23 +455,6 @@ def template_key(t: RuleTemplate) -> tuple:
     """The template's canonical total-order key; equal exactly when the
     templates are.  Computed once per template and kept."""
     return _facts(t)[1]
-
-
-def _forward_ports(spec: ActionSpec) -> Iterator[PortRef]:
-    """The ports of a template action's `Forward` steps, in step order."""
-    if isinstance(spec, Forward):
-        yield spec.port
-    elif isinstance(spec, Seq):
-        for step in spec.steps:
-            yield from _forward_ports(step)
-
-
-def _port_lookups(t: RuleTemplate) -> tuple[PortRef, ...]:
-    """The ports instantiating `t` resolves through the NIB, in its order:
-    the out port, then each `Forward` port in step order.  A literal
-    `PortNumber` needs no lookup and cannot fail, so it is left out."""
-    return tuple([ref for ref in (t.out_port, *_forward_ports(t.action))
-                  if not isinstance(ref, PortNumber)])
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +594,7 @@ class AppTransform:
         return tuple(dict.fromkeys([
             ref for slot in self.translation for piece in slot
             for templates in (*[arm for _, arm in piece.branches], piece.default)
-            for tpl in templates for ref in _facts(tpl)[2]]))
+            for tpl in templates for ref in _lookups(_facts(tpl)[2])]))
 
 
 def _translation_error(translation) -> InvalidRuleError:
@@ -805,10 +784,10 @@ def check_instantiable(templates: Iterable[RuleTemplate], nib: NIB, h: Header) -
     Instantiation can fail only on a port lookup, of the out port and
     then of each `Forward` port in step order, so only those are
     resolved, and of them only the names and destination ports that each
-    template keeps with its key: a literal port cannot fail.
+    template's kept plan looks up: a literal port cannot fail.
     """
     for tpl in templates:
-        for ref in _facts(tpl)[2]:
+        for ref in _lookups(_facts(tpl)[2]):
             resolve_port(ref, nib, h)
 
 
@@ -846,7 +825,8 @@ class Instances:
         return e
 
     def build(self, tpl: RuleTemplate) -> FlowEntry:
-        """Run `tpl`'s instantiation plan (see `_plan`) for this NIB and header.
+        """Run `tpl`'s instantiation plan (`Plan`), derived with its hash and
+        key on first use, for this NIB and header.
 
         Ports are looked up in the template's order: the out port, then
         each `Forward` step's.  The steps fold left to right into one
@@ -858,8 +838,7 @@ class Instances:
         by construction, so the entry is built without checking them
         again.
         """
-        facts = tpl._facts
-        match, out, ttl, steps, counter = facts and facts[3] or _plan(tpl)
+        match, out, ttl, steps, counter = (tpl._facts or _facts(tpl))[2]
         nib, h = self.nib, self.h
         if match is None:
             match = self._exact

@@ -99,6 +99,10 @@ class TestModifyField:
             modify_field("mpls_label", 1)
         with pytest.raises(UnknownFieldError):
             modify_field(12, 1)
+        # a bool or a float is not an index, though `True == 1`
+        for field, kind in ((True, "bool"), (1.5, "float"), (2.0, "float")):
+            with pytest.raises(UnknownFieldError, match=f"got {kind}$"):
+                modify_field(field, 3)
 
 
 class TestCompose:

@@ -389,7 +389,7 @@ class TestWhatIf:
         code, _, err = run_main("whatif", casestudy_path, "--op", "modify", "--switch", "0",
                                 "--rule", self.RULE)
         assert code == 2
-        assert err == "error: malformed rule literal: modify needs the rule being replaced\n"
+        assert err == "error: --op modify needs --old-rule, the rule being replaced\n"
 
     def test_modify_replaces_the_old_rule(self, loop_scenario_path):
         new = json.loads(self.RULE)

@@ -1603,20 +1603,43 @@ class TestInstantiationPlans:
             tpl = sampling.random_template(rng)
             fresh = dataclasses.replace(tpl)
             hash(tpl)
-            assert tpl._facts[3] is None  # hashing builds no plan
+            facts = tpl._facts  # hashing derives the plan with the key
+            assert len(facts) == 3 and facts[2] is not None and fresh._facts is None
             entry = transforms.Instances(nib, h).entry(tpl)
-            plan = tpl._facts[3]
-            assert plan is not None and fresh._facts is None
             assert repr(tpl) == repr(fresh)
             assert tpl == fresh and fresh == tpl and hash(tpl) == hash(fresh)
-            assert fresh._facts[3] is None
             data = pickle.dumps(tpl)
             loaded = pickle.loads(data)
             assert b"_facts" not in data and loaded._facts is None and loaded == tpl
             assert transforms.Instances(nib, h).entry(loaded) == entry
-            # built once: a second instantiation reuses the kept plan
+            # written once: instantiations read the kept facts in place
             assert transforms.Instances(nib, h).entry(tpl) == entry
-            assert tpl._facts[3] is plan
+            assert transforms.Instances(nib, h).build(tpl) == entry
+            assert tpl._facts is facts
+
+    def test_the_action_is_walked_once_per_template(self, monkeypatch):
+        # One hash and two builds, resolved or not, walk each template's
+        # action for its plan once: as many `_plan_steps` calls as the
+        # action has nodes, nested `seq`s included.
+        rng = random.Random(8203)
+        nib = NIB(Topology(1, *PARTIAL_PORTS), (FlowTable(),))
+        h = sampling.random_header(rng)
+        calls = []
+        plan_steps = transforms._plan_steps
+        monkeypatch.setattr(transforms, "_plan_steps",
+                            lambda spec: calls.append(spec) or plan_steps(spec))
+        for _ in range(300):
+            tpl = plan_template(rng)
+            calls.clear()
+            hash(tpl)
+            for _ in range(2):
+                outcome_of(lambda: transforms.Instances(nib, h).build(tpl))
+            assert len(calls) == action_nodes(tpl.action) and calls[0] is tpl.action, tpl
+
+
+def action_nodes(spec) -> int:
+    """The number of specs in an action tree, `seq`s included."""
+    return 1 + sum(map(action_nodes, spec.steps)) if isinstance(spec, Seq) else 1
 
 
 def checked_parts(e: FlowEntry) -> list:
@@ -2223,7 +2246,8 @@ class TestSlotKeys:
             t = normal_form_chain(rng, rng.randint(1, 8), rng.randint(1, 3))
             want = []
             for tpl in templates_of(t):
-                for ref in (tpl.out_port, *transforms._forward_ports(tpl.action)):
+                forwards = [s.port for s in flat_steps(tpl.action) if isinstance(s, Forward)]
+                for ref in (tpl.out_port, *forwards):
                     if not isinstance(ref, PortNumber) and ref not in want:
                         want.append(ref)
             assert t.port_lookups == tuple(want)

@@ -67,6 +67,19 @@ class TestMakeHeader:
     def test_unknown_field(self):
         with pytest.raises(UnknownFieldError):
             Header.from_fields(nw_srcc=1)
+        # A field is a name or a real int: a bool or a float is neither,
+        # though `True == 1` and `2.0 == 2`.
+        h = Header.from_fields(dl_src=5, dl_dst=6)
+        assert h.field(2) == h.field("dl_dst") == 6 and field_index(1) == 1
+        for field, kind in ((True, "bool"), (False, "bool"), (1.5, "float"), (2.0, "float"),
+                            (None, "NoneType")):
+            message = f"^a field is a name or an index, got {kind}$"
+            for resolve in (lambda: h.field(field), lambda: HeaderDelta.single(field, 1),
+                            lambda: field_index(field)):
+                with pytest.raises(UnknownFieldError, match=message):
+                    resolve()
+        with pytest.raises(UnknownFieldError, match="^field index 12 out of range$"):
+            h.field(12)
 
     @given(st.dictionaries(st.sampled_from([f.name for f in FIELDS]),
                            st.one_of(st.integers(-2, 2**49), st.booleans(), st.floats())))

@@ -576,7 +576,7 @@ class TestTemplateHash:
         tpl, other = hashed_template(), hashed_template()
         assert tpl._facts is None and other._facts is None
         assert tpl == other and other == tpl and template_key(tpl) == template_key(other)
-        # The hash, key and lookups are worked out together into one slot.
+        # The hash, key and plan are worked out together into one slot, once.
         assert tpl._facts[:2] == (hash(tpl), template_key(tpl))
         assert len(calls) == 2 and calls[0] is not calls[1]
 
