@@ -114,6 +114,8 @@ def identity() -> AffineAction:
 
 def forward(port_delta: int) -> AffineAction:
     """Translate the output port; header and ttl are untouched."""
+    if type(port_delta) is not int:
+        raise type_error("delta", port_delta)
     tr = list(_ZEROS)
     tr[PORT_SLOT] = port_delta % (PORT_MASK + 1)
     return AffineAction(_ONES, tuple(tr))
@@ -127,6 +129,8 @@ def drop() -> AffineAction:
 def modify_field(field: int | str, delta: int) -> AffineAction:
     """Translate one header field by delta (mod the field's width)."""
     i = field_index(field)
+    if type(delta) is not int:
+        raise type_error("delta", delta)
     tr = list(_ZEROS)
     tr[i] = delta % (FIELD_MASKS[i] + 1)
     return AffineAction(_ONES, tuple(tr))

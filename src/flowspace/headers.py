@@ -188,6 +188,8 @@ class HeaderDelta:
     def single(cls, field: int | str, delta: int) -> HeaderDelta:
         """A delta touching one field only; reduced into the field's range."""
         i = field_index(field)
+        if type(delta) is not int:
+            raise type_error("delta", delta)
         deltas = [0] * FIELD_COUNT
         deltas[i] = delta & FIELD_MASKS[i]
         return cls(tuple(deltas))

@@ -23,7 +23,13 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from flowspace.actions import PORT_MASK
-from flowspace.errors import DimensionMismatchError, InvalidRuleError, int_error, type_error
+from flowspace.errors import (
+    DimensionMismatchError,
+    FlowspaceError,
+    InvalidRuleError,
+    int_error,
+    type_error,
+)
 from flowspace.headers import ADDRESS_MASK, NW_DST, NW_SRC, Header, dest_of, src_of
 from flowspace.tables import FlowTable
 
@@ -108,10 +114,17 @@ class NIB:
     flows: tuple[Flow, ...] = ()
 
     def __post_init__(self):
-        if len(self.tables) != self.topology.switch_count:
-            raise DimensionMismatchError(
-                f"{len(self.tables)} tables for {self.topology.switch_count} switches"
-            )
+        # One test on the valid path, which every FLOW_MOD commit takes; the
+        # error is worked out only when it fails.  The flows are not checked
+        # one by one: a NIB can hold many, and the scenario decoder builds
+        # each through `Flow`'s check.
+        topology, tables = self.topology, self.tables
+        if not (isinstance(topology, Topology) and isinstance(tables, tuple)
+                and isinstance(self.flows, tuple) and len(tables) == topology.switch_count):
+            raise _nib_error(topology, tables, self.flows)
+        for table in tables:
+            if not isinstance(table, FlowTable):
+                raise _nib_error(topology, tables, self.flows)
 
     # Built from flows on first use; cached_property writes to the
     # instance __dict__, so the index takes no part in equality, hashing
@@ -133,6 +146,20 @@ class NIB:
                 assigned[values] = dest
             by_dest[dest] = by_dest.get(dest, 0) + 1
         return FlowStats(by_src, by_dest, assigned)
+
+
+def _nib_error(topology, tables, flows) -> FlowspaceError:
+    """The error for the first NIB part of the wrong type, else the table count."""
+    if not isinstance(topology, Topology):
+        return type_error("topology", topology, "a Topology")
+    if not isinstance(tables, tuple):
+        return type_error("tables", tables, "a tuple")
+    for i, table in enumerate(tables):
+        if not isinstance(table, FlowTable):
+            return type_error(f"tables[{i}]", table, "a FlowTable")
+    if not isinstance(flows, tuple):
+        return type_error("flows", flows, "a tuple")
+    return DimensionMismatchError(f"{len(tables)} tables for {topology.switch_count} switches")
 
 
 def empty_nib(topology: Topology) -> NIB:

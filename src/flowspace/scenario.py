@@ -20,15 +20,24 @@ only the fields a JSON object names, `tables.make_entry` tests an
 entry's port, ttl and counter in one expression, and a rule template
 and its parts are built by their constructors.  A builder runs its
 full check only when that test fails, so its error names the first bad
-value as the constructor's would.  The decoder checks only JSON's own rules: shapes, keys, `kind` tags, the
-version, decimal `server_ports` keys, seq depth and names.  Each
-section is walked once, each object read once, and the checks of the
-items a document holds many of (flows, table entries and their
-actions, rule templates and their parts) are written out inline: a
-helper runs only to raise an error.  A value's JSON path is built only
-when a check or a builder fails: the error (`_Unplaced`) takes one
-segment from each level it passes on its way out, so a valid document
-formats no path.  An error names the first bad value in file order.
+value as the constructor's would.  The decoder checks only JSON's own
+rules: shapes, keys, `kind` tags, the version, decimal `server_ports`
+keys, seq depth and names.
+
+Every object decoder has one shape.  One test checks the object's shape
+and keys (`isinstance(obj, dict) and obj.keys() <= allowed`, its `kind`
+choosing `allowed` where it has one), and its own errors are raised
+there.  Then one `try` reads the keys in the order their errors are
+reported, each nested value through its own decoder; its `except` arms
+place a missing key (`KeyError`), a nested value's error (`_Unplaced`,
+under a local `at` naming that value) and a constructor's error about
+one value (`InvalidRuleError`, at its field).  A concrete action step
+holds only ints and a field name, so its one test covers them too.
+Each section is walked once, each object read once, and a helper runs
+only to raise an error.  A value's JSON path is built only when a check
+or a builder fails: the error (`_Unplaced`) takes one segment from each
+level it passes on its way out, so a valid document formats no path.
+An error names the first bad value in file order.
 
 Headers serialize as objects keyed by field name with omitted fields
 defaulting to 0; match patterns likewise, with omitted fields
@@ -117,21 +126,14 @@ def _placed(what: str, decode, *args):
         raise exc.under(what).error() from None
 
 
-def _below(segment: str, decode, *args):
-    """`decode(*args)`, whose first argument is the value at `segment`
-    below the object being read."""
-    try:
-        return decode(*args)
-    except _Unplaced as exc:
-        raise exc.under(segment)
-
-
 def _items(decode, items, *args, at: str = "") -> list:
     """`decode(item, *args)` of each item of the array `items`, which is
     at `at`; an error is placed at its item's index."""
+    if not isinstance(items, list):
+        _list(items, at)
     out = []
     append = out.append
-    for item in _list(items, at):
+    for item in items:
         try:
             append(decode(item, *args))
         except _Unplaced as exc:
@@ -191,19 +193,10 @@ def _int(value, at: str) -> int:
 def _misfit(exc: InvalidRuleError, at: str | None = None) -> _Unplaced:
     """A constructor's error about one value, placed at `at`: by default
     at the value's field in the object being read."""
-    if at is None:
-        at = "." + exc.field
+    at = "." + exc.field if at is None else at
     if exc.width is not None:
         return _Unplaced("", f"={exc.value} exceeds {exc.width}-bit range", at)
     return _Unplaced("", f" {exc.reason}", at)
-
-
-def _make(make, *args):
-    """`make(*args)`, a value error placed at its field in the object being read."""
-    try:
-        return make(*args)
-    except InvalidRuleError as exc:
-        raise _misfit(exc) from None
 
 
 # The keys each kind of object may hold, built once.
@@ -406,33 +399,7 @@ def rule_from_obj(obj, what: str = "rule") -> FlowRule:
 def _rule_obj(obj) -> FlowRule:
     if not (isinstance(obj, dict) and obj.keys() <= _RULE_KEYS):
         raise _object_error(obj, _RULE_KEYS)
-    try:
-        return FlowRule(*_rule_parts(obj))
-    except InvalidRuleError as exc:
-        raise _misfit(exc) from None
-
-
-def _rule_parts(obj: dict) -> tuple:
-    """The match, out port, ttl and action of a rule or entry object whose
-    keys are checked, the match and the action decoded; the port and the
-    ttl are left to the rule's constructor."""
-    try:
-        match = obj["match"]
-    except KeyError:
-        raise _missing("match") from None
-    try:
-        match = _pattern(match)
-    except _Unplaced as exc:
-        raise exc.under(".match")
-    try:
-        out_port, ttl, action = obj["out_port"], obj["ttl"], obj["action"]
-    except KeyError as exc:  # the first key missing, in this order
-        raise _missing(exc.args[0]) from None
-    try:
-        action = _action(action)
-    except _Unplaced as exc:
-        raise exc.under(".action")
-    return match, out_port, ttl, action
+    return _entry(obj).rule  # an entry object without its counter
 
 
 def entry_to_obj(e: FlowEntry) -> dict:
@@ -446,12 +413,18 @@ def entry_from_obj(obj, what: str = "entry") -> FlowEntry:
 
 
 def _entry(obj) -> FlowEntry:
-    # One per table entry, so its checks are written out here.
     if not (isinstance(obj, dict) and obj.keys() <= _ENTRY_KEYS):
         raise _object_error(obj, _ENTRY_KEYS)
-    match, out_port, ttl, action = _rule_parts(obj)
-    try:
-        return make_entry(match, out_port, ttl, action, obj.get("counter", 0))
+    at = ".match"
+    try:  # the keys in the order their errors are reported
+        match = _pattern(obj["match"])
+        out_port, ttl, action = obj["out_port"], obj["ttl"], obj["action"]
+        at = ".action"
+        return make_entry(match, out_port, ttl, _action(action), obj.get("counter", 0))
+    except KeyError as exc:
+        raise _missing(exc.args[0]) from None
+    except _Unplaced as exc:
+        raise exc.under(at)
     except InvalidRuleError as exc:
         raise _misfit(exc) from None
 
@@ -476,19 +449,14 @@ def flow_to_obj(f: Flow) -> dict:
 
 
 def _flow(obj) -> Flow:
-    # One per observed flow, so its checks are written out here.
     if not (isinstance(obj, dict) and obj.keys() <= _FLOW_KEYS):
         raise _object_error(obj, _FLOW_KEYS)
     try:
-        header = obj["header"]
-    except KeyError:
-        raise _missing("header") from None
-    try:
-        header = _header(header)
+        return Flow(_header(obj["header"]), obj.get("assigned_dest"))
+    except KeyError as exc:
+        raise _missing(exc.args[0]) from None
     except _Unplaced as exc:
         raise exc.under(".header")
-    try:
-        return Flow(header, obj.get("assigned_dest"))
     except InvalidRuleError as exc:
         raise _misfit(exc) from None
 
@@ -510,12 +478,20 @@ def topology_from_obj(obj, what: str = "topology") -> Topology:
 
 
 def _topology(obj) -> Topology:
-    obj = _obj(obj)
-    _keys(obj, _TOPOLOGY_KEYS)
-    ports = _obj(obj.get("ports", {}), ".ports")
-    server_ports = {_address_key(k): v
-                    for k, v in _obj(obj.get("server_ports", {}), ".server_ports").items()}
-    return _make(Topology, _need(obj, "switches"), ports, server_ports)
+    if not (isinstance(obj, dict) and obj.keys() <= _TOPOLOGY_KEYS):
+        raise _object_error(obj, _TOPOLOGY_KEYS)
+    ports, server_ports = obj.get("ports", {}), obj.get("server_ports", {})
+    if not isinstance(ports, dict):
+        raise _not_object(ports, ".ports")
+    if not isinstance(server_ports, dict):
+        raise _not_object(server_ports, ".server_ports")
+    try:  # an address key is checked before the switch count is read
+        server_ports = {_address_key(k): v for k, v in server_ports.items()}
+        return Topology(obj["switches"], ports, server_ports)
+    except KeyError as exc:
+        raise _missing(exc.args[0]) from None
+    except InvalidRuleError as exc:
+        raise _misfit(exc) from None
 
 
 # ---------------------------------------------------------------------------
@@ -531,18 +507,26 @@ def guard_to_obj(g) -> dict:
 
 
 def _guard(obj):
-    obj = _obj(obj)
-    kind = _need(obj, "kind")
-    if kind == "true":
-        _keys(obj, _KIND_KEYS)
-        return TrueGuard()
-    if kind == "source_count_at_most":
-        _keys(obj, _THRESHOLD_KEYS)
-        return _make(SourceCountAtMost, _need(obj, "threshold"))
-    if kind == "load_at_most":
-        _keys(obj, _SERVER_PAIR_KEYS)
-        return _make(LoadAtMost, _need(obj, "server_a"), _need(obj, "server_b"))
-    raise _Unplaced("", f": unknown guard kind {kind!r}")
+    if not isinstance(obj, dict):
+        raise _not_object(obj)
+    kind = obj.get("kind")
+    allowed = (_KIND_KEYS if kind == "true" else _THRESHOLD_KEYS if kind == "source_count_at_most"
+               else _SERVER_PAIR_KEYS if kind == "load_at_most" else None)
+    if allowed is None:
+        _need(obj, "kind")
+        raise _Unplaced("", f": unknown guard kind {kind!r}")
+    if not obj.keys() <= allowed:
+        raise _unknown_keys(obj, allowed)
+    try:
+        if kind == "true":
+            return TrueGuard()
+        if kind == "load_at_most":
+            return LoadAtMost(obj["server_a"], obj["server_b"])
+        return SourceCountAtMost(obj["threshold"])
+    except KeyError as exc:
+        raise _missing(exc.args[0]) from None
+    except InvalidRuleError as exc:
+        raise _misfit(exc) from None
 
 
 def port_ref_to_obj(ref):
@@ -607,41 +591,18 @@ def action_spec_from_obj(obj, what: str = "action", depth: int = 0):
 
 
 def _action_spec(obj, depth: int):
-    # One or more per rule template, so its checks are written out here.
     if not isinstance(obj, dict):
         raise _not_object(obj)
     kind = obj.get("kind")
     if kind == "set_field":
-        if not obj.keys() <= _SET_FIELD_KEYS:
-            raise _unknown_keys(obj, _SET_FIELD_KEYS)
-        try:
-            field, to = obj["field"], obj["to"]
-        except KeyError as exc:  # the first key missing, in this order
-            raise _missing(exc.args[0]) from None
-        try:
-            to = _value_ref(to)
-        except _Unplaced as exc:
-            raise exc.under(".to")
-        try:
-            return SetField(field, to)
-        except InvalidRuleError as exc:
-            raise _misfit(exc) from None
-    if kind == "forward":
-        if not obj.keys() <= _PORT_KEYS:
-            raise _unknown_keys(obj, _PORT_KEYS)
-        try:
-            port = obj["port"]
-        except KeyError:
-            raise _missing("port") from None
-        try:
-            return Forward(_port_ref(port))
-        except _Unplaced as exc:
-            raise exc.under(".port")
-    if kind == "drop":
+        allowed, at = _SET_FIELD_KEYS, ".to"
+    elif kind == "forward":
+        allowed, at = _PORT_KEYS, ".port"
+    elif kind == "drop":
         if not obj.keys() <= _KIND_KEYS:
             raise _unknown_keys(obj, _KIND_KEYS)
         return Drop()
-    if kind == "seq":
+    elif kind == "seq":
         if not obj.keys() <= _SEQ_KEYS:
             raise _unknown_keys(obj, _SEQ_KEYS)
         if depth == MAX_SEQ_DEPTH:
@@ -651,8 +612,21 @@ def _action_spec(obj, depth: int):
         if not isinstance(steps, list):
             _list(_need(obj, "actions"), ".actions")
         return Seq(tuple(_items(_action_spec, steps, depth + 1)))
-    _need(obj, "kind")
-    raise _Unplaced("", f": unknown action kind {kind!r}")
+    else:
+        _need(obj, "kind")
+        raise _Unplaced("", f": unknown action kind {kind!r}")
+    if not obj.keys() <= allowed:
+        raise _unknown_keys(obj, allowed)
+    try:
+        if kind == "forward":
+            return Forward(_port_ref(obj["port"]))
+        return SetField(obj["field"], _value_ref(obj["to"]))
+    except KeyError as exc:
+        raise _missing(exc.args[0]) from None
+    except _Unplaced as exc:
+        raise exc.under(at)
+    except InvalidRuleError as exc:
+        raise _misfit(exc) from None
 
 
 def template_to_obj(t: RuleTemplate) -> dict:
@@ -672,35 +646,21 @@ def template_from_obj(obj, what: str = "rule template") -> RuleTemplate:
 
 
 def _template(obj) -> RuleTemplate:
-    # One per rule template, so its checks are written out here.
     if not (isinstance(obj, dict) and obj.keys() <= _ENTRY_KEYS):
         raise _object_error(obj, _ENTRY_KEYS)
-    try:
+    at = ".match"
+    try:  # the keys in the order their errors are reported
         match = obj["match"]
-    except KeyError:
-        raise _missing("match") from None
-    try:
         match = InputHeader() if match == "input" else _pattern(match)
-    except _Unplaced as exc:
-        raise exc.under(".match")
-    try:
-        out_port = obj["out_port"]
-    except KeyError:
-        raise _missing("out_port") from None
-    try:
-        out_port = _port_ref(out_port)
-    except _Unplaced as exc:
-        raise exc.under(".out_port")
-    try:
+        at = ".out_port"
+        out_port = _port_ref(obj["out_port"])
         ttl, action = obj["ttl"], obj["action"]
-    except KeyError as exc:  # the first key missing, in this order
+        at = ".action"
+        return RuleTemplate(match, out_port, ttl, _action_spec(action, 0), obj.get("counter", 0))
+    except KeyError as exc:
         raise _missing(exc.args[0]) from None
-    try:
-        action = _action_spec(action, 0)
     except _Unplaced as exc:
-        raise exc.under(".action")
-    try:
-        return RuleTemplate(match, out_port, ttl, action, obj.get("counter", 0))
+        raise exc.under(at)
     except InvalidRuleError as exc:
         raise _misfit(exc) from None
 
@@ -720,8 +680,8 @@ def delta_from_obj(obj, what: str = "delta") -> GuardedDelta:
 
 
 def _delta(obj) -> GuardedDelta:
-    obj = _obj(obj)
-    _keys(obj, _DELTA_KEYS)
+    if not (isinstance(obj, dict) and obj.keys() <= _DELTA_KEYS):
+        raise _object_error(obj, _DELTA_KEYS)
     branches = _items(_branch, obj.get("branches", []), at=".branches")
     default = _items(_template, obj.get("default", []), at=".default")
     return GuardedDelta(tuple(branches), tuple(default))
@@ -729,10 +689,17 @@ def _delta(obj) -> GuardedDelta:
 
 def _branch(obj) -> tuple:
     """One branch of a delta: its guard and its rule templates."""
-    obj = _obj(obj)
-    _keys(obj, _BRANCH_KEYS)
-    rules = _list(obj.get("rules", []), ".rules")  # checked before the guard is read
-    guard = _below(".guard", _guard, _need(obj, "guard"))
+    if not (isinstance(obj, dict) and obj.keys() <= _BRANCH_KEYS):
+        raise _object_error(obj, _BRANCH_KEYS)
+    rules = obj.get("rules", [])
+    if not isinstance(rules, list):  # checked before the guard is read
+        _list(rules, ".rules")
+    try:
+        guard = _guard(obj["guard"])
+    except KeyError as exc:
+        raise _missing(exc.args[0]) from None
+    except _Unplaced as exc:
+        raise exc.under(".guard")
     return guard, tuple(_items(_template, rules, at=".rules"))
 
 
@@ -759,13 +726,15 @@ def app_from_obj(obj, n: int, what: str = "app") -> AppTransform:
 
 
 def _app(obj, n: int) -> AppTransform:
-    obj = _obj(obj)
-    _keys(obj, _APP_KEYS)
-    slot = _need(obj, "slot")
-    name = _need(obj, "name")
-    delta = _below(".delta", _delta, _need(obj, "delta"))
-    try:
-        return make_app(name, slot, delta, n)
+    if not (isinstance(obj, dict) and obj.keys() <= _APP_KEYS):
+        raise _object_error(obj, _APP_KEYS)
+    try:  # the keys in the order their errors are reported
+        slot, name, delta = obj["slot"], obj["name"], obj["delta"]
+        return make_app(name, slot, _delta(delta), n)
+    except KeyError as exc:
+        raise _missing(exc.args[0]) from None
+    except _Unplaced as exc:
+        raise exc.under(".delta")
     except SlotOutOfRangeError:
         raise _Unplaced("", f"={slot} out of range for {n} switches", ".slot") from None
     except InvalidRuleError as exc:
@@ -827,10 +796,7 @@ class Document:
     """
 
     def __init__(self, obj):
-        version = _placed("scenario", _version, obj)
-        if type(version) is not int or version != FORMAT_VERSION:
-            raise ScenarioFormatError(f"version must be {FORMAT_VERSION}, got {version!r}")
-        self.topology = _placed("topology", _topology, _placed("scenario", _need, obj, "topology"))
+        self.topology = _placed("topology", _topology, _placed("scenario", _head, obj))
         n = self.topology.switch_count
         # Every app holds a row and a slot per switch, so also a command that
         # decodes no table checks n against the length of an array the file holds.
@@ -867,10 +833,7 @@ class Document:
         queries = _placed("queries", _obj, self._obj.get("queries", {}))
         if name not in queries:
             raise FlowspaceError(f"no query named {name!r} in scenario")
-        try:
-            return _header(queries[name])
-        except _Unplaced as exc:
-            raise exc.under(f"queries[{name}]").error() from None
+        return _placed(f"queries[{name}]", _header, queries[name])
 
     def scenario(self) -> Scenario:
         nib = self.nib()
@@ -901,27 +864,30 @@ class Document:
 
     def _read_app(self, i: int, decode):
         """`decode(obj, n)` of the app object at `apps[i]`, an error placed there."""
-        try:
-            return decode(self._raw_apps()[i], self.topology.switch_count)
-        except _Unplaced as exc:
-            raise exc.under(f"apps[{i}]").error() from None
+        return _placed(f"apps[{i}]", decode, self._raw_apps()[i], self.topology.switch_count)
 
 
-def _version(obj):
-    """The version of a scenario object whose keys are known."""
-    obj = _obj(obj)
-    _keys(obj, _SCENARIO_KEYS)
-    return _need(obj, "version")
+def _head(obj):
+    """The topology object of a scenario object, read after its keys and its version."""
+    if not (isinstance(obj, dict) and obj.keys() <= _SCENARIO_KEYS):
+        raise _object_error(obj, _SCENARIO_KEYS)
+    try:  # the keys in the order their errors are reported
+        version = obj["version"]
+        if type(version) is not int or version != FORMAT_VERSION:
+            raise ScenarioFormatError(f"version must be {FORMAT_VERSION}, got {version!r}")
+        return obj["topology"]
+    except KeyError as exc:
+        raise _missing(exc.args[0]) from None
 
 
 def _app_name(obj, n: int) -> str:
     """The name of an app object, the rest of it unread.  A name that is
     no string fails as decoding the app reports it, since the app's
     constructor owns that check."""
-    name = _need(_obj(obj), "name")
-    if type(name) is not str:
+    if not (isinstance(obj, dict) and type(obj.get("name")) is str):
+        _need(_obj(obj), "name")  # not an object, or no name
         _app(obj, n)
-    return name
+    return obj["name"]
 
 
 def _positions(names) -> dict[str, int]:

@@ -56,6 +56,13 @@ class TestForward:
     def test_negative_delta_normalized(self):
         assert forward(-3) == forward(2**16 - 3)
 
+    @pytest.mark.parametrize("delta", [True, 1.5, "x"])
+    def test_delta_is_a_real_int(self, delta):
+        # `True == 1`, yet it must not stand in for a translation of 1
+        with pytest.raises(InvalidRuleError) as info:
+            forward(delta)
+        assert str(info.value) == f"delta must be an int, got {type(delta).__name__}"
+
 
 class TestDrop:
     def test_maps_everything_to_zero_state(self):
@@ -103,6 +110,12 @@ class TestModifyField:
         for field, kind in ((True, "bool"), (1.5, "float"), (2.0, "float")):
             with pytest.raises(UnknownFieldError, match=f"got {kind}$"):
                 modify_field(field, 3)
+
+    @pytest.mark.parametrize("delta", [True, 1.5, "x"])
+    def test_delta_is_a_real_int(self, delta):
+        with pytest.raises(InvalidRuleError) as info:
+            modify_field("nw_src", delta)
+        assert str(info.value) == f"delta must be an int, got {type(delta).__name__}"
 
 
 class TestCompose:

@@ -146,6 +146,13 @@ class TestTranslate:
             d = HeaderDelta.single(name, delta)
             assert translate_header(h, d).field(name) == wrapped
 
+    @pytest.mark.parametrize("delta", [True, 1.5, "1"])
+    def test_single_delta_is_a_real_int(self, delta):
+        # `True == 1`, yet it must not stand in for a translation of 1
+        with pytest.raises(InvalidRuleError) as info:
+            HeaderDelta.single("nw_src", delta)
+        assert str(info.value) == f"delta must be an int, got {type(delta).__name__}"
+
     @given(headers, deltas)
     def test_negated_delta_round_trips(self, h, d):
         assert translate_header(translate_header(h, d), d.negated()) == h

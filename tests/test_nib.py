@@ -3,7 +3,7 @@ import random
 import pytest
 
 from flowspace import sampling
-from flowspace.errors import DimensionMismatchError
+from flowspace.errors import DimensionMismatchError, InvalidRuleError
 from flowspace.headers import Header
 from flowspace.nib import (
     NIB,
@@ -175,3 +175,15 @@ class TestEffectiveDest:
 def test_nib_validates_table_count():
     with pytest.raises(DimensionMismatchError):
         NIB(Topology(2), (FlowTable(),))
+
+
+@pytest.mark.parametrize("args, message", [
+    ((2, (FlowTable(), FlowTable())), "topology must be a Topology, got int"),
+    ((Topology(2), [FlowTable(), FlowTable()]), "tables must be a tuple, got list"),
+    ((Topology(2), ("ab", "cd")), "tables[0] must be a FlowTable, got str"),
+    ((Topology(2), (FlowTable(),) * 2, [Flow(header())]), "flows must be a tuple, got list"),
+])
+def test_nib_checks_its_parts(args, message):
+    with pytest.raises(InvalidRuleError) as info:
+        NIB(*args)
+    assert str(info.value) == message
