@@ -19,7 +19,8 @@ what-if previews a single FLOW_MOD against a NIB, diffing tables and
 reporting any loop the change would introduce.  Both pair entries through
 `tables.inverse_pairs` and `tables.partners`, which read the inverse
 index a table builds on first use and keeps, so a scan is linear in
-table entries and a preview looks up partners of the new entries only.
+table entries and a preview looks up partners of the new entries only,
+through the edit the previewed table holds over its base.
 """
 
 from __future__ import annotations
@@ -369,9 +370,10 @@ def what_if(nib: NIB, candidate: FlowModRequest) -> WhatIfReport:
     reports gained and lost, and a pair of its entries is a new loop
     only if one of them is gained; a delete introduces none.
 
-    The previewed table derives its inverse index from the touched
-    table's (built on first use and kept), and the gained entries'
-    partners are looked up in it.  While the report's result lives, a
+    The previewed table shares a base with the touched table and holds
+    only the edit (see `tables.flow_mod`), and the gained entries'
+    partners are looked up through the edit and the base's index, so a
+    preview builds no whole table.  While the report's result lives, a
     commit of the same FLOW_MOD on the touched table
     (`transforms.flow_mod_add`/`_delete`/`_modify`, or `tables.flow_mod`)
     returns the previewed table without doing the edit again.

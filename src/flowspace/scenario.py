@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from flowspace import actions
 from flowspace.actions import PORT_SLOT, TTL_SLOT, AffineAction
@@ -793,6 +794,8 @@ class Document:
     - `scenario` decodes the whole document through the three.
 
     An error's JSON path keeps each item's position in the whole array.
+    The shape of `apps`, `chains` and `queries` is checked once, on the
+    section's first use, and kept.
     """
 
     def __init__(self, obj):
@@ -813,7 +816,7 @@ class Document:
         return NIB(self.topology, tuple(tables), tuple(flows))
 
     def chain(self, name: str) -> ServiceChain:
-        chains = _placed("chains", _obj, self._obj.get("chains", {}))
+        chains = self._chains
         if name not in chains:
             raise FlowspaceError(f"no chain named {name!r} in scenario")
         stage_names = chains[name]
@@ -830,7 +833,7 @@ class Document:
         return ServiceChain(tuple(self._app_at(index[s]) for s in stage_names))
 
     def query(self, name: str) -> Header:
-        queries = _placed("queries", _obj, self._obj.get("queries", {}))
+        queries = self._queries
         if name not in queries:
             raise FlowspaceError(f"no query named {name!r} in scenario")
         return _placed(f"queries[{name}]", _header, queries[name])
@@ -838,22 +841,29 @@ class Document:
     def scenario(self) -> Scenario:
         nib = self.nib()
         # Every app decodes before the next name is checked, as in file order.
-        self._app_index = _positions(self._app_at(i).name for i in range(len(self._raw_apps())))
+        self._app_index = _positions(self._app_at(i).name for i in range(len(self._raw_apps)))
         apps = {name: self._apps[i] for name, i in self._app_index.items()}
-        chains = {name: self.chain(name)
-                  for name in _placed("chains", _obj, self._obj.get("chains", {}))}
-        queries = {name: self.query(name)
-                   for name in _placed("queries", _obj, self._obj.get("queries", {}))}
+        chains = {name: self.chain(name) for name in self._chains}
+        queries = {name: self.query(name) for name in self._queries}
         return Scenario(self.topology, nib, apps, chains, queries)
 
+    @cached_property
     def _raw_apps(self) -> list:
         return _placed("apps", _list, self._obj.get("apps", []))
+
+    @cached_property
+    def _chains(self) -> dict:
+        return _placed("chains", _obj, self._obj.get("chains", {}))
+
+    @cached_property
+    def _queries(self) -> dict:
+        return _placed("queries", _obj, self._obj.get("queries", {}))
 
     def _names(self) -> dict[str, int]:
         """Each app's position by name, found by reading the names alone."""
         if self._app_index is None:
             self._app_index = _positions(self._read_app(i, _app_name)
-                                         for i in range(len(self._raw_apps())))
+                                         for i in range(len(self._raw_apps)))
         return self._app_index
 
     def _app_at(self, i: int) -> AppTransform:
@@ -864,7 +874,7 @@ class Document:
 
     def _read_app(self, i: int, decode):
         """`decode(obj, n)` of the app object at `apps[i]`, an error placed there."""
-        return _placed(f"apps[{i}]", decode, self._raw_apps()[i], self.topology.switch_count)
+        return _placed(f"apps[{i}]", decode, self._raw_apps[i], self.topology.switch_count)
 
 
 def _head(obj):

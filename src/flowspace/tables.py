@@ -15,15 +15,23 @@ invertible entries by `inverse_key`, so an entry's partners are found
 by one lookup of its `partner_key` instead of a scan over the table.
 
 The index is derived state of the table, as its canonical order is:
-`inverse_index` builds it on first use and keeps it, and `flow_mod`,
-the one FLOW_MOD edit, derives the new table's index from its parent's
-by copying the dict and changing only the two groups the edit touches,
-without rehashing their entries, so a chain of previews and commits
-costs the entries it touches.  A table also remembers the last edit
-made from it, holding the new table by a weak reference: committing a
-FLOW_MOD that was just previewed returns the previewed table instead of
-editing again, and a table kept alive does not keep the tables edited
-from it alive.  Copies and pickles hold the entries alone.
+`inverse_index` builds it on first use and keeps it.  `flow_mod`, the
+one FLOW_MOD edit, copies neither the entry set nor the index.  The
+table it returns shares a base, a table whose entries and index are
+built, and holds only its edit: the base entries it removed, the
+entries it added and the index groups it overrides.  `partners` and the
+next `flow_mod` read the edit first and then the base's index, so a
+chain of previews and commits costs the entries it touches.  The whole
+entry set and index are built on the first read of the whole table
+(iteration, `len`, equality, hashing, `union`, `reduce`,
+`inverse_pairs`, pickling), or by `flow_mod` once the edit outgrows
+twice the square root of the base's size, so an edit costs O(sqrt n)
+amortized.
+A table also remembers the last edit made from it, holding the new
+table by a weak reference: committing a FLOW_MOD that was just
+previewed returns the previewed table instead of editing again, and a
+table kept alive does not keep the tables edited from it alive.  Copies
+and pickles hold the entries alone.
 
 An entry hashes in one step, from flat parts (the pattern's entries,
 the port, the ttl, the action's two vectors and the counter), when it
@@ -47,7 +55,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -216,6 +224,38 @@ class FlowTable:
         return f"FlowTable({len(self._entries)} entries)"
 
 
+class _EditedTable(FlowTable):
+    """A table that `flow_mod` returns: a base's entry set and index,
+    shared, plus an edit.  The whole table is built on the first read of
+    `_entries` or `_index`, after which the edit is dropped and the table
+    is a base itself.  Only this type has the `__getattr__` hook, which
+    would slow every attribute read of a plain `FlowTable`.
+    """
+
+    # _base is the base's (entries, index); _removed holds base entries,
+    # _added entries outside the base, and _groups maps an inverse key to
+    # its group, () for a removed key.  All four are None once built.
+    __slots__ = ("_base", "_removed", "_added", "_groups")
+
+    def __getattr__(self, name):
+        if name != "_entries" and name != "_index":
+            raise AttributeError(name)
+        self._build()
+        return getattr(self, name)
+
+    def _build(self) -> None:
+        entries, index = self._base
+        self._entries = entries.difference(self._removed).union(self._added)
+        index = dict(index)
+        for key, group in self._groups.items():
+            if group:
+                index[key] = group
+            elif key in index:
+                del index[key]
+        self._index = index
+        self._base = self._removed = self._added = self._groups = None
+
+
 def empty() -> FlowTable:
     """The empty table, the additive identity."""
     return FlowTable()
@@ -315,10 +355,24 @@ def _index(entries: Iterable[FlowEntry]) -> InverseIndex:
 
 
 def partners(t: FlowTable, e: FlowEntry) -> tuple[FlowEntry, ...]:
-    """The entries of `t` other than `e` whose rule is the inverse of `e`'s."""
+    """The entries of `t` other than `e` whose rule is the inverse of `e`'s.
+
+    A table `flow_mod` returned answers from its edit and its base's
+    index, without being built."""
     key = inverse_key(e.rule)
-    group = () if key is None else inverse_index(t).get(partner_key(key), ())
+    if key is None:
+        return ()
+    if type(t) is _EditedTable and t._base is not None:
+        group = _group(t._groups, t._base[1], partner_key(key))
+    else:
+        group = inverse_index(t).get(partner_key(key), ())
     return tuple(p for p in group if p != e)
+
+
+def _group(groups: InverseIndex, index: InverseIndex, key: tuple) -> tuple[FlowEntry, ...]:
+    """The group of `key` in `index` with the groups of an edit laid over it."""
+    group = groups.get(key)
+    return index.get(key, ()) if group is None else group
 
 
 def _partner_groups(index: InverseIndex
@@ -369,13 +423,17 @@ def flow_mod(t: FlowTable, old: FlowRule | None, new: FlowRule | None
     and the entries that table gained and lost, unsorted, as tuples.  An
     add has no `old`, a delete no `new`.
 
-    An invertible rule's entries are one lookup away in `t`'s inverse
-    index, since equal inverse keys mean equal rules; a singular (drop)
-    rule takes a scan.  frozenset difference and union reuse the stored
-    entry hashes, so the table is not rehashed.  The new table's index
-    is a copy of `t`'s without `old`'s group, all of whose entries are
-    lost, and with the gained entry put first in its rule's group, where
-    its zero counter sorts first; no group is rebuilt or rehashed.
+    The new table shares a base with `t`: `t`'s own base while `t` is an
+    edit not yet built, else `t` itself, whose index is built here on
+    first use.  Its edit is a copy of `t`'s edit, if any, changed by this
+    FLOW_MOD: `old`'s group becomes empty, all of its entries lost, and
+    the gained entry goes first in its rule's group, where its zero
+    counter sorts first.  An invertible rule's entries are one lookup
+    away, in the edit or else in the base's index, since equal inverse
+    keys mean equal rules; a singular (drop) rule takes a scan.  Once the
+    edit outgrows twice the square root of the base's size, the new
+    table is built whole and becomes a base, so an edit costs O(sqrt n)
+    amortized.
 
     `t` remembers its last edit, with a weak reference to the new table,
     so while that table lives the same edit again (equal `old` and
@@ -389,33 +447,51 @@ def flow_mod(t: FlowTable, old: FlowRule | None, new: FlowRule | None
         out = ref()
         if out is not None and (o is old or o == old) and (n is new or n == new):
             return out, last[3], last[4]
-    entries, index = t._entries, dict(inverse_index(t))
+    if type(t) is _EditedTable and t._base is not None:
+        base = t._base
+        removed, added, groups = set(t._removed), set(t._added), dict(t._groups)
+    else:
+        base = (t._entries, inverse_index(t))
+        removed, added, groups = set(), set(), {}
+    entries, index = base
     lost: tuple[FlowEntry, ...] = ()
     gained: tuple[FlowEntry, ...] = ()
     if old is not None:
         key = inverse_key(old)
         if key is not None:
-            lost = index.pop(key, ())
+            lost = _group(groups, index, key)
+            groups[key] = ()
         else:
             port = old.out_port  # comparing the port first spares most entries a dataclass __eq__
-            lost = tuple(e for e in entries if e.rule.out_port == port and e.rule == old)
+            lost = tuple(e for e in chain(entries, added)
+                         if e.rule.out_port == port and e.rule == old and e not in removed)
         if not lost:
             raise RuleNotFoundError(f"no entry with rule {old!r}")
-        entries = entries.difference(lost)
+        for e in lost:
+            if e in added:
+                added.remove(e)
+            else:
+                removed.add(e)
     if new is not None:
         e = FlowEntry(new, 0)
-        size = len(entries)
-        entries = entries.union((e,))
-        if len(entries) > size:  # not held after the removal
+        if e in removed or not (e in added or e in entries):  # not held after the removal
+            if e in removed:
+                removed.remove(e)
+            else:
+                added.add(e)
             key = inverse_key(new)
             if key is not None:
-                index[key] = (e,) + index.get(key, ())
+                groups[key] = (e,) + _group(groups, index, key)
             if e in lost:  # a rule modified into itself keeps its zero-counter entry
                 lost = tuple(x for x in lost if x != e)
             else:
                 gained = (e,)
-    out = FlowTable(entries)
-    out._index = index
+    out = _new(_EditedTable)
+    out._order = out._last = None
+    out._base, out._removed, out._added, out._groups = base, removed, added, groups
+    size = len(removed) + len(added) + len(groups)
+    if size * size > 4 * len(entries):
+        out._build()
     t._last = (old, new, weakref.ref(out), gained, lost)
     return out, gained, lost
 

@@ -69,7 +69,7 @@ compose and apply, not O(n^2).
 
 `flow_mod_add`, `flow_mod_delete` and `flow_mod_modify` are the three
 shapes of the FLOW_MOD edit `tables.flow_mod`, which owns the edit and
-the inverse index the new table carries.
+the base the new table shares.
 """
 
 from __future__ import annotations

@@ -10,7 +10,11 @@ all-pairs algorithms they replaced: they compose every candidate pair
 of actions and index nothing.  The FLOW_MOD operations are checked
 against the set operations they replaced, which rebuild the whole
 table and carry no index; the what-if oracle applies FLOW_MODs through
-them, so it does not test the derived index against itself.
+them, so it does not test the derived index against itself.  The
+shared-base `tables.flow_mod` is also checked against the edit it
+replaced, `flow_mod_oracle`, which copies its parent's entry set and
+index on every FLOW_MOD; it keeps its memo in the table's `_last` slot,
+as the library does, so it runs on a chain of tables of its own.
 
 The NIB statistics are checked against the linear scans they replaced:
 each lookup walks every observed flow.
@@ -74,6 +78,8 @@ field.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from flowspace import actions
@@ -114,7 +120,16 @@ from flowspace.sampling import (
     random_topology,
 )
 from flowspace.scenario import FORMAT_VERSION, MAX_SEQ_DEPTH, Scenario
-from flowspace.tables import FlowEntry, FlowRule, FlowTable, add, entry_key, reduce
+from flowspace.tables import (
+    FlowEntry,
+    FlowRule,
+    FlowTable,
+    add,
+    entry_key,
+    inverse_index,
+    inverse_key,
+    reduce,
+)
 from flowspace.transforms import (
     ActionSpec,
     AppTransform,
@@ -267,6 +282,64 @@ def flow_mod_delete_oracle(t: FlowTable, r: FlowRule) -> FlowTable:
 def flow_mod_modify_oracle(t: FlowTable, old: FlowRule, new: FlowRule) -> FlowTable:
     """Replace old with new; the new entry's counter restarts at zero."""
     return flow_mod_add_oracle(flow_mod_delete_oracle(t, old), new)
+
+
+def flow_mod_oracle(t: FlowTable, old: FlowRule | None, new: FlowRule | None
+                    ) -> tuple[FlowTable, tuple[FlowEntry, ...], tuple[FlowEntry, ...]]:
+    """One FLOW_MOD: `t` without every entry of rule `old` (there must be
+    one, else `RuleNotFoundError`) plus rule `new` with a zero counter,
+    and the entries that table gained and lost, unsorted, as tuples.  An
+    add has no `old`, a delete no `new`.
+
+    An invertible rule's entries are one lookup away in `t`'s inverse
+    index, since equal inverse keys mean equal rules; a singular (drop)
+    rule takes a scan.  frozenset difference and union reuse the stored
+    entry hashes, so the table is not rehashed.  The new table's index
+    is a copy of `t`'s without `old`'s group, all of whose entries are
+    lost, and with the gained entry put first in its rule's group, where
+    its zero counter sorts first; no group is rebuilt or rehashed.
+
+    `t` remembers its last edit, with a weak reference to the new table,
+    so while that table lives the same edit again (equal `old` and
+    `new`, as when a previewed FLOW_MOD is committed) returns the same
+    table, gained and lost.  The reference is weak so that a long-lived
+    table does not keep every table derived from it alive.
+    """
+    last = t._last
+    if last is not None:
+        o, n, ref = last[:3]
+        out = ref()
+        if out is not None and (o is old or o == old) and (n is new or n == new):
+            return out, last[3], last[4]
+    entries, index = t._entries, dict(inverse_index(t))
+    lost: tuple[FlowEntry, ...] = ()
+    gained: tuple[FlowEntry, ...] = ()
+    if old is not None:
+        key = inverse_key(old)
+        if key is not None:
+            lost = index.pop(key, ())
+        else:
+            port = old.out_port  # comparing the port first spares most entries a dataclass __eq__
+            lost = tuple(e for e in entries if e.rule.out_port == port and e.rule == old)
+        if not lost:
+            raise RuleNotFoundError(f"no entry with rule {old!r}")
+        entries = entries.difference(lost)
+    if new is not None:
+        e = FlowEntry(new, 0)
+        size = len(entries)
+        entries = entries.union((e,))
+        if len(entries) > size:  # not held after the removal
+            key = inverse_key(new)
+            if key is not None:
+                index[key] = (e,) + index.get(key, ())
+            if e in lost:  # a rule modified into itself keeps its zero-counter entry
+                lost = tuple(x for x in lost if x != e)
+            else:
+                gained = (e,)
+    out = FlowTable(entries)
+    out._index = index
+    t._last = (old, new, weakref.ref(out), gained, lost)
+    return out, gained, lost
 
 
 def apply_flow_mod(nib: NIB, candidate: FlowModRequest) -> NIB:

@@ -17,6 +17,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import random_document
+from test_packaging import SRC, console_script, run_outside
+from flowspace import __version__ as flowspace_version
 from flowspace import actions, axioms, casestudy, cli, sampling, scenario
 from flowspace.cli import build_parser, main
 from flowspace.headers import FIELDS
@@ -462,6 +464,54 @@ class TestCaseStudyCommand:
         a = run_cli("casestudy", "--emit-scenario")
         b = run_cli("casestudy", "--emit-scenario")
         assert a.stdout == b.stdout
+
+
+class TestInstalledCommandStep:
+    """The commands of the CI workflow's "Installed command" step, in its
+    order and with its exit-code and message checks, run from a
+    temporary directory with `PYTHONPATH` naming `src` alone; the console
+    script is the wrapper an installer writes (`console_script`)."""
+
+    WHATIF_RULE = json.dumps({
+        "match": {"nw_src": 1}, "out_port": 2, "ttl": 60,
+        "action": {"kind": "seq", "actions": [{"kind": "modify", "field": "nw_tos", "delta": 4},
+                                              {"kind": "forward", "delta": 7}]},
+    })
+    NO_TTL = json.dumps({"version": 1, "topology": {"switches": 1},
+                         "tables": [[{"match": {}, "out_port": 1, "action": {"kind": "drop"}}]]})
+
+    def test_the_step_passes_outside_the_checkout(self, tmp_path):
+        def flowspace(*argv):
+            return run_outside(tmp_path, "-m", "flowspace", *argv)
+
+        out = run_outside(tmp_path, "-c", "import flowspace; print(flowspace.__file__)")
+        assert (out.returncode, out.stdout) == (0, f"{SRC / 'flowspace' / '__init__.py'}\n")
+        out = flowspace("casestudy", "--emit-scenario")
+        assert out.returncode == 0
+        (tmp_path / "case.json").write_text(out.stdout)
+        out = flowspace("--format", "json", "loops", "case.json")
+        assert out.returncode == 0 and json.loads(out.stdout)["findings"] == []
+        # The case study's two chain orders are not congruent: exit 1, a verdict.
+        out = flowspace("congruence", "case.json", "ids-lb", "lb-ids")
+        assert out.returncode == 1 and "not_congruent" in out.stdout
+        # A table entry without its ttl: exit 2, a bad document.
+        (tmp_path / "bad.json").write_text(self.NO_TTL)
+        out = flowspace("loops", "bad.json")
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr == "error: tables[0][0] is missing required key 'ttl'\n"
+        out = flowspace("whatif", "case.json", "--op", "add", "--switch", "0",
+                        "--rule", self.WHATIF_RULE)
+        assert out.returncode == 0 and "no new loops" in out.stdout
+        out = flowspace("--format", "json", "apply", "case.json", "lb-ids",
+                        "--header", "@noisy-client")
+        assert out.returncode == 0 and json.loads(out.stdout)
+        out = flowspace("axioms", "--cases", "20")
+        assert out.returncode == 0 and "FAIL" not in out.stdout
+        script = str(console_script(tmp_path))
+        out = run_outside(tmp_path, script, "--version")
+        assert (out.returncode, out.stdout) == (0, f"flowspace {flowspace_version}\n")
+        out = run_outside(tmp_path, script, "--format", "json", "loops", "case.json")
+        assert out.returncode == 0 and json.loads(out.stdout)["findings"] == []
 
 
 # ---------------------------------------------------------------------------

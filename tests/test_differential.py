@@ -7,7 +7,14 @@ Along a seeded chain of previews and commits, committing the FLOW_MOD
 just previewed must return the previewed table without editing again,
 and every other commit must equal the oracle's; a table kept alive
 must keep no table edited from it alive, and a copy or pickle of a
-table must hold its entries alone.
+table must hold its entries alone.  Along seeded streams of FLOW_MODs,
+each on the table the last one returned, `flow_mod` must gain and lose
+what the copying edit it replaced (`flow_mod_oracle`) does, and the
+table must answer partner lookups through its edit and its base's index
+as the oracle's table does, without being built, past the bound at
+which an edit is built into a new base; read whole, it must give the
+oracle's entries, index, inverse pairs, reduction and loops.  A preview
+and its commit on 32,000 entries must allocate under 64 KB.
 
 The NIB statistics must equal the linear scans over the flows on
 seeded NIBs whose headers collide, on hand-built NIBs, and inside
@@ -99,10 +106,11 @@ import importlib
 import pickle
 import random
 import sys
+import tracemalloc
 import weakref
 from collections import Counter
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import pytest
 
@@ -119,6 +127,7 @@ from oracles import (
     detect_loops_oracle,
     effective_dest_of_header_oracle,
     first_difference_oracle,
+    flow_mod_oracle,
     entry_key_oracle,
     instantiate,
     normalize_oracle,
@@ -147,6 +156,7 @@ from flowspace.analysis import FlowModRequest, detect_loops, what_if
 from flowspace.errors import (
     DimensionMismatchError,
     FlowspaceError,
+    RuleNotFoundError,
     UnresolvedPortError,
 )
 from flowspace.headers import (
@@ -171,9 +181,12 @@ from flowspace.tables import (
     FlowEntry,
     FlowRule,
     FlowTable,
+    entry_key,
     inverse_index,
     inverse_key,
+    inverse_pairs,
     negate_rule,
+    partners,
     reduce,
 )
 from flowspace.transforms import (
@@ -227,10 +240,10 @@ def collision_table(rng: random.Random, max_entries: int) -> FlowTable:
     return FlowTable(entries)
 
 
-def candidate_rule(rng: random.Random, table: FlowTable) -> FlowRule:
-    """A rule to install: often the inverse of a live rule or a live rule
-    itself, so that new loops and no-op adds both occur."""
-    entries = table.entries
+def candidate_rule(rng: random.Random, entries: Sequence[FlowEntry]) -> FlowRule:
+    """A rule to install, given the live entries: often the inverse of a
+    live rule or a live rule itself, so that new loops and no-op adds
+    both occur."""
     if not entries:
         return sampling.random_rule(rng)
     live = rng.choice(entries).rule
@@ -247,11 +260,11 @@ def candidate_rule(rng: random.Random, table: FlowTable) -> FlowRule:
 def candidates(rng: random.Random, nib: NIB) -> list[FlowModRequest]:
     s = rng.randrange(nib.topology.switch_count)
     table = nib.tables[s]
-    out = [FlowModRequest("add", s, candidate_rule(rng, table))]
+    out = [FlowModRequest("add", s, candidate_rule(rng, table.entries))]
     if len(table):
         old = rng.choice(table.entries).rule
         out.append(FlowModRequest("delete", s, old))
-        new = old if rng.random() < 0.1 else candidate_rule(rng, table)
+        new = old if rng.random() < 0.1 else candidate_rule(rng, table.entries)
         out.append(FlowModRequest("modify", s, new, old))
     return out
 
@@ -387,10 +400,32 @@ def commit(table: FlowTable, c: FlowModRequest) -> FlowTable:
     return transforms.flow_mod_modify(table, c.old_rule, c.rule)
 
 
+def built(t: FlowTable) -> bool:
+    """Whether `t` holds its whole entry set and index, read without
+    building them: a table `flow_mod` returned is built on the first
+    read of the whole table."""
+    return type(t) is FlowTable or t._base is None
+
+
+def answering_index(t: FlowTable) -> tables.InverseIndex | None:
+    """The inverse index `t` answers group lookups through, read without
+    building anything: for a table `flow_mod` returned and nothing has
+    built yet, its base's kept index with the edit's groups laid over
+    it (a key whose group the edit emptied is absent); else the table's
+    own kept index, None while it has none."""
+    if built(t):
+        return t._index
+    index = {**t._base[1], **t._groups}
+    return {key: group for key, group in index.items() if group}
+
+
 def assert_index_carried(t: FlowTable) -> None:
-    """The table carries an index, and it equals one built afresh."""
-    assert t._index is not None
-    assert t._index == inverse_index(FlowTable(t))
+    """The table answers through an index it carries, its own or its
+    base's with its edit laid over, and that index equals one built
+    afresh."""
+    index = answering_index(t)
+    assert index is not None
+    assert index == inverse_index(FlowTable(t))
 
 
 def chain_candidates(rng: random.Random, nib: NIB) -> list[FlowModRequest]:
@@ -402,7 +437,7 @@ def chain_candidates(rng: random.Random, nib: NIB) -> list[FlowModRequest]:
     if drops:
         old = rng.choice(drops)
         out += [FlowModRequest("delete", s, old),
-                FlowModRequest("modify", s, candidate_rule(rng, nib.tables[s]), old)]
+                FlowModRequest("modify", s, candidate_rule(rng, nib.tables[s].entries), old)]
     return out
 
 
@@ -572,7 +607,7 @@ class TestCarriedIndex:
             preview = rng.choice(chain_candidates(rng, nib))
             report = what_if(nib, preview)  # indexes the table and leaves the memo on it
             indexed, previewed = nib.tables[0], report.result.tables[0]
-            assert indexed._last is not None and previewed._index is not None
+            assert indexed._last is not None and answering_index(previewed) is not None
             for t in (indexed, previewed):
                 twin = dup(t)
                 assert type(twin) is FlowTable and twin == t and twin is not t
@@ -583,6 +618,167 @@ class TestCarriedIndex:
             twin = dup(indexed)
             table = commit(twin, preview)
             assert table == commit_oracle(indexed, preview) and table is not previewed
+
+
+# ---------------------------------------------------------------------------
+# FLOW_MOD streams on a shared base, against the copying edit
+
+
+def stream_request(rng: random.Random, live: list[FlowEntry], drops: list[FlowEntry],
+                   gone: list[FlowRule]) -> tuple[str, FlowRule | None, FlowRule | None]:
+    """A kind of FLOW_MOD and its (old, new) rules, on a table of `live`
+    entries of which `drops` are singular; `gone` holds rules the stream
+    removed, so some adds bring back an entry an earlier edit removed
+    and some deletes name a rule no entry holds."""
+    roll = rng.random()
+    if not live or roll < 0.25:
+        return "add", None, candidate_rule(rng, live)
+    if roll < 0.32:
+        return "add a drop rule", None, with_action(rng.choice(live).rule, drop())
+    if gone and roll < 0.40:
+        return "add a removed rule", None, rng.choice(gone)
+    if gone and roll < 0.46:
+        return "delete a removed rule", rng.choice(gone), None
+    if drops and roll < 0.54:
+        old = rng.choice(drops).rule
+        return ("delete a drop rule", old, None) if rng.random() < 0.5 else \
+            ("modify a drop rule", old, candidate_rule(rng, live))
+    old = rng.choice(live).rule
+    if roll < 0.70:
+        return "delete", old, None
+    if roll < 0.76:
+        return "modify into itself", old, old
+    return "modify", old, candidate_rule(rng, live)
+
+
+def partner_probes(rng: random.Random, live: list[FlowEntry], touched, every: bool
+                   ) -> list[FlowEntry]:
+    """Entries whose partners to compare: every live entry, or the touched
+    ones and a sample; and for each touched invertible entry, an entry of
+    the inverse rule, whose partners are the touched rule's whole group."""
+    probes = list(live) if every else [*touched, *rng.sample(live, min(8, len(live)))]
+    probes += [FlowEntry(negate_rule(e.rule), 1 << 20) for e in touched
+               if inverse_key(e.rule) is not None]
+    return probes
+
+
+def assert_commit_returns_the_preview(parent: FlowTable, old, new, *preview) -> None:
+    """Committing the FLOW_MOD just previewed on `parent`, with its rules
+    rebuilt equal, returns the previewed table, gained and lost."""
+    old, new = (None if r is None else dataclasses.replace(r) for r in (old, new))
+    table, gained, lost = tables.flow_mod(parent, old, new)
+    assert table is preview[0] and (gained, lost) == preview[1:]
+
+
+DUPS = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+        "pickle": lambda t: pickle.loads(pickle.dumps(t))}
+
+
+class TestSharedBase:
+    @pytest.mark.parametrize("make, whole_every", [
+        (lambda rng: collision_table(rng, 24), 8),
+        (lambda rng: planted_table(rng, 6), 8),
+        (lambda rng: planted_table(rng, 1000), 60),  # 2,003 entries
+    ], ids=["collision", "planted", "2000 entries"])
+    def test_stream_matches_the_copying_edit(self, make, whole_every):
+        """A stream of FLOW_MODs, each on the table the last one returned,
+        mostly read only through the edit, against `flow_mod_oracle`'s
+        chain of copied tables.  Now and then the whole table is read
+        (a copy, a deep copy or a pickle first), which builds it."""
+        rng = random.Random(9201)
+        table = root = make(rng)
+        expect = FlowTable(root)  # the oracle keeps its memo in `_last` too
+        live = dict.fromkeys(root.entries)
+        drops = dict.fromkeys(e for e in live if inverse_key(e.rule) is None)
+        gone: list[FlowRule] = []
+        refs = []
+        seen = Counter()
+        for step in range(2000):
+            entries = list(live)
+            kind, old, new = stream_request(rng, entries, list(drops), gone)
+            parent, on_edit = table, not built(table)
+            seen[kind] += 1
+            try:
+                table, gained, lost = tables.flow_mod(parent, old, new)
+            except RuleNotFoundError:
+                with pytest.raises(RuleNotFoundError):
+                    flow_mod_oracle(expect, old, new)
+                seen["not found"] += 1
+                continue
+            expect, expect_gained, expect_lost = flow_mod_oracle(expect, old, new)
+            assert type(gained) is tuple and type(lost) is tuple
+            assert sorted(gained, key=entry_key) == sorted(expect_gained, key=entry_key)
+            assert sorted(lost, key=entry_key) == sorted(expect_lost, key=entry_key)
+            if rng.random() < 0.5:
+                assert_commit_returns_the_preview(parent, old, new, table, gained, lost)
+            refs.append(weakref.ref(table))
+            for e in lost:
+                del live[e]
+                drops.pop(e, None)
+                gone.append(e.rule)
+            for e in gained:
+                live[e] = None
+                if inverse_key(e.rule) is None:
+                    drops[e] = None
+            del gone[:-64]
+            seen["on an edit"] += on_edit
+            seen["compacted"] += on_edit and built(table)
+            seen["a removed base entry back"] += (
+                on_edit and new is not None and FlowEntry(new, 0) in parent._removed)
+            # Read through the edit, nothing built: the touched groups, or
+            # on a small table or before a whole read, every group.
+            whole = rng.random() < 1 / whole_every
+            every = whole or len(live) <= 64
+            was_built = built(table)
+            if every:
+                assert answering_index(table) == inverse_index(expect)
+            for e in partner_probes(rng, list(live), gained + lost, every):
+                assert partners(table, e) == partners(expect, e)
+            assert built(table) == was_built
+            if not whole:
+                continue
+            # Read the whole table, which builds it.
+            if not was_built:
+                name = rng.choice(sorted(DUPS))
+                twin = DUPS[name](table)
+                assert type(twin) is FlowTable and twin == expect and twin is not table
+                assert (twin._order, twin._index, twin._last) == (None, None, None)
+                seen[name] += 1
+            assert table.entries == expect.entries and len(table) == len(live)
+            assert_index_carried(table)
+            assert inverse_index(table) == inverse_index(expect)
+            assert (Counter(map(frozenset, inverse_pairs(table)))
+                    == Counter(map(frozenset, inverse_pairs(expect))))
+            assert reduce(table) == reduce(expect)
+            assert (detect_loops(NIB(Topology(1), (table,)))
+                    == detect_loops(NIB(Topology(1), (expect,))))
+        assert min(seen.values()) >= 5, seen
+        assert len(seen) == 16, seen
+        # The table last edited holds its base's entries and index, not
+        # the tables edited before it; the root holds them only weakly.
+        del parent
+        assert [ref for ref in refs[:-1] if ref() is not None and ref() is not table] == []
+        del table
+        gc.collect()
+        assert [ref for ref in refs if ref() is not None] == []
+        assert root._last is not None
+
+    def test_a_preview_and_its_commit_allocate_per_touched_entry(self):
+        size = 32000
+        match = MatchPattern.from_fields(nw_src=1)
+        entries = [FlowEntry(FlowRule(match, i, 60, forward(5)), 0) for i in range(size)]
+        nib = NIB(Topology(1), (FlowTable(entries),))
+        inverse_index(nib.tables[0])  # built once, before the tracing starts
+        candidate = FlowModRequest("add", 0, negate_rule(entries[size // 2].rule))
+        tracemalloc.start()
+        try:
+            report = what_if(nib, candidate)
+            table = commit(nib.tables[0], candidate)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table is report.result.tables[0] and len(report.new_loops) == 1
+        assert peak < 64 * 1024, peak
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import json
 import pickle
 import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -632,6 +633,31 @@ class TestSectionDecoders:
                 assert doc.query(name) == whole.queries[name]
             assert doc.nib() == whole.nib
             assert len(decoded) == len(named)  # the NIB and the queries decode no app
+
+    def test_each_section_shape_is_checked_once(self, monkeypatch):
+        checked = Counter()
+
+        def counting(name):
+            check = getattr(scenario, name)
+
+            def counted(value, *args):
+                checked[name, id(value)] += 1
+                return check(value, *args)
+            return counted
+
+        for name in ("_list", "_obj"):
+            monkeypatch.setattr(scenario, name, counting(name))
+        for obj in _seeded_objects(233, 50):
+            checked.clear()
+            doc = Document(obj)
+            for name in obj["chains"]:
+                doc.chain(name)
+            for name in obj["queries"]:
+                doc.query(name)
+            doc.scenario()
+            sections = [("_list", id(obj["apps"])), ("_obj", id(obj["chains"])),
+                        ("_obj", id(obj["queries"]))]
+            assert [checked[s] for s in sections] == [1, 1, 1]
 
     def test_stages_of_one_document_share_their_apps(self):
         obj = json.loads(json.dumps(scenario_to_obj(build_scenario())))
