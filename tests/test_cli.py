@@ -18,8 +18,7 @@ from hypothesis import strategies as st
 
 from oracles import random_document
 from test_packaging import SRC, console_script, run_outside
-from flowspace import __version__ as flowspace_version
-from flowspace import actions, axioms, casestudy, cli, sampling, scenario
+from flowspace import __version__, actions, axioms, casestudy, cli, sampling, scenario
 from flowspace.cli import build_parser, main
 from flowspace.headers import FIELDS
 from flowspace.headers import MatchPattern
@@ -509,7 +508,7 @@ class TestInstalledCommandStep:
         assert out.returncode == 0 and "FAIL" not in out.stdout
         script = str(console_script(tmp_path))
         out = run_outside(tmp_path, script, "--version")
-        assert (out.returncode, out.stdout) == (0, f"flowspace {flowspace_version}\n")
+        assert (out.returncode, out.stdout) == (0, f"flowspace {__version__}\n")
         out = run_outside(tmp_path, script, "--format", "json", "loops", "case.json")
         assert out.returncode == 0 and json.loads(out.stdout)["findings"] == []
 

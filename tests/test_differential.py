@@ -441,6 +441,11 @@ def chain_candidates(rng: random.Random, nib: NIB) -> list[FlowModRequest]:
     return out
 
 
+#: The ways to duplicate a table; each must hold the entries alone.
+DUPS = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+        "pickle": lambda t: pickle.loads(pickle.dumps(t))}
+
+
 class TestCarriedIndex:
     def test_chain_of_previews_and_commits(self):
         rng = random.Random(9101)
@@ -597,9 +602,7 @@ class TestCarriedIndex:
         assert [ref for ref in committed if ref() is not None] == []
         assert all(t._last is not None for t in root.tables)  # the root was edited
 
-    @pytest.mark.parametrize("dup", [copy.copy, copy.deepcopy,
-                                     lambda t: pickle.loads(pickle.dumps(t))],
-                             ids=["copy", "deepcopy", "pickle"])
+    @pytest.mark.parametrize("dup", DUPS.values(), ids=DUPS)
     def test_copies_hold_the_entries_alone(self, dup):
         rng = random.Random(9105)
         for _ in range(50):
@@ -668,10 +671,6 @@ def assert_commit_returns_the_preview(parent: FlowTable, old, new, *preview) -> 
     old, new = (None if r is None else dataclasses.replace(r) for r in (old, new))
     table, gained, lost = tables.flow_mod(parent, old, new)
     assert table is preview[0] and (gained, lost) == preview[1:]
-
-
-DUPS = {"copy": copy.copy, "deepcopy": copy.deepcopy,
-        "pickle": lambda t: pickle.loads(pickle.dumps(t))}
 
 
 class TestSharedBase:
