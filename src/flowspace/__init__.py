@@ -75,7 +75,6 @@ from flowspace.nib import (
     count_by_dest,
     count_by_src,
     nib_vector,
-    record_flow,
 )
 from flowspace.tables import (
     FlowEntry,

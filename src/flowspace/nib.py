@@ -33,7 +33,8 @@ from flowspace.errors import (
 from flowspace.headers import ADDRESS_MASK, NW_DST, NW_SRC, Header, dest_of, src_of
 from flowspace.tables import FlowTable
 
-_setattr = object.__setattr__  # as a frozen dataclass's generated `__init__` sets a field
+_new, _setattr = object.__new__, object.__setattr__  # as a generated `__init__` builds
+_header_of = Header.from_mapping
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,7 +80,9 @@ class Flow:
 
     A scenario holds one per observed flow, so `__init__` is written out:
     the generated one and a `__post_init__` took steer's `setup_s` from
-    0.067 to 0.073 s (medians of six paired 25 s runs).
+    0.067 to 0.073 s (medians of six paired 25 s runs).  The scenario
+    decoder builds each flow through `from_mapping`, which builds the
+    header as well and does not test it again.
     """
 
     header: Header
@@ -94,6 +97,21 @@ class Flow:
             raise int_error("assigned_dest", assigned_dest, ADDRESS_MASK)
         _setattr(self, "header", header)
         _setattr(self, "assigned_dest", assigned_dest)
+
+    @classmethod
+    def from_mapping(cls, fields, assigned_dest: int | None = None) -> Flow:
+        """The flow of the header `fields` maps field names to, assigned to
+        `assigned_dest`.  The twin of `Header.from_mapping`, which builds
+        the header and raises its errors; `assigned_dest` raises the
+        constructor's."""
+        header = _header_of(fields)
+        if not (assigned_dest is None
+                or type(assigned_dest) is int and 0 <= assigned_dest <= ADDRESS_MASK):
+            raise int_error("assigned_dest", assigned_dest, ADDRESS_MASK)
+        f = _new(cls)
+        _setattr(f, "header", header)
+        _setattr(f, "assigned_dest", assigned_dest)
+        return f
 
     def effective_dest(self) -> int:
         return self.assigned_dest if self.assigned_dest is not None else dest_of(self.header)
@@ -117,7 +135,7 @@ class NIB:
         # One test on the valid path, which every FLOW_MOD commit takes; the
         # error is worked out only when it fails.  The flows are not checked
         # one by one: a NIB can hold many, and the scenario decoder builds
-        # each through `Flow`'s check.
+        # each through `Flow.from_mapping`'s check.
         topology, tables = self.topology, self.tables
         if not (isinstance(topology, Topology) and isinstance(tables, tuple)
                 and isinstance(self.flows, tuple) and len(tables) == topology.switch_count):
@@ -186,10 +204,6 @@ def count_by_src(nib: NIB, h: Header) -> int:
 def count_by_dest(nib: NIB, server: int) -> int:
     """Number of observed flows whose effective destination is `server`."""
     return nib.stats.by_dest.get(server, 0)
-
-
-def record_flow(nib: NIB, f: Flow) -> NIB:
-    return NIB(nib.topology, nib.tables, nib.flows + (f,))
 
 
 def effective_dest_of_header(nib: NIB, h: Header) -> int:

@@ -37,7 +37,15 @@ Each section is walked once, each object read once, and a helper runs
 only to raise an error.  A value's JSON path is built only when a check
 or a builder fails: the error (`_Unplaced`) takes one segment from each
 level it passes on its way out, so a valid document formats no path.
-An error names the first bad value in file order.
+An error names the first bad value in file order.  The observed flows,
+which a document holds the most of, decode in one loop in
+`Document.nib`: one test per flow object, then the owner's builder
+`Flow.from_mapping`; `_flow` reads a flow again only to raise its error.
+
+`parse_json` and each `Document` section decoder run with CPython's
+cyclic garbage collector paused (`_collector_paused`).  A decode fills
+the heap with trees of immutable values, which hold no cycles, so the
+collector's scans as the heap grows find nothing to free.
 
 Headers serialize as objects keyed by field name with omitted fields
 defaulting to 0; match patterns likewise, with omitted fields
@@ -49,9 +57,10 @@ server port, and deferred value picks.
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, wraps
 
 from flowspace import actions
 from flowspace.actions import PORT_SLOT, TTL_SLOT, AffineAction
@@ -116,6 +125,27 @@ class _Unplaced(Exception):
 
     def error(self) -> ScenarioFormatError:
         return ScenarioFormatError(self.head + self.path + self.tail)
+
+
+def _collector_paused(decode):
+    """`decode`, run with the cyclic garbage collector paused.
+
+    The collector is restored on every exit, an exception included.  One
+    that a caller paused stays paused, so a decode nested in another
+    changes nothing.  Only an error's traceback makes a cycle, and the
+    collector reclaims it once enabled again.  Plain `try`/`finally`: a
+    `contextlib.contextmanager` costs about 15 times as much per call.
+    """
+    @wraps(decode)
+    def paused(*args):
+        if not gc.isenabled():
+            return decode(*args)
+        gc.disable()
+        try:
+            return decode(*args)
+        finally:
+            gc.enable()
+    return paused
 
 
 def _placed(what: str, decode, *args):
@@ -450,6 +480,8 @@ def flow_to_obj(f: Flow) -> dict:
 
 
 def _flow(obj) -> Flow:
+    """A flow object read the long way, to raise the error of one that
+    `Document.nib`'s loop rejected."""
     if not (isinstance(obj, dict) and obj.keys() <= _FLOW_KEYS):
         raise _object_error(obj, _FLOW_KEYS)
     try:
@@ -810,11 +842,25 @@ class Document:
         self._app_index: dict[str, int] | None = None  # name -> position in `apps`
         self._apps: dict[int, AppTransform] = {}  # position -> the app, once decoded
 
+    @_collector_paused
     def nib(self) -> NIB:
         tables = _placed("tables", _items, _table, self._tables)
-        flows = _placed("flows", _items, _flow, self._obj.get("flows", []))
+        items = _placed("flows", _list, self._obj.get("flows", []))
+        flows = []
+        append, flow = flows.append, Flow.from_mapping
+        try:  # one test per flow, then its builder; the first to fail ends the loop
+            for obj in items:
+                if not (isinstance(obj, dict) and obj.keys() <= _FLOW_KEYS
+                        and isinstance(header := obj.get("header"), dict)):
+                    break
+                append(flow(header, obj.get("assigned_dest")))
+        except FlowspaceError:
+            pass
+        if len(flows) < len(items):  # `_flow` makes each check the loop makes, so it raises
+            _placed(f"flows[{len(flows)}]", _flow, items[len(flows)])
         return NIB(self.topology, tuple(tables), tuple(flows))
 
+    @_collector_paused
     def chain(self, name: str) -> ServiceChain:
         chains = self._chains
         if name not in chains:
@@ -832,12 +878,14 @@ class Document:
                 raise ScenarioFormatError(f"chain {name!r} references unknown app {stage!r}")
         return ServiceChain(tuple(self._app_at(index[s]) for s in stage_names))
 
+    @_collector_paused
     def query(self, name: str) -> Header:
         queries = self._queries
         if name not in queries:
             raise FlowspaceError(f"no query named {name!r} in scenario")
         return _placed(f"queries[{name}]", _header, queries[name])
 
+    @_collector_paused
     def scenario(self) -> Scenario:
         nib = self.nib()
         # Every app decodes before the next name is checked, as in file order.
@@ -918,6 +966,7 @@ def dump_scenario(s: Scenario) -> str:
     return json.dumps(scenario_to_obj(s), indent=2, sort_keys=True) + "\n"
 
 
+@_collector_paused
 def parse_json(text: str, what: str):
     """The JSON value `text` holds, called `what` in errors."""
     try:

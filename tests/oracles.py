@@ -68,6 +68,12 @@ constructor's error.  They share only the constructors with the
 library.  `random_document` gives seeded valid documents for it and for
 the CLI's commands.
 
+The one loop that decodes a document's observed flows is checked
+against the per-item path it replaced (`flows_from_obj_oracle`): each
+flow goes through a decoder of its own, which reads its header through
+another and builds it with `Flow`'s checked constructor, and an error
+takes one segment of its JSON path from each level it leaves.
+
 Template actions are also checked against the instantiation that
 `ActionFold` replaced (`build_action_oracle`): it builds one validated
 action per step and composes them pairwise, and takes every `set_field`
@@ -99,6 +105,7 @@ from flowspace.errors import (
     RuleNotFoundError,
     ScenarioFormatError,
     SlotOutOfRangeError,
+    UnknownFieldError,
 )
 from flowspace.headers import (
     FIELD_COUNT,
@@ -984,6 +991,71 @@ def app_from_obj(obj, n: int, what: str = "app") -> AppTransform:
                       delta_from_obj(_require(obj, "delta", what), f"{what}.delta"), n)
     except SlotOutOfRangeError:
         raise ScenarioFormatError(f"{what}.slot={slot} out of range for {n} switches") from None
+
+
+# ---------------------------------------------------------------------------
+# The flows decode that one loop replaced, as `flowspace.scenario` had it:
+# `_items(_flow, ...)`, with `_flow` reading the header through `_header`.
+# An error is an `_Unplaced` whose JSON path is put together on the way out.
+
+
+class _Unplaced(Exception):
+    def __init__(self, head: str, tail: str, path: str = ""):
+        super().__init__(head, tail)
+        self.head, self.tail, self.path = head, tail, path
+
+    def under(self, segment: str) -> _Unplaced:
+        self.path = segment + self.path
+        return self
+
+
+def _unplaced_object(obj, allowed: frozenset[str]) -> _Unplaced:
+    if isinstance(obj, dict):
+        return _Unplaced("unknown keys in ", f": {sorted(set(obj) - allowed)}")
+    return _Unplaced("", f" must be an object, got {type(obj).__name__}")
+
+
+def _unplaced_misfit(exc: InvalidRuleError) -> _Unplaced:
+    if exc.width is not None:
+        return _Unplaced("", f"={exc.value} exceeds {exc.width}-bit range", "." + exc.field)
+    return _Unplaced("", f" {exc.reason}", "." + exc.field)
+
+
+def _unplaced_header(obj) -> Header:
+    if not isinstance(obj, dict):
+        raise _unplaced_object(obj, _FIELD_NAMES)
+    try:
+        return Header.from_mapping(obj)
+    except UnknownFieldError:
+        raise _unplaced_object(obj, _FIELD_NAMES) from None
+    except InvalidRuleError as exc:
+        raise _unplaced_misfit(exc) from None
+
+
+def _unplaced_flow(obj) -> Flow:
+    if not (isinstance(obj, dict) and obj.keys() <= _FLOW_KEYS):
+        raise _unplaced_object(obj, _FLOW_KEYS)
+    try:
+        return Flow(_unplaced_header(obj["header"]), obj.get("assigned_dest"))
+    except KeyError as exc:
+        raise _Unplaced("", f" is missing required key {exc.args[0]!r}") from None
+    except _Unplaced as exc:
+        raise exc.under(".header")
+    except InvalidRuleError as exc:
+        raise _unplaced_misfit(exc) from None
+
+
+def flows_from_obj_oracle(items) -> tuple[Flow, ...]:
+    """The flows of a document's `flows` array, each decoded on its own."""
+    if not isinstance(items, list):
+        raise ScenarioFormatError(f"flows must be an array, got {type(items).__name__}")
+    out = []
+    for item in items:
+        try:
+            out.append(_unplaced_flow(item))
+        except _Unplaced as exc:
+            raise ScenarioFormatError(f"{exc.head}flows[{len(out)}]{exc.path}{exc.tail}") from None
+    return tuple(out)
 
 
 SCENARIO_KEYS = ("version", "topology", "flows", "tables", "apps", "chains", "queries")

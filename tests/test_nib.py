@@ -15,7 +15,6 @@ from flowspace.nib import (
     empty_nib,
     nib_from_vector,
     nib_vector,
-    record_flow,
 )
 from flowspace.tables import FlowTable
 
@@ -100,20 +99,18 @@ class TestCounts:
                 assert count_by_dest(nib, server) == by_dest.get(server, 0)
 
 
-class TestRecordFlow:
-    def test_appends(self):
-        nib = record_flow(two_switch_nib(), Flow(header(src=1)))
+class TestObservedFlows:
+    def test_holds_its_flows(self):
+        nib = two_switch_nib([Flow(header(src=1))])
         assert len(nib.flows) == 1
 
     def test_counts_accumulate(self):
-        nib = two_switch_nib()
-        for i in range(4):
-            nib = record_flow(nib, Flow(header(src=9, tp=i)))
+        nib = two_switch_nib(Flow(header(src=9, tp=i)) for i in range(4))
         assert count_by_src(nib, header(src=9)) == 4
 
-    def test_tables_untouched(self):
+    def test_a_nib_with_more_flows_keeps_the_tables(self):
         nib = two_switch_nib()
-        after = record_flow(nib, Flow(header()))
+        after = NIB(nib.topology, nib.tables, nib.flows + (Flow(header()),))
         assert after.tables == nib.tables
 
 
@@ -148,11 +145,12 @@ class TestStatsIndex:
         assert nib == twin
         assert repr(nib) == repr(twin)
 
-    def test_record_flow_counts_the_new_flow(self):
-        nib = two_switch_nib([Flow(header(src=5), assigned_dest=100)])
+    def test_a_nib_with_one_more_flow_counts_it(self):
+        first = Flow(header(src=5), assigned_dest=100)
+        nib = two_switch_nib([first])
         assert count_by_src(nib, header(src=5)) == 1
         h = header(src=5, dst=999, tp=1)
-        after = record_flow(nib, Flow(h, assigned_dest=200))
+        after = two_switch_nib([first, Flow(h, assigned_dest=200)])
         assert count_by_src(after, header(src=5)) == 2
         assert count_by_dest(after, 200) == 1
         assert effective_dest_of_header(after, h) == 200

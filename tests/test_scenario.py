@@ -1,20 +1,24 @@
 import copy
 import dataclasses
+import gc
 import itertools
 import json
 import pickle
 import random
 import re
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
+import conftest
 import oracles
 from oracles import congruent, random_document, scenario_from_obj_oracle
 from flowspace import actions, sampling, scenario
 from flowspace.casestudy import build_scenario
 from flowspace.errors import FlowspaceError, ScenarioFormatError
-from flowspace.headers import Header, MatchPattern
+from flowspace.headers import FIELD_INDEX, FIELDS, Header, MatchPattern
+from flowspace.nib import Flow
 from flowspace.scenario import (
     MAX_SEQ_DEPTH,
     Document,
@@ -28,11 +32,14 @@ from flowspace.scenario import (
     dump_scenario,
     entry_from_obj,
     entry_to_obj,
+    flow_to_obj,
     header_from_obj,
     header_to_obj,
+    load_scenario,
     loads_scenario,
     pattern_from_obj,
     pattern_to_obj,
+    read_document,
     rule_from_obj,
     scenario_from_obj,
     scenario_to_obj,
@@ -702,6 +709,88 @@ class TestSectionDecoders:
             assert str(exc.value) == message
 
 
+def _flow_breaks(spec) -> list:
+    """Each way to make one flow object invalid, as a function of the
+    object; a bad header value goes in field `spec`."""
+    def header(value):
+        return lambda flow: {**flow, "header": value}
+
+    def header_value(name, value):
+        return lambda flow: {**flow, "header": {**flow["header"], name: value}}
+
+    def assigned(value):
+        return lambda flow: {**flow, "assigned_dest": value}
+
+    return [*(header_value(spec.name, v) for v in (True, 1.5, None, -1, 1 << spec.width)),
+            header_value("nw_bogus", 1),
+            *(header(h) for h in ([], "nw_src", 7, None)),
+            lambda flow: {key: value for key, value in flow.items() if key != "header"},
+            lambda flow: {**flow, "extra": 1},
+            *(assigned(d) for d in (-1, 2**32, True, "1"))]
+
+
+def _document_with_flows(count: int) -> dict:
+    """The case-study document, as a file holds it, with `count` observed flows."""
+    obj = json.loads(json.dumps(scenario_to_obj(build_scenario())))
+    obj["flows"] = [{"header": {"nw_src": i + 1}, "assigned_dest": i} for i in range(count)]
+    return obj
+
+
+class TestFlowsLoop:
+    """`Document.nib` decodes the flows in one loop; the per-item decode it
+    replaced is the oracle, on valid and on broken arrays."""
+
+    def test_valid_arrays_give_the_oracles_flows(self):
+        rng = random.Random(251)
+        objs = _seeded_objects(253, 100)
+        for obj in objs[:50]:
+            obj["flows"] = [flow_to_obj(f) for f in sampling.random_flows(rng, 40)]
+        count = 0
+        for obj in objs:
+            got = Document(obj).nib().flows
+            want = oracles.flows_from_obj_oracle(obj["flows"])
+            assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+            copied = pickle.loads(pickle.dumps(got))
+            assert copied == want and repr(copied) == repr(want)
+            count += len(got)
+        assert count > 1000
+
+    def test_broken_flows_give_the_oracles_error_at_the_same_index(self):
+        rng = random.Random(257)
+
+        def outcomes(obj):
+            return (_outcome(lambda o: Document(o).nib(), obj),
+                    _outcome(lambda o: oracles.flows_from_obj_oracle(o["flows"]), obj))
+
+        count = 0
+        for obj in _seeded_objects(259, 40):
+            flows = [flow_to_obj(f) for f in sampling.random_flows(rng, 30)] or [{"header": {}}]
+            breaks = _flow_breaks(rng.choice(FIELDS))
+            for break_flow in breaks:
+                i = rng.randrange(len(flows))
+                broken = flows[:i] + [break_flow(flows[i])] + flows[i + 1:]
+                j = rng.randrange(i, len(broken))
+                if j > i:  # a later broken flow is not the one reported
+                    broken[j] = rng.choice(breaks)(broken[j])
+                obj["flows"] = broken
+                got, want = outcomes(obj)
+                assert got == want and got[0] is ScenarioFormatError
+                assert re.findall(r"flows\[(\d+)\]", got[1]) == [str(i)], got[1]
+                count += 1
+            obj["flows"] = rng.choice(({}, "flows", 7, None))
+            got, want = outcomes(obj)
+            assert got == want == (ScenarioFormatError, "flows must be an array, got "
+                                   + type(obj["flows"]).__name__)
+        assert count == 40 * 16
+
+    def test_an_error_names_its_flow(self):
+        obj = _document_with_flows(200)
+        obj["flows"][137]["header"]["nw_src"] = -1
+        with pytest.raises(ScenarioFormatError) as info:
+            Document(obj).nib()
+        assert str(info.value) == "flows[137].header.nw_src=-1 exceeds 32-bit range"
+
+
 def _constructed_rule(r: FlowRule) -> FlowRule:
     """`r` built again through the constructors alone."""
     a = r.action
@@ -718,8 +807,8 @@ def _templates(obj):
 
 
 class TestDecodedValues:
-    """The decoder builds entries, rules and templates through their
-    owners' one-test builders; what it builds is the value that the
+    """The decoder builds entries, rules, templates, flows and headers
+    through their owners' one-test builders; what it builds is the value that the
     constructors build, in every way a caller can look at it."""
 
     @staticmethod
@@ -757,3 +846,112 @@ class TestDecodedValues:
                 self._same(template_from_obj(item), want)
                 count += 1
         assert count > 1500
+
+    def test_decoded_flows_and_headers_match_constructed_ones(self):
+        count = 0
+        for obj in _seeded_objects(241, 200):
+            nib = Document(obj).nib()
+            for item, got in zip(obj["flows"], nib.flows, strict=True):
+                fields, dest = item["header"], item.get("assigned_dest")
+                header = Header(tuple(fields.get(name, 0) for name in FIELD_INDEX))
+                self._same(header_from_obj(fields), header)
+                self._same(Header.from_mapping(fields), header)
+                want = Flow(Header.from_mapping(fields), dest)
+                self._same(got, want)
+                self._same(Flow.from_mapping(fields, dest), want)
+                count += 1
+        assert count > 500
+
+
+class TestCollectorPause:
+    """Each decoder runs with the cyclic garbage collector paused, and
+    leaves it as it found it on a normal return and on every error."""
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def collector(self, request):
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        gc.enable()
+
+    def test_decoding_leaves_the_collector_as_it_found_it(self, tmp_path, collector):
+        bad_flow = _document_with_flows(200)
+        bad_flow["flows"][137]["header"]["nw_src"] = -1
+        texts = {"valid": json.dumps(_document_with_flows(200)), "bad flow": json.dumps(bad_flow),
+                 "not JSON": "{", "too deep": "[" * 100_000 + "]" * 100_000}
+        paths = {source: tmp_path / f"{i}.json" for i, source in enumerate(texts)}
+        for source, text in texts.items():
+            paths[source].write_text(text, encoding="utf-8")
+        paths["not UTF-8"] = tmp_path / "latin.json"
+        paths["not UTF-8"].write_bytes(b'\xff{"version": 1}')
+        paths["missing"] = tmp_path / "missing.json"
+        errors = {"bad flow": (ScenarioFormatError, "flows[137].header.nw_src=-1 exceeds 32-bit range"),
+                  "not JSON": (ScenarioFormatError, "scenario is not valid JSON: "),
+                  "too deep": (ScenarioFormatError, "scenario is nested too deeply"),
+                  "not UTF-8": (ScenarioFormatError, "scenario is not valid UTF-8: "),
+                  "missing": (FileNotFoundError, "")}
+        sections = {"nib": Document.nib, "chain": lambda doc: doc.chain("lb-ids"),
+                    "query": lambda doc: doc.query("noisy-client"), "scenario": Document.scenario}
+        calls = [("parse_json", texts, False, lambda text: scenario.parse_json(text, "scenario")),
+                 ("loads_scenario", texts, True, loads_scenario),
+                 ("load_scenario", paths, True, load_scenario),
+                 *((f"read_document + {name}", paths, name in ("nib", "scenario"),
+                    lambda path, decode=decode: decode(read_document(path)))
+                   for name, decode in sections.items())]
+        seen = set()
+        for name, sources, reads_flows, call in calls:
+            for source, arg in sources.items():
+                try:
+                    call(arg)
+                    got = None
+                except (FlowspaceError, OSError) as exc:
+                    got = type(exc), str(exc)
+                assert gc.isenabled() is collector, (name, source)
+                want = errors.get(source) if source != "bad flow" or reads_flows else None
+                assert (got is None) is (want is None), (name, source, got)
+                if got is not None:
+                    assert got[0] is want[0] and got[1].startswith(want[1]), (name, source, got)
+                    seen.add(source)
+        assert seen == set(errors)
+
+    def test_each_decoder_runs_with_the_collector_paused(self, monkeypatch):
+        seen = []
+
+        def recording(decode):
+            def recorded(*args):
+                seen.append((decode.__name__, gc.isenabled()))
+                return decode(*args)
+            return recorded
+
+        for name in ("_table", "_app", "_header"):
+            monkeypatch.setattr(scenario, name, recording(getattr(scenario, name)))
+        monkeypatch.setattr(scenario, "json", SimpleNamespace(loads=recording(json.loads)))
+        doc = Document(scenario.parse_json(json.dumps(_document_with_flows(3)), "scenario"))
+        doc.nib()
+        doc.chain("ids-lb")
+        doc.query("fresh-client")
+        doc.scenario()
+        assert {name for name, _ in seen} == {"loads", "_table", "_app", "_header"}
+        assert not any(enabled for _, enabled in seen)
+        assert gc.isenabled()
+
+    def test_an_interrupt_restores_the_collector(self, monkeypatch):
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        doc = Document(_document_with_flows(3))
+        monkeypatch.setattr(scenario, "_table", interrupted)
+        for decode in (doc.nib, doc.scenario):
+            with pytest.raises(KeyboardInterrupt):
+                decode()
+            assert gc.isenabled()
+        monkeypatch.setattr(scenario, "json", SimpleNamespace(loads=interrupted))
+        with pytest.raises(KeyboardInterrupt):
+            scenario.parse_json("{}", "scenario")
+        assert gc.isenabled()
+
+    def test_the_suite_fails_a_test_that_leaves_the_collector_disabled(self):
+        conftest.check_collector()  # enabled: nothing to report
+        gc.disable()
+        with pytest.raises(pytest.fail.Exception, match="garbage collector disabled"):
+            conftest.check_collector()
+        assert gc.isenabled()
