@@ -3,8 +3,8 @@
 Commands read a scenario file, run an analysis and print a report in
 text or JSON form.  Each command decodes only the sections of the file
 its analysis reads (README has the table): `loops` and `whatif` the
-NIB, `congruence` two chains and their apps, `apply` the NIB, one chain
-and its apps, and a query for `--header @name`.  Exit codes are
+tables, `congruence` two chains and their apps, `apply` the NIB, one
+chain and its apps, and a query for `--header @name`.  Exit codes are
 CI-friendly: 0 means clean
 (congruent / no loops / all properties hold), 1 means the analysis
 verdict was negative, 2 means a usage or input error.  When the reader
@@ -279,8 +279,15 @@ def cmd_apply(args) -> int:
     return 0
 
 
+def _tables_nib(path) -> NIB:
+    """The NIB of the scenario file at `path` without its flows, which
+    neither a loop scan nor a FLOW_MOD preview reads."""
+    doc = scenario.read_document(path)
+    return NIB(doc.topology, doc.tables())
+
+
 def cmd_loops(args) -> int:
-    findings = detect_loops(scenario.read_document(args.scenario).nib())
+    findings = detect_loops(_tables_nib(args.scenario))
     if args.format == "json":
         emit_json({"findings": [finding_to_obj(f) for f in findings]})
     else:
@@ -293,7 +300,7 @@ def cmd_loops(args) -> int:
 
 
 def cmd_whatif(args) -> int:
-    nib = scenario.read_document(args.scenario).nib()
+    nib = _tables_nib(args.scenario)
     if args.old_rule is not None and args.op != "modify":
         raise FlowspaceError(f"--old-rule applies to --op modify only, not --op {args.op}")
     if args.old_rule is None and args.op == "modify":

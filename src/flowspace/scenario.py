@@ -8,21 +8,27 @@ typo cannot silently change an analysis.
 
 `read_document` checks a file's top level (its keys, the version, the
 topology and the length of `tables`) and returns a `Document` that decodes the other sections
-on request: the NIB, one named chain with the apps it names, one named
-query.  A command pays only for the sections it reads.  `load_scenario`
-decodes the whole document through the same section decoders, in file
-order.
+on request: the tables, the NIB, one named chain with the apps it
+names, one named query.  A command pays only for the sections it
+reads.  `load_scenario` decodes the whole document through the same
+section decoders, in file order.
 
 Each value goes as read to the module that owns its type and range.
 The owners expose one-test builders for the values a document holds
 many of: `Header.from_mapping` and `MatchPattern.from_mapping` test
 only the fields a JSON object names, `tables.make_entry` tests an
-entry's port, ttl and counter in one expression, and a rule template
-and its parts are built by their constructors.  A builder runs its
-full check only when that test fails, so its error names the first bad
-value as the constructor's would.  The decoder checks only JSON's own
-rules: shapes, keys, `kind` tags, the version, decimal `server_ports`
-keys, seq depth and names.
+entry's port, ttl and counter in one expression, and
+`transforms.make_template` a rule template's ttl, counter and part
+types; `make_set_field`, `make_port_number` and `make_port_name` do
+the same for a template's parts.  A builder runs its full check only
+when that test fails, so its error names the first bad value as the
+constructor's would.  A forward, a `seq` and a delta are built from
+parts the decoder built (`checked_forward`, `checked_seq`,
+`checked_delta`), and each value of a type with no fields
+(`InputHeader`, `Drop`, `DestPort`, `TrueGuard`) is one shared
+instance.  The decoder checks only JSON's own rules: shapes, keys,
+`kind` tags, the version, decimal `server_ports` keys, seq depth and
+names.
 
 Every object decoder has one shape.  One test checks the object's shape
 and keys (`isinstance(obj, dict) and obj.keys() <= allowed`, its `kind`
@@ -43,9 +49,12 @@ which a document holds the most of, decode in one loop in
 `Flow.from_mapping`; `_flow` reads a flow again only to raise its error.
 
 `parse_json` and each `Document` section decoder run with CPython's
-cyclic garbage collector paused (`_collector_paused`).  A decode fills
-the heap with trees of immutable values, which hold no cycles, so the
-collector's scans as the heap grows find nothing to free.
+cyclic garbage collector paused (`_collector_paused`), and
+`load_scenario` and `loads_scenario` hold one pause from reading the
+text to the decoded scenario, so the JSON tree is freed before the
+collector runs again.  A decode fills the heap with trees of immutable
+values, which hold no cycles, so the collector's scans as the heap
+grows find nothing to free.
 
 Headers serialize as objects keyed by field name with omitted fields
 defaulting to 0; match patterns likewise, with omitted fields
@@ -58,9 +67,11 @@ server port, and deferred value picks.
 from __future__ import annotations
 
 import gc
+import io
 import json
 from dataclasses import dataclass, field
 from functools import cached_property, wraps
+from itertools import islice
 
 from flowspace import actions
 from flowspace.actions import PORT_SLOT, TTL_SLOT, AffineAction
@@ -86,13 +97,19 @@ from flowspace.transforms import (
     PortName,
     PortNumber,
     RuleTemplate,
-    Seq,
     ServiceChain,
     SetField,
     SourceCountAtMost,
     TrueGuard,
+    checked_delta,
+    checked_forward,
+    checked_seq,
     is_identity_linear,
     make_app,
+    make_port_name,
+    make_port_number,
+    make_set_field,
+    make_template,
 )
 
 FORMAT_VERSION = 1
@@ -265,6 +282,9 @@ def _address_key(key: str) -> int:
 _FIELD_NAMES = frozenset(FIELD_INDEX)
 _header_of = Header.from_mapping
 _pattern_of = MatchPattern.from_mapping
+
+# Each value of a type with no fields decodes to one shared instance.
+_INPUT, _DROP, _DEST_PORT, _TRUE = InputHeader(), Drop(), DestPort(), TrueGuard()
 
 
 def _field(value, at: str) -> str:
@@ -552,7 +572,7 @@ def _guard(obj):
         raise _unknown_keys(obj, allowed)
     try:
         if kind == "true":
-            return TrueGuard()
+            return _TRUE
         if kind == "load_at_most":
             return LoadAtMost(obj["server_a"], obj["server_b"])
         return SourceCountAtMost(obj["threshold"])
@@ -572,16 +592,16 @@ def port_ref_to_obj(ref):
 
 def _port_ref(obj):
     if isinstance(obj, str):
-        return PortName(obj)
+        return make_port_name(obj)
     if isinstance(obj, int):
         try:
-            return PortNumber(obj)
+            return make_port_number(obj)
         except InvalidRuleError as exc:
             raise _misfit(exc, "") from None  # the number stands alone at the path
     if not (isinstance(obj, dict) and obj.keys() <= _KIND_KEYS):
         raise _object_error(obj, _KIND_KEYS)
     if obj.get("kind") == "dest_port":
-        return DestPort()
+        return _DEST_PORT
     raise _Unplaced("", f": unknown port reference {obj!r}")
 
 
@@ -634,7 +654,7 @@ def _action_spec(obj, depth: int):
     elif kind == "drop":
         if not obj.keys() <= _KIND_KEYS:
             raise _unknown_keys(obj, _KIND_KEYS)
-        return Drop()
+        return _DROP
     elif kind == "seq":
         if not obj.keys() <= _SEQ_KEYS:
             raise _unknown_keys(obj, _SEQ_KEYS)
@@ -644,7 +664,7 @@ def _action_spec(obj, depth: int):
         steps = obj.get("actions")
         if not isinstance(steps, list):
             _list(_need(obj, "actions"), ".actions")
-        return Seq(tuple(_items(_action_spec, steps, depth + 1)))
+        return checked_seq(tuple(_items(_action_spec, steps, depth + 1)))
     else:
         _need(obj, "kind")
         raise _Unplaced("", f": unknown action kind {kind!r}")
@@ -652,8 +672,8 @@ def _action_spec(obj, depth: int):
         raise _unknown_keys(obj, allowed)
     try:
         if kind == "forward":
-            return Forward(_port_ref(obj["port"]))
-        return SetField(obj["field"], _value_ref(obj["to"]))
+            return checked_forward(_port_ref(obj["port"]))
+        return make_set_field(obj["field"], _value_ref(obj["to"]))
     except KeyError as exc:
         raise _missing(exc.args[0]) from None
     except _Unplaced as exc:
@@ -684,12 +704,12 @@ def _template(obj) -> RuleTemplate:
     at = ".match"
     try:  # the keys in the order their errors are reported
         match = obj["match"]
-        match = InputHeader() if match == "input" else _pattern(match)
+        match = _INPUT if match == "input" else _pattern(match)
         at = ".out_port"
         out_port = _port_ref(obj["out_port"])
         ttl, action = obj["ttl"], obj["action"]
         at = ".action"
-        return RuleTemplate(match, out_port, ttl, _action_spec(action, 0), obj.get("counter", 0))
+        return make_template(match, out_port, ttl, _action_spec(action, 0), obj.get("counter", 0))
     except KeyError as exc:
         raise _missing(exc.args[0]) from None
     except _Unplaced as exc:
@@ -717,7 +737,7 @@ def _delta(obj) -> GuardedDelta:
         raise _object_error(obj, _DELTA_KEYS)
     branches = _items(_branch, obj.get("branches", []), at=".branches")
     default = _items(_template, obj.get("default", []), at=".default")
-    return GuardedDelta(tuple(branches), tuple(default))
+    return checked_delta(tuple(branches), tuple(default))
 
 
 def _branch(obj) -> tuple:
@@ -818,6 +838,7 @@ class Document:
     and each section decoded on request, with every check the
     whole-document decode makes on it:
 
+    - `tables` decodes the tables, one per switch;
     - `nib` decodes the tables and the flows;
     - `chain` decodes one chain and, of `apps`, the apps it names, each
       at most once, so chains that name an app share it.  It reads every
@@ -843,8 +864,12 @@ class Document:
         self._apps: dict[int, AppTransform] = {}  # position -> the app, once decoded
 
     @_collector_paused
+    def tables(self) -> tuple[FlowTable, ...]:
+        return tuple(_placed("tables", _items, _table, self._tables))
+
+    @_collector_paused
     def nib(self) -> NIB:
-        tables = _placed("tables", _items, _table, self._tables)
+        tables = self.tables()
         items = _placed("flows", _list, self._obj.get("flows", []))
         flows = []
         append, flow = flows.append, Flow.from_mapping
@@ -858,7 +883,7 @@ class Document:
             pass
         if len(flows) < len(items):  # `_flow` makes each check the loop makes, so it raises
             _placed(f"flows[{len(flows)}]", _flow, items[len(flows)])
-        return NIB(self.topology, tuple(tables), tuple(flows))
+        return NIB(self.topology, tables, tuple(flows))
 
     @_collector_paused
     def chain(self, name: str) -> ServiceChain:
@@ -963,7 +988,17 @@ def scenario_from_obj(obj) -> Scenario:
 
 
 def dump_scenario(s: Scenario) -> str:
-    return json.dumps(scenario_to_obj(s), indent=2, sort_keys=True) + "\n"
+    """The indented JSON text of `s`, keys sorted, with a final newline.
+
+    `json.dumps` with an indent runs the pure-Python encoder and joins a
+    list of every chunk it makes, so its transient is many times the
+    text.  Here the chunks go to one buffer a few thousand at a time."""
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(scenario_to_obj(s))
+    out = io.StringIO()
+    while block := list(islice(chunks, 4096)):
+        out.write("".join(block))
+    out.write("\n")
+    return out.getvalue()
 
 
 @_collector_paused
@@ -977,6 +1012,7 @@ def parse_json(text: str, what: str):
         raise ScenarioFormatError(f"{what} is nested too deeply") from None
 
 
+@_collector_paused
 def loads_scenario(text: str) -> Scenario:
     return Document(parse_json(text, "scenario")).scenario()
 
@@ -995,5 +1031,6 @@ def read_document(path) -> Document:
     return Document(parse_json(_read(path), "scenario"))
 
 
+@_collector_paused
 def load_scenario(path) -> Scenario:
     return loads_scenario(_read(path))

@@ -46,7 +46,14 @@ one transform.  Template
 constructors check every value and reference a template holds, a
 deferred pick's servers against their field included, so equal
 templates instantiate alike and a template fails to instantiate only on
-a port lookup.
+a port lookup.  The scenario decoder builds templates and their parts
+through one-test builders (`make_template`, `make_set_field`,
+`make_port_number`, `make_port_name`) that test what the constructor
+checks and run it only when the test fails, so its error is the
+constructor's; a forward, a `seq` and a delta it builds from parts
+already checked (`checked_forward`, `checked_seq`, `checked_delta`),
+and `make_app` builds an app's identity rows and slots without
+`AppTransform`'s check.
 
 Instantiation is the paper's translation step, run on every apply, so
 it is compiled once per template: on first use a template derives its
@@ -108,7 +115,7 @@ from flowspace.tables import (
     union,
 )
 
-_setattr = object.__setattr__  # as a generated `__init__` sets a field
+_new, _setattr = object.__new__, object.__setattr__  # as a generated `__init__` builds
 
 # ---------------------------------------------------------------------------
 # Guards
@@ -207,6 +214,26 @@ _PORT_REFS = (PortName, PortNumber, DestPort)
 _PORT_KIND = "a PortName, PortNumber or DestPort"
 
 
+def make_port_name(name: str) -> PortName:
+    """The port named `name`: one test, and `PortName`'s check, whose
+    error is raised, only when it fails."""
+    if type(name) is not str:
+        return PortName(name)
+    ref = _new(PortName)
+    _setattr(ref, "name", name)
+    return ref
+
+
+def make_port_number(value: int) -> PortNumber:
+    """The literal port `value`: one test, and `PortNumber`'s check,
+    whose error is raised, only when it fails."""
+    if not (type(value) is int and 0 <= value <= PORT_MASK):
+        return PortNumber(value)
+    ref = _new(PortNumber)
+    _setattr(ref, "value", value)
+    return ref
+
+
 @dataclass(frozen=True, slots=True)
 class PickLessLoaded:
     """The address of whichever of two servers currently has less load.
@@ -236,6 +263,14 @@ class Forward:
     def __post_init__(self):
         if not isinstance(self.port, _PORT_REFS):
             raise type_error("port", self.port, _PORT_KIND)
+
+
+def checked_forward(port: PortRef) -> Forward:
+    """The forward to `port`, which the caller vouches is a `PortRef`,
+    built without `Forward`'s check."""
+    spec = _new(Forward)
+    _setattr(spec, "port", port)
+    return spec
 
 
 @dataclass(frozen=True, slots=True)
@@ -273,6 +308,20 @@ class SetField:
             raise int_error("to", to, mask)
 
 
+def make_set_field(field: str, to: ValueRef) -> SetField:
+    """The rewrite of `field` to `to`: one test, and `SetField`'s check,
+    whose error is raised, only when it fails."""
+    i = FIELD_INDEX.get(field) if type(field) is str else None
+    mask = -1 if i is None else FIELD_MASKS[i]  # no target fits an unknown field
+    if not (type(to) is int and 0 <= to <= mask
+            or isinstance(to, PickLessLoaded) and to.server_a <= mask and to.server_b <= mask):
+        return SetField(field, to)
+    spec = _new(SetField)
+    _setattr(spec, "field", field)
+    _setattr(spec, "to", to)
+    return spec
+
+
 @dataclass(frozen=True, slots=True)
 class Seq:
     """A composite action: steps applied left to right."""
@@ -290,6 +339,14 @@ class Seq:
 ActionSpec = Union[Forward, Drop, SetField, Seq]
 _ACTION_SPECS = (Forward, Drop, SetField, Seq)
 _ACTION_KIND = "a Forward, Drop, SetField or Seq"
+
+
+def checked_seq(steps: tuple[ActionSpec, ...]) -> Seq:
+    """The composite of `steps`, a tuple of action specs as the caller
+    vouches, built without `Seq`'s check."""
+    spec = _new(Seq)
+    _setattr(spec, "steps", steps)
+    return spec
 
 
 @dataclass(frozen=True, slots=True)
@@ -358,6 +415,28 @@ class RuleTemplate(KeptFacts):
 
     def __reduce__(self):
         return RuleTemplate, (self.match, self.out_port, self.ttl, self.action, self.counter)
+
+
+def make_template(match: MatchSpec, out_port: PortRef, ttl: int, action: ActionSpec,
+                  counter: int = 0) -> RuleTemplate:
+    """The template of these fields, its facts not yet derived.
+
+    One test covers what `RuleTemplate` checks: the ttl, the counter and
+    the types of the parts.  On a failure the constructor runs, so the
+    error is its own.
+    """
+    if not (type(ttl) is int and 0 <= ttl <= TTL_MASK and type(counter) is int and counter >= 0
+            and isinstance(match, _MATCH_SPECS) and isinstance(out_port, _PORT_REFS)
+            and isinstance(action, _ACTION_SPECS)):
+        return RuleTemplate(match, out_port, ttl, action, counter)
+    t = _new(RuleTemplate)
+    _setattr(t, "match", match)
+    _setattr(t, "out_port", out_port)
+    _setattr(t, "ttl", ttl)
+    _setattr(t, "action", action)
+    _setattr(t, "counter", counter)
+    _setattr(t, "_facts", None)
+    return t
 
 
 #: A template's instantiation plan: (match, out port, ttl, steps,
@@ -479,6 +558,16 @@ class GuardedDelta:
                 and all([isinstance(b, tuple) and len(b) == 2 and isinstance(b[0], _GUARDS)
                          and _are_templates(b[1]) for b in branches])):
             raise _delta_error(branches, self.default)
+
+
+def checked_delta(branches: tuple[Branch, ...], default: Templates) -> GuardedDelta:
+    """The piece of these arms, which the caller vouches are as
+    `GuardedDelta` checks them (a tuple of (guard, template tuple)
+    pairs, and a template tuple), built without that check."""
+    piece = _new(GuardedDelta)
+    _setattr(piece, "branches", branches)
+    _setattr(piece, "default", default)
+    return piece
 
 
 def _piece_key(piece: GuardedDelta) -> tuple:
@@ -659,15 +748,26 @@ def identity_transform(n: int, name: str = "identity") -> AppTransform:
 
 
 def make_app(name: str, slot: int, delta: GuardedDelta, n: int) -> AppTransform:
-    """An application that applies one delta to one switch slot."""
+    """An application that applies one delta to one switch slot.
+
+    Its linear part and translation are well formed by construction, so
+    with a string name it is built without `AppTransform`'s check; the
+    scenario decoder builds one per app object."""
     if not isinstance(delta, GuardedDelta):
         raise type_error("delta", delta, "a GuardedDelta")
     if not (type(slot) is int and 0 <= slot < n):
         if type(slot) is not int:
             raise type_error("slot", slot)
         raise SlotOutOfRangeError(f"slot {slot} out of range for {n} switches")
-    translation = tuple((delta,) if i == slot else () for i in range(n))
-    return AppTransform(name, _identity_rows(n), translation)
+    linear = _identity_rows(n)
+    translation = tuple([(delta,) if i == slot else () for i in range(n)])
+    if type(name) is not str:
+        return AppTransform(name, linear, translation)  # raises the name's error
+    app = _new(AppTransform)
+    _setattr(app, "name", name)
+    _setattr(app, "linear", linear)
+    _setattr(app, "translation", translation)
+    return app
 
 
 def is_identity_linear(a: AppTransform) -> bool:

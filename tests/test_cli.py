@@ -183,6 +183,15 @@ class TestApply:
         out = run_cli("apply", casestudy_path, "ids-lb", "--header", "@missing")
         assert out.returncode == 2
 
+    @pytest.mark.parametrize("path, value, where", [
+        (("flows", 0, "header", "nw_src"), 1.0, "flows[0].header.nw_src"),
+        (("flows", 0, "assigned_dest"), -1, "flows[0].assigned_dest"),
+    ])
+    def test_constructor_errors_name_the_json_path(self, casestudy_path, tmp_path,
+                                                   path, value, where):
+        assert_names_the_path(casestudy_path, tmp_path, path, value, where,
+                              "apply", "ids-lb", "--header", "{}")
+
 
 class ClosedPipe(io.StringIO):
     """A stdout whose reader has gone away."""
@@ -244,8 +253,6 @@ class TestLoops:
         (("topology", "switches"), True, "topology.switches"),
         (("topology", "ports", "p_lb"), True, "topology.ports[p_lb]"),
         (("topology", "server_ports", "167772261"), 70_000, "topology.server_ports[167772261]"),
-        (("flows", 0, "header", "nw_src"), 1.0, "flows[0].header.nw_src"),
-        (("flows", 0, "assigned_dest"), -1, "flows[0].assigned_dest"),
     ])
     def test_constructor_errors_name_the_json_path(self, casestudy_path, tmp_path,
                                                    path, value, where):
@@ -679,8 +686,8 @@ TOP = [("version",), ("topology",)]
 NIB_PATHS = [("tables",), ("flows",)]
 APP_NAMES = [("apps", i, "name") for i in range(len(FUZZ_DOC["apps"]))]
 READS = {
-    "loops": TOP + NIB_PATHS,
-    "whatif": TOP + NIB_PATHS,
+    "loops": TOP + [("tables",)],
+    "whatif": TOP + [("tables",)],
     "congruence": TOP + [("chains", "ids-lb"), ("chains", "lb-ids")] + APP_NAMES
     + _app_paths("ids-lb", "lb-ids"),
     "apply": TOP + NIB_PATHS + [("chains", "ids-lb")] + APP_NAMES + _app_paths("ids-lb"),
@@ -869,8 +876,10 @@ FILE_COMMANDS = {
 UNREAD = {
     "congruence": [(("tables", 0), "ab"), (("flows", 0), 7), (("queries",), [])],
     "apply": [(("apps", 2, "delta"), None), (("chains", "lb-ids"), {}), (("queries",), 7)],
-    "loops": [(("apps", 0, "delta"), None), (("chains",), 7), (("queries",), [])],
-    "whatif": [(("apps",), "ab"), (("chains", "ids-lb"), []), (("queries", "fresh-client"), 7)],
+    "loops": [(("flows", 0), 7), (("apps", 0, "delta"), None), (("chains",), 7),
+              (("queries",), [])],
+    "whatif": [(("flows",), "ab"), (("apps",), "ab"), (("chains", "ids-lb"), []),
+               (("queries", "fresh-client"), 7)],
 }
 
 
@@ -894,6 +903,10 @@ class WholeDocument:
 
     def __init__(self, path):
         self.scn = scenario.load_scenario(path)
+        self.topology = self.scn.topology
+
+    def tables(self):
+        return self.scn.nib.tables
 
     def nib(self):
         return self.scn.nib

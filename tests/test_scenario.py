@@ -6,6 +6,8 @@ import json
 import pickle
 import random
 import re
+import time
+import tracemalloc
 from collections import Counter
 from types import SimpleNamespace
 
@@ -16,7 +18,7 @@ import oracles
 from oracles import congruent, random_document, scenario_from_obj_oracle
 from flowspace import actions, sampling, scenario
 from flowspace.casestudy import build_scenario
-from flowspace.errors import FlowspaceError, ScenarioFormatError
+from flowspace.errors import FlowspaceError, InvalidRuleError, ScenarioFormatError
 from flowspace.headers import FIELD_INDEX, FIELDS, Header, MatchPattern
 from flowspace.nib import Flow
 from flowspace.scenario import (
@@ -50,7 +52,26 @@ from flowspace.scenario import (
     topology_to_obj,
 )
 from flowspace.tables import FlowEntry, FlowRule
-from flowspace.transforms import RuleTemplate
+from flowspace.transforms import (
+    AppTransform,
+    DestPort,
+    Drop,
+    Forward,
+    GuardedDelta,
+    InputHeader,
+    PickLessLoaded,
+    PortName,
+    PortNumber,
+    RuleTemplate,
+    Seq,
+    SetField,
+    TrueGuard,
+    make_app,
+    make_port_name,
+    make_port_number,
+    make_set_field,
+    make_template,
+)
 
 
 class TestHeaderObjects:
@@ -519,6 +540,40 @@ class TestScenarioDocument:
             assert congruent(chain(scn.chains[name]), chain(original.chains[name]))
 
 
+def _dumps_oracle(s) -> str:
+    """`dump_scenario`'s text as `json.dumps` writes it."""
+    return json.dumps(scenario_to_obj(s), indent=2, sort_keys=True) + "\n"
+
+
+class TestWriter:
+    """`dump_scenario` streams the encoder's chunks into one buffer; its
+    text is the one `json.dumps` writes, byte for byte."""
+
+    def test_text_matches_json_dumps(self):
+        rng = random.Random(263)
+        for scn in [build_scenario()] + [random_document(rng) for _ in range(100)]:
+            assert dump_scenario(scn) == _dumps_oracle(scn)
+
+    def test_a_large_document_takes_little_memory_and_no_more_time(self):
+        scn = loads_scenario(json.dumps(_document_with_flows(10_000)))
+        want = _dumps_oracle(scn)
+        tracemalloc.start()
+        try:
+            got = dump_scenario(scn)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak <= 8 * len(got), peak / len(got)  # json.dumps: about 10.6 times
+        times: dict = {dump_scenario: [], _dumps_oracle: []}
+        for _ in range(7):  # interleaved, so a slower stretch of the host hits both
+            for write in times:
+                start = time.perf_counter()
+                write(scn)
+                times[write].append(time.perf_counter() - start)
+        assert min(times[dump_scenario]) <= 1.1 * min(times[_dumps_oracle])
+
+
 def _seeded_objects(seed: int, count: int):
     """`count` seeded valid documents, as a file holds them."""
     rng = random.Random(seed)
@@ -806,10 +861,34 @@ def _templates(obj):
         yield from app["delta"]["default"]
 
 
+def _template_parts(value):
+    """Each template-side value in `value`, a delta or one of its parts,
+    `value` included: inner values first, so that a template's facts are
+    checked before anything hashes it."""
+    if isinstance(value, GuardedDelta):
+        for guard, arm in value.branches:
+            yield guard
+            for tpl in arm:
+                yield from _template_parts(tpl)
+        for tpl in value.default:
+            yield from _template_parts(tpl)
+    elif isinstance(value, RuleTemplate):
+        for part in (value.match, value.out_port, value.action):
+            yield from _template_parts(part)
+    elif isinstance(value, Forward):
+        yield from _template_parts(value.port)
+    elif isinstance(value, SetField) and isinstance(value.to, PickLessLoaded):
+        yield value.to
+    elif isinstance(value, Seq):
+        for step in value.steps:
+            yield from _template_parts(step)
+    yield value
+
+
 class TestDecodedValues:
-    """The decoder builds entries, rules, templates, flows and headers
-    through their owners' one-test builders; what it builds is the value that the
-    constructors build, in every way a caller can look at it."""
+    """The decoder builds entries, rules, templates and their parts, flows
+    and headers through their owners' builders; what it builds is the value
+    that the constructors build, in every way a caller can look at it."""
 
     @staticmethod
     def _unused(value) -> None:
@@ -846,6 +925,84 @@ class TestDecodedValues:
                 self._same(template_from_obj(item), want)
                 count += 1
         assert count > 1500
+
+    def test_decoded_template_parts_match_constructed_ones(self):
+        # Every part of every delta of seeded documents and the case study,
+        # against the oracle decoder's, which builds through the constructors.
+        kinds, shared = Counter(), {}
+        objs = _seeded_objects(269, 100) + [json.loads(dump_scenario(build_scenario()))]
+        for obj in objs:
+            n = obj["topology"]["switches"]
+            for app in obj["apps"]:
+                got = delta_from_obj(app["delta"])
+                want = oracles.delta_from_obj(app["delta"])
+                for g, w in zip(_template_parts(got), _template_parts(want), strict=True):
+                    assert type(g) is type(w)
+                    self._same(g, w)
+                    kind = type(g).__name__
+                    kinds[kind + ("->" + type(g.to).__name__ if kind == "SetField" else "")] += 1
+                    if not dataclasses.fields(g):
+                        shared.setdefault(kind, set()).add(id(g))
+                self._same(app_from_obj(app, n), AppTransform(
+                    app["name"], tuple((i,) for i in range(n)),
+                    tuple((want,) if i == app["slot"] else () for i in range(n))))
+        assert set(kinds) == {
+            "GuardedDelta", "TrueGuard", "SourceCountAtMost", "LoadAtMost", "RuleTemplate",
+            "InputHeader", "MatchPattern", "PortName", "PortNumber", "DestPort", "Forward",
+            "Drop", "SetField->int", "SetField->PickLessLoaded", "PickLessLoaded", "Seq"}
+        # A value of a type with no fields decodes to one shared instance.
+        assert {kind: len(ids) for kind, ids in shared.items()} == {
+            "TrueGuard": 1, "InputHeader": 1, "DestPort": 1, "Drop": 1}
+
+    def test_builders_raise_the_constructors_errors(self):
+        rng = random.Random(271)
+        bad = {"bool": [True, False], "float": [1.5, 0.0], "None": [None]}
+        # Per builder: its constructor, valid arguments, and for each argument
+        # its values of the wrong type and, where it has a range, out of it.
+        cases = {
+            make_port_name: (PortName, ("p_lb",), [{"type": [[], 7, b"p_lb"]}]),
+            make_port_number: (PortNumber, (80,), [
+                {"type": ["80", [], PortName("p")], "range": [-1, 0x10000, 2**64]}]),
+            make_set_field: (SetField, ("tp_dst", 80), [
+                {"type": [[], 7, b"tp_dst"], "range": ["nw_bogus", "in_port "]},
+                {"type": ["80", [], Drop()],
+                 "range": [-1, 0x10000, PickLessLoaded(0x10000, 1), PickLessLoaded(1, 2**32 - 1)]}]),
+            make_template: (RuleTemplate, (InputHeader(), PortNumber(1), 64, Drop(), 0), [
+                {"type": ["input", {}, 7, PortNumber(1)]},
+                {"type": ["p_lb", 7, InputHeader(), Drop()]},
+                {"type": ["64", []], "range": [-1, 0x10000]},
+                {"type": ["drop", 7, PortName("p"), DestPort(), TrueGuard()]},
+                {"type": ["0", []], "range": [-1, -(2**70)]}]),
+        }
+        seen = Counter()
+        for _ in range(600):
+            build = rng.choice(list(cases))
+            construct, valid, slots = cases[build]
+            i = rng.randrange(len(valid))
+            kind = rng.choice(sorted({**bad, **slots[i]}))
+            args = list(valid)
+            args[i] = rng.choice({**bad, **slots[i]}[kind])
+            with pytest.raises(InvalidRuleError) as want:
+                construct(*args)
+            with pytest.raises(InvalidRuleError) as got:
+                build(*args)
+            assert type(got.value) is type(want.value)
+            assert str(got.value) == str(want.value), (build.__name__, args)
+            assert got.value.field == want.value.field
+            seen[build.__name__, kind] += 1
+        assert set(seen) == {(build.__name__, kind) for build, (_, _, slots) in cases.items()
+                             for slot in slots for kind in {**bad, **slot}}
+        for build, (construct, valid, _) in cases.items():
+            self._same(build(*valid), construct(*valid))
+        # `make_app` checks its delta and slot itself, and only the name is
+        # left to test: a name that is no string raises the constructor's error.
+        delta = GuardedDelta((), ())
+        for name in (True, 1.5, None, 7, b"app"):
+            with pytest.raises(InvalidRuleError) as want:
+                AppTransform(name, ((0,),), ((delta,),))
+            with pytest.raises(InvalidRuleError) as got:
+                make_app(name, 0, delta, 1)
+            assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
 
     def test_decoded_flows_and_headers_match_constructed_ones(self):
         count = 0
@@ -912,6 +1069,28 @@ class TestCollectorPause:
                     assert got[0] is want[0] and got[1].startswith(want[1]), (name, source, got)
                     seen.add(source)
         assert seen == set(errors)
+
+    def test_a_load_runs_no_collection(self, tmp_path):
+        # One pause covers reading, parsing and decoding, so no collection
+        # scans the JSON tree between the parse and the decode.
+        text = json.dumps(_document_with_flows(2_000))
+        path = tmp_path / "flows.json"
+        path.write_text(text, encoding="utf-8")
+        started = []
+
+        def record(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+
+        for load, arg in ((load_scenario, path), (loads_scenario, text)):
+            gc.collect()
+            gc.callbacks.append(record)
+            try:
+                scn = load(arg)
+            finally:
+                gc.callbacks.remove(record)
+            assert len(scn.nib.flows) == 2_000
+            assert started == [], load.__name__
 
     def test_each_decoder_runs_with_the_collector_paused(self, monkeypatch):
         seen = []
