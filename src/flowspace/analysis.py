@@ -368,7 +368,9 @@ def what_if(nib: NIB, candidate: FlowModRequest) -> WhatIfReport:
 
     Only the touched switch changes, by the entries `tables.flow_mod`
     reports gained and lost, and a pair of its entries is a new loop
-    only if one of them is gained; a delete introduces none.
+    only if one of them is gained; a delete introduces none.  The lost
+    entries are in canonical order and the new loops in `detect_loops`'s
+    order, each sorted only when it holds two or more.
 
     The previewed table shares a base with the touched table and holds
     only the edit (see `tables.flow_mod`), and the gained entries'
@@ -389,10 +391,16 @@ def what_if(nib: NIB, candidate: FlowModRequest) -> WhatIfReport:
     updated, gained, lost = flow_mod(nib.tables[s], old, new)
     tables = tuple(updated if i == s else t for i, t in enumerate(nib.tables))
     after = NIB(nib.topology, tables, nib.flows)
-    touched = TableDiff(s, gained, tuple(sorted(lost, key=entry_key)))
-    pairs = {frozenset((e, p)) for e in touched.added for p in partners(updated, e)}
+    if len(lost) > 1:
+        lost = tuple(sorted(lost, key=entry_key))
+    touched = TableDiff(s, gained, lost)
+    # At most one entry is gained and its partners are distinct entries
+    # other than it, so each pair comes once.
+    loops = [_finding(s, e, p) for e in gained for p in partners(updated, e)]
+    if len(loops) > 1:
+        loops.sort(key=_finding_id)
     return WhatIfReport(
         diffs=tuple(touched if i == s else TableDiff(i, (), ()) for i in range(n)),
-        new_loops=tuple(sorted((_finding(s, *pair) for pair in pairs), key=_finding_id)),
+        new_loops=tuple(loops),
         result=after,
     )

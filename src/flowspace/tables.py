@@ -21,12 +21,16 @@ table it returns shares a base, a table whose entries and index are
 built, and holds only its edit: the base entries it removed, the
 entries it added and the index groups it overrides.  `partners` and the
 next `flow_mod` read the edit first and then the base's index, so a
-chain of previews and commits costs the entries it touches.  The whole
-entry set and index are built on the first read of the whole table
-(iteration, `len`, equality, hashing, `union`, `reduce`,
-`inverse_pairs`, pickling), or by `flow_mod` once the edit outgrows
-twice the square root of the base's size, so an edit costs O(sqrt n)
-amortized.
+chain of previews and commits costs the entries it touches.  A singular
+(drop) rule has no inverse key, so a base also groups its singular
+entries by rule, on the first delete or modify of such a rule, and
+`flow_mod` finds a drop rule's entries by one lookup there and a look
+at the edit; a table built from an edit carries these groups over, as
+it carries the index.  The whole entry set and index are built on the
+first read of the whole table (iteration, `len`, equality, hashing,
+`union`, `reduce`, `inverse_pairs`, pickling), or by `flow_mod` once
+the edit outgrows twice the square root of the base's size, so an edit
+costs O(sqrt n) amortized.
 A table also remembers the last edit made from it, holding the new
 table by a weak reference: committing a FLOW_MOD that was just
 previewed returns the previewed table instead of editing again, and a
@@ -183,15 +187,17 @@ class FlowTable:
 
     # _order caches the canonical order and _index the inverse index
     # (see `inverse_index`); both are derived from _entries on first use.
-    # _last is `flow_mod`'s memo of the last edit made from this table.
-    # None of the three takes part in equality, hashing, repr, copying or
-    # pickling.
-    __slots__ = ("_entries", "_order", "_index", "_last", "__weakref__")
+    # _drops holds the singular entries grouped by rule (see `_Drops`)
+    # once `flow_mod` has edited the table as a base, and _last is
+    # `flow_mod`'s memo of the last edit made from this table.  None of
+    # the four takes part in equality, hashing, repr, copying or pickling.
+    __slots__ = ("_entries", "_order", "_index", "_drops", "_last", "__weakref__")
 
     def __init__(self, entries: Iterable[FlowEntry] = ()):
         self._entries = frozenset(entries)
         self._order = None
         self._index = None
+        self._drops = None
         self._last = None
 
     def __reduce__(self):
@@ -232,9 +238,10 @@ class _EditedTable(FlowTable):
     would slow every attribute read of a plain `FlowTable`.
     """
 
-    # _base is the base's (entries, index); _removed holds base entries,
-    # _added entries outside the base, and _groups maps an inverse key to
-    # its group, () for a removed key.  All four are None once built.
+    # _base is the base's (entries, index, drops); _removed holds base
+    # entries, _added entries outside the base, and _groups maps an
+    # inverse key to its group, () for a removed key.  All four are None
+    # once built.
     __slots__ = ("_base", "_removed", "_added", "_groups")
 
     def __getattr__(self, name):
@@ -244,8 +251,9 @@ class _EditedTable(FlowTable):
         return getattr(self, name)
 
     def _build(self) -> None:
-        entries, index = self._base
-        self._entries = entries.difference(self._removed).union(self._added)
+        entries, index, drops = self._base
+        removed, added = self._removed, self._added
+        self._entries = entries.difference(removed).union(added)
         index = dict(index)
         for key, group in self._groups.items():
             if group:
@@ -253,7 +261,42 @@ class _EditedTable(FlowTable):
             elif key in index:
                 del index[key]
         self._index = index
+        if drops.groups is not None:  # carried, as the index is, not rebuilt
+            groups = dict(drops.groups)
+            for e in removed:
+                r = e.rule
+                if not all(r.action.linear):
+                    kept = tuple(x for x in groups[r] if x != e)
+                    if kept:
+                        groups[r] = kept
+                    else:
+                        del groups[r]
+            self._drops = _Drops(_group_drops(groups, added))
         self._base = self._removed = self._added = self._groups = None
+
+
+class _Drops:
+    """A base table's singular (drop) entries grouped by rule, in
+    `groups`: None until the first delete or modify of a singular rule
+    on the base or an edit of it builds it.  The base and every edit
+    made from it share one `_Drops`, so the base is scanned once, and a
+    table built from an edit carries the groups over with its edit."""
+
+    __slots__ = ("groups",)
+
+    def __init__(self, groups: dict[FlowRule, tuple[FlowEntry, ...]] | None = None):
+        self.groups = groups
+
+
+def _group_drops(groups: dict[FlowRule, tuple[FlowEntry, ...]], entries: Iterable[FlowEntry]
+                 ) -> dict[FlowRule, tuple[FlowEntry, ...]]:
+    """`groups` with each singular entry of `entries` added to its rule's
+    group."""
+    for e in entries:
+        r = e.rule
+        if not all(r.action.linear):
+            groups[r] = groups.get(r, ()) + (e,)
+    return groups
 
 
 def empty() -> FlowTable:
@@ -430,8 +473,10 @@ def flow_mod(t: FlowTable, old: FlowRule | None, new: FlowRule | None
     the gained entry goes first in its rule's group, where its zero
     counter sorts first.  An invertible rule's entries are one lookup
     away, in the edit or else in the base's index, since equal inverse
-    keys mean equal rules; a singular (drop) rule takes a scan.  Once the
-    edit outgrows twice the square root of the base's size, the new
+    keys mean equal rules; a singular (drop) rule's are its group in the
+    base's drop groups (see `_Drops`, built here on the first such
+    edit) less the removed entries, plus those the edit added.  Once
+    the edit outgrows twice the square root of the base's size, the new
     table is built whole and becomes a base, so an edit costs O(sqrt n)
     amortized.
 
@@ -451,9 +496,11 @@ def flow_mod(t: FlowTable, old: FlowRule | None, new: FlowRule | None
         base = t._base
         removed, added, groups = set(t._removed), set(t._added), dict(t._groups)
     else:
-        base = (t._entries, inverse_index(t))
+        if t._drops is None:
+            t._drops = _Drops()
+        base = (t._entries, inverse_index(t), t._drops)
         removed, added, groups = set(), set(), {}
-    entries, index = base
+    entries, index, drops = base
     lost: tuple[FlowEntry, ...] = ()
     gained: tuple[FlowEntry, ...] = ()
     if old is not None:
@@ -462,9 +509,12 @@ def flow_mod(t: FlowTable, old: FlowRule | None, new: FlowRule | None
             lost = _group(groups, index, key)
             groups[key] = ()
         else:
+            if drops.groups is None:  # the base entries in no index group
+                drops.groups = _group_drops({}, entries.difference(
+                    chain.from_iterable(index.values())))
+            lost = tuple(e for e in drops.groups.get(old, ()) if e not in removed)
             port = old.out_port  # comparing the port first spares most entries a dataclass __eq__
-            lost = tuple(e for e in chain(entries, added)
-                         if e.rule.out_port == port and e.rule == old and e not in removed)
+            lost += tuple(e for e in added if e.rule.out_port == port and e.rule == old)
         if not lost:
             raise RuleNotFoundError(f"no entry with rule {old!r}")
         for e in lost:
@@ -487,7 +537,7 @@ def flow_mod(t: FlowTable, old: FlowRule | None, new: FlowRule | None
             else:
                 gained = (e,)
     out = _new(_EditedTable)
-    out._order = out._last = None
+    out._order = out._drops = out._last = None
     out._base, out._removed, out._added, out._groups = base, removed, added, groups
     size = len(removed) + len(added) + len(groups)
     if size * size > 4 * len(entries):

@@ -14,7 +14,12 @@ table must answer partner lookups through its edit and its base's index
 as the oracle's table does, without being built, past the bound at
 which an edit is built into a new base; read whole, it must give the
 oracle's entries, index, inverse pairs, reduction and loops.  A preview
-and its commit on 32,000 entries must allocate under 64 KB.
+and its commit on 32,000 entries must allocate under 64 KB.  A delete or
+modify of a singular (drop) rule must match the oracles on hand-built
+tables: a rule under several counters, a rule modified into itself, a
+rule added back while its base entry is removed, and deletes after a
+compaction, which must carry the base's drop groups over; on 32,000
+entries it must compare at most a few rules.
 
 The NIB statistics must equal the linear scans over the flows on
 seeded NIBs whose headers collide, on hand-built NIBs, and inside
@@ -286,13 +291,20 @@ class TestSeeded:
     def test_detect_loops_and_what_if_match_full_scans(self):
         rng = random.Random(2001)
         ops = set()
+        seen = Counter()
         for _ in range(2000):
             nib = NIB(Topology(2), (collision_table(rng, 10), collision_table(rng, 10)))
             assert detect_loops(nib) == detect_loops_oracle(nib)
             for candidate in candidates(rng, nib):
                 check_what_if(nib, candidate)
                 ops.add(candidate.op)
+                # `what_if` sorts the lost entries and the new loops only
+                # when there are two or more, so both cases must occur.
+                report = what_if(nib, candidate)
+                seen["two or more lost"] += len(report.diffs[candidate.switch].removed) >= 2
+                seen["two or more new loops"] += len(report.new_loops) >= 2
         assert ops == {"add", "delete", "modify"}
+        assert min(seen["two or more lost"], seen["two or more new loops"]) >= 100, seen
 
 
 def one_switch(*entries: FlowEntry) -> NIB:
@@ -778,6 +790,159 @@ class TestSharedBase:
             tracemalloc.stop()
         assert table is report.result.tables[0] and len(report.new_loops) == 1
         assert peak < 64 * 1024, peak
+
+
+# ---------------------------------------------------------------------------
+# FLOW_MODs of singular rules, found through the base's drop groups
+
+#: A singular action other than a drop: slot 0 is set to 5.
+SET_SLOT_0 = AffineAction((0,) + (1,) * (STATE_SIZE - 1), (5,) + (0,) * (STATE_SIZE - 1))
+
+
+def singular_rule(nw_src: int, port: int = 2, action: AffineAction | None = None) -> FlowRule:
+    return FlowRule(MatchPattern.from_fields(nw_src=nw_src), port, 60, action or drop())
+
+
+#: Invertible entries with partners and without, on the port of the
+#: singular rules `singular_rule(1)` (under counters 0, 2 and 5),
+#: `singular_rule(2)` and `singular_rule(3, action=SET_SLOT_0)`.
+SINGULAR_TABLE = (
+    *(FlowEntry(rule(forward(k), nw_src=1), k) for k in range(1, 5)),
+    FlowEntry(rule(forward(-1), nw_src=1), 0), FlowEntry(rule(forward(9), nw_src=4), 0),
+    *(FlowEntry(singular_rule(1), c) for c in (0, 2, 5)),
+    FlowEntry(singular_rule(2), 0), FlowEntry(singular_rule(3, action=SET_SLOT_0), 1),
+)
+
+
+def replay(entries, steps) -> FlowTable:
+    """The table that `steps`, FLOW_MODs as (old, new) rules, each on the
+    table the last returned, leave of a fresh table of `entries`."""
+    t = FlowTable(entries)
+    for old, new in steps:
+        t = tables.flow_mod(t, old, new)[0]
+    return t
+
+
+def assert_as_oracle(entries, steps, old, new
+                     ) -> tuple[FlowTable, FlowTable, tuple, tuple]:
+    """FLOW_MOD (old, new) after `steps` on a table of `entries`: `what_if`
+    against the oracles, and `flow_mod` against `flow_mod_oracle`.  Each
+    runs on its own replay of the steps, since the comparisons build the
+    tables they read.  The table `flow_mod` edited, the one it returned,
+    unbuilt unless the edit outgrew its base, and the entries gained and
+    lost."""
+    op = "add" if old is None else "delete" if new is None else "modify"
+    check_what_if(NIB(Topology(1), (replay(entries, steps),)),
+                  FlowModRequest(op, 0, old if new is None else new, old if op == "modify" else None))
+    expect = FlowTable(entries)
+    for o, n in steps:
+        expect = flow_mod_oracle(expect, o, n)[0]
+    t = replay(entries, steps)
+    table, gained, lost = tables.flow_mod(t, old, new)
+    expect, expect_gained, expect_lost = flow_mod_oracle(expect, old, new)
+    assert sorted(gained, key=entry_key) == sorted(expect_gained, key=entry_key)
+    assert sorted(lost, key=entry_key) == sorted(expect_lost, key=entry_key)
+    held = table._entries if built(table) else \
+        table._base[0].difference(table._removed).union(table._added)
+    assert held == expect._entries
+    return t, table, gained, lost
+
+
+def assert_drop_groups(t: FlowTable) -> None:
+    """`t`'s drop groups are built and hold exactly its singular entries,
+    grouped by rule."""
+    want: dict[FlowRule, set[FlowEntry]] = {}
+    for e in t._entries:
+        if inverse_key(e.rule) is None:
+            want.setdefault(e.rule, set()).add(e)
+    assert {r: set(group) for r, group in t._drops.groups.items()} == want
+
+
+class TestDropRules:
+    def test_a_rule_under_several_counters(self):
+        held = singular_rule(1)
+        for steps in ([], [(None, singular_rule(9))]):  # on the base, then on an edit
+            for new in (None, rule(forward(1), nw_src=1), singular_rule(2), singular_rule(7)):
+                t, table, gained, lost = assert_as_oracle(
+                    SINGULAR_TABLE, steps, dataclasses.replace(held), new)
+                assert sorted(e.counter for e in lost) == [0, 2, 5]
+                assert built(t) != bool(steps) and not built(table)
+
+    def test_a_rule_modified_into_itself(self):
+        held, lone, added = singular_rule(1), singular_rule(2), singular_rule(9)
+        for steps in ([], [(None, added)]):
+            _, _, gained, lost = assert_as_oracle(SINGULAR_TABLE, steps, held, held)
+            assert gained == () and sorted(e.counter for e in lost) == [2, 5]
+            assert assert_as_oracle(SINGULAR_TABLE, steps, lone, dataclasses.replace(lone)
+                                    )[2:] == ((), ())
+        # A rule the edit added, modified into itself on the next edit.
+        assert assert_as_oracle(SINGULAR_TABLE, [(None, added)], added, added)[2:] == ((), ())
+
+    def test_a_rule_added_back_while_its_base_entry_is_removed(self):
+        held = singular_rule(1)
+        gone = [(held, None)]
+        t, table, gained, _ = assert_as_oracle(SINGULAR_TABLE, gone, None, held)
+        assert gained == (FlowEntry(held, 0),)
+        assert FlowEntry(held, 0) in t._removed and FlowEntry(held, 0) not in table._removed
+        # Held again by its base entry only: deleting or modifying it loses
+        # that entry, and adding it again changes nothing.
+        back = gone + [(None, held)]
+        for new in (None, singular_rule(2), rule(forward(1))):
+            t, _, _, lost = assert_as_oracle(SINGULAR_TABLE, back, held, new)
+            assert lost == (FlowEntry(held, 0),) and not built(t)
+        assert assert_as_oracle(SINGULAR_TABLE, back, None, held)[2:] == ((), ())
+
+    def test_a_delete_after_a_compaction(self):
+        entries = SINGULAR_TABLE + tuple(FlowEntry(rule(forward(k), nw_src=10 + k), 0)
+                                         for k in range(40))
+        held, other, setter = singular_rule(1), singular_rule(2), singular_rule(3, action=SET_SLOT_0)
+        steps = [(held, None), (None, singular_rule(20)), (None, held)]
+        while not built(replay(entries, steps)):  # adds until the edit is built into a new base
+            steps.append((None, rule(forward(3), nw_src=100 + len(steps))))
+        compacted = replay(entries, steps)
+        assert_drop_groups(compacted)  # carried, not left for a new scan
+        for old, new in [(other, None), (singular_rule(20), held), (held, None),
+                         (setter, rule(forward(1)))]:
+            t, table, _, lost = assert_as_oracle(entries, steps, old, new)
+            assert [e.rule for e in lost] == [old]
+            shared = t._drops if built(t) else t._base[2]  # the drop groups of t's base
+            assert table._base[2] is shared and shared.groups is not None
+            steps.append((old, new))
+        t = replay(entries, steps)
+        assert not built(t) and t._base[2].groups is not None
+
+    def test_an_edit_on_32000_entries_compares_few_rules(self, monkeypatch):
+        """Every entry shares the drop rules' port, so a scan would compare
+        each entry's rule with the rule to remove."""
+        size = 32000
+        entries = [FlowEntry(singular_rule(k, port=7, action=forward(5)), 0) for k in range(size)]
+        drops = [singular_rule(size + k, port=7) for k in range(8)]
+        entries += [FlowEntry(r, 0) for r in drops] + [FlowEntry(drops[0], 3)]
+        nib = NIB(Topology(1), (FlowTable(entries),))
+        inverse_index(nib.tables[0])
+        calls = Counter()
+        eq = FlowRule.__eq__
+
+        def counted(self, other):
+            calls["eq"] += 1
+            return eq(self, other)
+
+        monkeypatch.setattr(FlowRule, "__eq__", counted)
+        edit = tables.flow_mod(nib.tables[0], None, singular_rule(size + 99, port=7))[0]
+        cases = [  # (table, candidate, entries lost), the rules rebuilt equal
+            (nib.tables[0], FlowModRequest("delete", 0, dataclasses.replace(drops[0])), 2),
+            (nib.tables[0], FlowModRequest("delete", 0, dataclasses.replace(drops[1])), 1),
+            (nib.tables[0], FlowModRequest("modify", 0, entries[0].rule,
+                                           dataclasses.replace(drops[2])), 1),
+            (edit, FlowModRequest("modify", 0, drops[4], dataclasses.replace(drops[3])), 1),
+            (edit, FlowModRequest("delete", 0, dataclasses.replace(drops[0])), 2),
+        ]
+        for table, candidate, lost in cases:
+            calls.clear()
+            report = what_if(NIB(nib.topology, (table,)), candidate)
+            assert len(report.diffs[0].removed) == lost
+            assert calls["eq"] <= 4, calls
+        assert not built(edit)
 
 
 # ---------------------------------------------------------------------------
