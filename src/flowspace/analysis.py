@@ -4,14 +4,15 @@ Congruence reports compare the normal forms of two applications' (or
 chains') composite matrices, a sound but not complete test of equal
 behaviour; behavioral differencing applies two composites
 to concrete scenarios and reports where the resulting tables disagree.
-Both read the slot keys each normal form keeps: congruence finds its
-first difference by them, and differencing selects templates only in
-the slots where the keys or the linear rows differ, builds tables only
-in the slots whose rows or selected template sets differ, and compares
-reductions only in the (match, out_port, ttl) buckets where two tables
-differ (`tables.reductions_equal`).  A witness (`Counterexample`)
-builds its two whole results on first read, from the scenario's NIB and
-header and the work the diff already did.
+Both read the slot keys each normal form keeps, in which equal
+templates share one interned key object and so compare by pointer:
+congruence finds its first difference by them, and differencing
+selects templates only in the slots where the keys or the linear rows
+differ, builds tables only in the slots whose rows or selected template
+sets differ, and compares reductions only in the (match, out_port, ttl)
+buckets where two tables differ (`tables.reductions_equal`).  A witness
+(`Counterexample`) builds its two whole results on first read, from the
+scenario's NIB and header and the work the diff already did.
 
 Loop detection scans each flow table for entry pairs whose actions
 undo each other (a packet re-entering a rule it already traversed);
@@ -111,9 +112,10 @@ def check_congruence(a: ServiceChain | AppTransform,
     """Decide congruence and describe the first structural difference.
 
     The normal forms are compared by their kept slot keys
-    (`AppTransform.slot_keys`), one tuple comparison per slot, and only
-    the first differing slot's pieces are read to describe how they
-    differ.
+    (`AppTransform.slot_keys`), one tuple comparison per slot, in which
+    each template is one pointer test, as equal templates share one
+    interned key; only the first differing slot's pieces are read to
+    describe how they differ.
     """
     na, nb = normal_forms(_as_transform(a), _as_transform(b))
     # Normal forms of equal slot count differ exactly where a first
@@ -224,7 +226,9 @@ def behavioral_diff(a: ServiceChain | AppTransform,
     kept keys agree in a slot select equal template sets there on every
     NIB and header, so once per call the "open" slots are found: those
     whose rows or normal-form keys differ.  Per scenario, only open slots
-    take both composites' selections and the set test.
+    take both composites' selections and the set test.  Equal templates
+    share one interned key, so the key test and the set test take one
+    pointer test per template.
 
     Slot counts are checked against each scenario's topology first, so
     a mismatch raises before any template is instantiated.  Then `a`

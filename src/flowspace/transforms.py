@@ -29,13 +29,22 @@ transform, so each is computed once, on first use, and kept: a
 `AppTransform` its normal form (`normalize` returns it), both outside
 equality, hashing and repr.  A sequence of stages is composed on every
 call.  A transform keeps two more facts the same way: one key per slot
-(`slot_keys`, of `guard_key`s and `template_key`s), equal exactly when
-the slots are, and the distinct ports its templates look up
-(`port_lookups`).  Two normal forms whose keys agree in a slot select
+(`slot_keys`, of `guard_key`s and the templates' interned keys), equal
+exactly when the slots are, and the distinct ports its templates look
+up (`port_lookups`).  Two normal forms whose keys agree in a slot select
 equal template sets there on every NIB and header, so
 `analysis.behavioral_diff` selects only the slots where they differ,
 and skips a scenario without selecting anything when
 `lookups_resolve` says no template can fail to instantiate.
+
+A template's canonical key is interned (`intern_key`): every live
+template with that key holds one shared `TemplateKey`, found through a
+table that holds each key weakly, so equal templates built anywhere,
+two chains of one document or a composite and its normal form, share
+it.  Template equality and slot keys thus compare by pointer, one test
+per template.  Identity is a fast path only: keys that are not the same
+object compare by value, and a copied or unpickled key (slot keys
+travel with a pickled transform) is interned again.
 
 `selections` evaluates a transform's guards for one (NIB, header) and
 gives each slot's selected templates in apply order, after
@@ -57,18 +66,19 @@ and `make_app` builds an app's identity rows and slots without
 
 Instantiation is the paper's translation step, run on every apply, so
 it is compiled once per template: on first use a template derives its
-hash, its canonical key (`template_key`) and its instantiation plan
-together, and keeps them.  The plan holds the out port, the action's
-steps flattened in order, the ttl and the counter, with literal ports
-and values in place.  Equality compares the keys, `normalize` sorts by
-them, and `check_instantiable`, for a caller that skips the
-instantiation, resolves only the port names and destination ports the
-plan looks up.  `Instances.build` runs the plan through one
-`actions.ActionFold`, and builds the entry, its rule and the header's
-exact pattern from parts whose constructors already checked them (the
-template, `PortNumber`, `SetField`, `Header` and `Topology`, whose port
-maps are read-only), through `tables.checked_entry` and
-`MatchPattern.exact_for`, so those checks do not run again.
+hash, its interned canonical key and its instantiation plan together,
+and keeps them.  The plan holds the out port, the action's steps
+flattened in order, the ttl and the counter, with literal ports and
+values in place.  Equality compares the keys, `normalize` sorts by
+their values (`template_key`), and `check_instantiable`, for a caller
+that skips the instantiation, resolves only the port names and
+destination ports the plan looks up.  `Instances.build` runs the plan
+through one `actions.ActionFold`, and builds the entry, its rule and
+the header's exact pattern from parts whose constructors already
+checked them (the template, `PortNumber`, `SetField`, `Header` and
+`Topology`, whose port maps are read-only), through
+`tables.checked_entry` and `MatchPattern.exact_for`, so those checks do
+not run again.
 
 Composition, application and the constructor's check all follow the
 rows' nonzeros, so a transform of n identity rows costs O(n) to build,
@@ -81,6 +91,7 @@ the base the new table shares.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence, Union
@@ -370,12 +381,12 @@ class RuleTemplate(KeptFacts):
 
     Facts derived from the fields are computed together once per object,
     on first use, and kept in the `_facts` slot, out of equality, repr
-    and pickling: the hash, the canonical key (`template_key`) and the
-    instantiation plan (`Plan`), whose port references are the lookups
-    instantiation makes.  The slot is written once and never rewritten.
-    Equality compares the hashes, then the keys: constructors reject
-    bools, unknown field names and out-of-range values, so equal keys
-    mean equal fields.
+    and pickling: the hash, the interned canonical key (`TemplateKey`)
+    and the instantiation plan (`Plan`), whose port references are the
+    lookups instantiation makes.  The slot is written once and never
+    rewritten.  Equality compares the keys, by pointer while both are
+    interned: constructors reject bools, unknown field names and
+    out-of-range values, so equal keys mean equal fields.
     """
 
     match: MatchSpec
@@ -405,13 +416,15 @@ class RuleTemplate(KeptFacts):
         return (self._facts or _facts(self))[0]
 
     def __eq__(self, other) -> bool:
+        """Equal exactly when the canonical keys are: one pointer test
+        when both keys are interned, else a comparison of the keys."""
         if self is other:
             return True
         if other.__class__ is not RuleTemplate:
             return NotImplemented
-        x = self._facts or _facts(self)
-        y = other._facts or _facts(other)
-        return x[0] == y[0] and x[1] == y[1]
+        x = (self._facts or _facts(self))[1]
+        y = (other._facts or _facts(other))[1]
+        return x is y or x == y
 
     def __reduce__(self):
         return RuleTemplate, (self.match, self.out_port, self.ttl, self.action, self.counter)
@@ -452,17 +465,18 @@ Plan = tuple
 _DROP = -1
 
 
-def _facts(t: RuleTemplate) -> tuple[int, tuple, Plan]:
-    """The template's hash, canonical key and instantiation plan, derived
-    together on first use and kept.
+def _facts(t: RuleTemplate) -> tuple[int, TemplateKey, Plan]:
+    """The template's hash, interned canonical key and instantiation
+    plan, derived together on first use and kept.
 
     One slot holds them all, written once, so that one test tells
-    whether they exist.
+    whether they exist.  The key is the one object `intern_key` shares
+    among all live templates with that canonical key.
     """
     facts = t._facts
     if facts is None:
         out = t.out_port
-        facts = (hash((t.match, out, t.ttl, t.action, t.counter)), _canonical_key(t),
+        facts = (hash((t.match, out, t.ttl, t.action, t.counter)), intern_key(_canonical_key(t)),
                  (None if isinstance(t.match, InputHeader) else t.match,
                   out.value if isinstance(out, PortNumber) else out,
                   t.ttl, tuple(_plan_steps(t.action)), t.counter))
@@ -530,10 +544,80 @@ def _canonical_key(t: RuleTemplate) -> tuple:
             _action_spec_key(t.action), t.counter)
 
 
+class TemplateKey:
+    """A template's canonical key (`value`), shared by every live template
+    with that key.
+
+    `intern_key` makes one object per distinct key, so two interned keys
+    are equal exactly when they are the same object, and containers of
+    them (`AppTransform.slot_keys`) compare by pointer.  Identity is a
+    fast path only: a key that is not the same object compares by its
+    hash, then its value, so keys made around the table still compare
+    right.  A copied or unpickled key is interned again.
+    """
+
+    __slots__ = ("value", "hash", "__weakref__")
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not TemplateKey:
+            return NotImplemented
+        return self.hash == other.hash and self.value == other.value
+
+    def __hash__(self) -> int:
+        return self.hash
+
+    def __reduce__(self):
+        return intern_key, (self.value,)
+
+
+class _KeyRef(weakref.ref):
+    """The intern table's weak reference to a key, which knows its entry."""
+
+    __slots__ = ("value",)
+
+
+#: Canonical key value -> weak reference to its one live `TemplateKey`.
+#: An entry goes when its key dies, so the table holds only the keys of
+#: live templates and transforms.
+_keys: dict[tuple, _KeyRef] = {}
+
+
+def intern_key(value: tuple) -> TemplateKey:
+    """The one live `TemplateKey` of this canonical key value, made the
+    first time the value is seen while no key of it lives.
+
+    Threads that intern one value at once may each make a key; the keys
+    then compare by value, so only the pointer test is lost.
+    """
+    ref = _keys.get(value)
+    if ref is not None:
+        key = ref()
+        if key is not None:
+            return key
+    key = _new(TemplateKey)
+    key.value, key.hash = value, hash(value)
+    ref = _KeyRef(key, _forget)
+    ref.value = value
+    _keys[value] = ref
+    return key
+
+
+def _forget(ref: _KeyRef, keys: dict = _keys) -> None:
+    # Bound at definition, so the callback still finds the table while
+    # the interpreter shuts down.  An entry made since for the same value
+    # is not this reference's to remove.
+    if keys.get(ref.value) is ref:
+        del keys[ref.value]
+
+
 def template_key(t: RuleTemplate) -> tuple:
     """The template's canonical total-order key; equal exactly when the
-    templates are.  Computed once per template and kept."""
-    return _facts(t)[1]
+    templates are.  It is the value of the interned key (`_facts`),
+    computed once per template and kept, so `normalize` sorts template
+    sets by plain tuples."""
+    return _facts(t)[1].value
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +656,8 @@ def checked_delta(branches: tuple[Branch, ...], default: Templates) -> GuardedDe
 
 def _piece_key(piece: GuardedDelta) -> tuple:
     """Equal exactly when the pieces are: guards and templates are keyed
-    one to one."""
+    one to one, templates by their interned keys, so equal pieces compare
+    by pointer per template."""
     return (tuple([(guard_key(g), tuple([_facts(t)[1] for t in arm]))
                    for g, arm in piece.branches]),
             tuple([_facts(t)[1] for t in piece.default]))
@@ -672,8 +757,9 @@ class AppTransform:
 
     @cached_property
     def slot_keys(self) -> tuple[tuple, ...]:
-        """One key per slot, of `guard_key`s and `template_key`s: two slots'
-        keys are equal exactly when their piece sums are."""
+        """One key per slot, of `guard_key`s and the templates' interned
+        keys (`TemplateKey`): two slots' keys are equal exactly when their
+        piece sums are."""
         return tuple([tuple([_piece_key(p) for p in slot]) for slot in self.translation])
 
     @cached_property

@@ -32,6 +32,15 @@ equality, hash agreement and key equality must agree with the
 field-by-field comparison on seeded pairs, and the flat pattern key
 must order patterns and table entries as the nested key did.
 
+Interned template keys must give the equality, hashes and key order of
+the structural keys (`_canonical_key` tuples) on templates drawn twice
+from the same seeds, and `check_congruence` the verdict and first
+difference of the oracles on chain pairs drawn that way, also when one
+key is forced to two objects.  Kept slot keys must come back from
+pickling and copies as the same objects, a dead key must leave the
+intern table, and comparing congruent pairs must compare no two key
+objects.
+
 `scenario.action_from_obj`, which folds a concrete action's steps into
 one action, must give exactly the pairwise-composing decoder's action,
 or the same error, on seeded action objects, malformed ones included.
@@ -2620,6 +2629,165 @@ class TestSlotKeys:
         assert {"slot_keys", "port_lookups"} <= set(vars(t))
         assert not {"slot_keys", "port_lookups"} & set(vars(bare))
         assert t == bare and hash(t) == hash(bare) and repr(t) == repr(bare)
+
+
+def twin_pair(rng: random.Random, n: int) -> tuple[str, ServiceChain, ServiceChain]:
+    """Two chains of `sampling.random_app` stages drawn twice from the same
+    seeds, so that no template object is shared: the second shuffled by
+    `sampling.shuffled_variant` (congruent), or with one template of one
+    stage replaced as well."""
+    seeds = [rng.randrange(1 << 30) for _ in range(rng.randint(1, 6))]
+    a, b = ([sampling.random_app(random.Random(s), n, f"s{i}") for i, s in enumerate(seeds)]
+            for _ in range(2))
+    b = [sampling.shuffled_variant(rng, stage) for stage in b]
+    kind = "shuffled"
+    if rng.random() < 0.5:
+        k = rng.randrange(len(b))
+        b[k], kind = with_templates(rng, b[k], one_template), "edited"
+    return kind, ServiceChain(tuple(a)), ServiceChain(tuple(b))
+
+
+def structural_slots(t: AppTransform) -> tuple:
+    """The normal form's slots with every guard keyed by `guard_key` and
+    every template by its structural key, the `_canonical_key` tuple."""
+    key = transforms._canonical_key
+    return tuple(tuple((tuple((transforms.guard_key(g), tuple(key(x) for x in arm))
+                               for g, arm in p.branches),
+                        tuple(key(x) for x in p.default)) for p in slot)
+                 for slot in normalize(t).translation)
+
+
+def key_objects(keys) -> list:
+    """The `TemplateKey`s in nested tuples of slot keys, in order."""
+    if isinstance(keys, transforms.TemplateKey):
+        return [keys]
+    return [k for item in keys if isinstance(item, tuple | transforms.TemplateKey)
+            for k in key_objects(item)]
+
+
+def force_second_key(tpls) -> RuleTemplate | None:
+    """Drop from the intern table the entry of the first template whose key
+    lives there, so that the next template with that key gets a second,
+    distinct key object; the template, or None if no key lives there."""
+    for tpl in tpls:
+        value = transforms._canonical_key(tpl)
+        if value in transforms._keys:
+            del transforms._keys[value]
+            return tpl
+    return None
+
+
+class TestInternedKeys:
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_templates_agree_with_the_structural_keys(self, forced):
+        rng = random.Random(8401)
+        seeds = [rng.randrange(1 << 30) for _ in range(600)]
+        first = [sampling.random_template(random.Random(s)) for s in seeds]
+        second = [sampling.random_template(random.Random(s)) for s in seeds]
+        second += [sampling.random_template(rng) for _ in range(300)]
+        for tpl in first:
+            hash(tpl)
+        # Forced, the templates of `first` with the twin's key keep the key
+        # object they got, and those of `second` get a second one.
+        twin = force_second_key(first) if forced else None
+        key = transforms._canonical_key
+        in_first = {id(t) for t in first}
+        seen = Counter()
+        for a, b in [*zip(first, second), *(rng.sample(first + second, 2) for _ in range(3000))]:
+            want = key(a) == key(b)
+            assert (a == b) is (b == a) is want and (a != b) is not want
+            assert (transforms.template_key(a) == transforms.template_key(b)) is want
+            if want:
+                assert hash(a) == hash(b)
+                split = (twin is not None and key(a) == key(twin)
+                         and (id(a) in in_first) is not (id(b) in in_first))
+                assert (a._facts[1] is b._facts[1]) is not split
+                seen["distinct" if split else "shared"] += 1
+        assert sorted(map(key, first + second)) == \
+            [key(t) for t in sorted(first + second, key=transforms.template_key)]
+        assert seen["shared"] > 500 and bool(seen["distinct"]) is forced, seen
+
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_verdicts_agree_with_the_structural_keys(self, forced):
+        rng = random.Random(8402)
+        kinds = Counter()
+        for _ in range(400):
+            kind, a, b = twin_pair(rng, rng.randint(1, 4))
+            ta, tb = transforms.chain(a), transforms.chain(b)
+            normalize(ta).slot_keys
+            if forced and force_second_key(templates_of(tb)):
+                kinds["forced"] += 1
+            report = analysis.check_congruence(a, b)
+            na, nb = report.normalized_a, report.normalized_b
+            want = na.linear == nb.linear and structural_slots(ta) == structural_slots(tb)
+            assert report.congruent is oracles.congruent(ta, tb) is want
+            assert report.first_difference == first_difference_oracle(na, nb)
+            kinds[kind, want] += 1
+        assert kinds["shuffled", True] > 100 and kinds["edited", False] > 100, kinds
+        assert (kinds["forced"] > 100) is forced, kinds
+
+    def test_kept_keys_survive_copies_and_dead_keys_leave_the_table(self):
+        gc.collect()
+        before = len(transforms._keys)
+        t = normal_form_chain(random.Random(8404), 12, 3)
+        twin = pickle.loads(pickle.dumps(t))  # equal templates, distinct objects
+        n = normalize(t)
+        keys = key_objects(n.slot_keys)
+        assert keys and len(transforms._keys) > before
+        for copied in (pickle.loads(pickle.dumps(n)), copy.copy(n), copy.deepcopy(n),
+                       normalize(twin)):
+            assert copied.slot_keys == n.slot_keys
+            assert all(x is y for x, y in zip(key_objects(copied.slot_keys), keys, strict=True))
+        data = pickle.dumps(n.slot_keys)
+        del t, twin, n, keys, copied
+        gc.collect()
+        assert len(transforms._keys) == before
+        # Unpickled after every key of its value died, a key is interned afresh.
+        loaded = pickle.loads(data)
+        assert len(transforms._keys) > before
+        fresh = normalize(pickle.loads(pickle.dumps(normal_form_chain(random.Random(8404), 12, 3))))
+        assert all(x is y for x, y in zip(key_objects(fresh.slot_keys), key_objects(loaded),
+                                           strict=True))
+        del loaded, fresh
+        gc.collect()
+        assert len(transforms._keys) == before
+
+    def test_equal_normal_forms_compare_keys_by_pointer(self, monkeypatch):
+        # Every call compares two distinct key objects; those with equal
+        # hashes go on to compare their values.
+        calls = []
+        eq = transforms.TemplateKey.__eq__
+
+        def counting(x, y):
+            calls.append(x.hash == y.hash)
+            return eq(x, y)
+
+        monkeypatch.setattr(transforms.TemplateKey, "__eq__", counting)
+        rng = random.Random(8405)
+        kinds = Counter()
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            kind, a, b = twin_pair(rng, n)
+            ta, tb = transforms.chain(a), transforms.chain(b)
+            differing = sum(x != y for x, y in zip(structural_slots(ta), structural_slots(tb)))
+            normalize(ta).slot_keys, normalize(tb).slot_keys
+            topology = sampling.random_topology(rng, n)
+            scenarios = [sampling.random_scenario(rng, topology) for _ in range(3)]
+            calls.clear()
+            analysis.check_congruence(a, b)
+            congruence, calls[:] = list(calls), []
+            diff_outcome(analysis.behavioral_diff, ta, tb, scenarios)
+            diff = list(calls)
+            if not differing:
+                assert congruence == diff == []
+            else:
+                # At most one value comparison per differing slot; the first
+                # differing slot's keys are compared to find it, its piece
+                # and its arm, and each differing slot's once to open it.
+                assert sum(congruence) <= differing and sum(diff) <= differing
+                assert len(congruence) <= 3 and len(diff) <= differing
+            kinds[kind, bool(differing)] += 1
+        assert kinds["shuffled", False] > 100 and kinds["edited", True] > 50, kinds
 
 
 GOOD = RuleTemplate(InputHeader(), PortName("p0"), 60, Forward(PortNumber(2)))

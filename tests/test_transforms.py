@@ -576,8 +576,12 @@ class TestTemplateHash:
         tpl, other = hashed_template(), hashed_template()
         assert tpl._facts is None and other._facts is None
         assert tpl == other and other == tpl and template_key(tpl) == template_key(other)
-        # The hash, key and plan are worked out together into one slot, once.
-        assert tpl._facts[:2] == (hash(tpl), template_key(tpl))
+        # The hash, the interned key and the plan are worked out together
+        # into one slot, once; a second equal template gets the same key object.
+        key = tpl._facts[1]
+        assert tpl._facts[0] == hash(tpl) and type(key) is transforms.TemplateKey
+        assert key.value == template_key(tpl) and key is transforms.intern_key(template_key(tpl))
+        assert other._facts[1] is key
         assert len(calls) == 2 and calls[0] is not calls[1]
 
     def test_unpickled_in_another_hash_seed_hashes_as_built_there(self):
